@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -169,8 +170,14 @@ def _rand_field(rng, n, order, scale=1.0) -> np.ndarray:
     return out
 
 
+def _worst(residuals) -> float:
+    """Largest residual, or NaN if any is not finite: NaN fails every tolerance test."""
+    vals = [float(r) for r in residuals]
+    return max([0.0] + vals) if all(map(math.isfinite, vals)) else math.nan
+
+
 def _values_max(arr) -> float:
-    return max(abs(j.value) for j in np.asarray(arr, dtype=object).flat)
+    return _worst(abs(j.value) for j in np.asarray(arr, dtype=object).flat)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +492,7 @@ def run(config: RunConfig) -> Report:
         for check_id, statement, fn, dim4_only in table:
             if dim4_only and spec.dim != 4:
                 continue
-            worst = 0.0
-            for geom in geoms:
-                worst = max(worst, fn(geom, rng, config.tol))
+            worst = _worst([fn(geom, rng, config.tol) for geom in geoms])
             report.checks.append(CheckRecord(
                 check_id, suite, statement, worst, config.tol,
                 worst <= config.tol, config.points))
@@ -499,12 +504,8 @@ def run(config: RunConfig) -> Report:
             plain(suite, _TRACTOR)
         elif suite == "detour":
             plain(suite, _DETOUR)
-            worst = 0.0
-            pred_norm = 0.0
-            gap = 0.0
-            for geom in geoms:
-                r, p, g = _complex_composition(geom, rng, config.tol)
-                worst, pred_norm, gap = max(worst, r), max(pred_norm, p), max(gap, g)
+            rows = [_complex_composition(geom, rng, config.tol) for geom in geoms]
+            worst, pred_norm, gap = (_worst(col) for col in zip(*rows))
             negative = pred_norm > 10.0 * config.tol
             if negative:
                 ok = worst > config.tol and gap <= OBSTRUCTION_MATCH_TOL * max(1.0, pred_norm)
@@ -525,23 +526,18 @@ def run(config: RunConfig) -> Report:
                  "parallel scale kernel admits the recorded Einstein scale",
                  _scale_kernel_bound),
             ]:
-                worst = 0.0
-                for geom in geoms:
-                    worst = max(worst, fn(geom, rng, config.tol, entry))
+                worst = _worst([fn(geom, rng, config.tol, entry) for geom in geoms])
                 report.checks.append(CheckRecord(
                     check_id, suite, statement, worst, config.tol,
                     worst <= config.tol, config.points))
-            worst = 0.0
-            for _ in range(config.points):
-                worst = max(worst, _transport_roundtrip(spec, box, rng, config.tol))
+            worst = _worst([_transport_roundtrip(spec, box, rng, config.tol)
+                            for _ in range(config.points)])
             report.checks.append(CheckRecord(
                 "transport-roundtrip", suite,
                 "forward and reverse parallel transport return the fiber",
                 worst, config.tol, worst <= config.tol, config.points))
         elif suite == "deformation":
-            worst = 0.0
-            for geom in geoms:
-                worst = max(worst, _gauge_linearization(geom, rng, config.tol))
+            worst = _worst([_gauge_linearization(geom, rng, config.tol) for geom in geoms])
             report.checks.append(CheckRecord(
                 "gauge-linearization", suite,
                 "linearized obstruction along gauge directions equals the "
@@ -563,6 +559,10 @@ def _cmd_verify(args) -> int:
         report = run(config)
     except (ConfigError, MetricSyntaxError, MetricValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError) as exc:
+        # the metric (or a derived quantity) cannot be evaluated at a sample point
+        print(f"error: evaluating {args.metric}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     text = report.to_json() if config.fmt == "json" else report.to_text()
     if args.out:

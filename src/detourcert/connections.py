@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tractor as tractor_mod
+from . import jets, tractor as tractor_mod
 from .geometry import Geometry, truncate_array, value_array
 from .jets import Jet
 
@@ -175,30 +175,8 @@ def polynomial_connection(geom: Geometry, rank: int, rng, scale: float = 0.2,
 
 
 def _matmul_batched(x, y, dim: int, order: int) -> np.ndarray:
-    # stack coefficients, one true matrix product per convolution pair,
-    # then scatter-add into the product coefficient slots
-    from .jets import _mul_table, _size
-
-    ia, ib, ic = _mul_table(dim, order)
-    size = _size(dim, order)
-    r, m = x.shape
-    s = y.shape[1]
-    ax = np.empty((r, m, size))
-    by = np.empty((m, s, size))
-    for i in range(r):
-        for k in range(m):
-            ax[i, k] = x[i, k].coeffs
-    for k in range(m):
-        for j in range(s):
-            by[k, j] = y[k, j].coeffs
-    prods = np.matmul(ax[:, :, ia].transpose(2, 0, 1), by[:, :, ib].transpose(2, 0, 1))
-    acc = np.zeros((size, r, s))
-    np.add.at(acc, ic, prods)
-    out = np.empty((r, s), dtype=object)
-    for i in range(r):
-        for j in range(s):
-            out[i, j] = Jet(dim, order, acc[:, i, j].copy())
-    return out
+    prod = jets.contract(jets.to_dense(x), jets.to_dense(y), dim, order)
+    return jets.to_jets(prod, dim, order)
 
 
 def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

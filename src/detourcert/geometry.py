@@ -14,6 +14,14 @@ used consistently everywhere downstream:
 
 Jet orders decay along the chain: the metric carries order K, Christoffel
 K-1, curvature K-2, Cotton K-3, Bach K-4.
+
+Every stage works on dense jet tensors (float arrays of shape
+tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
+jet matrix products and run through jets.contract, partial derivatives are
+one gather per array (jets.partials), and truncation to a lower order is a
+slice of the coefficient axis.  A stage keeps its dense array for the later
+stages (Geometry.dense) and returns an object array of jets viewing it.
+covd_array accepts and returns either layout.
 """
 from __future__ import annotations
 
@@ -86,14 +94,6 @@ def value_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_coeff(arr) -> float:
-    """Largest |coefficient| across an object array of jets."""
-    worst = 0.0
-    for j in np.asarray(arr, dtype=object).flat:
-        worst = max(worst, float(np.max(np.abs(j.coeffs))))
-    return worst
-
-
 def invert_jet_matrix(g: np.ndarray, pivot_floor: float = 1e-12) -> np.ndarray:
     """Gauss-Jordan inverse of a square object matrix of jets."""
     n = g.shape[0]
@@ -156,6 +156,7 @@ class Geometry:
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
         self.jet_dim = self.g[0, 0].dim
+        self._dense = {"g": jets.to_dense(self.g)}
         self.ginv  # eager inverse so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
@@ -169,102 +170,73 @@ class Geometry:
                 f"{what} needs metric jet order >= {order_needed}, geometry has {self.order}"
             )
 
-    def _partials(self, arr: np.ndarray) -> np.ndarray:
-        """d_a applied to every entry; new axis in front runs over coordinates."""
-        out = np.empty((self.n,) + arr.shape, dtype=object)
-        for a in range(self.n):
-            for idx in np.ndindex(arr.shape):
-                out[(a,) + idx] = arr[idx].partial(a)
-        return out
+    def dense(self, stage: str, order: int | None = None) -> np.ndarray:
+        """Dense coefficients of a stage ("g" or a cached stage), optionally truncated."""
+        getattr(self, stage)  # runs the stage once
+        x = self._dense[stage]
+        return x if order is None else x[..., : jets._size(self.jet_dim, order)]
+
+    def _keep(self, stage: str, x: np.ndarray, order: int) -> np.ndarray:
+        # contiguous, so that the jets view this array instead of a copy
+        x = self._dense[stage] = np.ascontiguousarray(x)
+        return jets.to_jets(x, self.jet_dim, order)
+
+    def _contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return jets.contract(x, y, self.jet_dim, jets.order_of(self.jet_dim, x.shape[-1]))
 
     # -- curvature chain ------------------------------------------------------
+    # Each stage computes its dense array from the dense arrays of earlier
+    # stages, keeps it for later stages and returns the jets viewing it.
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return invert_jet_matrix(self.g)
+        inv = invert_jet_matrix(self.g)
+        self._dense["ginv"] = jets.to_dense(inv)
+        return inv
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Gamma[c, a, b] = Gam^c_ab at order K-1."""
         self.require(1, "christoffel")
         n, k = self.n, self.order - 1
-        dg = self._partials(self.g)
-        gl = truncate_array(self.ginv, k)
-        out = np.empty((n, n, n), dtype=object)
-        for c in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    acc = self.zero(k)
-                    for d in range(n):
-                        acc = acc + gl[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                    out[c, a, b] = out[c, b, a] = acc * 0.5
-        return out
+        dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n)  # d_a g_db at [a, d, b]
+        low = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg  # [d, a, b]
+        gam = self._contract(self.dense("ginv", k), low.reshape(n, n * n, -1)) * 0.5
+        return self._keep("gamma", gam.reshape(n, n, n, -1), k)
 
     @cached_property
     def riemann(self) -> np.ndarray:
         """R[a, b, c, d] = R_ab^c_d at order K-2."""
         self.require(2, "curvature")
         n, k = self.n, self.order - 2
-        gam = self.gamma
-        dgam = self._partials(gam)
-        gl = truncate_array(gam, k)
-        out = np.empty((n, n, n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                if b < a:
-                    for c in range(n):
-                        for d in range(n):
-                            out[a, b, c, d] = -out[b, a, c, d]
-                    continue
-                for c in range(n):
-                    for d in range(n):
-                        if a == b:
-                            out[a, b, c, d] = self.zero(k)
-                            continue
-                        acc = dgam[a, c, b, d] - dgam[b, c, a, d]
-                        for e in range(n):
-                            acc = acc + gl[c, a, e] * gl[e, b, d] - gl[c, b, e] * gl[e, a, d]
-                        out[a, b, c, d] = acc
-        return out
+        gam = self.dense("gamma")
+        low = self.dense("gamma", k)
+        # d_a Gam^c_bd + Gam^c_ae Gam^e_bd, laid out [a, c, b, d]
+        half = jets.partials(gam, self.jet_dim, k + 1, n)
+        half += self._contract(low.transpose(1, 0, 2, 3).reshape(n * n, n, -1),
+                               low.reshape(n, n * n, -1)).reshape(n, n, n, n, -1)
+        half = half.transpose(0, 2, 1, 3, 4)
+        rie = np.subtract(half, half.transpose(1, 0, 2, 3, 4), order="C")
+        return self._keep("riemann", rie, k)
 
     @cached_property
     def riemann_down(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        g = truncate_array(self.g, k)
-        rie = self.riemann
-        out = np.empty((n, n, n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        acc = self.zero(k)
-                        for e in range(n):
-                            acc = acc + g[c, e] * rie[a, b, e, d]
-                        out[a, b, c, d] = acc
-        return out
+        rie = self.dense("riemann").transpose(2, 0, 1, 3, 4)  # [e, a, b, d]
+        low = self._contract(self.dense("g", k), rie.reshape(n, n**3, -1))
+        return self._keep("riemann_down", low.reshape(n, n, n, n, -1).transpose(1, 2, 0, 3, 4), k)
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        n = self.n
-        rie = self.riemann
-        out = np.empty((n, n), dtype=object)
-        for b in range(n):
-            for d in range(n):
-                acc = self.zero(self.order - 2)
-                for a in range(n):
-                    acc = acc + rie[a, b, a, d]
-                out[b, d] = acc
-        return out
+        ric = np.trace(self.dense("riemann"), axis1=0, axis2=2)
+        return self._keep("ricci", ric, self.order - 2)
 
     @cached_property
     def scalar(self) -> Jet:
-        k = self.order - 2
-        gl = truncate_array(self.ginv, k)
-        acc = self.zero(k)
-        for b in range(self.n):
-            for d in range(self.n):
-                acc = acc + gl[b, d] * self.ricci[b, d]
-        return acc
+        n, k = self.n, self.order - 2
+        sc = self._contract(self.dense("ginv", k).reshape(1, n * n, -1),
+                            self.dense("ricci").reshape(n * n, 1, -1))
+        return self._keep("scalar", sc[0, 0], k)[()]
 
     @cached_property
     def jtrace(self) -> Jet:
@@ -273,108 +245,78 @@ class Geometry:
     @cached_property
     def schouten(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        g = truncate_array(self.g, k)
-        j = self.jtrace
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = (self.ricci[a, b] - j * g[a, b]) / float(n - 2)
-        return out
+        jg = self._contract(self.jtrace.coeffs.reshape(1, 1, -1),
+                            self.dense("g", k).reshape(1, n * n, -1))
+        sch = (self.dense("ricci") - jg.reshape(n, n, -1)) / float(n - 2)
+        return self._keep("schouten", sch, k)
 
     @cached_property
     def schouten_up(self) -> np.ndarray:
         """P with both indices raised, order K-2."""
-        n, k = self.n, self.order - 2
-        gl = truncate_array(self.ginv, k)
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                acc = self.zero(k)
-                for i in range(n):
-                    for j in range(n):
-                        acc = acc + gl[a, i] * gl[b, j] * self.schouten[i, j]
-                out[a, b] = acc
-        return out
+        gl = self.dense("ginv", self.order - 2)
+        pg = self._contract(self._contract(gl, self.dense("schouten")), gl.transpose(1, 0, 2))
+        return self._keep("schouten_up", pg, self.order - 2)
 
     @cached_property
     def weyl(self) -> np.ndarray:
         """C[a, b, c, d] all indices down, order K-2."""
         n, k = self.n, self.order - 2
-        g = truncate_array(self.g, k)
-        P = self.schouten
-        out = np.empty((n, n, n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        wedge = (
-                            g[c, a] * P[b, d] - g[c, b] * P[a, d]
-                            + g[d, b] * P[a, c] - g[d, a] * P[b, c]
-                        )
-                        out[a, b, c, d] = self.riemann_down[a, b, c, d] - wedge
-        return out
+        rd = self.dense("riemann_down")
+        gp = self._contract(self.dense("g", k).reshape(n * n, 1, -1),
+                            self.dense("schouten").reshape(1, n * n, -1))
+        gp = gp.reshape(n, n, n, n, -1)  # g_ca P_bd at [c, a, b, d]
+        weyl = rd - gp.transpose(1, 2, 0, 3, 4)
+        weyl += gp.transpose(2, 1, 0, 3, 4)
+        weyl -= gp.transpose(2, 1, 3, 0, 4)
+        weyl += gp.transpose(1, 2, 3, 0, 4)
+        return self._keep("weyl", weyl, k)
 
     @cached_property
     def cotton(self) -> np.ndarray:
         """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, order K-3."""
         self.require(3, "cotton")
-        dP = self.covd_array(self.schouten, ("d", "d"))
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    out[a, b, c] = dP[b, c, a] - dP[c, b, a]
-        return out
+        dp = self.covd_array(self.dense("schouten"), ("d", "d"))
+        return self._keep("cotton", dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3),
+                          self.order - 3)
 
     @cached_property
     def bach(self) -> np.ndarray:
-        """B[a, b], order K-4."""
+        """B[a, b], order K-4: one contraction of [g^ce, P^dc] with [nabla_e A_acb, C_dacb]."""
         self.require(4, "bach")
         n, k = self.n, self.order - 4
-        dA = self.covd_array(self.cotton, ("d", "d", "d"))
-        gl = truncate_array(self.ginv, k)
-        pup = truncate_array(self.schouten_up, k)
-        weyl = truncate_array(self.weyl, k)
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                acc = self.zero(k)
-                for c in range(n):
-                    for e in range(n):
-                        acc = acc + gl[c, e] * dA[e, a, c, b]
-                for d in range(n):
-                    for c in range(n):
-                        acc = acc + pup[d, c] * weyl[d, a, c, b]
-                out[a, b] = acc
-        return out
+        da = self.covd_array(self.dense("cotton"), ("d", "d", "d"))
+        coef = np.concatenate([self.dense("ginv", k), self.dense("schouten_up", k)])
+        terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),
+                                self.dense("weyl", k).transpose(0, 2, 1, 3, 4)])
+        bach = self._contract(coef.reshape(1, 2 * n * n, -1), terms.reshape(2 * n * n, n * n, -1))
+        return self._keep("bach", bach.reshape(n, n, -1), k)
 
     # -- coupled derivative ----------------------------------------------------
 
     def covd_array(self, comps: np.ndarray, variances: tuple) -> np.ndarray:
-        """Covariant derivative; new 'd' slot first, jet order drops by one."""
-        order_in = comps.flat[0].order if comps.size else self.order
+        """Covariant derivative; new 'd' slot first, jet order drops by one.
+
+        comps is an object array of jets or a dense coefficient array; the
+        result comes in the same layout.
+        """
+        dense = comps.dtype != object
+        x = comps if dense else jets.to_dense(comps)
+        order_in = jets.order_of(self.jet_dim, x.shape[-1])
         out_order = order_in - 1
         if out_order < 0:
             raise ValueError("cannot differentiate order-0 jets")
         self.require(out_order + 1, "covariant derivative")
         n = self.n
-        gam = truncate_array(self.gamma, out_order)
-        low = truncate_array(comps, out_order)
-        out = np.empty((n,) + comps.shape, dtype=object)
-        for idx in np.ndindex(comps.shape):
-            for a in range(n):
-                val = comps[idx].partial(a)
-                for s, var in enumerate(variances):
-                    i_s = idx[s]
-                    for m in range(n):
-                        swapped = idx[:s] + (m,) + idx[s + 1 :]
-                        if var == "u":
-                            val = val + gam[i_s, a, m] * low[swapped]
-                        else:
-                            val = val - gam[m, a, i_s] * low[swapped]
-                out[(a,) + idx] = val
-        return out
+        gam = self.dense("gamma", out_order)
+        low = x[..., : jets._size(self.jet_dim, out_order)]
+        out = jets.partials(x, self.jet_dim, order_in, n)
+        for s, var in enumerate(variances):
+            # cross[a, i, m]: coefficient of T[.. m ..] in nabla_a T[.. i ..] (slot s)
+            cross = gam.transpose(1, 0, 2, 3) if var == "u" else -gam.transpose(1, 2, 0, 3)
+            moved = np.moveaxis(low, s, 0)
+            term = self._contract(cross.reshape(n * n, n, -1), moved.reshape(n, -1, low.shape[-1]))
+            out += np.moveaxis(term.reshape((n, n) + moved.shape[1:]), 1, s + 1)
+        return out if dense else jets.to_jets(out, self.jet_dim, out_order)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +369,8 @@ def _pack_checks(pack: CurvaturePack, geom: Geometry):
         float(np.max(np.abs(np.einsum("bd,abcd->ac", ginv, pack.weyl)))),
     )
     res["cotton-trace"] = float(np.max(np.abs(np.einsum("ab,abc->c", ginv, pack.cotton))))
-    res["metric-compatibility"] = max_coeff(
-        geom.covd_array(truncate_array(geom.g, 1), ("d", "d"))
-    )
+    dg = geom.covd_array(geom.dense("g", 1), ("d", "d"))
+    res["metric-compatibility"] = float(np.max(np.abs(dg)))
     for name, tol in list(res.items()):
         if res[name] > 1e-10 * scale:
             raise CurvatureConsistencyError(f"{name} residual {res[name]:.3e}")

@@ -9,6 +9,17 @@ no truncation error beyond float rounding is ever introduced.  Jets are
 treated as immutable; every operation returns a fresh instance.
 
 Derivatives are recovered by unscaling: d^alpha f = alpha! * f_alpha.
+
+Tensors of jets have a dense layout as well: a float array of shape
+tensor_shape + (ncoeff,) whose last axis holds each component's coefficient
+vector.  contract() is the one product kernel on that layout.  It takes the
+coefficient pairs (alpha, beta) of the product table, gathers them along a
+leading pair axis, runs one batched np.matmul that contracts the tensor index
+of every pair at once, and sums the pairs of each product coefficient
+alpha + beta with np.add.reduceat.  The pair axis is processed in chunks cut
+at product-coefficient boundaries, so the gathered temporaries stay within
+_CHUNK_BYTES.  to_dense() and to_jets() convert between the two layouts; the
+jets built by to_jets() view rows of the dense array.
 """
 from __future__ import annotations
 
@@ -103,6 +114,83 @@ def _extend_table(dim: int, order: int, extra: int):
     return np.asarray(
         [rank_big[alpha + pad] for alpha in multi_indices(dim, order)], dtype=np.intp
     )
+
+
+# ---------------------------------------------------------------------------
+# dense jet tensors and the product kernel
+
+_CHUNK_BYTES = 1 << 18  # bound on the gathered temporaries of one contract() chunk
+
+
+@lru_cache(maxsize=None)
+def _pair_runs(dim: int, order: int):
+    """_mul_table pairs sorted by product coefficient, and where each run starts.
+
+    The sort is stable, so each coefficient sums its pairs in the order
+    Jet.__mul__ does.  (Jet.__mul__ keeps the unsorted table: its gathers
+    are faster in that order.)
+    """
+    ia, ib, ic = _mul_table(dim, order)
+    perm = np.argsort(ic, kind="stable")
+    return ia[perm], ib[perm], np.searchsorted(ic[perm], np.arange(_size(dim, order) + 1))
+
+
+@lru_cache(maxsize=None)
+def _partials_table(dim: int, order: int, slots: int):
+    tables = [_partial_table(dim, order, s) for s in range(slots)]
+    return np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
+
+
+def order_of(dim: int, ncoeff: int) -> int:
+    """Jet order whose coefficient vector in dim variables has length ncoeff."""
+    order = 0
+    while _size(dim, order) < ncoeff:
+        order += 1
+    if _size(dim, order) != ncoeff:
+        raise ValueError(f"{ncoeff} coefficients fit no jet order in {dim} variables")
+    return order
+
+
+def contract(x: np.ndarray, y: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Jet matrix product of dense arrays: out[i, j] = sum_k x[i, k] * y[k, j].
+
+    x has shape (r, m, ncoeff) and y (m, s, ncoeff); every entry product is
+    the truncated Taylor product of Jet.__mul__.
+    """
+    ia, ib, bounds = _pair_runs(dim, order)
+    xt, yt = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    shape = (x.shape[0], y.shape[1])
+    step = max(1, _CHUNK_BYTES // (8 * (xt[0].size + yt[0].size + math.prod(shape))))
+    out = np.empty(shape + (bounds.size - 1,))
+    c0 = 0
+    while c0 < out.shape[-1]:
+        p0 = bounds[c0]
+        c1 = max(c0 + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1)
+        prods = np.matmul(xt[ia[p0 : bounds[c1]]], yt[ib[p0 : bounds[c1]]])
+        out[..., c0:c1] = np.moveaxis(np.add.reduceat(prods, bounds[c0:c1] - p0, axis=0), 0, -1)
+        c0 = c1
+    return out
+
+
+def partials(x: np.ndarray, dim: int, order: int, slots: int) -> np.ndarray:
+    """d/dx_s of every entry of a dense array for s < slots, as a new leading axis."""
+    src, mul = _partials_table(dim, order, slots)
+    out = x[..., src]
+    out *= mul
+    return np.moveaxis(out, -2, 0)
+
+
+def to_dense(arr) -> np.ndarray:
+    """Coefficients of an object array of equal-shape jets, arr.shape + (ncoeff,)."""
+    arr = np.asarray(arr, dtype=object)
+    return np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
+
+
+def to_jets(x: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Object array of jets viewing the rows of a dense coefficient array."""
+    out = np.empty(math.prod(x.shape[:-1]), dtype=object)
+    out[:] = [Jet(dim, order, row) for row in x.reshape(-1, x.shape[-1])]
+    return out.reshape(x.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

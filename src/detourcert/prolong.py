@@ -25,21 +25,15 @@ from scipy.integrate import solve_ivp
 
 from .connections import Connection, covd_endomorphism, curvature
 from .geometry import Geometry
+from .jets import to_dense
 
 
 class CertificationError(RuntimeError):
     """Transport (or roundtrip) failed its independent error certificate."""
 
 
-def _value_matrix(mat: np.ndarray) -> np.ndarray:
-    out = np.empty(mat.shape)
-    for idx in np.ndindex(*mat.shape):
-        out[idx] = mat[idx].value
-    return out
-
-
 def _level_blocks(arr: np.ndarray) -> list:
-    return [_value_matrix(arr[idx]) for idx in np.ndindex(*arr.shape[:-2])]
+    return list(to_dense(arr)[..., 0].reshape((-1,) + arr.shape[-2:]))
 
 
 def _stack_rank(blocks: list, rel_tol: float, floor: float) -> int:
@@ -99,13 +93,7 @@ class TransportResult:
 
 
 def _theta_values(spec, builder, point) -> np.ndarray:
-    geom = Geometry(spec, point, order=2)
-    conn = builder(geom)
-    n, r = conn.n, conn.rank
-    out = np.empty((n, r, r))
-    for a in range(n):
-        out[a] = _value_matrix(conn.theta[a])
-    return out
+    return to_dense(builder(Geometry(spec, point, order=2)).theta)[..., 0]
 
 
 def transport(spec, builder: Callable, curve: Callable, v0,

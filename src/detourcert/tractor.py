@@ -361,29 +361,14 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     """
     n = geom.n
     geom.require(order + 2, "tractor connection coefficients")
-    P = truncate_array(geom.schouten, order)
-    g = truncate_array(geom.g, order)
-    gl = truncate_array(geom.ginv, order)
-    gam = truncate_array(geom.gamma, order)
-    out = np.empty((n, n + 2, n + 2), dtype=object)
-    zero = geom.zero(order)
-    for a in range(n):
-        m = np.empty((n + 2, n + 2), dtype=object)
-        m[...] = zero
-        for c in range(n):
-            m[0, 1 + c] = -Jet.constant(1.0 if c == a else 0.0, geom.jet_dim, order)
-        for b in range(n):
-            m[1 + b, 0] = P[a, b]
-            m[1 + b, n + 1] = g[a, b]
-            for c in range(n):
-                m[1 + b, 1 + c] = -gam[c, a, b]
-        for c in range(n):
-            acc = zero
-            for b in range(n):
-                acc = acc - P[a, b] * gl[b, c]
-            m[n + 1, 1 + c] = acc
-        out[a] = m
-    return out
+    P = geom.dense("schouten", order)
+    t = np.zeros((n, n + 2, n + 2, P.shape[-1]))
+    t[:, 0, 1 : n + 1, 0] = -np.eye(n)
+    t[:, 1 : n + 1, 0] = P
+    t[:, 1 : n + 1, n + 1] = geom.dense("g", order)
+    t[:, 1 : n + 1, 1 : n + 1] = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
+    t[:, n + 1, 1 : n + 1] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
+    return jets.to_jets(t, geom.jet_dim, order)
 
 
 def tractor_curvature(geom: Geometry) -> np.ndarray:

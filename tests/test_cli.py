@@ -143,3 +143,37 @@ def test_flat_all_suites_clean():
     report = cli.run(config)
     assert report.passed
     assert all(c.max_residual < 1e-9 for c in report.checks)
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    nan = float("nan")
+    table = [(cid, text, (lambda geom, rng, tol: nan) if cid == "algebraic-bianchi" else fn, d4)
+             for cid, text, fn, d4 in cli._CURVATURE]
+    monkeypatch.setattr(cli, "_CURVATURE", table)
+    monkeypatch.setattr(cli, "_complex_composition", lambda geom, rng, tol: (1.0, 1.0, nan))
+    monkeypatch.setattr(cli, "_transport_roundtrip", lambda spec, box, rng, tol: nan)
+    report = cli.run(run_config(metric="flat4", suites=("curvature", "detour", "prolong"),
+                                points=2))
+    rec = {c.check_id: c for c in report.checks}
+    for cid in ("algebraic-bianchi", "complex-composition", "transport-roundtrip"):
+        assert not rec[cid].passed, cid
+    assert rec["algebraic-bianchi"].max_residual != rec["algebraic-bianchi"].max_residual
+    assert rec["contracted-bianchi"].passed
+    assert not report.passed
+
+
+def _metric_file(tmp_path, g11):
+    path = tmp_path / "bad.metric"
+    path.write_text('dimension = 3\ncoords = x y z\nsignature = "+++"\n'
+                    f'g[1][1] = "{g11}"\ng[2][2] = "1"\ng[3][3] = "1"\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("g11, name", [("log(x)", "ValueError"),
+                                       ("0*x", "SingularMetricError")])
+def test_evaluation_error_exits_with_code_2(tmp_path, capsys, g11, name):
+    code = cli.main(["verify", "--metric", _metric_file(tmp_path, g11),
+                     "--suite", "curvature", "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err

@@ -27,7 +27,7 @@ from detourcert import tractor as tr
 from detourcert.detour import TwistedForm
 from detourcert.dsl import MetricSpec, parse_expression
 from detourcert.geometry import Geometry, JetTensor, truncate_array, value_array
-from detourcert.jets import Jet, from_coeffs, multi_indices
+from detourcert.jets import Jet, from_coeffs, multi_indices, to_dense
 
 
 def _spec(dim, sig, coords, comps):
@@ -410,6 +410,27 @@ def test_linearized_bach_kills_conformal_killing_range(spec, pt):
         for b in range(a, 4):
             h[a, b] = h[b, a] = rand_jet(rng, 4, 5)
     assert max_abs(de.linearized_bach(h, g)) > 1.0
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_padded_slots_of_the_perturbation_are_never_read(monkeypatch, order):
+    # perturbed_geometry zero-fills the top order of h before multiplying by
+    # the fresh variable eps; filling those slots with NaN must change nothing
+    rng = np.random.default_rng(83)
+    g = Geometry(BUMP4, (0.1, -0.2, 0.3, 0.05), order=order)
+    v = np.array([rand_jet(rng, 4, 3).padded(order) for _ in range(4)], dtype=object)
+    h = de.op_K0(v, g).comps
+    zero_padded = to_dense(de.linearized_bach(h, g))
+
+    def nan_padded(self, top):
+        c = np.full(len(multi_indices(self.dim, top)), np.nan)
+        c[: self.coeffs.size] = self.coeffs
+        return Jet(self.dim, top, c)
+
+    monkeypatch.setattr(Jet, "padded", nan_padded)
+    nan_padded_result = to_dense(de.linearized_bach(h, g))
+    assert np.all(np.isfinite(nan_padded_result))
+    np.testing.assert_array_equal(nan_padded_result, zero_padded)
 
 
 def test_degree_errors():

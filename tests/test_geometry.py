@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detourcert import jets
 from detourcert.dsl import parse_expression, parse_metric_text
@@ -92,6 +93,22 @@ def test_flat_metric_is_inert():
     assert maxabs(pack.riemann) == 0.0
     assert pack.scalar == 0.0
     assert maxabs(pack.bach) == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 5), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_constant_metrics_give_exactly_zero_christoffel_and_riemann(n, order, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    vals = a @ a.T + n * np.eye(n)
+    g = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = jets.Jet.constant(vals[i, j], n, order)
+    geom = Geometry(metric_jets=g, order=order)
+    for stage in ("gamma", "riemann"):
+        assert not np.any(jets.to_dense(getattr(geom, stage)))
+        assert not np.any(geom.dense(stage))
 
 
 def test_sphere3_christoffel_frozen_values():

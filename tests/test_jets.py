@@ -349,3 +349,75 @@ def test_reciprocal_roundtrip(c0, c1):
     a = c0 + c1 * x + 0.1 * x * x
     back = 1.0 / (1.0 / a)
     assert np.allclose(back.coeffs, a.coeffs, rtol=1e-10, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# dense product kernel
+
+
+def _contract_by_jets(x, y, dim, order):
+    out = np.empty((x.shape[0], y.shape[1], x.shape[2]))
+    for i in range(x.shape[0]):
+        for j in range(y.shape[1]):
+            acc = Jet.constant(0.0, dim, order)
+            for k in range(x.shape[1]):
+                acc = acc + Jet(dim, order, x[i, k].copy()) * Jet(dim, order, y[k, j].copy())
+            out[i, j] = acc.coeffs
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 8), st.tuples(*[st.integers(1, 3)] * 3),
+       st.integers(0, 2**32 - 1))
+def test_contract_matches_sum_of_jet_products(dim, order, shape, seed):
+    rng = np.random.default_rng(seed)
+    r, m, s = shape
+    size = len(multi_indices(dim, order))
+    x = rng.standard_normal((r, m, size))
+    y = rng.standard_normal((m, s, size))
+    ref = _contract_by_jets(x, y, dim, order)
+    got = jets.contract(x, y, dim, order)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_contract_spanning_several_chunks():
+    dim, order, r = 4, 8, 8
+    pairs = jets._mul_table(dim, order)[0].size
+    assert pairs * 8 * 3 * r * r > 2 * jets._CHUNK_BYTES
+    rng = np.random.default_rng(5)
+    size = len(multi_indices(dim, order))
+    x = rng.standard_normal((r, r, size))
+    y = rng.standard_normal((r, r, size))
+    ref = _contract_by_jets(x, y, dim, order)
+    np.testing.assert_allclose(jets.contract(x, y, dim, order), ref,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 600, 5000])
+def test_contract_is_independent_of_chunking(monkeypatch, chunk_bytes):
+    rng = np.random.default_rng(11)
+    size = len(multi_indices(5, 4))
+    x = rng.standard_normal((2, 3, size))
+    y = rng.standard_normal((3, 2, size))
+    whole = jets.contract(x, y, 5, 4)
+    monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
+    np.testing.assert_array_equal(jets.contract(x, y, 5, 4), whole)
+
+
+def test_dense_roundtrip_and_partials():
+    rng = np.random.default_rng(2)
+    arr = np.array([[from_coeffs(rng.standard_normal(35), 4, 3) for _ in range(2)]
+                    for _ in range(3)], dtype=object)
+    dense = jets.to_dense(arr)
+    assert dense.shape == (3, 2, 35)
+    back = jets.to_jets(dense, 4, 3)
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(arr.flat, back.flat))
+    d = jets.partials(dense, 4, 3, 2)
+    assert d.shape == (2, 3, 2, 15)
+    for s in range(2):
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(d[(s,) + idx], arr[idx].partial(s).coeffs)
+    assert jets.order_of(4, 35) == 3
+    with pytest.raises(ValueError):
+        jets.order_of(4, 34)
