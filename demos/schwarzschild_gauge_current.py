@@ -27,8 +27,8 @@ def rand_section(dim, rank, order):
 
 
 def sup(arr):
-    return max(float(np.max(np.abs(j.coeffs)))
-               for j in np.asarray(arr, dtype=object).flat)
+    # jets or a dense coefficient array (ym_current returns the latter)
+    return float(np.max(np.abs(jets.as_dense(np.asarray(arr)))))
 
 
 def dev(a, b):

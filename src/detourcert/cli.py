@@ -188,16 +188,9 @@ def _values_max(arr) -> float:
 def _check_algebraic_bianchi(geom, rng, tol):
     n = geom.n
     rd = geom.riemann_down
-    worst = 0.0
-    scale = _values_max(rd)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    worst = max(worst, abs(
-                        rd[a, b, c, d].value + rd[b, c, a, d].value + rd[c, a, b, d].value
-                    ))
-    return worst / max(1.0, scale)
+    worst = _worst(abs(rd[a, b, c, d].value + rd[b, c, a, d].value + rd[c, a, b, d].value)
+                   for a, b, c, d in np.ndindex(n, n, n, n))
+    return worst / max(1.0, _values_max(rd))
 
 
 def _check_contracted_bianchi(geom, rng, tol):
@@ -205,49 +198,45 @@ def _check_contracted_bianchi(geom, rng, tol):
     dric = geom.covd_array(geom.ricci, ("d", "d"))
     sc = geom.scalar
     gi = truncate_array(geom.ginv, dric[0, 0, 0].order)
-    worst = 0.0
-    scale = _values_max(dric)
-    for b in range(n):
-        acc = 0.0
-        for e in range(n):
-            for a in range(n):
-                acc += gi[e, a].value * dric[e, a, b].value
-        worst = max(worst, abs(acc - 0.5 * sc.partial(b).value))
-    return worst / max(1.0, scale)
+    worst = _worst(
+        abs(sum(gi[e, a].value * dric[e, a, b].value for e, a in np.ndindex(n, n))
+            - 0.5 * sc.partial(b).value)
+        for b in range(n))
+    return worst / max(1.0, _values_max(dric))
 
 
 def _check_weyl_trace(geom, rng, tol):
     n = geom.n
     w = geom.weyl
     gi = truncate_array(geom.ginv, w[0, 0, 0, 0].order)
-    worst = 0.0
+    traces = []
     for c in range(n):
         for d in range(n):
-            t1 = sum(gi[a, b].value * w[a, c, b, d].value for a in range(n) for b in range(n))
-            t2 = sum(gi[a, b].value * w[a, b, c, d].value for a in range(n) for b in range(n))
-            worst = max(worst, abs(t1), abs(t2))
-    return worst / max(1.0, _values_max(w))
+            traces.append(sum(gi[a, b].value * w[a, c, b, d].value
+                              for a in range(n) for b in range(n)))
+            traces.append(sum(gi[a, b].value * w[a, b, c, d].value
+                              for a in range(n) for b in range(n)))
+    return _worst(map(abs, traces)) / max(1.0, _values_max(w))
 
 
 def _check_cotton_trace(geom, rng, tol):
     n = geom.n
     cot = geom.cotton
     gi = truncate_array(geom.ginv, cot[0, 0, 0].order)
-    worst = 0.0
+    traces = []
     for c in range(n):
-        t1 = sum(gi[a, b].value * cot[a, b, c].value for a in range(n) for b in range(n))
-        t2 = sum(gi[a, b].value * cot[c, a, b].value for a in range(n) for b in range(n))
-        worst = max(worst, abs(t1), abs(t2))
-    return worst / max(1.0, _values_max(cot))
+        traces.append(sum(gi[a, b].value * cot[a, b, c].value for a in range(n) for b in range(n)))
+        traces.append(sum(gi[a, b].value * cot[c, a, b].value for a in range(n) for b in range(n)))
+    return _worst(map(abs, traces)) / max(1.0, _values_max(cot))
 
 
 def _check_bach_shape(geom, rng, tol):
     n = geom.n
     b = geom.bach
     gi = truncate_array(geom.ginv, b[0, 0].order)
-    worst = max(abs(b[i, j].value - b[j, i].value) for i in range(n) for j in range(n))
     tr = sum(gi[i, j].value * b[i, j].value for i in range(n) for j in range(n))
-    return max(worst, abs(tr)) / max(1.0, _values_max(b))
+    worst = _worst([abs(tr)] + [abs(b[i, j].value - b[j, i].value) for i, j in np.ndindex(n, n)])
+    return worst / max(1.0, _values_max(b))
 
 
 def _check_tractor_metric_parallel(geom, rng, tol):
@@ -257,12 +246,11 @@ def _check_tractor_metric_parallel(geom, rng, tol):
     gi = truncate_array(geom.ginv, 1)
     h = np.zeros((n + 2, n + 2))
     h[0, n + 1] = h[n + 1, 0] = 1.0
-    scale = 0.0
     hv = h.copy()
     for b in range(n):
         for c in range(n):
             hv[1 + b, 1 + c] = gi[b, c].value
-    worst = 0.0
+    worst, scale = [], []
     for a in range(n):
         t = np.array([[mats[a][i, j].value for j in range(n + 2)]
                       for i in range(n + 2)])
@@ -270,9 +258,9 @@ def _check_tractor_metric_parallel(geom, rng, tol):
         for b in range(n):
             for c in range(n):
                 dh[1 + b, 1 + c] = gi[b, c].partial(a).value
-        worst = max(worst, np.max(np.abs(t.T @ hv + hv @ t - dh)))
-        scale = max(scale, np.max(np.abs(t)), np.max(np.abs(dh)))
-    return worst / max(1.0, scale)
+        worst.append(np.max(np.abs(t.T @ hv + hv @ t - dh)))
+        scale += [np.max(np.abs(t)), np.max(np.abs(dh))]
+    return _worst(worst) / max(1.0, _worst(scale))
 
 
 def _check_splitting_commutation(geom, rng, tol):
@@ -300,17 +288,16 @@ def _check_tractor_curvature_skew(geom, rng, tol):
     n = geom.n
     omega = tractor.tractor_curvature(geom)
     h = tractor.gram_matrix(geom)
-    worst = 0.0
-    scale = 0.0
+    worst, scale = [], []
     for a in range(n):
         for b in range(n):
             m = np.array([[omega[a, b][i, j].value for j in range(n + 2)]
                           for i in range(n + 2)])
             mba = np.array([[omega[b, a][i, j].value for j in range(n + 2)]
                             for i in range(n + 2)])
-            worst = max(worst, np.max(np.abs(m + mba)), np.max(np.abs(m.T @ h + h @ m)))
-            scale = max(scale, np.max(np.abs(m)))
-    return worst / max(1.0, scale)
+            worst += [np.max(np.abs(m + mba)), np.max(np.abs(m.T @ h + h @ m))]
+            scale.append(np.max(np.abs(m)))
+    return _worst(worst) / max(1.0, _worst(scale))
 
 
 def _check_signature(geom, rng, tol):
@@ -406,8 +393,7 @@ def _gauge_linearization(geom, rng, tol):
             for e in range(n):
                 acc = acc + gam[c, a, e] * vt[e]
             dv[a, c] = acc.truncated(border - 1)
-    worst = 0.0
-    scale = 0.0
+    worst, scale = [], []
     for a in range(n):
         for b in range(n):
             acc = (2.0 / n) * divv * bach[a, b].truncated(border - 1)
@@ -415,9 +401,9 @@ def _gauge_linearization(geom, rng, tol):
                 acc = acc + vt[c] * db[c, a, b].truncated(border - 1)
                 acc = acc + bach[c, b].truncated(border - 1) * dv[a, c]
                 acc = acc + bach[a, c].truncated(border - 1) * dv[b, c]
-            worst = max(worst, abs(bp[a, b].value - acc.value))
-            scale = max(scale, abs(bp[a, b].value), abs(acc.value))
-    return worst / max(1.0, scale)
+            worst.append(abs(bp[a, b].value - acc.value))
+            scale += [abs(bp[a, b].value), abs(acc.value)]
+    return _worst(worst) / max(1.0, _worst(scale))
 
 
 # ---------------------------------------------------------------------------

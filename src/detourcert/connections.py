@@ -11,12 +11,26 @@ same code path serves the Levi-Civita connection on covectors, the
 tractor connection, its tensor square, the Killing prolongation
 connection and ad-hoc polynomial examples.
 
-Curvature is always computed mechanically from the coefficients,
+Theta is a dense jet tensor (see jets): a float array of shape
+(n, rank, rank, ncoeff).  Curvature is always computed mechanically from
+the coefficients,
 
     F_ab = d_a Theta_b - d_b Theta_a + [Theta_a, Theta_b],
 
 never assembled from curvature-tensor blocks; block formulas are checked
-against this in the tests.
+against this in the tests.  The derivatives are one jets.partials gather
+and every commutator comes out of one matmul call.
+
+matmul is the one fiber product of this module and of detour: a single
+jets.contract call.  Layout rule, as for Geometry.covd_array: matmul,
+covd_section and covd_endomorphism accept object arrays of jets or dense
+arrays and return the layout they were given.  In the coupled
+derivatives the Levi-Civita part is Geometry.covd_array on the form slots
+with the fiber axes riding along, and the Theta part is one matmul (two
+for the commutator).  curvature(conn) returns a dense array and is
+computed once per Connection: the result is kept, read-only, in
+Connection.cache, where detour.ym_current keeps the Yang-Mills current as
+well.
 """
 from __future__ import annotations
 
@@ -25,54 +39,57 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, tractor as tractor_mod
-from .geometry import Geometry, truncate_array, value_array
-from .jets import Jet
+from .geometry import Geometry
+from .jets import _rank, _size
 
 
-@dataclass
+@dataclass(eq=False)
 class Connection:
     geom: Geometry
     rank: int
-    theta: np.ndarray  # (n, rank, rank) jets
+    theta: np.ndarray  # (n, rank, rank, ncoeff) dense jets
     label: str = ""
     fiber_gram: np.ndarray | None = None  # constant Gram matrix for pairings
+    cache: dict = field(default_factory=dict, init=False, repr=False)  # curvature, ym_current
 
     @property
     def n(self) -> int:
         return self.geom.n
 
     @property
+    def dim(self) -> int:
+        return self.geom.jet_dim
+
+    @property
     def order(self) -> int:
-        return self.theta[0][0, 0].order
+        return jets.order_of(self.dim, self.theta.shape[-1])
 
     def theta_at(self, order: int) -> np.ndarray:
-        return truncate_array(self.theta, order)
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} coefficients to {order}")
+        return self.theta[..., : _size(self.dim, order)]
 
-
-def _zero_mats(geom: Geometry, rank: int, order: int) -> np.ndarray:
-    out = np.empty((geom.n, rank, rank), dtype=object)
-    out[...] = geom.zero(order)
-    return out
+    def keep(self, key: str, x: np.ndarray) -> np.ndarray:
+        """Store a per-connection result read-only in the cache and return it."""
+        x.flags.writeable = False
+        self.cache[key] = x
+        return x
 
 
 def trivial_connection(geom: Geometry, rank: int = 1) -> Connection:
-    return Connection(geom, rank, _zero_mats(geom, rank, geom.order - 1), label="trivial")
+    th = np.zeros((geom.n, rank, rank, _size(geom.jet_dim, geom.order - 1)))
+    return Connection(geom, rank, th, label="trivial")
 
 
 def covector_connection(geom: Geometry) -> Connection:
     """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab."""
-    n = geom.n
-    th = np.empty((n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                th[a, b, c] = -geom.gamma[c, a, b]
-    return Connection(geom, n, th, label="covector", fiber_gram=value_array(geom.ginv))
+    th = -geom.dense("gamma").transpose(1, 2, 0, 3)
+    return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector",
+                      fiber_gram=geom.dense("ginv")[..., 0].copy())
 
 
 def tractor_connection(geom: Geometry) -> Connection:
-    order = geom.order - 2
-    th = tractor_mod.connection_matrices(geom, order)
+    th = tractor_mod.connection_dense(geom, geom.order - 2)
     return Connection(
         geom, geom.n + 2, th, label="tractor", fiber_gram=tractor_mod.gram_matrix(geom)
     )
@@ -80,25 +97,15 @@ def tractor_connection(geom: Geometry) -> Connection:
 
 def tensor_square(conn: Connection) -> Connection:
     """Theta on V (x) V: Theta_a (x) 1 + 1 (x) Theta_a."""
-    r = conn.rank
-    n = conn.n
-    order = conn.order
-    zero = conn.geom.zero(order)
-    th = np.empty((n, r * r, r * r), dtype=object)
-    for a in range(n):
-        m = np.empty((r * r, r * r), dtype=object)
-        m[...] = zero
-        for i in range(r):
-            for j in range(r):
-                entry = conn.theta[a][i, j]
-                for k in range(r):
-                    m[i * r + k, j * r + k] = m[i * r + k, j * r + k] + entry
-                    m[k * r + i, k * r + j] = m[k * r + i, k * r + j] + entry
-        th[a] = m
+    r, n = conn.rank, conn.n
+    eye = np.eye(r)
+    th = np.einsum("aijc,kl->aikjlc", conn.theta, eye)
+    th += np.einsum("ij,aklc->aikjlc", eye, conn.theta)
     gram = None
     if conn.fiber_gram is not None:
         gram = np.kron(conn.fiber_gram, conn.fiber_gram)
-    return Connection(conn.geom, r * r, th, label=conn.label + "^2", fiber_gram=gram)
+    return Connection(conn.geom, r * r, th.reshape(n, r * r, r * r, -1),
+                      label=conn.label + "^2", fiber_gram=gram)
 
 
 def _pair_basis(n: int) -> list:
@@ -117,56 +124,54 @@ def killing_connection(geom: Geometry) -> Connection:
     pos = {p: i for i, p in enumerate(pairs)}
     rank = n + len(pairs)
     order = geom.order - 2
-    gam = truncate_array(geom.gamma, order)
-    riem = truncate_array(geom.riemann, order)
-    zero = geom.zero(order)
-    th = np.empty((n, rank, rank), dtype=object)
+    gam = geom.dense("gamma", order)  # [c, a, b]
+    riem = geom.dense("riemann", order)  # [b, c, d, a] = R_bc^d_a
 
     def mu_slot(b, c):
         # returns (index, sign) with mu_bc = sign * basis component
         if b == c:
             return None, 0.0
-        return (pos[(b, c)], 1.0) if b < c else (pos[(c, b)], -1.0)
+        return (n + pos[(b, c)], 1.0) if b < c else (n + pos[(c, b)], -1.0)
 
+    th = np.zeros((n, rank, rank, gam.shape[-1]))  # axes [a, row, column]
+    th[:, :n, :n] = -gam.transpose(1, 2, 0, 3)
     for a in range(n):
-        m = np.empty((rank, rank), dtype=object)
-        m[...] = zero
         for b in range(n):
-            for c in range(n):
-                m[b, c] = m[b, c] - gam[c, a, b]
             idx, sgn = mu_slot(a, b)
             if idx is not None:
-                m[b, n + idx] = m[b, n + idx] - sgn
-        for b, c in pairs:
-            row = n + pos[(b, c)]
-            for d in range(n):
-                m[row, d] = m[row, d] - riem[b, c, d, a]
-                # LC action on both antisymmetric slots
-                idx, sgn = mu_slot(d, c)
-                if idx is not None:
-                    m[row, n + idx] = m[row, n + idx] - sgn * gam[d, a, b]
-                idx, sgn = mu_slot(b, d)
-                if idx is not None:
-                    m[row, n + idx] = m[row, n + idx] - sgn * gam[d, a, c]
-        th[a] = m
+                th[a, b, idx, 0] -= sgn
+    for b, c in pairs:
+        row = n + pos[(b, c)]
+        th[:, row, :n] = -riem[b, c].transpose(1, 0, 2)
+        for d in range(n):
+            # LC action on both antisymmetric slots
+            idx, sgn = mu_slot(d, c)
+            if idx is not None:
+                th[:, row, idx] -= sgn * gam[d, :, b]
+            idx, sgn = mu_slot(b, d)
+            if idx is not None:
+                th[:, row, idx] -= sgn * gam[d, :, c]
     return Connection(geom, rank, th, label="killing")
 
 
 def polynomial_connection(geom: Geometry, rank: int, rng, scale: float = 0.2,
                           degree: int = 2) -> Connection:
-    """Random polynomial coefficient matrices; generic, nothing flat about it."""
-    n = geom.n
+    """Random polynomial coefficient matrices; generic, nothing flat about it.
+
+    Entry (a, i, j) is c + sum_s (l_s x_s + q_s x_s^2) with the normal draws
+    c, l_0, q_0, l_1, q_1, ... taken in that order.
+    """
+    n, dim = geom.n, geom.jet_dim
     order = geom.order - 1
-    xs = [Jet.variable(0.0, i, geom.jet_dim, order) for i in range(n)]
-    th = np.empty((n, rank, rank), dtype=object)
-    for a in range(n):
-        for i in range(rank):
-            for j in range(rank):
-                acc = Jet.constant(rng.normal(0.0, scale), geom.jet_dim, order)
-                for x in xs:
-                    acc = acc + rng.normal(0.0, scale) * x
-                    acc = acc + rng.normal(0.0, scale) * x * x
-                th[a, i, j] = acc
+    draws = rng.normal(0.0, scale, size=(n, rank, rank, 1 + 2 * n))
+    rank_of = _rank(dim, order)
+    th = np.zeros((n, rank, rank, _size(dim, order)))
+    th[..., 0] = draws[..., 0]
+    for s in range(n):
+        for power in (1, 2):
+            alpha = tuple(power if t == s else 0 for t in range(dim))
+            if power <= order:
+                th[..., rank_of[alpha]] = draws[..., 2 * s + power]
     return Connection(geom, rank, th, label="polynomial")
 
 
@@ -174,98 +179,68 @@ def polynomial_connection(geom: Geometry, rank: int, rng, scale: float = 0.2,
 # mechanical curvature and coupled derivatives
 
 
-def _matmul_batched(x, y, dim: int, order: int) -> np.ndarray:
-    prod = jets.contract(jets.to_dense(x), jets.to_dense(y), dim, order)
-    return jets.to_jets(prod, dim, order)
+def matmul(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
+    """Jet matrix product x @ y: one jets.contract call, at the lower order of the two.
 
-
-def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r, s = x.shape[0], y.shape[1]
-    a0 = x[0, 0]
-    if r * s * x.shape[1] >= 512:
-        uniform = all(
-            j.dim == a0.dim and j.order == a0.order
-            for arr in (x, y) for j in arr.flat
-        )
-        if uniform:
-            return _matmul_batched(x, y, a0.dim, a0.order)
-    out = np.empty((r, s), dtype=object)
-    for i in range(r):
-        for j in range(s):
-            acc = x[i, 0] * y[0, j]
-            for k in range(1, x.shape[1]):
-                acc = acc + x[i, k] * y[k, j]
-            out[i, j] = acc
-    return out
+    x (r, m) and y (m, s) hold jets or dense coefficients in dim variables;
+    the product comes in the layout of x.
+    """
+    a, b = jets.as_dense(x), jets.as_dense(y)
+    nc = min(a.shape[-1], b.shape[-1])
+    return jets.like(jets.contract(a[..., :nc], b[..., :nc], dim, jets.order_of(dim, nc)), x, dim)
 
 
 def curvature(conn: Connection) -> np.ndarray:
-    """F_ab as (n, n, rank, rank) jets, one order below the coefficients."""
+    """F_ab as a dense (n, n, rank, rank, ncoeff) array, one order below Theta."""
+    if "curvature" in conn.cache:
+        return conn.cache["curvature"]
     n, r = conn.n, conn.rank
-    k = conn.order - 1
-    low = conn.theta_at(k)
-    out = np.empty((n, n, r, r), dtype=object)
-    for a in range(n):
-        out[a, a] = _zero_mats(conn.geom, r, k)[0]
-        for b in range(a + 1, n):
-            d_ab = np.empty((r, r), dtype=object)
-            for i in range(r):
-                for j in range(r):
-                    d_ab[i, j] = conn.theta[b][i, j].partial(a) - conn.theta[a][i, j].partial(b)
-            comm = matmul(low[a], low[b])
-            comm = comm - matmul(low[b], low[a])
-            out[a, b] = d_ab + comm
-            out[b, a] = -(d_ab + comm)
-    return out
+    low = conn.theta_at(conn.order - 1)
+    dth = jets.partials(conn.theta, conn.dim, conn.order, n)  # d_a Theta_b at [a, b]
+    # Theta_a Theta_b at [(a, i), (b, j)], every ordered pair in one product
+    prod = matmul(low.reshape(n * r, r, -1), low.transpose(1, 0, 2, 3).reshape(r, n * r, -1),
+                  conn.dim)
+    prod = prod.reshape(n, r, n, r, -1).transpose(0, 2, 1, 3, 4)
+    F = dth - dth.transpose(1, 0, 2, 3, 4)
+    F += prod
+    F -= prod.transpose(1, 0, 2, 3, 4)
+    return conn.keep("curvature", F)
 
 
 def covd_section(conn: Connection, comps: np.ndarray) -> np.ndarray:
     """Coupled derivative of a V-valued covariant tensor.
 
-    comps has shape (n,)*p + (rank,); the output prepends one more down
-    slot.  Levi-Civita acts on the form slots, Theta on the fiber.
+    comps has shape (n,)*p + (rank,), as jets or dense; the output prepends
+    one more down slot.  Levi-Civita acts on the form slots, Theta on the
+    fiber.
     """
-    geom = conn.geom
+    x = jets.as_dense(comps)
+    p = x.ndim - 2
     n, r = conn.n, conn.rank
-    k = comps.flat[0].order - 1
-    gam = truncate_array(geom.gamma, k)
-    th = conn.theta_at(k)
-    low = truncate_array(comps, k)
-    out = np.empty((n,) + comps.shape, dtype=object)
-    for d in range(n):
-        for idx in np.ndindex(*comps.shape[:-1]):
-            for i in range(r):
-                acc = comps[idx + (i,)].partial(d)
-                for s, a_s in enumerate(idx):
-                    for e in range(n):
-                        acc = acc - gam[e, d, a_s] * low[idx[:s] + (e,) + idx[s + 1:] + (i,)]
-                for j in range(r):
-                    acc = acc + th[d][i, j] * low[idx + (j,)]
-                out[(d,) + idx + (i,)] = acc
-    return out
+    out = conn.geom.covd_array(x, ("d",) * p)
+    th = conn.theta_at(jets.order_of(conn.dim, out.shape[-1]))
+    low = np.moveaxis(x[..., : out.shape[-1]], p, 0)  # fiber first
+    term = matmul(th.reshape(n * r, r, -1), low.reshape(r, -1, low.shape[-1]), conn.dim)
+    out += np.moveaxis(term.reshape((n, r) + low.shape[1:]), 1, p + 1)
+    return jets.like(out, comps, conn.dim)
 
 
 def covd_endomorphism(conn: Connection, comps: np.ndarray) -> np.ndarray:
     """Same, for End(V)-valued tensors: Theta acts by commutator."""
-    geom = conn.geom
+    x = jets.as_dense(comps)
+    p = x.ndim - 3
     n, r = conn.n, conn.rank
-    k = comps.flat[0].order - 1
-    gam = truncate_array(geom.gamma, k)
-    th = conn.theta_at(k)
-    low = truncate_array(comps, k)
-    base = comps.shape[:-2]
-    out = np.empty((n,) + comps.shape, dtype=object)
-    for d in range(n):
-        for idx in np.ndindex(*base):
-            block = np.empty((r, r), dtype=object)
-            for i in range(r):
-                for j in range(r):
-                    acc = comps[idx + (i, j)].partial(d)
-                    for s, a_s in enumerate(idx):
-                        for e in range(n):
-                            acc = acc - gam[e, d, a_s] * low[idx[:s] + (e,) + idx[s + 1:] + (i, j)]
-                    block[i, j] = acc
-            lowm = low[idx]
-            block = block + matmul(th[d], lowm) - matmul(lowm, th[d])
-            out[(d,) + idx] = block
-    return out
+    out = conn.geom.covd_array(x, ("d",) * p)
+    th = conn.theta_at(jets.order_of(conn.dim, out.shape[-1]))
+    low = x[..., : out.shape[-1]]
+    base = low.shape[:p]
+    # Theta_d T: rows of T first
+    left = matmul(th.reshape(n * r, r, -1), np.moveaxis(low, p, 0).reshape(r, -1, low.shape[-1]),
+                  conn.dim)
+    out += np.moveaxis(left.reshape((n, r) + base + (r, -1)), 1, p + 1)
+    # T Theta_d: columns of Theta_d last
+    right = matmul(low.reshape(-1, r, low.shape[-1]),
+                   th.transpose(1, 0, 2, 3).reshape(r, n * r, -1), conn.dim)
+    out -= np.moveaxis(right.reshape(base + (r, n, r, -1)), p + 1, 0)
+    return jets.like(out, comps, conn.dim)
+

@@ -12,6 +12,14 @@ the Yang-Mills current delta F:
     M(d f)      = (delta F) f,
     delta(M phi) = -<delta F, phi>.
 
+The twisted operators work on dense jet tensors (see jets and
+connections): each is one or two jets.contract calls against the inverse
+metric and the connection's dense Theta and curvature.  They follow the
+layout rule of connections: a TwistedForm of jets comes back as jets, a
+dense one as dense, and op_M passes dense arrays between its steps.
+ym_current(conn) returns a dense array and, like curvature(conn), is
+computed once per Connection and kept in Connection.cache.
+
 Translating M through the injector E and its adjoint yields the
 second-order operator on trace-free symmetric tensors whose composition
 with the Einstein operator D is the zeroth-order Bach/Cotton action;
@@ -27,149 +35,104 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tractor as tractor_mod
+from . import jets, tractor as tractor_mod
 from .connections import Connection, covd_endomorphism, covd_section, curvature, matmul
-from .geometry import Geometry, JetTensor, jet_array, truncate_array
+from .geometry import Geometry, JetTensor, truncate_array
 from .jets import Jet
 
 
 @dataclass
 class TwistedForm:
-    """V-valued p-form; comps shape (n,)*degree + (rank,), antisymmetric."""
+    """V-valued p-form; comps shape (n,)*degree + (rank,), antisymmetric.
+
+    comps holds jets, or in the dense layout one more trailing axis of
+    coefficients.
+    """
 
     degree: int
     comps: np.ndarray
 
     @property
-    def order(self) -> int:
-        return self.comps.flat[0].order
-
-    @property
     def rank(self) -> int:
-        return self.comps.shape[-1]
-
-    def values(self) -> np.ndarray:
-        out = np.empty(self.comps.shape)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = self.comps[idx].value
-        return out
+        return self.comps.shape[self.degree]
 
 
 def twisted_d(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """Coupled exterior derivative on degrees 0 and 1."""
-    n = conn.n
-    dphi = covd_section(conn, phi.comps)
-    if phi.degree == 0:
-        return TwistedForm(1, dphi)
+    if phi.degree > 1:
+        raise ValueError(f"twisted_d not implemented for degree {phi.degree}")
+    dphi = covd_section(conn, jets.as_dense(phi.comps))
     if phi.degree == 1:
-        out = np.empty((n, n) + phi.comps.shape[-1:], dtype=object)
-        for a in range(n):
-            for b in range(n):
-                for i in range(phi.rank):
-                    out[a, b, i] = dphi[a, b, i] - dphi[b, a, i]
-        return TwistedForm(2, out)
-    raise ValueError(f"twisted_d not implemented for degree {phi.degree}")
+        dphi = dphi - dphi.swapaxes(0, 1)
+    return TwistedForm(phi.degree + 1, jets.like(dphi, phi.comps, conn.dim))
 
 
 def twisted_delta(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """Coupled codifferential, minus the g-trace of the coupled derivative."""
     if phi.degree == 0:
         raise ValueError("codifferential of a 0-form")
-    n = conn.n
-    dphi = covd_section(conn, phi.comps)
-    k = dphi.flat[0].order
-    gl = truncate_array(conn.geom.ginv, k)
-    shape = phi.comps.shape[1:]
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        acc = conn.geom.zero(k)
-        for e in range(n):
-            for a in range(n):
-                acc = acc - gl[e, a] * dphi[(e, a) + idx]
-        out[idx] = acc
-    return TwistedForm(phi.degree - 1, out)
+    out = -conn.geom.trace(covd_section(conn, jets.as_dense(phi.comps)))
+    return TwistedForm(phi.degree - 1, jets.like(out, phi.comps, conn.dim))
+
+
+def _pair_raised(conn: Connection, mats, comps) -> np.ndarray:
+    """sum_{a,j} mats[..., a, i, j] g^{ab} comps[b, j]: End-valued 1-form on a twisted 1-form."""
+    m = jets.as_dense(mats)
+    n, r = comps.shape[:2]
+    up = matmul(conn.geom.dense("ginv"), jets.as_dense(comps), conn.dim)  # g^{ab} comps[b, j]
+    out = matmul(np.swapaxes(m, -4, -3).reshape(-1, n * r, m.shape[-1]),
+                 up.reshape(n * r, 1, up.shape[-1]), conn.dim)
+    return jets.like(out.reshape(m.shape[:-4] + (r, -1)), comps, conn.dim)
 
 
 def f_action(phi: TwistedForm, conn: Connection, f_mats: np.ndarray | None = None) -> TwistedForm:
     """(F# phi)_b = g^{ac} F_ba phi_c on twisted 1-forms."""
     if phi.degree != 1:
         raise ValueError("F# acts on 1-forms here")
-    n, r = conn.n, conn.rank
     F = curvature(conn) if f_mats is None else f_mats
-    k = min(phi.order, F.flat[0].order)
-    gl = truncate_array(conn.geom.ginv, k)
-    low = truncate_array(phi.comps, k)
-    Fl = truncate_array(F, k)
-    out = np.empty((n, r), dtype=object)
-    for b in range(n):
-        for i in range(r):
-            acc = conn.geom.zero(k)
-            for a in range(n):
-                for c in range(n):
-                    for j in range(r):
-                        acc = acc + gl[a, c] * Fl[b, a][i, j] * low[c, j]
-            out[b, i] = acc
-    return TwistedForm(1, out)
+    return TwistedForm(1, _pair_raised(conn, F, phi.comps))
 
 
 def op_M(phi: TwistedForm, conn: Connection, f_mats: np.ndarray | None = None) -> TwistedForm:
     """Second-order detour operator delta d - F# on twisted 1-forms."""
-    dd = twisted_delta(twisted_d(phi, conn), conn)
-    fa = f_action(phi, conn, f_mats)
-    k = min(dd.order, fa.order)
-    return TwistedForm(1, truncate_array(dd.comps, k) - truncate_array(fa.comps, k))
+    dense = TwistedForm(1, jets.as_dense(phi.comps))
+    dd = twisted_delta(twisted_d(dense, conn), conn).comps
+    fa = f_action(dense, conn, f_mats).comps
+    nc = min(dd.shape[-1], fa.shape[-1])
+    return TwistedForm(1, jets.like(dd[..., :nc] - fa[..., :nc], phi.comps, conn.dim))
 
 
 def ym_current(conn: Connection) -> np.ndarray:
-    """delta F: (delta F)_b = -g^{ea} (nabla_e F)_ab, End(V)-valued."""
-    n, r = conn.n, conn.rank
-    F = curvature(conn)
-    dF = covd_endomorphism(conn, F)
-    k = dF[0, 0, 0, 0, 0].order
-    gl = truncate_array(conn.geom.ginv, k)
-    out = np.empty((n, r, r), dtype=object)
-    for b in range(n):
-        m = np.empty((r, r), dtype=object)
-        m[...] = conn.geom.zero(k)
-        for e in range(n):
-            for a in range(n):
-                m = m + gl[e, a] * (-1.0) * dF[e, a, b]
-        out[b] = m
-    return out
+    """delta F: (delta F)_b = -g^{ea} (nabla_e F)_ab, End(V)-valued.
+
+    A dense (n, rank, rank, ncoeff) array, computed once per connection and
+    kept in conn.cache.
+    """
+    if "ym_current" not in conn.cache:
+        dF = covd_endomorphism(conn, curvature(conn))
+        conn.keep("ym_current", -conn.geom.trace(dF))
+    return conn.cache["ym_current"]
 
 
 def current_action(current: np.ndarray, section: np.ndarray) -> np.ndarray:
-    """epsilon(delta F) f: pair an End-valued 1-form with a section."""
-    n, r = current.shape[0], current.shape[1]
-    k = min(current[0][0, 0].order, section[0].order)
-    low = truncate_array(section, k)
-    out = np.empty((n, r), dtype=object)
-    for b in range(n):
-        cm = truncate_array(current[b], k)
-        for i in range(r):
-            acc = cm[i, 0] * low[0]
-            for j in range(1, r):
-                acc = acc + cm[i, j] * low[j]
-            out[b, i] = acc
-    return out
+    """epsilon(delta F) f: pair an End-valued 1-form with a section.
+
+    Either argument may be dense, not both: the jet variables are read off
+    the one given as jets.  The result comes in the layout of section.
+    """
+    like = section if section.dtype == object else current
+    if like.dtype != object:
+        raise ValueError("current_action needs the current or the section as jets")
+    dim = like.flat[0].dim
+    cur, f = jets.as_dense(current), jets.as_dense(section)
+    n, r = cur.shape[:2]
+    out = matmul(cur.reshape(n * r, r, -1), f.reshape(r, 1, -1), dim)
+    return jets.like(out.reshape(n, r, -1), section, dim)
 
 
 def current_contraction(current: np.ndarray, phi: TwistedForm, conn: Connection) -> np.ndarray:
     """iota(delta F) phi = g^{ab} (delta F)_a phi_b, a section of V."""
-    n, r = conn.n, conn.rank
-    k = min(current[0][0, 0].order, phi.order)
-    gl = truncate_array(conn.geom.ginv, k)
-    low = truncate_array(phi.comps, k)
-    out = np.empty(r, dtype=object)
-    for i in range(r):
-        acc = conn.geom.zero(k)
-        for a in range(n):
-            cm = truncate_array(current[a], k)
-            for b in range(n):
-                for j in range(r):
-                    acc = acc + gl[a, b] * cm[i, j] * low[b, j]
-        out[i] = acc
-    return out
+    return _pair_raised(conn, current, phi.comps)
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,7 @@ class Geometry:
         comps is an object array of jets or a dense coefficient array; the
         result comes in the same layout.
         """
-        dense = comps.dtype != object
-        x = comps if dense else jets.to_dense(comps)
+        x = jets.as_dense(comps)
         order_in = jets.order_of(self.jet_dim, x.shape[-1])
         out_order = order_in - 1
         if out_order < 0:
@@ -316,7 +315,14 @@ class Geometry:
             moved = np.moveaxis(low, s, 0)
             term = self._contract(cross.reshape(n * n, n, -1), moved.reshape(n, -1, low.shape[-1]))
             out += np.moveaxis(term.reshape((n, n) + moved.shape[1:]), 1, s + 1)
-        return out if dense else jets.to_jets(out, self.jet_dim, out_order)
+        return jets.like(out, comps, self.jet_dim)
+
+    def trace(self, x: np.ndarray) -> np.ndarray:
+        """g^{ea} x[e, a, ...] for a dense x whose first two axes are down slots."""
+        n = self.n
+        gl = self.dense("ginv")[..., : x.shape[-1]]
+        tr = self._contract(gl.reshape(1, n * n, -1), x.reshape(n * n, -1, x.shape[-1]))
+        return tr.reshape(x.shape[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ of every pair at once, and sums the pairs of each product coefficient
 alpha + beta with np.add.reduceat.  The pair axis is processed in chunks cut
 at product-coefficient boundaries, so the gathered temporaries stay within
 _CHUNK_BYTES.  to_dense() and to_jets() convert between the two layouts; the
-jets built by to_jets() view rows of the dense array.
+jets built by to_jets() view rows of the dense array.  Functions that accept
+either layout take as_dense() of their input and return like() it.
 """
 from __future__ import annotations
 
@@ -191,6 +192,16 @@ def to_jets(x: np.ndarray, dim: int, order: int) -> np.ndarray:
     out = np.empty(math.prod(x.shape[:-1]), dtype=object)
     out[:] = [Jet(dim, order, row) for row in x.reshape(-1, x.shape[-1])]
     return out.reshape(x.shape[:-1])
+
+
+def as_dense(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is dense, else its coefficients (to_dense)."""
+    return to_dense(arr) if arr.dtype == object else arr
+
+
+def like(x: np.ndarray, arr: np.ndarray, dim: int) -> np.ndarray:
+    """Dense x in the layout of arr: x itself, or jets viewing it if arr holds jets."""
+    return x if arr.dtype != object else to_jets(x, dim, order_of(dim, x.shape[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .connections import Connection, covd_endomorphism, curvature
 from .geometry import Geometry
-from .jets import to_dense
+from .jets import order_of
 
 
 class CertificationError(RuntimeError):
@@ -33,7 +33,7 @@ class CertificationError(RuntimeError):
 
 
 def _level_blocks(arr: np.ndarray) -> list:
-    return list(to_dense(arr)[..., 0].reshape((-1,) + arr.shape[-2:]))
+    return list(arr[..., 0].reshape((-1,) + arr.shape[-3:-1]))
 
 
 def _stack_rank(blocks: list, rel_tol: float, floor: float) -> int:
@@ -46,7 +46,7 @@ def _stack_rank(blocks: list, rel_tol: float, floor: float) -> int:
 def obstruction_stack(conn: Connection, depth: int | None = None) -> np.ndarray:
     """Value matrices of F, grad F, ... stacked as one linear map on the fiber."""
     level = curvature(conn)
-    avail = level[0, 1][0, 0].order
+    avail = order_of(conn.dim, level.shape[-1])
     max_depth = avail if depth is None else min(depth, avail)
     blocks = _level_blocks(level)
     for _ in range(max_depth):
@@ -65,7 +65,7 @@ def kernel_dimension(conn: Connection, depth: int | None = None,
     curvature (flat or maximally symmetric descriptors) reads as rank 0.
     """
     level = curvature(conn)
-    avail = level[0, 1][0, 0].order
+    avail = order_of(conn.dim, level.shape[-1])
     max_depth = avail if depth is None else min(depth, avail)
     blocks = _level_blocks(level)
     rank = _stack_rank(blocks, rel_tol, floor)
@@ -93,7 +93,7 @@ class TransportResult:
 
 
 def _theta_values(spec, builder, point) -> np.ndarray:
-    return to_dense(builder(Geometry(spec, point, order=2)).theta)[..., 0]
+    return builder(Geometry(spec, point, order=2)).theta[..., 0]
 
 
 def transport(spec, builder: Callable, curve: Callable, v0,

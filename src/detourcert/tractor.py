@@ -358,7 +358,13 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
 
     The Levi-Civita action on the mu slot is folded in, so these matrices
     define the tractor bundle as a plain rank-(n+2) bundle with connection.
+    Jets viewing connection_dense(geom, order).
     """
+    return jets.to_jets(connection_dense(geom, order), geom.jet_dim, order)
+
+
+def connection_dense(geom: Geometry, order: int) -> np.ndarray:
+    """The matrices of connection_matrices as a dense (n, n+2, n+2, ncoeff) array."""
     n = geom.n
     geom.require(order + 2, "tractor connection coefficients")
     P = geom.dense("schouten", order)
@@ -368,7 +374,7 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     t[:, 1 : n + 1, n + 1] = geom.dense("g", order)
     t[:, 1 : n + 1, 1 : n + 1] = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
     t[:, n + 1, 1 : n + 1] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
-    return jets.to_jets(t, geom.jet_dim, order)
+    return t
 
 
 def tractor_curvature(geom: Geometry) -> np.ndarray:
@@ -407,48 +413,11 @@ def tractor_curvature(geom: Geometry) -> np.ndarray:
 
 def curvature_divergence(geom: Geometry) -> np.ndarray:
     """nabla^a Omega_ab, computed mechanically with the End-coupled connection."""
-    n = geom.n
-    k = geom.order - 4
+    from .connections import covd_endomorphism, tractor_connection
+
     geom.require(4, "curvature divergence")
-    omega = tractor_curvature(geom)
-    t_mats = connection_matrices(geom, k)
-    gam = truncate_array(geom.gamma, k)
-    gl = truncate_array(geom.ginv, k)
-    r = n + 2
-
-    def matmul(x, y):
-        out = np.empty((r, r), dtype=object)
-        for i in range(r):
-            for j in range(r):
-                acc = x[i, 0] * y[0, j]
-                for m in range(1, r):
-                    acc = acc + x[i, m] * y[m, j]
-                out[i, j] = acc
-        return out
-
-    low = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            low[a, b] = truncate_array(omega[a, b], k)
-    div = np.empty((n, r, r), dtype=object)
-    zero_mat = np.empty((r, r), dtype=object)
-    zero_mat[...] = geom.zero(k)
-    for b in range(n):
-        acc = zero_mat.copy()
-        for e in range(n):
-            for a in range(n):
-                w = gl[e, a]
-                # nabla_e Omega_ab, matrix valued
-                d_mat = np.empty((r, r), dtype=object)
-                for i in range(r):
-                    for j in range(r):
-                        d_mat[i, j] = omega[a, b][i, j].partial(e)
-                for f in range(n):
-                    d_mat = d_mat - gam[f, e, a] * low[f, b] - gam[f, e, b] * low[a, f]
-                d_mat = d_mat + matmul(t_mats[e], low[a, b]) - matmul(low[a, b], t_mats[e])
-                acc = acc + w * d_mat
-        div[b] = acc
-    return div
+    d_omega = covd_endomorphism(tractor_connection(geom), jets.to_dense(tractor_curvature(geom)))
+    return jets.to_jets(geom.trace(d_omega), geom.jet_dim, geom.order - 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Harness behavior: determinism, exit codes, expected negatives, formats."""
 import json
+import math
+from functools import cached_property
 
+import numpy as np
 import pytest
 
-from detourcert import cli
+from detourcert import cli, detour, tractor
+from detourcert.geometry import Geometry
+from detourcert.jets import Jet
 
 
 def run_config(**kw):
@@ -160,6 +165,38 @@ def test_nan_residual_fails_the_check(monkeypatch):
     assert rec["algebraic-bianchi"].max_residual != rec["algebraic-bianchi"].max_residual
     assert rec["contracted-bianchi"].passed
     assert not report.passed
+
+
+def _with_nan_entry(arr):
+    """Copy of an object array of jets whose second entry is NaN throughout."""
+    out = arr.copy()
+    j = out.flat[1]
+    out.flat[1] = Jet(j.dim, j.order, np.full_like(j.coeffs, np.nan))
+    return out
+
+
+@pytest.mark.parametrize("owner, attr, suite, check_id", [
+    (Geometry, "riemann_down", "curvature", "algebraic-bianchi"),
+    (Geometry, "ricci", "curvature", "contracted-bianchi"),
+    (Geometry, "weyl", "curvature", "weyl-trace"),
+    (Geometry, "cotton", "curvature", "cotton-trace"),
+    (Geometry, "bach", "curvature", "bach-shape"),
+    (tractor, "connection_matrices", "tractor", "tractor-metric-parallel"),
+    (tractor, "tractor_curvature", "tractor", "curvature-skew"),
+    (detour, "linearized_bach", "deformation", "gauge-linearization"),
+])
+def test_nan_entry_inside_one_point_fails_its_check(monkeypatch, owner, attr, suite, check_id):
+    # one NaN tensor entry must reach the report, not be folded away by
+    # max(0.0, nan) == 0.0 inside the per-point check
+    orig = vars(owner)[attr]
+    if isinstance(orig, cached_property):
+        monkeypatch.setattr(owner, attr, property(lambda self: _with_nan_entry(orig.func(self))))
+    else:
+        monkeypatch.setattr(owner, attr, lambda *args: _with_nan_entry(orig(*args)))
+    report = cli.run(run_config(metric="flat4", suites=(suite,), points=1))
+    rec = {c.check_id: c for c in report.checks}[check_id]
+    assert not rec.passed
+    assert math.isnan(rec.max_residual)
 
 
 def _metric_file(tmp_path, g11):

@@ -9,6 +9,8 @@ Independent oracles:
   block matrices;
 * a hand-unrolled delta(d phi) with explicit Christoffel and Theta terms
   checks op_M on a random polynomial connection;
+* the dense curvature and coupled derivatives match the object-loop
+  reference implementations kept below, on every kind of connection;
 * composition collapses: M(d f) = (deltaF) f and delta(M phi) =
   -<deltaF, phi> on a generic connection, with closure exactly on
   Yang-Mills-flat twists (Schwarzschild covectors, any Maxwell twist);
@@ -20,14 +22,16 @@ Independent oracles:
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detourcert import connections as co
+from detourcert import jets
 from detourcert import detour as de
 from detourcert import tractor as tr
 from detourcert.detour import TwistedForm
 from detourcert.dsl import MetricSpec, parse_expression
 from detourcert.geometry import Geometry, JetTensor, truncate_array, value_array
-from detourcert.jets import Jet, from_coeffs, multi_indices, to_dense
+from detourcert.jets import Jet, from_coeffs, multi_indices, order_of, to_dense, to_jets
 
 
 def _spec(dim, sig, coords, comps):
@@ -94,7 +98,13 @@ def coeff_dev(a, b):
 
 
 def max_abs(arr):
-    return max(float(np.max(np.abs(j.coeffs))) for j in np.asarray(arr, dtype=object).flat)
+    arr = np.asarray(arr)
+    return float(np.max(np.abs(to_dense(arr) if arr.dtype == object else arr)))
+
+
+def jet_view(x, dim=4):
+    """Jets of a dense array (curvature, theta) in dim variables."""
+    return to_jets(x, dim, order_of(dim, x.shape[-1]))
 
 
 # -- curvature cross-checks ---------------------------------------------------
@@ -107,8 +117,8 @@ def test_dd_equals_curvature_action():
     conn = co.polynomial_connection(g, 3, rng)
     f = rand_section(rng, 4, 3, 5)
     ddf = de.twisted_d(de.twisted_d(TwistedForm(0, f), conn), conn)
-    F = co.curvature(conn)
-    k = ddf.order
+    F = jet_view(co.curvature(conn))
+    k = ddf.comps.flat[0].order
     low = truncate_array(f, k)
     for a in range(4):
         for b in range(4):
@@ -122,7 +132,7 @@ def test_dd_equals_curvature_action():
 
 def test_covector_curvature_is_riemann_action():
     g = Geometry(BUMP4, P_BUMP, order=5)
-    F = co.curvature(co.covector_connection(g))
+    F = jet_view(co.curvature(co.covector_connection(g)))
     k = F[0, 1][0, 0].order
     riem = truncate_array(g.riemann, k)
     for a in range(4):
@@ -138,8 +148,8 @@ def test_tensor_square_curvature_is_kron_sum():
     g = Geometry(BUMP4, P_BUMP, order=5)
     base = co.polynomial_connection(g, 2, rng)
     sq = co.tensor_square(base)
-    F1 = co.curvature(base)
-    F2 = co.curvature(sq)
+    F1 = jet_view(co.curvature(base))
+    F2 = jet_view(co.curvature(sq))
     k = F2[0, 1][0, 0].order
     z = g.zero(k)
     for a in range(4):
@@ -161,7 +171,7 @@ def test_tractor_descriptor_curvature_matches_blocks():
     # mechanical commutator curvature against the Cotton/Weyl assembly
     g = Geometry(SCHWARZSCHILD, P_SCHW, order=5)
     conn = co.tractor_connection(g)
-    F = co.curvature(conn)
+    F = jet_view(co.curvature(conn))
     blocks = tr.tractor_curvature(g)
     k = F[0, 1][0, 0].order
     for a in range(4):
@@ -178,7 +188,7 @@ def test_op_m_against_hand_unrolled_formula():
 
     n, r = 4, 2
     gam3 = truncate_array(g.gamma, 3)
-    th3 = conn.theta_at(3)
+    th3 = jet_view(conn.theta_at(3))
     low3 = truncate_array(phi.comps, 3)
     dphi = np.empty((n, n, r), dtype=object)
     for a in range(n):
@@ -191,10 +201,10 @@ def test_op_m_against_hand_unrolled_formula():
                     acc = acc + th3[a][i, j] * low3[b, j] - th3[b][i, j] * low3[a, j]
                 dphi[a, b, i] = acc
     gam2 = truncate_array(g.gamma, 2)
-    th2 = conn.theta_at(2)
+    th2 = jet_view(conn.theta_at(2))
     gl2 = truncate_array(g.ginv, 2)
     dlow = truncate_array(dphi, 2)
-    F = co.curvature(conn)
+    F = jet_view(co.curvature(conn))
     F2 = truncate_array(F, 2)
     low2 = truncate_array(phi.comps, 2)
     for b in range(n):
@@ -214,6 +224,155 @@ def test_op_m_against_hand_unrolled_formula():
                     for j in range(r):
                         acc = acc - gl2[a, c] * F2[b, a][i, j] * low2[c, j]
             assert coeff_dev([acc], [got.comps[b, i]]) < 1e-11
+
+
+# -- dense path against the object-loop reference ------------------------------
+# These are the jet-by-jet loops the dense connection code replaced; they
+# share nothing with it but Geometry.gamma and the Jet arithmetic.
+
+
+def ref_matmul(x, y):
+    out = np.empty((x.shape[0], y.shape[1]), dtype=object)
+    for i, j in np.ndindex(*out.shape):
+        acc = x[i, 0] * y[0, j]
+        for k in range(1, x.shape[1]):
+            acc = acc + x[i, k] * y[k, j]
+        out[i, j] = acc
+    return out
+
+
+def ref_curvature(conn):
+    n, r = conn.n, conn.rank
+    k = conn.order - 1
+    theta = jet_view(conn.theta, conn.dim)
+    low = truncate_array(theta, k)
+    out = np.empty((n, n, r, r), dtype=object)
+    out[...] = Jet.constant(0.0, conn.dim, k)
+    for a in range(n):
+        for b in range(a + 1, n):
+            d_ab = np.empty((r, r), dtype=object)
+            for i in range(r):
+                for j in range(r):
+                    d_ab[i, j] = theta[b, i, j].partial(a) - theta[a, i, j].partial(b)
+            comm = ref_matmul(low[a], low[b]) - ref_matmul(low[b], low[a])
+            out[a, b] = d_ab + comm
+            out[b, a] = -(d_ab + comm)
+    return out
+
+
+def ref_covd_section(conn, comps):
+    n, r = conn.n, conn.rank
+    k = comps.flat[0].order - 1
+    gam = truncate_array(conn.geom.gamma, k)
+    th = jet_view(conn.theta_at(k), conn.dim)
+    low = truncate_array(comps, k)
+    out = np.empty((n,) + comps.shape, dtype=object)
+    for d in range(n):
+        for idx in np.ndindex(*comps.shape[:-1]):
+            for i in range(r):
+                acc = comps[idx + (i,)].partial(d)
+                for s, a_s in enumerate(idx):
+                    for e in range(n):
+                        acc = acc - gam[e, d, a_s] * low[idx[:s] + (e,) + idx[s + 1:] + (i,)]
+                for j in range(r):
+                    acc = acc + th[d, i, j] * low[idx + (j,)]
+                out[(d,) + idx + (i,)] = acc
+    return out
+
+
+def ref_covd_endomorphism(conn, comps):
+    n, r = conn.n, conn.rank
+    k = comps.flat[0].order - 1
+    gam = truncate_array(conn.geom.gamma, k)
+    th = jet_view(conn.theta_at(k), conn.dim)
+    low = truncate_array(comps, k)
+    out = np.empty((n,) + comps.shape, dtype=object)
+    for d in range(n):
+        for idx in np.ndindex(*comps.shape[:-2]):
+            block = np.empty((r, r), dtype=object)
+            for i in range(r):
+                for j in range(r):
+                    acc = comps[idx + (i, j)].partial(d)
+                    for s, a_s in enumerate(idx):
+                        for e in range(n):
+                            acc = acc - gam[e, d, a_s] * low[idx[:s] + (e,) + idx[s + 1:] + (i, j)]
+                    block[i, j] = acc
+            out[(d,) + idx] = block + ref_matmul(th[d], low[idx]) - ref_matmul(low[idx], th[d])
+    return out
+
+
+def _oracle_connection(kind, rank, g, rng):
+    if kind == "polynomial":
+        return co.polynomial_connection(g, rank, rng)
+    if kind == "square":
+        return co.tensor_square(co.polynomial_connection(g, 2, rng))
+    if kind == "covector":
+        return co.covector_connection(g)
+    return co.killing_connection(g)
+
+
+def _both_layouts_match(fn, ref, conn, comps, tol):
+    want = ref(conn, comps)
+    assert coeff_dev(fn(conn, comps), want) < tol
+    dense = fn(conn, to_dense(comps))
+    assert dense.dtype == float
+    assert coeff_dev(jet_view(dense, conn.dim), want) < tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["polynomial", "square", "covector", "killing"]),
+       st.integers(1, 6), st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dense_connection_matches_object_reference(kind, rank, order, dim3, seed):
+    if kind == "killing":
+        order = max(order, 3)  # Theta needs curvature, which the Killing rows carry
+    spec, pt = (BUMP3, P_B3) if dim3 else (BUMP4, P_BUMP)
+    g = Geometry(spec, pt, order=order)
+    n = g.n
+    rng = np.random.default_rng(seed)
+    conn = _oracle_connection(kind, rank, g, rng)
+    r = conn.rank
+    F = co.curvature(conn)
+    want = ref_curvature(conn)
+    scale = 1.0 + max_abs(want)
+    assert coeff_dev(jet_view(F, n), want) < 1e-12 * scale
+
+    # coupled derivatives of random sections, twisted 1-forms and End-valued
+    # 1-forms, at an input order the geometry and Theta can differentiate
+    k_in = int(rng.integers(1, min(order, conn.order + 1) + 1))
+    sec = np.array([rand_jet(rng, n, k_in) for _ in range(r)], dtype=object)
+    form = np.array([[rand_jet(rng, n, k_in) for _ in range(r)] for _ in range(n)], dtype=object)
+    end = np.array([[[rand_jet(rng, n, k_in) for _ in range(r)] for _ in range(r)]
+                    for _ in range(n)], dtype=object)
+    tol = 1e-12 * (1.0 + max_abs(conn.theta))
+    _both_layouts_match(co.covd_section, ref_covd_section, conn, sec, tol)
+    _both_layouts_match(co.covd_section, ref_covd_section, conn, form, tol)
+    _both_layouts_match(co.covd_endomorphism, ref_covd_endomorphism, conn, end, tol)
+    if conn.order >= 2:  # nabla F, as the prolongation stack takes it
+        _both_layouts_match(co.covd_endomorphism, ref_covd_endomorphism, conn,
+                            jet_view(F, n), 1e-12 * scale * (1.0 + max_abs(conn.theta)))
+
+
+def test_curvature_and_current_are_computed_once_per_connection(monkeypatch):
+    rng = np.random.default_rng(7)
+    conn = co.polynomial_connection(Geometry(BUMP4, P_BUMP, order=5), 3, rng)
+    calls = []
+    contract = jets.contract
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(jets, "contract", counting)
+    for fn in (co.curvature, de.ym_current):
+        first = fn(conn)
+        work = len(calls)
+        assert work > 0
+        assert fn(conn) is first
+        assert len(calls) == work
+        assert not first.flags.writeable  # the cached array cannot be edited in place
+    # a new connection on the same data does the work again
+    co.curvature(co.Connection(conn.geom, conn.rank, conn.theta))
+    assert len(calls) > work
 
 
 # -- composition collapses ----------------------------------------------------
