@@ -24,11 +24,10 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from . import __version__, catalog, detour, prolong, tractor
+from . import __version__, catalog, detour, jets, prolong, tractor
 from .connections import covector_connection, killing_connection, tractor_connection
 from .dsl import MetricSyntaxError, MetricValidationError, load_metric
-from .geometry import Geometry, truncate_array
-from .jets import Jet
+from .geometry import Geometry
 
 SCHEMA = "detourcert-report/1"
 SUITES = ("curvature", "tractor", "detour", "prolong", "deformation")
@@ -158,16 +157,10 @@ def resolve_metric(source: str):
     return spec, box, None
 
 
-def _rand_jet(rng, n, order, scale=1.0) -> Jet:
-    size = Jet.constant(0.0, n, order).coeffs.shape[0]
-    return Jet(n, order, rng.standard_normal(size) * scale)
-
-
-def _rand_field(rng, n, order, scale=1.0) -> np.ndarray:
-    out = np.empty(n, dtype=object)
-    for a in range(n):
-        out[a] = _rand_jet(rng, n, order, scale)
-    return out
+def _rand_jets(rng, shape, n, order, scale=1.0) -> np.ndarray:
+    """Jets with standard normal coefficients, drawn entry by entry in C order."""
+    size = jets._size(n, order)
+    return jets.to_jets(rng.standard_normal(shape + (size,)) * scale, n, order)
 
 
 def _worst(residuals) -> float:
@@ -176,173 +169,122 @@ def _worst(residuals) -> float:
     return max([0.0] + vals) if all(map(math.isfinite, vals)) else math.nan
 
 
-def _values_max(arr) -> float:
-    return _worst(abs(j.value) for j in np.asarray(arr, dtype=object).flat)
+def _max_abs(x) -> float:
+    """Largest |entry| of a float array, NaN if any entry is not finite."""
+    m = float(np.max(np.abs(x), initial=0.0))
+    return m if math.isfinite(m) else math.nan
+
+
+def _rel_diff(lhs, rhs) -> float:
+    """max |lhs - rhs| over two value arrays, relative to the larger of them (at least 1)."""
+    return _max_abs(lhs - rhs) / max(1.0, _max_abs(lhs), _max_abs(rhs))
 
 
 # ---------------------------------------------------------------------------
 # per-point check functions; each returns a residual, optionally with a
-# (prediction_norm, prediction_gap) pair for obstruction-style checks
+# (prediction_norm, prediction_gap) pair for obstruction-style checks.  Each
+# reads its tensors through the Geometry stage properties or the public
+# operator, and their values at the point as jets.as_dense(x)[..., 0].
 
 
 def _check_algebraic_bianchi(geom, rng, tol):
-    n = geom.n
-    rd = geom.riemann_down
-    worst = _worst(abs(rd[a, b, c, d].value + rd[b, c, a, d].value + rd[c, a, b, d].value)
-                   for a, b, c, d in np.ndindex(n, n, n, n))
-    return worst / max(1.0, _values_max(rd))
+    rd = jets.as_dense(geom.riemann_down)[..., 0]
+    cyclic = rd + rd.transpose(2, 0, 1, 3) + rd.transpose(1, 2, 0, 3)
+    return _max_abs(cyclic) / max(1.0, _max_abs(rd))
 
 
 def _check_contracted_bianchi(geom, rng, tol):
-    n = geom.n
-    dric = geom.covd_array(geom.ricci, ("d", "d"))
+    dric = geom.covd_array(jets.as_dense(geom.ricci), ("d", "d"))[..., 0]
     sc = geom.scalar
-    gi = truncate_array(geom.ginv, dric[0, 0, 0].order)
-    worst = _worst(
-        abs(sum(gi[e, a].value * dric[e, a, b].value for e, a in np.ndindex(n, n))
-            - 0.5 * sc.partial(b).value)
-        for b in range(n))
-    return worst / max(1.0, _values_max(dric))
+    gi = jets.as_dense(geom.ginv)[..., 0]
+    div = np.einsum("ea,eab->b", gi, dric)
+    dsc = jets.partials(sc.coeffs, sc.dim, sc.order, geom.n)[:, 0]
+    return _max_abs(div - 0.5 * dsc) / max(1.0, _max_abs(dric))
 
 
 def _check_weyl_trace(geom, rng, tol):
-    n = geom.n
-    w = geom.weyl
-    gi = truncate_array(geom.ginv, w[0, 0, 0, 0].order)
-    traces = []
-    for c in range(n):
-        for d in range(n):
-            traces.append(sum(gi[a, b].value * w[a, c, b, d].value
-                              for a in range(n) for b in range(n)))
-            traces.append(sum(gi[a, b].value * w[a, b, c, d].value
-                              for a in range(n) for b in range(n)))
-    return _worst(map(abs, traces)) / max(1.0, _values_max(w))
+    w = jets.as_dense(geom.weyl)[..., 0]
+    gi = jets.as_dense(geom.ginv)[..., 0]
+    traces = [np.einsum("ab,acbd->cd", gi, w), np.einsum("ab,abcd->cd", gi, w)]
+    return _max_abs(traces) / max(1.0, _max_abs(w))
 
 
 def _check_cotton_trace(geom, rng, tol):
-    n = geom.n
-    cot = geom.cotton
-    gi = truncate_array(geom.ginv, cot[0, 0, 0].order)
-    traces = []
-    for c in range(n):
-        traces.append(sum(gi[a, b].value * cot[a, b, c].value for a in range(n) for b in range(n)))
-        traces.append(sum(gi[a, b].value * cot[c, a, b].value for a in range(n) for b in range(n)))
-    return _worst(map(abs, traces)) / max(1.0, _values_max(cot))
+    cot = jets.as_dense(geom.cotton)[..., 0]
+    gi = jets.as_dense(geom.ginv)[..., 0]
+    traces = [np.einsum("ab,abc->c", gi, cot), np.einsum("ab,cab->c", gi, cot)]
+    return _max_abs(traces) / max(1.0, _max_abs(cot))
 
 
 def _check_bach_shape(geom, rng, tol):
-    n = geom.n
-    b = geom.bach
-    gi = truncate_array(geom.ginv, b[0, 0].order)
-    tr = sum(gi[i, j].value * b[i, j].value for i in range(n) for j in range(n))
-    worst = _worst([abs(tr)] + [abs(b[i, j].value - b[j, i].value) for i, j in np.ndindex(n, n)])
-    return worst / max(1.0, _values_max(b))
+    b = jets.as_dense(geom.bach)[..., 0]
+    gi = jets.as_dense(geom.ginv)[..., 0]
+    return _worst([abs(np.einsum("ij,ij->", gi, b)), _max_abs(b - b.T)]) / max(1.0, _max_abs(b))
 
 
 def _check_tractor_metric_parallel(geom, rng, tol):
     # compatibility of the position dependent pairing: d_a h = T_a^T h + h T_a
     n = geom.n
-    mats = tractor.connection_matrices(geom, 1)
-    gi = truncate_array(geom.ginv, 1)
-    h = np.zeros((n + 2, n + 2))
-    h[0, n + 1] = h[n + 1, 0] = 1.0
-    hv = h.copy()
-    for b in range(n):
-        for c in range(n):
-            hv[1 + b, 1 + c] = gi[b, c].value
-    worst, scale = [], []
-    for a in range(n):
-        t = np.array([[mats[a][i, j].value for j in range(n + 2)]
-                      for i in range(n + 2)])
-        dh = np.zeros((n + 2, n + 2))
-        for b in range(n):
-            for c in range(n):
-                dh[1 + b, 1 + c] = gi[b, c].partial(a).value
-        worst.append(np.max(np.abs(t.T @ hv + hv @ t - dh)))
-        scale += [np.max(np.abs(t)), np.max(np.abs(dh))]
-    return _worst(worst) / max(1.0, _worst(scale))
+    t = jets.as_dense(tractor.connection_matrices(geom, 1))[..., 0]
+    h = tractor.gram_matrix(geom)
+    dh = np.zeros_like(t)
+    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(jets.as_dense(geom.ginv), geom.jet_dim,
+                                                geom.order, n)[..., 0]
+    skew = t.transpose(0, 2, 1) @ h + h @ t - dh
+    return _max_abs(skew) / max(1.0, _max_abs(t), _max_abs(dh))
 
 
 def _check_splitting_commutation(geom, rng, tol):
-    n = geom.n
-    sigma = _rand_jet(rng, n, min(geom.order, 5))
+    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 5))[()]
     lhs = tractor.apply_connection(tractor.splitting(sigma, geom), geom)
     rhs = tractor.op_E(tractor.op_D(sigma, geom), geom)
-    k = min(lhs.alpha[0].order, rhs.alpha[0].order)
-    diff = lhs.as_matrix() - rhs.as_matrix()
-    scale = max(_values_max(lhs.as_matrix()), _values_max(rhs.as_matrix()))
-    return _values_max(truncate_array(diff, k)) / max(1.0, scale)
+    return _rel_diff(jets.as_dense(lhs.as_matrix())[..., 0],
+                     jets.as_dense(rhs.as_matrix())[..., 0])
 
 
 def _check_adjoint_factorization(geom, rng, tol):
     n = geom.n
-    nu = np.array([[_rand_jet(rng, n, 3) for _ in range(n)] for _ in range(n)],
-                  dtype=object)
-    phi = tractor.TractorOneForm(_rand_field(rng, n, 3), nu, _rand_field(rng, n, 3))
+    nu = _rand_jets(rng, (n, n), n, 3)
+    phi = tractor.TractorOneForm(_rand_jets(rng, (n,), n, 3), nu, _rand_jets(rng, (n,), n, 3))
     lhs = tractor.splitting_star(tractor.coupled_divergence(phi, geom), geom)
     rhs = tractor.op_D_star(tractor.op_E_star(phi, geom), geom)
     return abs(lhs.value - rhs.value) / max(1.0, abs(lhs.value), abs(rhs.value))
 
 
 def _check_tractor_curvature_skew(geom, rng, tol):
-    n = geom.n
-    omega = tractor.tractor_curvature(geom)
+    m = jets.as_dense(tractor.tractor_curvature(geom))[..., 0]
     h = tractor.gram_matrix(geom)
-    worst, scale = [], []
-    for a in range(n):
-        for b in range(n):
-            m = np.array([[omega[a, b][i, j].value for j in range(n + 2)]
-                          for i in range(n + 2)])
-            mba = np.array([[omega[b, a][i, j].value for j in range(n + 2)]
-                            for i in range(n + 2)])
-            worst += [np.max(np.abs(m + mba)), np.max(np.abs(m.T @ h + h @ m))]
-            scale.append(np.max(np.abs(m)))
-    return _worst(worst) / max(1.0, _worst(scale))
+    skew = [m + m.swapaxes(0, 1), m.swapaxes(-1, -2) @ h + h @ m]
+    return _max_abs(skew) / max(1.0, _max_abs(m))
 
 
 def _check_signature(geom, rng, tol):
-    base = tuple(1 if geom.g[a, a].value > 0 else -1 for a in range(geom.n))
-    p = base.count(1)
-    q = base.count(-1)
+    diag = np.diag(jets.as_dense(geom.g)[..., 0])
+    p = int(np.sum(diag > 0))
     got = tractor.tractor_signature(geom)
-    return 0.0 if got == (p + 1, q + 1) else 1.0
+    return 0.0 if got == (p + 1, geom.n - p + 1) else 1.0
 
 
-def _ym_exterior(geom, rng, tol):
+def _ym_exterior(conn, rng, tol):
     # M(d f) = + current acting on f, for a section f of the twist bundle
-    conn = covector_connection(geom)
-    n = geom.n
-    f = _rand_field(rng, n, 4)
+    f = _rand_jets(rng, (conn.n,), conn.n, 4)
     lhs = detour.op_M(detour.twisted_d(detour.TwistedForm(0, f), conn), conn)
-    cur = detour.ym_current(conn)
-    rhs = detour.current_action(cur, f)
-    k = min(lhs.comps.flat[0].order, rhs.flat[0].order)
-    scale = max(_values_max(lhs.comps), _values_max(rhs))
-    return _values_max(truncate_array(lhs.comps, k) - truncate_array(rhs, k)) / max(1.0, scale)
+    rhs = detour.current_action(detour.ym_current(conn), f)
+    return _rel_diff(jets.as_dense(lhs.comps)[..., 0], jets.as_dense(rhs)[..., 0])
 
 
-def _ym_interior(geom, rng, tol):
-    conn = covector_connection(geom)
-    n = geom.n
-    phi = detour.TwistedForm(1, np.array(
-        [[_rand_jet(rng, n, 4) for _ in range(n)] for _ in range(n)], dtype=object))
+def _ym_interior(conn, rng, tol):
+    phi = detour.TwistedForm(1, _rand_jets(rng, (conn.n, conn.n), conn.n, 4))
     lhs = detour.twisted_delta(detour.op_M(phi, conn), conn)
     rhs = detour.current_contraction(detour.ym_current(conn), phi, conn)
-    k = min(lhs.comps.flat[0].order, rhs.flat[0].order)
-    scale = max(_values_max(lhs.comps), _values_max(rhs))
-    return _values_max(truncate_array(lhs.comps, k) + truncate_array(rhs, k)) / max(1.0, scale)
+    return _rel_diff(jets.as_dense(lhs.comps)[..., 0], -jets.as_dense(rhs)[..., 0])
 
 
 def _complex_composition(geom, rng, tol):
-    n = geom.n
-    sigma = _rand_jet(rng, n, min(geom.order, 6))
-    comp = detour.op_MT(tractor.op_D(sigma, geom), geom).comps
-    pred = detour.einstein_detour_expected(sigma, geom).comps
-    k = min(comp.flat[0].order, pred.flat[0].order)
-    residual = _values_max(comp)
-    gap = _values_max(truncate_array(comp, k) - truncate_array(pred, k))
-    pred_norm = _values_max(pred)
-    return residual, pred_norm, gap
+    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 6))[()]
+    comp = jets.as_dense(detour.op_MT(tractor.op_D(sigma, geom), geom).comps)[..., 0]
+    pred = jets.as_dense(detour.einstein_detour_expected(sigma, geom).comps)[..., 0]
+    return _max_abs(comp), _max_abs(pred), _max_abs(comp - pred)
 
 
 def _kernel_bound(geom, rng, tol, entry):
@@ -369,41 +311,19 @@ def _transport_roundtrip(spec, box, rng, tol):
 
 
 def _gauge_linearization(geom, rng, tol):
+    # along the gauge direction K0 v the obstruction moves by its Lie
+    # derivative plus the conformal weight term: L_v B + (2/n) div(v) B
     n = geom.n
-    k = geom.order
-    v = np.empty(n, dtype=object)
-    for a in range(n):
-        v[a] = _rand_jet(rng, n, 3, scale=0.5).padded(k)
-    h = detour.op_K0(v, geom)
-    bp = detour.linearized_bach(h.comps, geom)
-
-    border = geom.order - 4
-    bach = geom.bach
-    db = geom.covd_array(bach, ("d", "d"))
-    gam = truncate_array(geom.gamma, border - 1)
-    vt = truncate_array(v, border - 1)
-    divv = v[0].truncated(border).partial(0) * 0.0
-    dv = np.empty((n, n), dtype=object)
-    for a in range(n):
-        divv = divv + v[a].truncated(border).partial(a)
-        for e in range(n):
-            divv = divv + gam[a, a, e] * vt[e]
-        for c in range(n):
-            acc = v[c].truncated(border).partial(a)
-            for e in range(n):
-                acc = acc + gam[c, a, e] * vt[e]
-            dv[a, c] = acc.truncated(border - 1)
-    worst, scale = [], []
-    for a in range(n):
-        for b in range(n):
-            acc = (2.0 / n) * divv * bach[a, b].truncated(border - 1)
-            for c in range(n):
-                acc = acc + vt[c] * db[c, a, b].truncated(border - 1)
-                acc = acc + bach[c, b].truncated(border - 1) * dv[a, c]
-                acc = acc + bach[a, c].truncated(border - 1) * dv[b, c]
-            worst.append(abs(bp[a, b].value - acc.value))
-            scale += [abs(bp[a, b].value), abs(acc.value)]
-    return _worst(worst) / max(1.0, _worst(scale))
+    v = np.zeros((n, jets._size(n, geom.order)))  # order-3 field, zero padded
+    v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
+    bp = detour.linearized_bach(detour.op_K0(jets.to_jets(v, n, geom.order), geom).comps, geom)
+    bach = jets.as_dense(geom.bach)
+    db = geom.covd_array(bach, ("d", "d"))[..., 0]  # nabla_c B_ab at [c, a, b]
+    dv = geom.covd_array(v, ("u",))[..., 0]  # nabla_a v^c at [a, c]
+    b = bach[..., 0]
+    lie = (np.einsum("c,cab->ab", v[:, 0], db) + np.einsum("cb,ac->ab", b, dv)
+           + np.einsum("ac,bc->ab", b, dv))
+    return _rel_diff(jets.as_dense(bp)[..., 0], (2.0 / n) * np.trace(dv) * b + lie)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +351,7 @@ _TRACTOR = [
     ("signature", "tractor metric signature is (p+1, q+1)", _check_signature, False),
 ]
 
+# the detour checks take the covector connection of the point instead of its geometry
 _DETOUR = [
     ("ym-source-exterior", "composition with the twisted differential returns "
      "the source current", _ym_exterior, False),
@@ -474,22 +395,23 @@ def run(config: RunConfig) -> Report:
         },
     )
 
-    def plain(suite, table):
+    def plain(suite, table, per_point):
         for check_id, statement, fn, dim4_only in table:
             if dim4_only and spec.dim != 4:
                 continue
-            worst = _worst([fn(geom, rng, config.tol) for geom in geoms])
+            worst = _worst([fn(x, rng, config.tol) for x in per_point])
             report.checks.append(CheckRecord(
                 check_id, suite, statement, worst, config.tol,
                 worst <= config.tol, config.points))
 
     for suite in suites:
         if suite == "curvature":
-            plain(suite, _CURVATURE)
+            plain(suite, _CURVATURE, geoms)
         elif suite == "tractor":
-            plain(suite, _TRACTOR)
+            plain(suite, _TRACTOR, geoms)
         elif suite == "detour":
-            plain(suite, _DETOUR)
+            # one twist per point, shared by both current checks
+            plain(suite, _DETOUR, [covector_connection(geom) for geom in geoms])
             rows = [_complex_composition(geom, rng, config.tol) for geom in geoms]
             worst, pred_norm, gap = (_worst(col) for col in zip(*rows))
             negative = pred_norm > 10.0 * config.tol

@@ -9,7 +9,11 @@ Everything downstream (twisted de Rham operators, curvature, parallel
 transport, prolongation checks) consumes only this presentation, so the
 same code path serves the Levi-Civita connection on covectors, the
 tractor connection, its tensor square, the Killing prolongation
-connection and ad-hoc polynomial examples.
+connection and ad-hoc polynomial examples.  The tractor connection in
+particular is nothing but covd_section over tractor.connection_dense:
+tractor.apply_connection and tractor.coupled_divergence call it, and the
+slot-by-slot tractor formula survives only in the tests, as the
+reference this generic derivative is checked against.
 
 Theta is a dense jet tensor (see jets): a float array of shape
 (n, rank, rank, ncoeff).  Curvature is always computed mechanically from

@@ -24,10 +24,15 @@ Translating M through the injector E and its adjoint yields the
 second-order operator on trace-free symmetric tensors whose composition
 with the Einstein operator D is the zeroth-order Bach/Cotton action;
 that composition is the engine behind the "detour complex" checks.
+einstein_detour_expected assembles that action as one matmul of the
+[-B, (n-4) A] rows against the column [sigma, nabla sigma].
 
 The deformation side: the conformal Killing operator K0 and a linearized
 Bach operator obtained by differentiating the full nonlinear curvature
-chain along a metric perturbation with one extra jet variable.
+chain along a metric perturbation with one extra jet variable.  K0 and its
+adjoint are Geometry.lower, covd_array and tractor.divergence on dense
+arrays; perturbed_geometry still builds the perturbed metric jet by jet,
+because Geometry takes its metric as an object array of jets.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import jets, tractor as tractor_mod
 from .connections import Connection, covd_endomorphism, covd_section, curvature, matmul
-from .geometry import Geometry, JetTensor, truncate_array
+from .geometry import Geometry, JetTensor
 from .jets import Jet
 
 
@@ -165,25 +170,17 @@ def einstein_detour_expected(sigma: Jet, geom: Geometry) -> JetTensor:
     This is what M^T composed with the Einstein operator D must produce;
     the Cotton slot order matters only away from dimension four.
     """
-    n = geom.n
+    n, dim = geom.n, geom.jet_dim
     geom.require(5, "detour composition")
     k = geom.order - 5
-    A = truncate_array(geom.cotton, k)
-    B = truncate_array(geom.bach, k)
-    gl = truncate_array(geom.ginv, k)
-    sig = sigma.truncated(k)
-    grad = truncate_array(
-        np.array([sigma.partial(c) for c in range(n)], dtype=object), k
-    )
-    comps = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            acc = -(B[a, b] * sig)
-            for c in range(n):
-                for d in range(n):
-                    acc = acc + (n - 4.0) * A[a, c, b] * gl[c, d] * grad[d]
-            comps[a, b] = acc
-    return JetTensor(("d", "d"), tractor_mod.trace_free_symmetric(comps, geom))
+    nc = jets._size(dim, k)
+    grad = jets.partials(sigma.coeffs, dim, sigma.order, n)[:, None, :nc]
+    # rows (a, b): [-B_ab, (n-4) A_acb] against the column [sigma, nabla^c sigma]
+    col = np.concatenate([sigma.coeffs[None, None, :nc], matmul(geom.dense("ginv", k), grad, dim)])
+    coef = np.concatenate([-geom.dense("bach", k)[:, :, None],
+                           (n - 4.0) * geom.dense("cotton", k).transpose(0, 2, 1, 3)], axis=2)
+    comps = matmul(coef.reshape(n * n, n + 1, -1), col, dim).reshape(n, n, -1)
+    return JetTensor(("d", "d"), jets.to_jets(tractor_mod.trace_free_symmetric(comps, geom), dim, k))
 
 
 # ---------------------------------------------------------------------------
@@ -192,38 +189,16 @@ def einstein_detour_expected(sigma: Jet, geom: Geometry) -> JetTensor:
 
 def op_K0(v_up: np.ndarray, geom: Geometry) -> JetTensor:
     """Conformal Killing operator: trace-free part of the Lie derivative of g."""
-    n = geom.n
-    k = v_up.flat[0].order - 1
-    g = truncate_array(geom.g, k)
-    v_low = np.empty(n, dtype=object)
-    for a in range(n):
-        acc = geom.zero(v_up.flat[0].order)
-        for b in range(n):
-            acc = acc + geom.g[a, b].truncated(v_up.flat[0].order) * v_up[b]
-        v_low[a] = acc
-    dv = geom.covd_array(v_low, ("d",))
-    comps = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            comps[a, b] = dv[a, b] + dv[b, a]
-    return JetTensor(("d", "d"), tractor_mod.trace_free(comps, geom), weight=0.0)
+    dv = geom.covd_array(geom.lower(jets.as_dense(v_up)), ("d",))
+    tf = tractor_mod.trace_free(dv + dv.swapaxes(0, 1), geom)
+    return JetTensor(("d", "d"), jets.like(tf, v_up, geom.jet_dim))
 
 
 def op_K0_star(psi: JetTensor, geom: Geometry) -> np.ndarray:
     """Adjoint of K0 on trace-free symmetric inputs: -2 nabla^b psi_ab."""
     comps = psi.comps if isinstance(psi, JetTensor) else psi
-    n = geom.n
-    k = comps.flat[0].order - 1
-    dpsi = geom.covd_array(comps, ("d", "d"))
-    gl = truncate_array(geom.ginv, k)
-    out = np.empty(n, dtype=object)
-    for a in range(n):
-        acc = geom.zero(k)
-        for b in range(n):
-            for c in range(n):
-                acc = acc - 2.0 * gl[b, c] * dpsi[c, a, b]
-        out[a] = acc
-    return out
+    div = tractor_mod.divergence(jets.as_dense(comps), geom)
+    return jets.like(-2.0 * div, comps, geom.jet_dim)
 
 
 def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
@@ -243,9 +218,5 @@ def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
 def linearized_bach(h: np.ndarray, geom: Geometry) -> np.ndarray:
     """Derivative of the Bach tensor along the metric perturbation h."""
     pg = perturbed_geometry(geom, h)
-    n = geom.n
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = pg.bach[a, b].linear_part(geom.jet_dim)
-    return out
+    eps_linear = jets._linear_table(pg.jet_dim, pg.order - 4, geom.jet_dim)
+    return jets.to_jets(pg.dense("bach")[..., eps_linear], geom.jet_dim, pg.order - 5)

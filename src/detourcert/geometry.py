@@ -21,11 +21,12 @@ jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
 slice of the coefficient axis.  A stage keeps its dense array for the later
 stages (Geometry.dense) and returns an object array of jets viewing it.
-covd_array accepts and returns either layout.
+covd_array accepts and returns either layout; trace and lower contract the
+leading slots of a dense array with the inverse metric and the metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,60 +39,28 @@ class SingularMetricError(SingularPointError):
     """Metric is numerically degenerate at the base point."""
 
 
-class CurvatureConsistencyError(RuntimeError):
-    """An internal identity of the curvature pack failed its tolerance."""
-
-
 @dataclass
 class JetTensor:
     """Tensor with jet components at a point; variance is 'u'/'d' per slot."""
 
     variances: tuple
     comps: np.ndarray
-    weight: float = 0.0  # conformal weight annotation; not enforced
 
     def __post_init__(self):
         self.variances = tuple(self.variances)
         if self.comps.ndim != len(self.variances):
             raise ValueError("variance list does not match component rank")
 
-    @property
-    def order(self) -> int:
-        return self.comps.flat[0].order
-
-    @property
-    def dim(self) -> int:
-        return self.comps.flat[0].dim
-
-    def values(self) -> np.ndarray:
-        out = np.empty(self.comps.shape)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = self.comps[idx].value
-        return out
-
-    def truncated(self, order: int) -> "JetTensor":
-        return JetTensor(self.variances, truncate_array(self.comps, order), self.weight)
-
-
-def jet_array(shape, dim: int, order: int) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    zero = Jet.constant(0.0, dim, order)
-    out[...] = zero
-    return out
-
 
 def truncate_array(arr: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = arr[idx].truncated(order)
-    return out
+    """Jets of an object array truncated to a lower order (views of one dense array)."""
+    dim = arr.flat[0].dim
+    return jets.to_jets(jets.to_dense(arr)[..., : jets._size(dim, order)], dim, order)
 
 
 def value_array(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.shape)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = arr[idx].value
-    return out
+    """Values at the base point of an object array of jets."""
+    return jets.to_dense(arr)[..., 0]
 
 
 def invert_jet_matrix(g: np.ndarray, pivot_floor: float = 1e-12) -> np.ndarray:
@@ -160,9 +129,6 @@ class Geometry:
         self.ginv  # eager inverse so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
-
-    def zero(self, order: int) -> Jet:
-        return Jet.constant(0.0, self.jet_dim, order)
 
     def require(self, order_needed: int, what: str):
         if self.order < order_needed:
@@ -324,90 +290,15 @@ class Geometry:
         tr = self._contract(gl.reshape(1, n * n, -1), x.reshape(n * n, -1, x.shape[-1]))
         return tr.reshape(x.shape[2:])
 
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """g_ab x[b, ...] for a dense x whose first axis is an up slot."""
+        n = self.n
+        low = self._contract(self.dense("g")[..., : x.shape[-1]], x.reshape(n, -1, x.shape[-1]))
+        return low.reshape(x.shape)
+
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def christoffel(spec, point, order: int) -> JetTensor:
-    geom = Geometry(spec, point, order)
-    return JetTensor(("u", "d", "d"), geom.gamma)
-
-
-def covariant_derivative(t: JetTensor, geom: Geometry) -> JetTensor:
-    return JetTensor(("d",) + t.variances, geom.covd_array(t.comps, t.variances), t.weight)
-
-
-@dataclass
-class CurvaturePack:
-    """Float values of the curvature chain at one point, with jets kept around."""
-
-    point: tuple
-    n: int
-    riemann: np.ndarray  # R_ab^c_d
-    riemann_down: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    jtrace: float
-    schouten: np.ndarray
-    weyl: np.ndarray
-    cotton: np.ndarray
-    bach: np.ndarray
-    residuals: dict = field(default_factory=dict)
-    geometry: Geometry = None
-
-
-def _pack_checks(pack: CurvaturePack, geom: Geometry):
-    n = pack.n
-    rd = pack.riemann_down
-    scale = 1.0 + float(np.max(np.abs(rd)))
-    res = pack.residuals
-    res["riemann-antisym-front"] = float(np.max(np.abs(rd + rd.transpose(1, 0, 2, 3))))
-    res["riemann-antisym-back"] = float(np.max(np.abs(rd + rd.transpose(0, 1, 3, 2))))
-    res["riemann-pair-symmetry"] = float(np.max(np.abs(rd - rd.transpose(2, 3, 0, 1))))
-    res["first-bianchi"] = float(
-        np.max(np.abs(rd + rd.transpose(1, 2, 0, 3) + rd.transpose(2, 0, 1, 3)))
-    )
-    res["ricci-symmetry"] = float(np.max(np.abs(pack.ricci - pack.ricci.T)))
-    ginv = value_array(geom.ginv)
-    res["weyl-trace"] = max(
-        float(np.max(np.abs(np.einsum("ac,abcd->bd", ginv, pack.weyl)))),
-        float(np.max(np.abs(np.einsum("bd,abcd->ac", ginv, pack.weyl)))),
-    )
-    res["cotton-trace"] = float(np.max(np.abs(np.einsum("ab,abc->c", ginv, pack.cotton))))
-    dg = geom.covd_array(geom.dense("g", 1), ("d", "d"))
-    res["metric-compatibility"] = float(np.max(np.abs(dg)))
-    for name, tol in list(res.items()):
-        if res[name] > 1e-10 * scale:
-            raise CurvatureConsistencyError(f"{name} residual {res[name]:.3e}")
-    res["bach-symmetry"] = float(np.max(np.abs(pack.bach - pack.bach.T)))
-    res["bach-trace"] = abs(float(np.einsum("ab,ab->", ginv, pack.bach)))
-    if res["bach-symmetry"] > 1e-9 * scale or res["bach-trace"] > 1e-9 * scale:
-        raise CurvatureConsistencyError("bach symmetry/trace residual too large")
-
-
-def curvature_pack(spec, point, order: int = 4, checks: bool = True) -> CurvaturePack:
-    """Evaluate the whole curvature chain at a point; order must be >= 4."""
-    if order < 4:
-        raise ValueError("curvature pack needs jet order >= 4 (bach takes 4 derivatives)")
-    geom = Geometry(spec, point, order)
-    pack = CurvaturePack(
-        point=tuple(float(x) for x in point),
-        n=geom.n,
-        riemann=value_array(geom.riemann),
-        riemann_down=value_array(geom.riemann_down),
-        ricci=value_array(geom.ricci),
-        scalar=geom.scalar.value,
-        jtrace=geom.jtrace.value,
-        schouten=value_array(geom.schouten),
-        weyl=value_array(geom.weyl),
-        cotton=value_array(geom.cotton),
-        bach=value_array(geom.bach),
-        geometry=geom,
-    )
-    if checks:
-        _pack_checks(pack, geom)
-    return pack
 
 
 def conformal_rescale(spec, omega) -> "dsl.MetricSpec":
@@ -422,24 +313,3 @@ def conformal_rescale(spec, omega) -> "dsl.MetricSpec":
     return dsl.MetricSpec(
         spec.dim, spec.signature, spec.coords, comps, label=spec.label + "_rescaled"
     )
-
-
-def projective_change(gamma: JetTensor, upsilon: JetTensor) -> JetTensor:
-    """Gam^c_ab -> Gam^c_ab + delta^c_a Ups_b + delta^c_b Ups_a."""
-    if gamma.variances != ("u", "d", "d") or upsilon.variances != ("d",):
-        raise ValueError("projective change expects christoffel ('u','d','d') and a 1-form")
-    k = min(gamma.order, upsilon.order)
-    gam = truncate_array(gamma.comps, k)
-    ups = truncate_array(upsilon.comps, k)
-    n = gam.shape[0]
-    out = np.empty((n, n, n), dtype=object)
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                val = gam[c, a, b]
-                if c == a:
-                    val = val + ups[b]
-                if c == b:
-                    val = val + ups[a]
-                out[c, a, b] = val
-    return JetTensor(("u", "d", "d"), out)

@@ -117,6 +117,14 @@ def _extend_table(dim: int, order: int, extra: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _linear_table(dim: int, order: int, slot: int):
+    """Ranks of the coefficients that are linear in one variable (Jet.linear_part)."""
+    rank = _rank(dim, order)
+    return np.asarray([rank[beta[:slot] + (1,) + beta[slot:]]
+                       for beta in multi_indices(dim - 1, order - 1)], dtype=np.intp)
+
+
 # ---------------------------------------------------------------------------
 # dense jet tensors and the product kernel
 
@@ -317,13 +325,8 @@ class Jet:
             raise ValueError("linear_part needs at least two variables")
         if not 0 <= slot < self.dim:
             raise ValueError(f"slot {slot} out of range")
-        small_dim, small_order = self.dim - 1, self.order - 1
-        rank = _rank(self.dim, self.order)
-        out = np.zeros(_size(small_dim, small_order))
-        for i, beta in enumerate(multi_indices(small_dim, small_order)):
-            alpha = beta[:slot] + (1,) + beta[slot:]
-            out[i] = self.coeffs[rank[alpha]]
-        return Jet(small_dim, small_order, out)
+        src = _linear_table(self.dim, self.order, slot)
+        return Jet(self.dim - 1, self.order - 1, self.coeffs[src])
 
     # -- ring arithmetic -----------------------------------------------------
 

@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .connections import Connection, covd_endomorphism, curvature
 from .geometry import Geometry
-from .jets import order_of
+from .jets import as_dense, order_of
 
 
 class CertificationError(RuntimeError):
@@ -167,37 +167,20 @@ def loop_defect(spec, builder, points: Sequence, v0, **kw) -> float:
 # Killing fields
 
 
+def _lowered_jet(geom: Geometry, v_up: np.ndarray):
+    """Values of v_b and of nabla_a v_b for a vector field v^b given by jets."""
+    v = geom.lower(as_dense(v_up))
+    return v[:, 0], geom.covd_array(v, ("d",))[..., 0]
+
+
 def killing_residual(geom: Geometry, v_up: np.ndarray) -> float:
     """Sup-norm of the Killing equation nabla_(a v_b) = 0 at the base point."""
-    n = geom.n
-    order = v_up.flat[0].order
-    v_low = np.empty(n, dtype=object)
-    for a in range(n):
-        acc = geom.zero(order)
-        for b in range(n):
-            acc = acc + geom.g[a, b].truncated(order) * v_up[b]
-        v_low[a] = acc
-    dv = geom.covd_array(v_low, ("d",))
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            worst = max(worst, abs(dv[a, b].value + dv[b, a].value))
-    return worst
+    dv = _lowered_jet(geom, v_up)[1]
+    return float(np.max(np.abs(dv + dv.T)))
 
 
 def killing_fiber(geom: Geometry, v_up: np.ndarray) -> np.ndarray:
     """Fiber values (k_b, mu_bc) of the Killing prolongation of a vector field."""
-    n = geom.n
-    order = v_up.flat[0].order
-    v_low = np.empty(n, dtype=object)
-    for a in range(n):
-        acc = geom.zero(order)
-        for b in range(n):
-            acc = acc + geom.g[a, b].truncated(order) * v_up[b]
-        v_low[a] = acc
-    dv = geom.covd_array(v_low, ("d",))
-    out = [v_low[b].value for b in range(n)]
-    for b in range(n):
-        for c in range(b + 1, n):
-            out.append(0.5 * (dv[b, c].value - dv[c, b].value))
-    return np.asarray(out)
+    v, dv = _lowered_jet(geom, v_up)
+    b, c = np.triu_indices(geom.n, 1)  # the (b < c) order of connections._pair_basis
+    return np.concatenate([v, 0.5 * (dv[b, c] - dv[c, b])])

@@ -13,10 +13,24 @@ Connection, in the fixed scale:
          nabla_a mu_b + g_ab rho + P_ab sigma,
          d_a rho - P_a^b mu_b)
 
+connection_dense holds it as coefficient matrices T_a on the stacked vector
+(sigma, mu_c, rho), the Levi-Civita action on mu folded in.  The tractor
+connection is the generic coupled derivative of connections over those
+matrices: apply_connection is covd_section of tractor_connection, and
+coupled_divergence minus its trace.  The slot formula above is written out
+only in the tests, as the reference the generic derivative is checked
+against.
+
 Its curvature acts by the block matrix with Cotton and Weyl entries; the
 divergence of that curvature reproduces the Bach tensor in the corners.  The
 tractor metric is h = g^{-1}(mu, mu) + 2 sigma rho with signature
 (p+1, q+1) for a metric of signature (p, q).
+
+Every operator computes on dense jet tensors (see jets) with
+Geometry.covd_array, Geometry.trace and connections.matmul.  Public
+functions take and return jets: Jet, object arrays of jets, TractorJet and
+TractorOneForm; trace_free and divergence also accept dense arrays and
+return the layout they were given.
 """
 from __future__ import annotations
 
@@ -24,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
-from .geometry import Geometry, JetTensor, jet_array, truncate_array, value_array
+from . import connections, jets
+from .geometry import Geometry, JetTensor
 from .jets import Jet
 
 
@@ -57,16 +71,6 @@ class TractorJet:
         n = vec.shape[0] - 2
         return TractorJet(vec[0], vec[1 : n + 1].copy(), vec[n + 1])
 
-    def values(self) -> np.ndarray:
-        return np.array([j.value for j in self.as_vector()])
-
-    def truncated(self, order: int) -> "TractorJet":
-        return TractorJet(
-            self.sigma.truncated(order),
-            truncate_array(self.mu, order),
-            self.rho.truncated(order),
-        )
-
 
 @dataclass
 class TractorOneForm:
@@ -87,10 +91,9 @@ class TractorOneForm:
     def as_matrix(self) -> np.ndarray:
         n = self.n
         out = np.empty((n, n + 2), dtype=object)
-        for a in range(n):
-            out[a, 0] = self.alpha[a]
-            out[a, 1 : n + 1] = self.nu[a]
-            out[a, n + 1] = self.tau[a]
+        out[:, 0] = self.alpha
+        out[:, 1 : n + 1] = self.nu
+        out[:, n + 1] = self.tau
         return out
 
     @staticmethod
@@ -100,71 +103,68 @@ class TractorOneForm:
             mat[:, 0].copy(), mat[:, 1 : n + 1].copy(), mat[:, n + 1].copy()
         )
 
-    def max_abs_values(self) -> float:
-        return float(
-            max(abs(j.value) for j in list(self.alpha) + list(self.nu.flat) + list(self.tau))
-        )
 
-    def truncated(self, order: int) -> "TractorOneForm":
-        return TractorOneForm(
-            truncate_array(self.alpha, order),
-            truncate_array(self.nu, order),
-            truncate_array(self.tau, order),
-        )
+# ---------------------------------------------------------------------------
+# dense helpers
+
+
+def _jets(x: np.ndarray, geom: Geometry):
+    """Jets of a dense array; a single Jet for a coefficient vector."""
+    out = jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
+    return out[()] if x.ndim == 1 else out
+
+
+def _times(t: np.ndarray, s: np.ndarray, geom: Geometry) -> np.ndarray:
+    """Every entry of the dense tensor t times the dense scalar s, at the lower order."""
+    prod = connections.matmul(t.reshape(-1, 1, t.shape[-1]), s.reshape(1, 1, -1), geom.jet_dim)
+    return prod.reshape(t.shape[:-1] + (-1,))
+
+
+def _grad(s: np.ndarray, geom: Geometry) -> np.ndarray:
+    """d_a of a dense scalar, one order lower."""
+    return jets.partials(s, geom.jet_dim, jets.order_of(geom.jet_dim, s.shape[-1]), geom.n)
+
+
+def _laplacian(s: np.ndarray, geom: Geometry) -> np.ndarray:
+    """g^ab nabla_a nabla_b of a dense scalar, two orders lower."""
+    return geom.trace(geom.covd_array(_grad(s, geom), ("d",)))
+
+
+def _gram(geom: Geometry, order: int) -> np.ndarray:
+    """The tractor metric as a dense (n+2, n+2) jet matrix on (sigma, mu_c, rho)."""
+    n = geom.n
+    gi = geom.dense("ginv", order)
+    h = np.zeros((n + 2, n + 2, gi.shape[-1]))
+    h[0, n + 1, 0] = h[n + 1, 0, 0] = 1.0
+    h[1 : n + 1, 1 : n + 1] = gi
+    return h
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# trace and divergence of 2-tensors
 
 
-def gradient(sigma: Jet, geom: Geometry) -> np.ndarray:
-    return np.array([sigma.partial(a) for a in range(geom.n)], dtype=object)
-
-
-def hessian(sigma: Jet, geom: Geometry) -> np.ndarray:
-    """Coupled second derivative nabla_a nabla_b sigma, order drops by two."""
-    return geom.covd_array(gradient(sigma, geom), ("d",))
-
-
-def laplacian(sigma: Jet, geom: Geometry) -> Jet:
-    h = hessian(sigma, geom)
-    k = sigma.order - 2
-    gl = truncate_array(geom.ginv, k)
-    acc = geom.zero(k)
-    for a in range(geom.n):
-        for b in range(geom.n):
-            acc = acc + gl[a, b] * h[a, b]
-    return acc
+def divergence(comps: np.ndarray, geom: Geometry) -> np.ndarray:
+    """nabla^b comps_ab of a 2-tensor, one order lower."""
+    d = geom.covd_array(jets.as_dense(comps), ("d", "d"))  # [c, a, b]
+    return jets.like(geom.trace(d.transpose(0, 2, 1, 3)), comps, geom.jet_dim)
 
 
 def trace_free(comps: np.ndarray, geom: Geometry, validate_input: bool = False) -> np.ndarray:
-    """Subtract (g-trace / n) * g from a symmetric 2-tensor of jets."""
-    k = comps.flat[0].order
-    n = geom.n
-    g = truncate_array(geom.g, k)
-    gl = truncate_array(geom.ginv, k)
-    tr = geom.zero(k)
-    for a in range(n):
-        for b in range(n):
-            tr = tr + gl[a, b] * comps[a, b]
+    """Subtract (g-trace / n) * g from a symmetric 2-tensor."""
+    x = jets.as_dense(comps)
+    tr = geom.trace(x)
     if validate_input:
-        scale = 1.0 + max(abs(j.value) for j in comps.flat)
-        if abs(tr.value) > 1e-8 * scale:
-            raise ValueError(f"input is not trace-free (trace {tr.value:.3e})")
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = comps[a, b] - g[a, b] * (tr / float(n))
-    return out
+        scale = 1.0 + float(np.max(np.abs(x[..., 0])))
+        if abs(tr[0]) > 1e-8 * scale:
+            raise ValueError(f"input is not trace-free (trace {tr[0]:.3e})")
+    g = geom.dense("g")[..., : x.shape[-1]]
+    return jets.like(x - _times(g, tr / float(geom.n), geom), comps, geom.jet_dim)
 
 
 def trace_free_symmetric(comps: np.ndarray, geom: Geometry) -> np.ndarray:
-    n = comps.shape[0]
-    sym = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            sym[a, b] = sym[b, a] = (comps[a, b] + comps[b, a]) * 0.5
-    return trace_free(sym, geom)
+    x = jets.as_dense(comps)
+    return jets.like(trace_free((x + x.swapaxes(0, 1)) * 0.5, geom), comps, geom.jet_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -173,95 +173,67 @@ def trace_free_symmetric(comps: np.ndarray, geom: Geometry) -> np.ndarray:
 
 def splitting(sigma: Jet, geom: Geometry) -> TractorJet:
     """sigma -> (sigma, grad sigma, -(laplacian + J) sigma / n), orders equalized."""
-    k = sigma.order - 2
-    lap = laplacian(sigma, geom)
-    j = geom.jtrace.truncated(k)
-    rho = (lap + j * sigma.truncated(k)) * (-1.0 / geom.n)
-    return TractorJet(sigma.truncated(k), truncate_array(gradient(sigma, geom), k), rho)
+    s = sigma.coeffs
+    lap = _laplacian(s, geom)
+    nc = lap.shape[-1]
+    rho = (lap + _times(geom.jtrace.coeffs[:nc], s[:nc], geom)) * (-1.0 / geom.n)
+    vec = np.concatenate([s[None, :nc], _grad(s, geom)[:, :nc], rho[None]])
+    return TractorJet.from_vector(_jets(vec, geom))
 
 
 def op_D(sigma: Jet, geom: Geometry) -> JetTensor:
     """Trace-free part of (hessian + P sigma); kernel = almost-Einstein scales."""
-    k = sigma.order - 2
-    h = hessian(sigma, geom)
-    P = truncate_array(geom.schouten, k)
-    s = sigma.truncated(k)
-    comps = np.empty((geom.n, geom.n), dtype=object)
-    for a in range(geom.n):
-        for b in range(geom.n):
-            comps[a, b] = h[a, b] + P[a, b] * s
-    return JetTensor(("d", "d"), trace_free(comps, geom), weight=1.0)
+    hess = geom.covd_array(_grad(sigma.coeffs, geom), ("d",))
+    comps = hess + _times(geom.dense("schouten", sigma.order - 2), sigma.coeffs, geom)
+    return JetTensor(("d", "d"), _jets(trace_free(comps, geom), geom))
 
 
 def op_E(psi: JetTensor, geom: Geometry) -> TractorOneForm:
     """Inject a trace-free symmetric 2-tensor into tractor-valued 1-forms."""
-    comps = psi.comps if isinstance(psi, JetTensor) else psi
+    x = jets.as_dense(psi.comps if isinstance(psi, JetTensor) else psi)
     n = geom.n
     # validated: op_E is only defined on trace-free symmetric inputs
-    vals = value_array(comps)
+    vals = x[..., 0]
     scale = 1.0 + float(np.max(np.abs(vals)))
     if float(np.max(np.abs(vals - vals.T))) > 1e-8 * scale:
         raise ValueError("op_E input must be symmetric")
-    trace_free(comps, geom, validate_input=True)
-    k = comps.flat[0].order - 1
-    dpsi = geom.covd_array(comps, ("d", "d"))
-    gl = truncate_array(geom.ginv, k)
-    alpha = jet_array((n,), geom.jet_dim, k)
-    tau = np.empty(n, dtype=object)
-    for a in range(n):
-        acc = geom.zero(k)
-        for b in range(n):
-            for c in range(n):
-                acc = acc + gl[b, c] * dpsi[c, a, b]
-        tau[a] = acc * (-1.0 / (n - 1))
-    return TractorOneForm(alpha, truncate_array(comps, k), tau)
+    trace_free(x, geom, validate_input=True)
+    tau = divergence(x, geom) * (-1.0 / (n - 1))
+    m = np.zeros((n, n + 2, tau.shape[-1]))
+    m[:, 1 : n + 1] = x[..., : tau.shape[-1]]
+    m[:, n + 1] = tau
+    return TractorOneForm.from_matrix(_jets(m, geom))
 
 
 def op_D_star(phi: JetTensor, geom: Geometry) -> Jet:
     """Formal adjoint of op_D: nabla^a nabla^b phi_ab + P^ab phi_ab."""
-    comps = phi.comps if isinstance(phi, JetTensor) else phi
+    x = jets.as_dense(phi.comps if isinstance(phi, JetTensor) else phi)
     n = geom.n
-    k = comps.flat[0].order - 2
-    ddphi = geom.covd_array(geom.covd_array(comps, ("d", "d")), ("d", "d", "d"))
-    gl = truncate_array(geom.ginv, k)
-    pup = truncate_array(geom.schouten_up, k)
-    low = truncate_array(comps, k)
-    acc = geom.zero(k)
-    for a in range(n):
-        for b in range(n):
-            acc = acc + pup[a, b] * low[a, b]
-            for c in range(n):
-                for d in range(n):
-                    acc = acc + gl[a, c] * gl[b, d] * ddphi[c, d, a, b]
-    return acc
+    ddphi = geom.covd_array(geom.covd_array(x, ("d", "d")), ("d", "d", "d"))  # [c, d, a, b]
+    dd = geom.trace(geom.trace(ddphi.transpose(0, 2, 1, 3, 4)))
+    pp = connections.matmul(geom.dense("schouten_up").reshape(1, n * n, -1),
+                            x.reshape(n * n, 1, -1), geom.jet_dim)
+    return _jets(pp[0, 0, : dd.shape[-1]] + dd, geom)
 
 
 def op_E_star(phi: TractorOneForm, geom: Geometry) -> JetTensor:
     """Formal adjoint of op_E: nu_(ab)0 + nabla_(a alpha_b)0 / (n-1)."""
     n = geom.n
-    k = phi.order - 1
-    dalpha = geom.covd_array(phi.alpha, ("d",))
-    comps = np.empty((n, n), dtype=object)
-    nu = truncate_array(phi.nu, k)
-    for a in range(n):
-        for b in range(n):
-            comps[a, b] = nu[a, b] + dalpha[a, b] * (1.0 / (n - 1))
-    return JetTensor(("d", "d"), trace_free_symmetric(comps, geom), weight=-1.0)
+    m = jets.as_dense(phi.as_matrix())
+    dalpha = geom.covd_array(m[:, 0], ("d",))
+    comps = m[:, 1 : n + 1, : dalpha.shape[-1]] + dalpha * (1.0 / (n - 1))
+    return JetTensor(("d", "d"), _jets(trace_free_symmetric(comps, geom), geom))
 
 
 def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
     """Formal adjoint of the splitting: rho - div mu - (laplacian + J) sigma / n."""
     n = geom.n
-    k = t.order - 2
-    dmu = truncate_array(geom.covd_array(t.mu, ("d",)), k)
-    gl = truncate_array(geom.ginv, k)
-    div = geom.zero(k)
-    for a in range(n):
-        for b in range(n):
-            div = div + gl[a, b] * dmu[a, b]
-    lap = laplacian(t.sigma, geom)
-    j = geom.jtrace.truncated(k)
-    return t.rho.truncated(k) - div - (lap + j * t.sigma.truncated(k)) * (1.0 / n)
+    v = jets.as_dense(t.as_vector())
+    lap = _laplacian(v[0], geom)
+    nc = lap.shape[-1]
+    div = geom.trace(geom.covd_array(v[1 : n + 1], ("d",)))[:nc]
+    js = _times(geom.jtrace.coeffs[:nc], v[0, :nc], geom)
+    return _jets(v[n + 1, :nc] - div - (lap + js) * (1.0 / n), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -270,82 +242,26 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
 
 def apply_connection(t: TractorJet, geom: Geometry) -> TractorOneForm:
     """Tractor covariant derivative in the fixed scale."""
-    n = geom.n
-    k = t.order - 1
-    geom.require(k + 2, "tractor connection")
-    P = truncate_array(geom.schouten, k)
-    g = truncate_array(geom.g, k)
-    gl = truncate_array(geom.ginv, k)
-    mu_low = truncate_array(t.mu, k)
-    sig = t.sigma.truncated(k)
-    rho = t.rho.truncated(k)
-    dmu = geom.covd_array(t.mu, ("d",))
-    alpha = np.empty(n, dtype=object)
-    nu = np.empty((n, n), dtype=object)
-    tau = np.empty(n, dtype=object)
-    for a in range(n):
-        alpha[a] = t.sigma.partial(a) - mu_low[a]
-        for b in range(n):
-            nu[a, b] = dmu[a, b] + g[a, b] * rho + P[a, b] * sig
-        acc = t.rho.partial(a)
-        for b in range(n):
-            for c in range(n):
-                acc = acc - P[a, b] * gl[b, c] * mu_low[c]
-        tau[a] = acc
-    return TractorOneForm(alpha, nu, tau)
+    d = connections.covd_section(connections.tractor_connection(geom), t.as_vector())
+    return TractorOneForm.from_matrix(d)
 
 
 def coupled_divergence(phi: TractorOneForm, geom: Geometry) -> TractorJet:
     """delta on tractor-valued 1-forms: minus the coupled divergence."""
-    n = geom.n
-    k = phi.order - 1
-    geom.require(k + 2, "coupled divergence")
-    P = truncate_array(geom.schouten, k)
-    g = truncate_array(geom.g, k)
-    gl = truncate_array(geom.ginv, k)
-    alpha_low = truncate_array(phi.alpha, k)
-    nu_low = truncate_array(phi.nu, k)
-    tau_low = truncate_array(phi.tau, k)
-    dalpha = geom.covd_array(phi.alpha, ("d",))
-    dnu = geom.covd_array(phi.nu, ("d", "d"))
-    dtau = geom.covd_array(phi.tau, ("d",))
-    sigma = geom.zero(k)
-    mu = jet_array((n,), geom.jet_dim, k)
-    rho = geom.zero(k)
-    for a in range(n):
-        for b in range(n):
-            sigma = sigma - gl[a, b] * (dalpha[a, b] - nu_low[b, a])
-            rho_term = dtau[a, b]
-            for c in range(n):
-                for d in range(n):
-                    rho_term = rho_term - P[a, c] * gl[c, d] * nu_low[b, d]
-            rho = rho - gl[a, b] * rho_term
-            for c in range(n):
-                mu[c] = mu[c] - gl[a, b] * (
-                    dnu[a, b, c] + g[a, c] * tau_low[b] + P[a, c] * alpha_low[b]
-                )
-    return TractorJet(sigma, mu, rho)
+    conn = connections.tractor_connection(geom)
+    d = connections.covd_section(conn, jets.as_dense(phi.as_matrix()))
+    return TractorJet.from_vector(_jets(-geom.trace(d), geom))
 
 
 def tractor_metric(t1: TractorJet, t2: TractorJet, geom: Geometry) -> Jet:
     k = min(t1.order, t2.order)
-    gl = truncate_array(geom.ginv, k)
-    acc = (
-        t1.sigma.truncated(k) * t2.rho.truncated(k)
-        + t2.sigma.truncated(k) * t1.rho.truncated(k)
-    )
-    for a in range(geom.n):
-        for b in range(geom.n):
-            acc = acc + gl[a, b] * t1.mu[a].truncated(k) * t2.mu[b].truncated(k)
-    return acc
+    v1, v2 = (jets.as_dense(t.as_vector())[:, : jets._size(geom.jet_dim, k)] for t in (t1, t2))
+    hv = connections.matmul(_gram(geom, k), v2[:, None], geom.jet_dim)
+    return _jets(connections.matmul(v1[None], hv, geom.jet_dim)[0, 0], geom)
 
 
 def gram_matrix(geom: Geometry) -> np.ndarray:
-    n = geom.n
-    h = np.zeros((n + 2, n + 2))
-    h[0, n + 1] = h[n + 1, 0] = 1.0
-    h[1 : n + 1, 1 : n + 1] = value_array(geom.ginv)
-    return h
+    return _gram(geom, 0)[..., 0]
 
 
 def tractor_signature(geom: Geometry) -> tuple:
@@ -382,95 +298,60 @@ def tractor_curvature(geom: Geometry) -> np.ndarray:
 
     Blocks: mu-row sigma-column holds the Cotton tensor, the mu-mu block the
     Weyl tensor, the rho-row mu-column minus the Cotton tensor; everything
-    else vanishes.  Assembled from the curvature pack; cross-checked against
+    else vanishes.  Assembled from the curvature chain; cross-checked against
     the commutator of coupled derivatives in the test-suite.
     """
     n = geom.n
-    k = geom.order - 3
     geom.require(3, "tractor curvature")
-    A = geom.cotton
-    W = truncate_array(geom.weyl, k)
-    gl = truncate_array(geom.ginv, k)
-    out = np.empty((n, n, n + 2, n + 2), dtype=object)
-    zero = geom.zero(k)
-    for a in range(n):
-        for b in range(n):
-            m = np.empty((n + 2, n + 2), dtype=object)
-            m[...] = zero
-            for c in range(n):
-                m[1 + c, 0] = A[c, a, b]
-                for e in range(n):
-                    acc_w = zero
-                    acc_a = zero
-                    for d in range(n):
-                        acc_w = acc_w + W[a, b, c, d] * gl[d, e]
-                        acc_a = acc_a - gl[d, e] * A[d, a, b]
-                    m[1 + c, 1 + e] = acc_w
-                    m[n + 1, 1 + e] = acc_a
-            out[a, b] = m
-    return out
+    A = geom.dense("cotton").transpose(1, 2, 0, 3)  # A_cab at [a, b, c]
+    # W_abc^e and A^e_ab: rows (a, b, c), then (a, b, d) raised by g^de
+    rows = np.concatenate([geom.dense("weyl", geom.order - 3).reshape(n**3, n, -1),
+                           A.reshape(n * n, n, -1)])
+    up = connections.matmul(rows, geom.dense("ginv"), geom.jet_dim)
+    out = np.zeros((n, n, n + 2, n + 2, A.shape[-1]))
+    out[:, :, 1 : n + 1, 0] = A
+    out[:, :, 1 : n + 1, 1 : n + 1] = up[: n**3].reshape(n, n, n, n, -1)
+    out[:, :, n + 1, 1 : n + 1] = -up[n**3 :].reshape(n, n, n, -1)
+    return _jets(out, geom)
 
 
 def curvature_divergence(geom: Geometry) -> np.ndarray:
     """nabla^a Omega_ab, computed mechanically with the End-coupled connection."""
-    from .connections import covd_endomorphism, tractor_connection
-
     geom.require(4, "curvature divergence")
-    d_omega = covd_endomorphism(tractor_connection(geom), jets.to_dense(tractor_curvature(geom)))
-    return jets.to_jets(geom.trace(d_omega), geom.jet_dim, geom.order - 4)
+    d_omega = connections.covd_endomorphism(connections.tractor_connection(geom),
+                                            jets.as_dense(tractor_curvature(geom)))
+    return _jets(geom.trace(d_omega), geom)
 
 
 # ---------------------------------------------------------------------------
 # conformal change of splitting (with weight trivialization factors)
 
 
+def _change_of_scale(m: np.ndarray, omega: Jet, geom: Geometry) -> np.ndarray:
+    """Rows (sigma, mu_c, rho) of a dense (r, n+2) array, in the scale exp(2 omega) g."""
+    n, dim = geom.n, geom.jet_dim
+    nc = min(m.shape[-1], jets._size(dim, omega.order - 1))
+    sig, mu, rho = m[:, 0, :nc], m[:, 1 : n + 1, :nc], m[:, n + 1, :nc]
+    ups = _grad(omega.coeffs, geom)[:, :nc]
+    ups_up = connections.matmul(geom.dense("ginv")[..., :nc], ups[:, None], dim)
+    cross = connections.matmul(mu, ups_up, dim)[:, 0]  # Upsilon^c mu_c of each row
+    upsq = connections.matmul(ups[None], ups_up, dim)[0, 0]
+    ew = jets.exp(omega.truncated(jets.order_of(dim, nc)))
+    out = np.empty(m.shape[:-1] + (nc,))
+    out[:, 0] = sig
+    out[:, 1 : n + 1] = mu + connections.matmul(sig[:, None], ups[None], dim)
+    out[:, :-1] = _times(out[:, :-1], ew.coeffs, geom)
+    out[:, n + 1] = _times(rho - cross - _times(sig, upsq, geom) * 0.5, (1.0 / ew).coeffs, geom)
+    return out
+
+
 def conformal_tractor(t: TractorJet, omega: Jet, geom: Geometry) -> TractorJet:
     """Components of the same tractor in the scale exp(2 omega) g."""
-    k = min(t.order, omega.order - 1)
-    ups = np.array([omega.partial(a).truncated(k) for a in range(geom.n)], dtype=object)
-    ew = jets.exp(omega.truncated(k))
-    ewi = 1.0 / ew
-    gl = truncate_array(geom.ginv, k)
-    sig = t.sigma.truncated(k)
-    mu = truncate_array(t.mu, k)
-    rho = t.rho.truncated(k)
-    mu_new = np.empty(geom.n, dtype=object)
-    for a in range(geom.n):
-        mu_new[a] = ew * (mu[a] + sig * ups[a])
-    cross = geom.zero(k)
-    upsq = geom.zero(k)
-    for b in range(geom.n):
-        for c in range(geom.n):
-            cross = cross + gl[b, c] * ups[b] * mu[c]
-            upsq = upsq + gl[b, c] * ups[b] * ups[c]
-    rho_new = ewi * (rho - cross - sig * upsq * 0.5)
-    return TractorJet(ew * sig, mu_new, rho_new)
+    m = _change_of_scale(jets.as_dense(t.as_vector())[None], omega, geom)
+    return TractorJet.from_vector(_jets(m[0], geom))
 
 
 def conformal_one_form(phi: TractorOneForm, omega: Jet, geom: Geometry) -> TractorOneForm:
     """Slotwise transform of a tractor-valued 1-form (form index has weight 0)."""
-    k = min(phi.order, omega.order - 1)
-    n = geom.n
-    ups = np.array([omega.partial(a).truncated(k) for a in range(n)], dtype=object)
-    ew = jets.exp(omega.truncated(k))
-    ewi = 1.0 / ew
-    gl = truncate_array(geom.ginv, k)
-    alpha = truncate_array(phi.alpha, k)
-    nu = truncate_array(phi.nu, k)
-    tau = truncate_array(phi.tau, k)
-    upsq = geom.zero(k)
-    for b in range(n):
-        for c in range(n):
-            upsq = upsq + gl[b, c] * ups[b] * ups[c]
-    alpha_new = np.empty(n, dtype=object)
-    nu_new = np.empty((n, n), dtype=object)
-    tau_new = np.empty(n, dtype=object)
-    for a in range(n):
-        alpha_new[a] = ew * alpha[a]
-        cross = geom.zero(k)
-        for b in range(n):
-            nu_new[a, b] = ew * (nu[a, b] + alpha[a] * ups[b])
-            for c in range(n):
-                cross = cross + gl[b, c] * ups[b] * nu[a, c]
-        tau_new[a] = ewi * (tau[a] - cross - alpha[a] * upsq * 0.5)
-    return TractorOneForm(alpha_new, nu_new, tau_new)
+    m = _change_of_scale(jets.as_dense(phi.as_matrix()), omega, geom)
+    return TractorOneForm.from_matrix(_jets(m, geom))

@@ -214,3 +214,33 @@ def test_evaluation_error_exits_with_code_2(tmp_path, capsys, g11, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):
+    # both current checks share the twist of a point, so its curvature and
+    # Yang-Mills current are computed once per point
+    built, currents = [], []
+    build, current = cli.covector_connection, detour.ym_current
+
+    def counting_build(geom):
+        built.append(geom)
+        return build(geom)
+
+    def counting_current(conn):
+        if "ym_current" not in conn.cache:
+            currents.append(conn)
+        return current(conn)
+
+    monkeypatch.setattr(cli, "covector_connection", counting_build)
+    monkeypatch.setattr(detour, "ym_current", counting_current)
+    report = cli.run(run_config(metric="generic_bump4", suites=("detour",), points=2))
+    assert report.passed
+    assert len(built) == 2 and built[0] is not built[1]
+    assert len(currents) == 2
+
+
+def test_gauge_linearization_passes_where_the_obstruction_is_alive():
+    # on a Bach-flat metric every term of the check vanishes; generic_bump4
+    # gives each term of L_v B + (2/n) div(v) B its weight
+    report = cli.run(run_config(metric="generic_bump4", suites=("deformation",), points=1))
+    assert report.passed

@@ -151,7 +151,7 @@ def test_tensor_square_curvature_is_kron_sum():
     F1 = jet_view(co.curvature(base))
     F2 = jet_view(co.curvature(sq))
     k = F2[0, 1][0, 0].order
-    z = g.zero(k)
+    z = Jet.constant(0.0, 4, k)
     for a in range(4):
         for b in range(4):
             F1l = truncate_array(F1[a, b], k)
@@ -209,7 +209,7 @@ def test_op_m_against_hand_unrolled_formula():
     low2 = truncate_array(phi.comps, 2)
     for b in range(n):
         for i in range(r):
-            acc = g.zero(2)
+            acc = Jet.constant(0.0, 4, 2)
             for e in range(n):
                 for a in range(n):
                     term = dphi[a, b, i].partial(e)

@@ -9,7 +9,7 @@ from detourcert.connections import (
     tractor_connection,
 )
 from detourcert.dsl import parse_metric_text
-from detourcert.geometry import Geometry
+from detourcert.geometry import Geometry, value_array
 from detourcert.jets import Jet
 from detourcert.tractor import splitting
 
@@ -161,7 +161,7 @@ def test_static_killing_field_transport_on_schwarzschild():
 def test_constant_scale_tractor_is_parallel_on_ricci_flat():
     def fiber(pt):
         geom = Geometry(SCHWARZSCHILD, pt, order=4)
-        return splitting(Jet.constant(1.0, 4, 4), geom).values()
+        return value_array(splitting(Jet.constant(1.0, 4, 4), geom).as_vector())
 
     p0, p1 = P_SCHW, (0.4, 7.0, 0.9, 1.1)
     res = prolong.transport(

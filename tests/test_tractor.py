@@ -5,6 +5,9 @@ Oracles frozen independently of the implementation:
 * unit S4: the splitting of sigma = 1 is (1, 0, -1/2), has tractor norm
   h = -1 and is parallel (the round sphere is an Einstein scale);
 * tractor metric signature is (p+1, q+1);
+* the generic coupled derivative over the connection matrices agrees with
+  the slot formula of the tractor connection and its divergence, written
+  out jet by jet below (ref_apply_connection, ref_coupled_divergence);
 * curvature matrices agree with a hand-rolled commutator of coupled
   second derivatives computed straight from the coefficient matrices;
 * the divergence of the tractor curvature reproduces the Bach tensor in
@@ -118,7 +121,7 @@ def max_abs_coeffs(arr) -> float:
 def test_unit_sphere_splitting_of_one():
     g = Geometry(SPHERE4, P_SPHERE, order=5)
     t = tractor.splitting(Jet.constant(1.0, 4, 5), g)
-    assert np.allclose(t.values(), [1, 0, 0, 0, 0, -0.5], atol=1e-12)
+    assert np.allclose(value_array(t.as_vector()), [1, 0, 0, 0, 0, -0.5], atol=1e-12)
     h = tractor.tractor_metric(t, t, g)
     assert abs(h.value + 1.0) < 1e-12
     # constant curvature is an Einstein scale: the split tractor is parallel
@@ -159,20 +162,96 @@ def test_connection_is_metric():
         assert coeff_dev([lhs], [rhs]) < 1e-12
 
 
+# -- the slot formulas of the connection, as the reference -------------------
+# Jet-by-jet loops of
+#   nabla_a (sigma, mu_b, rho) = (d_a sigma - mu_a,
+#                                 nabla_a mu_b + g_ab rho + P_ab sigma,
+#                                 d_a rho - P_a^b mu_b)
+# and of minus its divergence on tractor-valued 1-forms; they share only
+# Geometry stages and covd_array with the generic coupled derivative.
+
+
+def ref_apply_connection(t, geom):
+    n = geom.n
+    k = t.order - 1
+    P = truncate_array(geom.schouten, k)
+    g = truncate_array(geom.g, k)
+    gl = truncate_array(geom.ginv, k)
+    mu_low = truncate_array(t.mu, k)
+    sig = t.sigma.truncated(k)
+    rho = t.rho.truncated(k)
+    dmu = geom.covd_array(t.mu, ("d",))
+    alpha = np.empty(n, dtype=object)
+    nu = np.empty((n, n), dtype=object)
+    tau = np.empty(n, dtype=object)
+    for a in range(n):
+        alpha[a] = t.sigma.partial(a) - mu_low[a]
+        for b in range(n):
+            nu[a, b] = dmu[a, b] + g[a, b] * rho + P[a, b] * sig
+        acc = t.rho.partial(a)
+        for b in range(n):
+            for c in range(n):
+                acc = acc - P[a, b] * gl[b, c] * mu_low[c]
+        tau[a] = acc
+    return TractorOneForm(alpha, nu, tau)
+
+
+def ref_coupled_divergence(phi, geom):
+    n = geom.n
+    k = phi.order - 1
+    P = truncate_array(geom.schouten, k)
+    g = truncate_array(geom.g, k)
+    gl = truncate_array(geom.ginv, k)
+    alpha_low = truncate_array(phi.alpha, k)
+    nu_low = truncate_array(phi.nu, k)
+    tau_low = truncate_array(phi.tau, k)
+    dalpha = geom.covd_array(phi.alpha, ("d",))
+    dnu = geom.covd_array(phi.nu, ("d", "d"))
+    dtau = geom.covd_array(phi.tau, ("d",))
+    sigma = rho = Jet.constant(0.0, geom.jet_dim, k)
+    mu = np.array([sigma] * n, dtype=object)
+    for a in range(n):
+        for b in range(n):
+            sigma = sigma - gl[a, b] * (dalpha[a, b] - nu_low[b, a])
+            rho_term = dtau[a, b]
+            for c in range(n):
+                for d in range(n):
+                    rho_term = rho_term - P[a, c] * gl[c, d] * nu_low[b, d]
+            rho = rho - gl[a, b] * rho_term
+            for c in range(n):
+                mu[c] = mu[c] - gl[a, b] * (
+                    dnu[a, b, c] + g[a, c] * tau_low[b] + P[a, c] * alpha_low[b]
+                )
+    return TractorJet(sigma, mu, rho)
+
+
 def test_connection_matrices_agree_with_direct_formula():
     rng = np.random.default_rng(5)
-    g = Geometry(SCHWARZSCHILD, P_SCHW, order=5)
-    t = rand_tractor(rng, 4, 3)
-    direct = tractor.apply_connection(t, g).as_matrix()
-    mats = tractor.connection_matrices(g, 2)
-    vec = t.as_vector()
-    low = truncate_array(vec, 2)
-    for a in range(4):
-        for i in range(6):
-            acc = vec[i].partial(a)
-            for j in range(6):
-                acc = acc + mats[a][i, j] * low[j]
-            assert coeff_dev([acc], [direct[a, i]]) < 1e-12
+    for spec, pt in ((SCHWARZSCHILD, P_SCHW), (BUMP3, P_BUMP3)):
+        g = Geometry(spec, pt, order=5)
+        n = g.n
+        t = rand_tractor(rng, n, 3)
+        direct = ref_apply_connection(t, g).as_matrix()
+        assert coeff_dev(tractor.apply_connection(t, g).as_matrix(), direct) < 1e-12
+        mats = tractor.connection_matrices(g, 2)
+        vec = t.as_vector()
+        low = truncate_array(vec, 2)
+        for a in range(n):
+            for i in range(n + 2):
+                acc = vec[i].partial(a)
+                for j in range(n + 2):
+                    acc = acc + mats[a][i, j] * low[j]
+                assert coeff_dev([acc], [direct[a, i]]) < 1e-12
+
+
+@pytest.mark.parametrize("spec,pt", [(BUMP4, P_BUMP), (BUMP3, P_BUMP3)])
+def test_coupled_divergence_agrees_with_direct_formula(spec, pt):
+    rng = np.random.default_rng(6)
+    g = Geometry(spec, pt, order=5)
+    phi = rand_one_form(rng, g.n, 4)
+    got = tractor.coupled_divergence(phi, g).as_vector()
+    want = ref_coupled_divergence(phi, g).as_vector()
+    assert coeff_dev(got, want) < 1e-11 * (1.0 + max_abs_coeffs(want))
 
 
 # -- commutation with the splitting (Einstein operator route) -----------------
