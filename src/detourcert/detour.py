@@ -31,8 +31,9 @@ The deformation side: the conformal Killing operator K0 and a linearized
 Bach operator obtained by differentiating the full nonlinear curvature
 chain along a metric perturbation with one extra jet variable.  K0 and its
 adjoint are Geometry.lower, covd_array and tractor.divergence on dense
-arrays; perturbed_geometry still builds the perturbed metric jet by jet,
-because Geometry takes its metric as an object array of jets.
+arrays.  perturbed_geometry scatters the coefficients of g and of h into
+one dense metric in that extra variable, and linearized_bach gathers the
+Bach coefficients linear in it from the same ranks.
 """
 from __future__ import annotations
 
@@ -90,19 +91,18 @@ def _pair_raised(conn: Connection, mats, comps) -> np.ndarray:
     return jets.like(out.reshape(m.shape[:-4] + (r, -1)), comps, conn.dim)
 
 
-def f_action(phi: TwistedForm, conn: Connection, f_mats: np.ndarray | None = None) -> TwistedForm:
+def f_action(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """(F# phi)_b = g^{ac} F_ba phi_c on twisted 1-forms."""
     if phi.degree != 1:
         raise ValueError("F# acts on 1-forms here")
-    F = curvature(conn) if f_mats is None else f_mats
-    return TwistedForm(1, _pair_raised(conn, F, phi.comps))
+    return TwistedForm(1, _pair_raised(conn, curvature(conn), phi.comps))
 
 
-def op_M(phi: TwistedForm, conn: Connection, f_mats: np.ndarray | None = None) -> TwistedForm:
+def op_M(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """Second-order detour operator delta d - F# on twisted 1-forms."""
     dense = TwistedForm(1, jets.as_dense(phi.comps))
     dd = twisted_delta(twisted_d(dense, conn), conn).comps
-    fa = f_action(dense, conn, f_mats).comps
+    fa = f_action(dense, conn).comps
     nc = min(dd.shape[-1], fa.shape[-1])
     return TwistedForm(1, jets.like(dd[..., :nc] - fa[..., :nc], phi.comps, conn.dim))
 
@@ -152,15 +152,14 @@ def form_to_tractor(phi: TwistedForm) -> tractor_mod.TractorOneForm:
     return tractor_mod.TractorOneForm.from_matrix(phi.comps)
 
 
-def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None,
-          f_mats: np.ndarray | None = None) -> JetTensor:
+def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None) -> JetTensor:
     """E* M E: the detour operator translated to trace-free symmetric tensors."""
     from .connections import tractor_connection
 
     if conn is None:
         conn = tractor_connection(geom)
     injected = tractor_mod.op_E(psi, geom)
-    m_out = op_M(tractor_form(injected), conn, f_mats)
+    m_out = op_M(tractor_form(injected), conn)
     return tractor_mod.op_E_star(form_to_tractor(m_out), geom)
 
 
@@ -202,21 +201,22 @@ def op_K0_star(psi: JetTensor, geom: Geometry) -> np.ndarray:
 
 
 def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
-    """Geometry of g + eps h with eps a fresh jet variable (slot jet_dim)."""
-    n = geom.n
-    k = min(geom.order, h.flat[0].order + 1)
-    eps = Jet.variable(0.0, geom.jet_dim, geom.jet_dim + 1, k)
-    comps = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            base = geom.g[a, b].truncated(k).extended(1)
-            bump = h[a, b].truncated(k - 1).padded(k).extended(1)
-            comps[a, b] = base + eps * bump
-    return Geometry(metric_jets=comps, dim=n, order=k, point=geom.point)
+    """Geometry of g + eps h with eps a fresh jet variable (slot jet_dim).
+
+    The metric is two scatters into zeros at order k: g onto the ranks free
+    of eps, and h up to order k-1 onto the ranks linear in eps.  Higher
+    coefficients of h are never read.
+    """
+    dim, hd = geom.jet_dim, jets.as_dense(h)
+    k = min(geom.order, jets.order_of(dim, hd.shape[-1]) + 1)
+    comps = np.zeros((geom.n, geom.n, jets._size(dim + 1, k)))
+    comps[..., jets._extend_table(dim, k, 1)] = geom.dense("g", k)
+    comps[..., jets._linear_table(dim + 1, k, dim)] = hd[..., : jets._size(dim, k - 1)]
+    return Geometry(metric_jets=comps, order=k, point=geom.point)
 
 
 def linearized_bach(h: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Derivative of the Bach tensor along the metric perturbation h."""
+    """Derivative of the Bach tensor along the metric perturbation h, in the layout of h."""
     pg = perturbed_geometry(geom, h)
     eps_linear = jets._linear_table(pg.jet_dim, pg.order - 4, geom.jet_dim)
-    return jets.to_jets(pg.dense("bach")[..., eps_linear], geom.jet_dim, pg.order - 5)
+    return jets.like(pg.dense("bach")[..., eps_linear], h, geom.jet_dim)

@@ -19,10 +19,12 @@ Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
 jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
-slice of the coefficient axis.  A stage keeps its dense array for the later
-stages (Geometry.dense) and returns an object array of jets viewing it.
-covd_array accepts and returns either layout; trace and lower contract the
-leading slots of a dense array with the inverse metric and the metric.
+slice of the coefficient axis.  The inverse metric is a float inverse of the
+values refined by Newton steps on jets.contract (invert_jet_matrix).  A
+stage keeps its dense array for the later stages (Geometry.dense) and
+returns an object array of jets viewing it.  covd_array accepts and returns
+either layout; trace and lower contract the leading slots of a dense array
+with the inverse metric and the metric.
 """
 from __future__ import annotations
 
@@ -63,49 +65,51 @@ def value_array(arr: np.ndarray) -> np.ndarray:
     return jets.to_dense(arr)[..., 0]
 
 
-def invert_jet_matrix(g: np.ndarray, pivot_floor: float = 1e-12) -> np.ndarray:
-    """Gauss-Jordan inverse of a square object matrix of jets."""
-    n = g.shape[0]
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
-    sample = g[0, 0]
-    eye = [
-        [Jet.constant(1.0 if i == j else 0.0, sample.dim, sample.order) for j in range(n)]
-        for i in range(n)
-    ]
-    scale = max(1.0, max(abs(g[i, j].value) for i in range(n) for j in range(n)))
+_PIVOT_FLOOR = 1e-12  # relative to max(1, max |g_ij|) at the base point
+
+
+def invert_jet_matrix(g: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of a dense (n, n, ncoeff) jet matrix in dim variables.
+
+    The values are inverted by Gauss-Jordan with partial pivoting; a pivot
+    below _PIVOT_FLOOR * max(1, max |g_ij|) raises SingularMetricError.  The
+    higher orders come from Newton steps X <- X(2I - gX), two jets.contract
+    calls each: since I - gX' = (I - gX)^2, the exact order of X goes
+    0 -> 1 -> 3 -> 7 -> ..., and each step runs at the order it reaches.
+    """
+    n, order = g.shape[0], jets.order_of(dim, g.shape[-1])
+    scale = max(1.0, float(np.max(np.abs(g[..., 0]))))
+    ax = np.concatenate([g[..., 0], np.eye(n)], axis=1)  # [g | I] -> [I | g^-1]
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[pivot_row][col].value) < pivot_floor * scale:
+        p = col + int(np.argmax(np.abs(ax[col:, col])))
+        if abs(ax[p, col]) < _PIVOT_FLOOR * scale:
             raise SingularMetricError(f"metric is singular (pivot {col})")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        eye[col], eye[pivot_row] = eye[pivot_row], eye[col]
-        inv_piv = 1.0 / a[col][col]
-        a[col] = [x * inv_piv for x in a[col]]
-        eye[col] = [x * inv_piv for x in eye[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if np.all(f.coeffs == 0.0):
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            eye[r] = [x - f * y for x, y in zip(eye[r], eye[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = eye[i][j]
-    return out
+        ax[[col, p]] = ax[[p, col]]
+        ax[col] *= 1.0 / ax[col, col]
+        ax -= np.outer(np.where(np.arange(n) == col, 0.0, ax[:, col]), ax[col])
+    inv, exact = ax[:, n:, None], 0
+    while exact < order:
+        exact = min(2 * exact + 1, order)
+        nc = jets._size(dim, exact)
+        xk = np.zeros((n, n, nc))
+        xk[..., : inv.shape[-1]] = inv
+        step = -jets.contract(g[..., :nc], xk, dim, exact)
+        step[..., 0] += 2.0 * np.eye(n)
+        inv = jets.contract(xk, step, dim, exact)
+    return inv
 
 
 class Geometry:
     """Cached jets of the curvature chain for one metric at one point.
 
-    The jets may carry more variables than the manifold has coordinates
-    (extra passive parameters); geometric derivatives only ever touch the
-    first n slots.
+    The metric comes from a spec, or as metric_jets: an (n, n) object array
+    of jets or a dense (n, n, ncoeff) array, kept in g as given.  The jets
+    may carry more variables than the manifold has coordinates (extra
+    passive parameters); geometric derivatives only ever touch the first n
+    slots.
     """
 
-    def __init__(self, spec=None, point=None, order: int = 4, *, metric_jets=None, dim=None):
+    def __init__(self, spec=None, point=None, order: int = 4, *, metric_jets=None):
         if order is None or int(order) < 0:
             raise ValueError(f"bad jet order {order!r}")
         self.order = int(order)
@@ -116,16 +120,20 @@ class Geometry:
             if point is None or len(point) != spec.dim:
                 raise ValueError(f"point must have {spec.dim} coordinates")
             self.point = tuple(float(x) for x in point)
-            self.n = spec.dim
             self.g = spec.metric_jets(self.point, self.order)
         else:
-            self.n = int(dim if dim is not None else metric_jets.shape[0])
             self.point = None if point is None else tuple(float(x) for x in point)
             self.g = metric_jets
+        self.n = self.g.shape[0]
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
-        self.jet_dim = self.g[0, 0].dim
-        self._dense = {"g": jets.to_dense(self.g)}
+        self._dense = {"g": jets.as_dense(self.g)}
+        # the jets carry the n coordinates and possibly passive parameters
+        ncoeff, self.jet_dim = self._dense["g"].shape[-1], self.n
+        while self.order and jets._size(self.jet_dim, self.order) < ncoeff:
+            self.jet_dim += 1
+        if jets._size(self.jet_dim, self.order) != ncoeff:
+            raise ValueError(f"metric jets do not have order {self.order}")
         self.ginv  # eager inverse so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
@@ -156,9 +164,7 @@ class Geometry:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        inv = invert_jet_matrix(self.g)
-        self._dense["ginv"] = jets.to_dense(inv)
-        return inv
+        return self._keep("ginv", invert_jet_matrix(self.dense("g"), self.jet_dim), self.order)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -206,12 +212,13 @@ class Geometry:
 
     @cached_property
     def jtrace(self) -> Jet:
-        return self.scalar / (2.0 * (self.n - 1))
+        jt = self.dense("scalar") / (2.0 * (self.n - 1))
+        return self._keep("jtrace", jt, self.order - 2)[()]
 
     @cached_property
     def schouten(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        jg = self._contract(self.jtrace.coeffs.reshape(1, 1, -1),
+        jg = self._contract(self.dense("jtrace").reshape(1, 1, -1),
                             self.dense("g", k).reshape(1, n * n, -1))
         sch = (self.dense("ricci") - jg.reshape(n, n, -1)) / float(n - 2)
         return self._keep("schouten", sch, k)

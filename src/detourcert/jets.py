@@ -119,7 +119,8 @@ def _extend_table(dim: int, order: int, extra: int):
 
 @lru_cache(maxsize=None)
 def _linear_table(dim: int, order: int, slot: int):
-    """Ranks of the coefficients that are linear in one variable (Jet.linear_part)."""
+    """Ranks of the coefficients linear in one variable: the gather of Jet.linear_part
+    and detour.linearized_bach, the scatter of detour.perturbed_geometry."""
     rank = _rank(dim, order)
     return np.asarray([rank[beta[:slot] + (1,) + beta[slot:]]
                        for beta in multi_indices(dim - 1, order - 1)], dtype=np.intp)

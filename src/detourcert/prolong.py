@@ -43,18 +43,6 @@ def _stack_rank(blocks: list, rel_tol: float, floor: float) -> int:
     return int(np.sum(s > max(rel_tol * s[0], floor)))
 
 
-def obstruction_stack(conn: Connection, depth: int | None = None) -> np.ndarray:
-    """Value matrices of F, grad F, ... stacked as one linear map on the fiber."""
-    level = curvature(conn)
-    avail = order_of(conn.dim, level.shape[-1])
-    max_depth = avail if depth is None else min(depth, avail)
-    blocks = _level_blocks(level)
-    for _ in range(max_depth):
-        level = covd_endomorphism(conn, level)
-        blocks.extend(_level_blocks(level))
-    return np.concatenate(blocks, axis=0)
-
-
 def kernel_dimension(conn: Connection, depth: int | None = None,
                      rel_tol: float = 1e-8, floor: float = 1e-10) -> int:
     """Dimension of the joint kernel of the stacked obstruction matrices.

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detourcert import catalog, jets
 from detourcert.dsl import parse_expression, parse_metric_text
@@ -25,6 +25,7 @@ from detourcert.geometry import (
     Geometry,
     SingularMetricError,
     conformal_rescale,
+    invert_jet_matrix,
     value_array,
 )
 
@@ -110,10 +111,12 @@ def test_constant_metrics_give_exactly_zero_christoffel_and_riemann(n, order, se
     for i in range(n):
         for j in range(n):
             g[i, j] = jets.Jet.constant(vals[i, j], n, order)
-    geom = Geometry(metric_jets=g, order=order)
-    for stage in ("gamma", "riemann"):
-        assert not np.any(jets.to_dense(getattr(geom, stage)))
-        assert not np.any(geom.dense(stage))
+    for metric in (g, jets.to_dense(g)):  # either layout
+        geom = Geometry(metric_jets=metric, order=order)
+        assert geom.jet_dim == n
+        for stage in ("gamma", "riemann"):
+            assert not np.any(jets.to_dense(getattr(geom, stage)))
+            assert not np.any(geom.dense(stage))
 
 
 def test_sphere3_christoffel_frozen_values():
@@ -305,6 +308,65 @@ def test_singular_metric_raises():
         Geometry(degenerate, (0.0, 0.0, 0.0), order=2)
 
 
+def ref_invert_jet_matrix(g: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of a square object matrix of jets, in jet arithmetic."""
+    n = g.shape[0]
+    a = [[g[i, j] for j in range(n)] for i in range(n)]
+    sample = g[0, 0]
+    eye = [[jets.Jet.constant(1.0 if i == j else 0.0, sample.dim, sample.order)
+            for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        eye[col], eye[pivot_row] = eye[pivot_row], eye[col]
+        inv_piv = 1.0 / a[col][col]
+        a[col] = [x * inv_piv for x in a[col]]
+        eye[col] = [x * inv_piv for x in eye[col]]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                eye[r] = [x - f * y for x, y in zip(eye[r], eye[col])]
+    return np.array(eye, dtype=object)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 2), st.integers(0, 2**32 - 1))
+@example(order=0, negatives=1, seed=0)
+@example(order=8, negatives=2, seed=1)
+def test_dense_inverse_matches_jet_gauss_jordan(n, order, negatives, seed):
+    # symmetric jet matrices whose values have `negatives` negative eigenvalues
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    signs = np.where(np.arange(n) < negatives, -1.0, 1.0)
+    g = 0.3 * rng.standard_normal((n, n, jets._size(n, order)))
+    g = g + g.transpose(1, 0, 2)
+    g[..., 0] = q @ np.diag(signs * rng.uniform(0.5, 2.0, n)) @ q.T
+    inv = invert_jet_matrix(g, n)
+    ref = jets.to_dense(ref_invert_jet_matrix(jets.to_jets(g, n, order)))
+    assert inv.shape == g.shape
+    assert maxabs(inv - ref) < 1e-10 * (1.0 + maxabs(ref))
+    eye = jets.contract(g, inv, n, order)
+    eye[..., 0] -= np.eye(n)
+    assert maxabs(eye) < 1e-10 * (1.0 + maxabs(inv))
+
+
+def test_tiny_pivot_raises_and_zero_diagonal_pivots():
+    # a diagonal value of 1e-13 is below the pivot floor although it is not zero
+    g = np.zeros((3, 3, jets._size(3, 2)))
+    g[..., 0] = np.diag([1.0, 1e-13, 1.0])
+    with pytest.raises(SingularMetricError):
+        invert_jet_matrix(g, 3)
+    # a zero on the diagonal is not singular when a row below can pivot
+    g[..., 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+    g[0, 1, 1] = g[1, 0, 1] = 0.5
+    inv = invert_jet_matrix(g, 3)
+    eye = jets.contract(g, inv, 3, 2)
+    eye[..., 0] -= np.eye(3)
+    assert maxabs(eye) < 1e-15
+
+
 def test_geometry_rejects_bad_order_and_point():
     with pytest.raises(ValueError):
         Geometry(SPHERE4, P_SPHERE4, order=-1)
@@ -312,6 +374,8 @@ def test_geometry_rejects_bad_order_and_point():
         Geometry(SPHERE4, (0.1, 0.2), order=3)
     with pytest.raises(ValueError):
         Geometry(SPHERE4, P_SPHERE4, order=3).bach  # bach needs 4 derivatives
+    with pytest.raises(ValueError):
+        Geometry(metric_jets=np.ones((4, 4, 7)), order=2)  # 7 coefficients fit no order-2 jet
 
 
 @pytest.mark.parametrize("name", catalog.names())

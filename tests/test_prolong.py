@@ -116,14 +116,6 @@ def test_generic_polynomial_connection_has_no_parallel_sections():
     assert prolong.kernel_dimension(conn) == 0
 
 
-def test_obstruction_stack_shape():
-    geom = Geometry(SPHERE4, P_SPHERE, order=5)
-    conn = killing_connection(geom)
-    stack = prolong.obstruction_stack(conn, depth=1)
-    # F has n^2 blocks, grad F has n^3, each block rank x rank rows
-    assert stack.shape == ((16 + 64) * 10, 10)
-
-
 # -- transport against analytic parallel sections ----------------------------
 
 

@@ -1,0 +1,42 @@
+"""Smoke test of tools/report_diff.py, which compares the verify reports of two trees."""
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "report_diff.py"
+CHEAP = ["--metrics", "flat3,flat4", "--suites", "curvature,tractor"]
+
+
+def test_source_tree_against_itself_is_identical():
+    src = str(ROOT / "src")
+    out = subprocess.run([sys.executable, str(TOOL), src, src] + CHEAP,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[0] == "4 reports, 4 byte-identical"
+    assert "0 residuals changed" in out.stdout
+
+
+def test_verdict_changes_are_listed_and_residual_changes_are_not():
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import report_diff
+    finally:
+        sys.path.pop(0)
+    worker = subprocess.run([sys.executable, str(TOOL), "--worker", str(ROOT / "src"),
+                             "--metrics", "flat4", "--suites", "curvature"],
+                            capture_output=True, text=True, timeout=300, check=True)
+    old = json.loads(worker.stdout)
+    report = json.loads(old[0][3])
+    report["checks"][0]["max_residual"] += 1e-15
+    new = copy.deepcopy(old)
+    new[0][3] = json.dumps(report)
+    changes, identical, residuals = report_diff.compare(old, new)
+    assert (changes, identical, len(residuals)) == ([], 0, 1)
+    report["checks"][0]["passed"] = not report["checks"][0]["passed"]
+    new[0][2] = 1
+    new[0][3] = json.dumps(report)
+    changes, _, _ = report_diff.compare(old, new)
+    assert len(changes) == 2 and "exit code 0 -> 1" in changes[0]

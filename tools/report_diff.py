@@ -1,0 +1,140 @@
+"""Compare the `verify` JSON reports of two source trees.
+
+    python tools/report_diff.py OLD_SRC NEW_SRC [--metrics a,b] [--suites s,t]
+
+OLD_SRC and NEW_SRC are directories holding a `detourcert` package (a
+checkout's `src`).  For every catalog metric and suite (seed 0, the default
+points and jet order; the deformation suite only on four-dimensional
+metrics) the script runs `detourcert verify --format json`, all of one tree
+in one subprocess, and then lists every report whose exit code, overall
+`passed`, check ids, or per-check `passed`, `expected_negative` or other
+non-residual field changed.  It prints how many reports are byte-identical,
+how many residuals (`max_residual`, `prediction_gap`) changed and the
+largest change.  The exit code is 1 when anything besides a residual
+changed, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RESIDUALS = ("max_residual", "prediction_gap")
+
+
+def run_reports(src: str, metrics: list | None, suites: list | None) -> list:
+    """Every verify report of the package under src, as [metric, suite, exit, text]."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from detourcert import catalog, cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"error: imported detourcert from {cli.__file__}, not from {src}")
+    out = []
+    for metric in metrics or catalog.names():
+        dim = catalog.get(metric).spec().dim
+        for suite in suites or cli.SUITES:
+            if suite == "deformation" and dim != 4:
+                continue
+            text, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(["verify", "--metric", metric, "--suite", suite,
+                                     "--format", "json"])
+                except Exception as exc:  # an uncaught error exits 1 from the shell
+                    code, text = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
+            out.append([metric, suite, code, text.getvalue()])
+    return out
+
+
+def compare(old: list, new: list) -> tuple:
+    """(changes, identical count, residual changes as (delta, where, a, b))."""
+    new_by_key = {(m, s): (c, t) for m, s, c, t in new}
+    changes, residuals, identical = [], [], 0
+    for metric, suite, code, text in old:
+        where = f"{metric}/{suite}"
+        if (metric, suite) not in new_by_key:
+            changes.append(f"{where}: missing in the new tree")
+            continue
+        new_code, new_text = new_by_key.pop((metric, suite))
+        if new_text == text and new_code == code:
+            identical += 1
+            continue
+        if new_code != code:
+            changes.append(f"{where}: exit code {code} -> {new_code}")
+        try:
+            a, b = json.loads(text), json.loads(new_text)
+        except json.JSONDecodeError:
+            changes.append(f"{where}: output is not a report on both sides")
+            continue
+        if a["passed"] != b["passed"]:
+            changes.append(f"{where}: passed {a['passed']} -> {b['passed']}")
+        ids_a, ids_b = [c["id"] for c in a["checks"]], [c["id"] for c in b["checks"]]
+        if ids_a != ids_b:
+            changes.append(f"{where}: check ids {ids_a} -> {ids_b}")
+            continue
+        for ca, cb in zip(a["checks"], b["checks"]):
+            for key in sorted(set(ca) | set(cb)):
+                va, vb = ca.get(key), cb.get(key)
+                if va == vb:
+                    continue
+                if key in RESIDUALS and va is not None and vb is not None:
+                    residuals.append((abs(vb - va), f"{where} {ca['id']} {key}", va, vb))
+                else:
+                    changes.append(f"{where} {ca['id']}: {key} {va} -> {vb}")
+        if a["config"] != b["config"]:
+            changes.append(f"{where}: config changed")
+    changes.extend(f"{m}/{s}: missing in the old tree" for m, s in new_by_key)
+    return changes, identical, residuals
+
+
+def _worker_cmd(src: str, args) -> list:
+    cmd = [sys.executable, __file__, "--worker", src]
+    if args.metrics:
+        cmd += ["--metrics", args.metrics]
+    if args.suites:
+        cmd += ["--suites", args.suites]
+    return cmd
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old_src", nargs="?")
+    p.add_argument("new_src", nargs="?")
+    p.add_argument("--metrics", default=None, help="comma separated catalog names")
+    p.add_argument("--suites", default=None, help="comma separated suites")
+    p.add_argument("--worker", default=None, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    split = (lambda s: s.split(",") if s else None)
+    if args.worker:
+        json.dump(run_reports(args.worker, split(args.metrics), split(args.suites)), sys.stdout)
+        return 0
+    if not (args.old_src and args.new_src):
+        p.error("need OLD_SRC and NEW_SRC")
+    procs = [subprocess.Popen(_worker_cmd(src, args), stdout=subprocess.PIPE, text=True)
+             for src in (args.old_src, args.new_src)]
+    sides = []
+    for proc in procs:
+        text, _ = proc.communicate()
+        if proc.returncode != 0:
+            print(f"error: the report run of one tree exited {proc.returncode}", file=sys.stderr)
+            return 2
+        sides.append(json.loads(text))
+    changes, identical, residuals = compare(*sides)
+    print(f"{len(sides[0])} reports, {identical} byte-identical")
+    for line in changes:
+        print("changed: " + line)
+    if residuals:
+        delta, where, a, b = max(residuals)
+        print(f"{len(residuals)} residuals changed, "
+              f"largest by {delta:.3e} ({where}: {a!r} -> {b!r})")
+    else:
+        print("0 residuals changed")
+    return 1 if changes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
