@@ -46,25 +46,17 @@ class CatalogEntry:
             point = self.sample_point(rng if rng is not None else np.random.default_rng(0))
         return Geometry(spec, point, order=order)
 
-    def _field_jets(self, exprs, geom: Geometry) -> np.ndarray:
-        spec = self.spec()
-        env = dict(zip(spec.coords, jets.coordinates(geom.point, geom.order)))
-        out = np.empty(geom.n, dtype=object)
-        for a, text in enumerate(exprs):
-            val = evaluate(parse_expression(text), env)
-            if not isinstance(val, jets.Jet):
-                val = jets.constant(float(val), geom.n, geom.order)
-            out[a] = val
-        return out
-
     def killing_jets(self, geom: Geometry) -> list:
         """Component jets v^a of every listed Killing field at geom's point."""
-        return [self._field_jets(exprs, geom) for exprs in self.killing_fields]
-
-    def einstein_scale_jet(self, geom: Geometry):
-        if self.einstein_scale is None:
-            return None
-        return self._field_jets((self.einstein_scale,), geom)[0]
+        env = dict(zip(self.spec().coords, jets.coordinates(geom.point, geom.order)))
+        fields = [np.empty(geom.n, dtype=object) for _ in self.killing_fields]
+        for field, exprs in zip(fields, self.killing_fields):
+            for a, text in enumerate(exprs):
+                val = evaluate(parse_expression(text), env)
+                if not isinstance(val, jets.Jet):
+                    val = jets.constant(float(val), geom.n, geom.order)
+                field[a] = val
+        return fields
 
 
 def _entry(name, text, facts, box, **kw) -> CatalogEntry:

@@ -183,42 +183,41 @@ def _rel_diff(lhs, rhs) -> float:
 # ---------------------------------------------------------------------------
 # per-point check functions; each returns a residual, optionally with a
 # (prediction_norm, prediction_gap) pair for obstruction-style checks.  Each
-# reads its tensors through the Geometry stage properties or the public
-# operator, and their values at the point as jets.as_dense(x)[..., 0].
+# reads its tensors through Geometry.dense or the public operator, and their
+# values at the point as the coefficient 0 of the dense array.
 
 
 def _check_algebraic_bianchi(geom, rng, tol):
-    rd = jets.as_dense(geom.riemann_down)[..., 0]
+    rd = geom.dense("riemann_down")[..., 0]
     cyclic = rd + rd.transpose(2, 0, 1, 3) + rd.transpose(1, 2, 0, 3)
     return _max_abs(cyclic) / max(1.0, _max_abs(rd))
 
 
 def _check_contracted_bianchi(geom, rng, tol):
-    dric = geom.covd_array(jets.as_dense(geom.ricci), ("d", "d"))[..., 0]
-    sc = geom.scalar
-    gi = jets.as_dense(geom.ginv)[..., 0]
+    dric = geom.covd_array(geom.dense("ricci"), ("d", "d"))[..., 0]
+    gi = geom.dense("ginv")[..., 0]
     div = np.einsum("ea,eab->b", gi, dric)
-    dsc = jets.partials(sc.coeffs, sc.dim, sc.order, geom.n)[:, 0]
+    dsc = jets.partials(geom.dense("scalar"), geom.jet_dim, geom.order - 2, geom.n)[:, 0]
     return _max_abs(div - 0.5 * dsc) / max(1.0, _max_abs(dric))
 
 
 def _check_weyl_trace(geom, rng, tol):
-    w = jets.as_dense(geom.weyl)[..., 0]
-    gi = jets.as_dense(geom.ginv)[..., 0]
+    w = geom.dense("weyl")[..., 0]
+    gi = geom.dense("ginv")[..., 0]
     traces = [np.einsum("ab,acbd->cd", gi, w), np.einsum("ab,abcd->cd", gi, w)]
     return _max_abs(traces) / max(1.0, _max_abs(w))
 
 
 def _check_cotton_trace(geom, rng, tol):
-    cot = jets.as_dense(geom.cotton)[..., 0]
-    gi = jets.as_dense(geom.ginv)[..., 0]
+    cot = geom.dense("cotton")[..., 0]
+    gi = geom.dense("ginv")[..., 0]
     traces = [np.einsum("ab,abc->c", gi, cot), np.einsum("ab,cab->c", gi, cot)]
     return _max_abs(traces) / max(1.0, _max_abs(cot))
 
 
 def _check_bach_shape(geom, rng, tol):
-    b = jets.as_dense(geom.bach)[..., 0]
-    gi = jets.as_dense(geom.ginv)[..., 0]
+    b = geom.dense("bach")[..., 0]
+    gi = geom.dense("ginv")[..., 0]
     return _worst([abs(np.einsum("ij,ij->", gi, b)), _max_abs(b - b.T)]) / max(1.0, _max_abs(b))
 
 
@@ -228,7 +227,7 @@ def _check_tractor_metric_parallel(geom, rng, tol):
     t = jets.as_dense(tractor.connection_matrices(geom, 1))[..., 0]
     h = tractor.gram_matrix(geom)
     dh = np.zeros_like(t)
-    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(jets.as_dense(geom.ginv), geom.jet_dim,
+    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv"), geom.jet_dim,
                                                 geom.order, n)[..., 0]
     skew = t.transpose(0, 2, 1) @ h + h @ t - dh
     return _max_abs(skew) / max(1.0, _max_abs(t), _max_abs(dh))
@@ -259,7 +258,7 @@ def _check_tractor_curvature_skew(geom, rng, tol):
 
 
 def _check_signature(geom, rng, tol):
-    diag = np.diag(jets.as_dense(geom.g)[..., 0])
+    diag = np.diag(geom.dense("g")[..., 0])
     p = int(np.sum(diag > 0))
     got = tractor.tractor_signature(geom)
     return 0.0 if got == (p + 1, geom.n - p + 1) else 1.0
@@ -317,7 +316,7 @@ def _gauge_linearization(geom, rng, tol):
     v = np.zeros((n, jets._size(n, geom.order)))  # order-3 field, zero padded
     v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
     bp = detour.linearized_bach(detour.op_K0(jets.to_jets(v, n, geom.order), geom).comps, geom)
-    bach = jets.as_dense(geom.bach)
+    bach = geom.dense("bach")
     db = geom.covd_array(bach, ("d", "d"))[..., 0]  # nabla_c B_ab at [c, a, b]
     dv = geom.covd_array(v, ("u",))[..., 0]  # nabla_a v^c at [a, c]
     b = bach[..., 0]

@@ -13,6 +13,10 @@ Component expressions use +, -, *, /, ^ (numeric-literal exponents only),
 parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.
+
+MetricSpec.metric_jets evaluates each tree on Jet objects, while everything
+downstream is dense: evaluate() is public on Jet environments, and this is the
+one Jet arithmetic of a verify run, where perfbench's tracer counts Jet.__mul__.
 """
 from __future__ import annotations
 

@@ -21,10 +21,10 @@ jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
 slice of the coefficient axis.  The inverse metric is a float inverse of the
 values refined by Newton steps on jets.contract (invert_jet_matrix).  A
-stage keeps its dense array for the later stages (Geometry.dense) and
-returns an object array of jets viewing it.  covd_array accepts and returns
-either layout; trace and lower contract the leading slots of a dense array
-with the inverse metric and the metric.
+stage computes only its dense array (Geometry.dense); its public attribute,
+jets viewing that array, is built on first access.  covd_array accepts and
+returns either layout; trace and lower contract the leading slots of a dense
+array with the inverse metric and the metric.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dsl, jets
-from .jets import Jet, SingularPointError
+from .jets import SingularPointError
 
 
 class SingularMetricError(SingularPointError):
@@ -99,6 +99,18 @@ def invert_jet_matrix(g: np.ndarray, dim: int) -> np.ndarray:
     return inv
 
 
+class _stage(cached_property):
+    """Stage whose func makes the array Geometry.dense keeps; the first read builds its jets."""
+
+    def __get__(self, geom, owner=None):
+        if geom is None:
+            return self
+        x = geom.dense(self.attrname)
+        view = jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
+        geom.__dict__[self.attrname] = view = view[()] if x.ndim == 1 else view
+        return view
+
+
 class Geometry:
     """Cached jets of the curvature chain for one metric at one point.
 
@@ -134,7 +146,7 @@ class Geometry:
             self.jet_dim += 1
         if jets._size(self.jet_dim, self.order) != ncoeff:
             raise ValueError(f"metric jets do not have order {self.order}")
-        self.ginv  # eager inverse so a degenerate metric fails fast
+        self.dense("ginv")  # eager inverse so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
 
@@ -145,28 +157,25 @@ class Geometry:
             )
 
     def dense(self, stage: str, order: int | None = None) -> np.ndarray:
-        """Dense coefficients of a stage ("g" or a cached stage), optionally truncated."""
-        getattr(self, stage)  # runs the stage once
-        x = self._dense[stage]
+        """Dense coefficients of "g" or a stage, computed once, optionally truncated."""
+        x = self._dense.get(stage)
+        if x is None:
+            # through the class attribute, so that a wrapper installed there
+            # sees every stage computation; contiguous, so that views share it
+            x = self._dense[stage] = np.ascontiguousarray(getattr(type(self), stage).func(self))
         return x if order is None else x[..., : jets._size(self.jet_dim, order)]
-
-    def _keep(self, stage: str, x: np.ndarray, order: int) -> np.ndarray:
-        # contiguous, so that the jets view this array instead of a copy
-        x = self._dense[stage] = np.ascontiguousarray(x)
-        return jets.to_jets(x, self.jet_dim, order)
 
     def _contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return jets.contract(x, y, self.jet_dim, jets.order_of(self.jet_dim, x.shape[-1]))
 
     # -- curvature chain ------------------------------------------------------
-    # Each stage computes its dense array from the dense arrays of earlier
-    # stages, keeps it for later stages and returns the jets viewing it.
+    # Each stage computes its dense array from the dense arrays of earlier stages.
 
-    @cached_property
+    @_stage
     def ginv(self) -> np.ndarray:
-        return self._keep("ginv", invert_jet_matrix(self.dense("g"), self.jet_dim), self.order)
+        return invert_jet_matrix(self.dense("g"), self.jet_dim)
 
-    @cached_property
+    @_stage
     def gamma(self) -> np.ndarray:
         """Gamma[c, a, b] = Gam^c_ab at order K-1."""
         self.require(1, "christoffel")
@@ -174,9 +183,9 @@ class Geometry:
         dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n)  # d_a g_db at [a, d, b]
         low = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg  # [d, a, b]
         gam = self._contract(self.dense("ginv", k), low.reshape(n, n * n, -1)) * 0.5
-        return self._keep("gamma", gam.reshape(n, n, n, -1), k)
+        return gam.reshape(n, n, n, -1)
 
-    @cached_property
+    @_stage
     def riemann(self) -> np.ndarray:
         """R[a, b, c, d] = R_ab^c_d at order K-2."""
         self.require(2, "curvature")
@@ -188,49 +197,44 @@ class Geometry:
         half += self._contract(low.transpose(1, 0, 2, 3).reshape(n * n, n, -1),
                                low.reshape(n, n * n, -1)).reshape(n, n, n, n, -1)
         half = half.transpose(0, 2, 1, 3, 4)
-        rie = np.subtract(half, half.transpose(1, 0, 2, 3, 4), order="C")
-        return self._keep("riemann", rie, k)
+        return np.subtract(half, half.transpose(1, 0, 2, 3, 4), order="C")
 
-    @cached_property
+    @_stage
     def riemann_down(self) -> np.ndarray:
         n, k = self.n, self.order - 2
         rie = self.dense("riemann").transpose(2, 0, 1, 3, 4)  # [e, a, b, d]
         low = self._contract(self.dense("g", k), rie.reshape(n, n**3, -1))
-        return self._keep("riemann_down", low.reshape(n, n, n, n, -1).transpose(1, 2, 0, 3, 4), k)
+        return low.reshape(n, n, n, n, -1).transpose(1, 2, 0, 3, 4)
 
-    @cached_property
+    @_stage
     def ricci(self) -> np.ndarray:
-        ric = np.trace(self.dense("riemann"), axis1=0, axis2=2)
-        return self._keep("ricci", ric, self.order - 2)
+        return np.trace(self.dense("riemann"), axis1=0, axis2=2)
 
-    @cached_property
-    def scalar(self) -> Jet:
+    @_stage
+    def scalar(self) -> np.ndarray:
         n, k = self.n, self.order - 2
         sc = self._contract(self.dense("ginv", k).reshape(1, n * n, -1),
                             self.dense("ricci").reshape(n * n, 1, -1))
-        return self._keep("scalar", sc[0, 0], k)[()]
+        return sc[0, 0]
 
-    @cached_property
-    def jtrace(self) -> Jet:
-        jt = self.dense("scalar") / (2.0 * (self.n - 1))
-        return self._keep("jtrace", jt, self.order - 2)[()]
+    @_stage
+    def jtrace(self) -> np.ndarray:
+        return self.dense("scalar") / (2.0 * (self.n - 1))
 
-    @cached_property
+    @_stage
     def schouten(self) -> np.ndarray:
         n, k = self.n, self.order - 2
         jg = self._contract(self.dense("jtrace").reshape(1, 1, -1),
                             self.dense("g", k).reshape(1, n * n, -1))
-        sch = (self.dense("ricci") - jg.reshape(n, n, -1)) / float(n - 2)
-        return self._keep("schouten", sch, k)
+        return (self.dense("ricci") - jg.reshape(n, n, -1)) / float(n - 2)
 
-    @cached_property
+    @_stage
     def schouten_up(self) -> np.ndarray:
         """P with both indices raised, order K-2."""
         gl = self.dense("ginv", self.order - 2)
-        pg = self._contract(self._contract(gl, self.dense("schouten")), gl.transpose(1, 0, 2))
-        return self._keep("schouten_up", pg, self.order - 2)
+        return self._contract(self._contract(gl, self.dense("schouten")), gl.transpose(1, 0, 2))
 
-    @cached_property
+    @_stage
     def weyl(self) -> np.ndarray:
         """C[a, b, c, d] all indices down, order K-2."""
         n, k = self.n, self.order - 2
@@ -242,17 +246,16 @@ class Geometry:
         weyl += gp.transpose(2, 1, 0, 3, 4)
         weyl -= gp.transpose(2, 1, 3, 0, 4)
         weyl += gp.transpose(1, 2, 3, 0, 4)
-        return self._keep("weyl", weyl, k)
+        return weyl
 
-    @cached_property
+    @_stage
     def cotton(self) -> np.ndarray:
         """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, order K-3."""
         self.require(3, "cotton")
         dp = self.covd_array(self.dense("schouten"), ("d", "d"))
-        return self._keep("cotton", dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3),
-                          self.order - 3)
+        return dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3)
 
-    @cached_property
+    @_stage
     def bach(self) -> np.ndarray:
         """B[a, b], order K-4: one contraction of [g^ce, P^dc] with [nabla_e A_acb, C_dacb]."""
         self.require(4, "bach")
@@ -262,7 +265,7 @@ class Geometry:
         terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),
                                 self.dense("weyl", k).transpose(0, 2, 1, 3, 4)])
         bach = self._contract(coef.reshape(1, 2 * n * n, -1), terms.reshape(2 * n * n, n * n, -1))
-        return self._keep("bach", bach.reshape(n, n, -1), k)
+        return bach.reshape(n, n, -1)
 
     # -- coupled derivative ----------------------------------------------------
 

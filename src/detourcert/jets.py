@@ -168,7 +168,7 @@ def contract(x: np.ndarray, y: np.ndarray, dim: int, order: int) -> np.ndarray:
     the truncated Taylor product of Jet.__mul__.
     """
     ia, ib, bounds = _pair_runs(dim, order)
-    xt, yt = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    xt, yt = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
     shape = (x.shape[0], y.shape[1])
     step = max(1, _CHUNK_BYTES // (8 * (xt[0].size + yt[0].size + math.prod(shape))))
     out = np.empty(shape + (bounds.size - 1,))
@@ -177,7 +177,7 @@ def contract(x: np.ndarray, y: np.ndarray, dim: int, order: int) -> np.ndarray:
         p0 = bounds[c0]
         c1 = max(c0 + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1)
         prods = np.matmul(xt[ia[p0 : bounds[c1]]], yt[ib[p0 : bounds[c1]]])
-        out[..., c0:c1] = np.moveaxis(np.add.reduceat(prods, bounds[c0:c1] - p0, axis=0), 0, -1)
+        out[..., c0:c1] = np.add.reduceat(prods, bounds[c0:c1] - p0, axis=0).transpose(1, 2, 0)
         c0 = c1
     return out
 

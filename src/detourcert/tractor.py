@@ -176,7 +176,7 @@ def splitting(sigma: Jet, geom: Geometry) -> TractorJet:
     s = sigma.coeffs
     lap = _laplacian(s, geom)
     nc = lap.shape[-1]
-    rho = (lap + _times(geom.jtrace.coeffs[:nc], s[:nc], geom)) * (-1.0 / geom.n)
+    rho = (lap + _times(geom.dense("jtrace")[:nc], s[:nc], geom)) * (-1.0 / geom.n)
     vec = np.concatenate([s[None, :nc], _grad(s, geom)[:, :nc], rho[None]])
     return TractorJet.from_vector(_jets(vec, geom))
 
@@ -232,7 +232,7 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
     lap = _laplacian(v[0], geom)
     nc = lap.shape[-1]
     div = geom.trace(geom.covd_array(v[1 : n + 1], ("d",)))[:nc]
-    js = _times(geom.jtrace.coeffs[:nc], v[0, :nc], geom)
+    js = _times(geom.dense("jtrace")[:nc], v[0, :nc], geom)
     return _jets(v[n + 1, :nc] - div - (lap + js) * (1.0 / n), geom)
 
 

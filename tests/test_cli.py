@@ -168,7 +168,11 @@ def test_nan_residual_fails_the_check(monkeypatch):
 
 
 def _with_nan_entry(arr):
-    """Copy of an object array of jets whose second entry is NaN throughout."""
+    """Copy of a tensor of jets, object or dense, whose second entry is NaN throughout."""
+    if arr.dtype != object:
+        out = np.array(arr, order="C")  # so that the reshape below is a view
+        out.reshape(-1, out.shape[-1])[1] = np.nan
+        return out
     out = arr.copy()
     j = out.flat[1]
     out.flat[1] = Jet(j.dim, j.order, np.full_like(j.coeffs, np.nan))
@@ -190,7 +194,11 @@ def test_nan_entry_inside_one_point_fails_its_check(monkeypatch, owner, attr, su
     # max(0.0, nan) == 0.0 inside the per-point check
     orig = vars(owner)[attr]
     if isinstance(orig, cached_property):
-        monkeypatch.setattr(owner, attr, property(lambda self: _with_nan_entry(orig.func(self))))
+        # a Geometry stage: the NaN goes into the dense array its function
+        # returns, which Geometry.dense keeps and the checks read
+        stage = type(orig)(lambda self: _with_nan_entry(orig.func(self)))
+        stage.__set_name__(owner, attr)
+        monkeypatch.setattr(owner, attr, stage)
     else:
         monkeypatch.setattr(owner, attr, lambda *args: _with_nan_entry(orig(*args)))
     report = cli.run(run_config(metric="flat4", suites=(suite,), points=1))

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detourcert import catalog, jets
+from detourcert import catalog, jets, prolong
+from detourcert.connections import tractor_connection
 from detourcert.dsl import parse_expression, parse_metric_text
 from detourcert.geometry import (
     Geometry,
@@ -376,6 +378,63 @@ def test_geometry_rejects_bad_order_and_point():
         Geometry(SPHERE4, P_SPHERE4, order=3).bach  # bach needs 4 derivatives
     with pytest.raises(ValueError):
         Geometry(metric_jets=np.ones((4, 4, 7)), order=2)  # 7 coefficients fit no order-2 jet
+
+
+STAGES = tuple(name for name, attr in vars(Geometry).items() if isinstance(attr, cached_property))
+
+
+def test_stage_views_equal_the_dense_arrays():
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    assert len(STAGES) == 12
+    for stage in STAGES:
+        view = getattr(geom, stage)
+        coeffs = view.coeffs if isinstance(view, jets.Jet) else jets.to_dense(view)
+        assert np.array_equal(coeffs, geom.dense(stage)), stage
+    assert isinstance(geom.scalar, jets.Jet) and isinstance(geom.jtrace, jets.Jet)
+    assert geom.riemann is geom.riemann
+
+
+@pytest.mark.parametrize("first", ["view", "dense"])
+def test_each_stage_is_computed_once(monkeypatch, first):
+    calls = dict.fromkeys(STAGES, 0)
+    for stage in STAGES:
+        orig = vars(Geometry)[stage]
+
+        def counted(self, stage=stage, func=orig.func):
+            calls[stage] += 1
+            return func(self)
+
+        patched = type(orig)(counted)
+        patched.__set_name__(Geometry, stage)
+        monkeypatch.setattr(Geometry, stage, patched)
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    if first == "dense":
+        for stage in STAGES:
+            geom.dense(stage)
+        assert not set(STAGES) & set(vars(geom))  # no view built yet
+    for stage in STAGES:
+        getattr(geom, stage)
+        geom.dense(stage)
+    assert calls == dict.fromkeys(STAGES, 1)
+
+
+def test_transport_right_hand_side_builds_no_jets_beyond_the_metric(monkeypatch):
+    # one right-hand side of the tractor transport reads dense arrays only:
+    # the jets it creates are those of evaluating the metric text
+    spec = catalog.get("generic_bump4").spec()
+    point = (0.1, -0.2, 0.3, 0.05)
+    made, init = [0], jets.Jet.__init__
+
+    def counting(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(jets.Jet, "__init__", counting)
+    spec.metric_jets(point, 2)
+    metric_only, made[0] = made[0], 0
+    theta = prolong._theta_values(spec, tractor_connection, point)
+    assert theta.shape == (4, 6, 6)
+    assert 0 < made[0] <= metric_only
 
 
 @pytest.mark.parametrize("name", catalog.names())
