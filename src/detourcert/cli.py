@@ -315,14 +315,14 @@ def _gauge_linearization(geom, rng, tol):
     n = geom.n
     v = np.zeros((n, jets._size(n, geom.order)))  # order-3 field, zero padded
     v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
-    bp = detour.linearized_bach(detour.op_K0(jets.to_jets(v, n, geom.order), geom).comps, geom)
+    bp = detour.linearized_bach(detour.op_K0(v, geom).comps, geom)
     bach = geom.dense("bach")
     db = geom.covd_array(bach, ("d", "d"))[..., 0]  # nabla_c B_ab at [c, a, b]
     dv = geom.covd_array(v, ("u",))[..., 0]  # nabla_a v^c at [a, c]
     b = bach[..., 0]
     lie = (np.einsum("c,cab->ab", v[:, 0], db) + np.einsum("cb,ac->ab", b, dv)
            + np.einsum("ac,bc->ab", b, dv))
-    return _rel_diff(jets.as_dense(bp)[..., 0], (2.0 / n) * np.trace(dv) * b + lie)
+    return _rel_diff(bp[..., 0], (2.0 / n) * np.trace(dv) * b + lie)
 
 
 # ---------------------------------------------------------------------------

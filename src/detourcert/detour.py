@@ -29,11 +29,12 @@ einstein_detour_expected assembles that action as one matmul of the
 
 The deformation side: the conformal Killing operator K0 and a linearized
 Bach operator obtained by differentiating the full nonlinear curvature
-chain along a metric perturbation with one extra jet variable.  K0 and its
-adjoint are Geometry.lower, covd_array and tractor.divergence on dense
+chain along a metric perturbation with one extra jet variable eps.  K0 and
+its adjoint are Geometry.lower, covd_array and tractor.divergence on dense
 arrays.  perturbed_geometry scatters the coefficients of g and of h into
-one dense metric in that extra variable, and linearized_bach gathers the
-Bach coefficients linear in it from the same ranks.
+one dense metric in the ring key (jet_dim, 1) of jets, where eps^2 = 0, so
+the curvature chain never forms a product of two eps-linear coefficients;
+linearized_bach gathers the Bach coefficients linear in eps.
 """
 from __future__ import annotations
 
@@ -201,7 +202,7 @@ def op_K0_star(psi: JetTensor, geom: Geometry) -> np.ndarray:
 
 
 def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
-    """Geometry of g + eps h with eps a fresh jet variable (slot jet_dim).
+    """Geometry of g + eps h in the ring (jet_dim, 1) of jets, where eps^2 = 0.
 
     The metric is two scatters into zeros at order k: g onto the ranks free
     of eps, and h up to order k-1 onto the ranks linear in eps.  Higher
@@ -209,14 +210,15 @@ def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
     """
     dim, hd = geom.jet_dim, jets.as_dense(h)
     k = min(geom.order, jets.order_of(dim, hd.shape[-1]) + 1)
-    comps = np.zeros((geom.n, geom.n, jets._size(dim + 1, k)))
-    comps[..., jets._extend_table(dim, k, 1)] = geom.dense("g", k)
-    comps[..., jets._linear_table(dim + 1, k, dim)] = hd[..., : jets._size(dim, k - 1)]
+    comps = np.zeros((geom.n, geom.n, jets._size((dim, 1), k)))
+    comps[..., jets._embed_table(dim, k, (dim, 1), (0,))] = geom.dense("g", k)
+    comps[..., jets._embed_table(dim, k - 1, (dim, 1), (1,))] = hd[..., : jets._size(dim, k - 1)]
     return Geometry(metric_jets=comps, order=k, point=geom.point)
 
 
 def linearized_bach(h: np.ndarray, geom: Geometry) -> np.ndarray:
     """Derivative of the Bach tensor along the metric perturbation h, in the layout of h."""
     pg = perturbed_geometry(geom, h)
-    eps_linear = jets._linear_table(pg.jet_dim, pg.order - 4, geom.jet_dim)
-    return jets.like(pg.dense("bach")[..., eps_linear], h, geom.jet_dim)
+    dim = geom.jet_dim
+    eps_linear = jets._embed_table(dim, pg.order - 5, (dim, 1), (1,))
+    return jets.like(pg.dense("bach")[..., eps_linear], h, dim)

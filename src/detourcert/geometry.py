@@ -20,7 +20,9 @@ tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
 jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
 slice of the coefficient axis.  The inverse metric is a float inverse of the
-values refined by Newton steps on jets.contract (invert_jet_matrix).  A
+values, and then one sweep over the degrees of the product table
+(invert_jet_matrix).  A metric in the ring key (d, 1) of jets runs the same
+stages with the eps^2 products never formed (detour.linearized_bach).  A
 stage computes only its dense array (Geometry.dense); its public attribute,
 jets viewing that array, is built on first access.  covd_array accepts and
 returns either layout; trace and lower contract the leading slots of a dense
@@ -50,7 +52,7 @@ class JetTensor:
 
     def __post_init__(self):
         self.variances = tuple(self.variances)
-        if self.comps.ndim != len(self.variances):
+        if self.comps.ndim != len(self.variances) + (self.comps.dtype != object):
             raise ValueError("variance list does not match component rank")
 
 
@@ -68,14 +70,15 @@ def value_array(arr: np.ndarray) -> np.ndarray:
 _PIVOT_FLOOR = 1e-12  # relative to max(1, max |g_ij|) at the base point
 
 
-def invert_jet_matrix(g: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of a dense (n, n, ncoeff) jet matrix in dim variables.
+def invert_jet_matrix(g: np.ndarray, dim) -> np.ndarray:
+    """Inverse of a dense (n, n, ncoeff) jet matrix in dim variables (or a ring key).
 
     The values are inverted by Gauss-Jordan with partial pivoting; a pivot
     below _PIVOT_FLOOR * max(1, max |g_ij|) raises SingularMetricError.  The
-    higher orders come from Newton steps X <- X(2I - gX), two jets.contract
-    calls each: since I - gX' = (I - gX)^2, the exact order of X goes
-    0 -> 1 -> 3 -> 7 -> ..., and each step runs at the order it reaches.
+    higher coefficients follow one degree d at a time from g X = I:
+    X_d = -X_0 sum g_a X_b over the product pairs a + b of degree d, summed
+    by the chunked loop of jets.contract while X_d is still zero, so every
+    pair of the product table is formed once.
     """
     n, order = g.shape[0], jets.order_of(dim, g.shape[-1])
     scale = max(1.0, float(np.max(np.abs(g[..., 0]))))
@@ -84,18 +87,16 @@ def invert_jet_matrix(g: np.ndarray, dim: int) -> np.ndarray:
         p = col + int(np.argmax(np.abs(ax[col:, col])))
         if abs(ax[p, col]) < _PIVOT_FLOOR * scale:
             raise SingularMetricError(f"metric is singular (pivot {col})")
-        ax[[col, p]] = ax[[p, col]]
+        if p != col:
+            ax[[col, p]] = ax[[p, col]]
         ax[col] *= 1.0 / ax[col, col]
         ax -= np.outer(np.where(np.arange(n) == col, 0.0, ax[:, col]), ax[col])
-    inv, exact = ax[:, n:, None], 0
-    while exact < order:
-        exact = min(2 * exact + 1, order)
-        nc = jets._size(dim, exact)
-        xk = np.zeros((n, n, nc))
-        xk[..., : inv.shape[-1]] = inv
-        step = -jets.contract(g[..., :nc], xk, dim, exact)
-        step[..., 0] += 2.0 * np.eye(n)
-        inv = jets.contract(xk, step, dim, exact)
+    inv = np.zeros(g.shape)
+    inv[..., 0] = ax[:, n:]
+    for deg in range(1, order + 1):
+        c0, c1 = jets._size(dim, deg - 1), jets._size(dim, deg)
+        s = jets._pair_sums(g, inv, dim, order, c0, c1)
+        inv[..., c0:c1] = -(inv[..., 0] @ s.reshape(n, -1)).reshape(s.shape)
     return inv
 
 
@@ -140,10 +141,13 @@ class Geometry:
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
         self._dense = {"g": jets.as_dense(self.g)}
-        # the jets carry the n coordinates and possibly passive parameters
+        # the jets carry the n coordinates, possibly passive parameters, and
+        # possibly one eps with eps^2 = 0 (the ring key (d, 1) of jets)
         ncoeff, self.jet_dim = self._dense["g"].shape[-1], self.n
         while self.order and jets._size(self.jet_dim, self.order) < ncoeff:
-            self.jet_dim += 1
+            ring = (self.jet_dim, 1)  # at order 1 the ring is the jets of d+1 variables
+            fits = self.order > 1 and jets._size(ring, self.order) >= ncoeff
+            self.jet_dim = ring if fits else ring[0] + 1
         if jets._size(self.jet_dim, self.order) != ncoeff:
             raise ValueError(f"metric jets do not have order {self.order}")
         self.dense("ginv")  # eager inverse so a degenerate metric fails fast

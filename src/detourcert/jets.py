@@ -21,6 +21,12 @@ at product-coefficient boundaries, so the gathered temporaries stay within
 _CHUNK_BYTES.  to_dense() and to_jets() convert between the two layouts; the
 jets built by to_jets() view rows of the dense array.  Functions that accept
 either layout take as_dense() of their input and return like() it.
+
+The variables of a jet are a number d, or the ring key (d, 1): d variables
+and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
+graded-lex ones of d+1 variables with eps-degree (the last exponent) at most
+1, so truncation stays a prefix slice; its product table skips every pair
+whose product leaves the ring.  The tables and contract() accept either key.
 """
 from __future__ import annotations
 
@@ -49,12 +55,15 @@ def _gen_indices(dim: int, degree: int):
 
 
 @lru_cache(maxsize=None)
-def multi_indices(dim: int, order: int) -> tuple:
+def multi_indices(dim, order: int) -> tuple:
     """All exponent tuples with |alpha| <= order, graded lexicographic.
 
     The ordering is degree-major, so the multi-indices of a lower order form
-    a prefix: truncating a jet is a coefficient-vector slice.
+    a prefix: truncating a jet is a coefficient-vector slice.  For a ring key
+    (d, 1), the tuples of d+1 variables whose last exponent is at most 1.
     """
+    if isinstance(dim, tuple):
+        return tuple(a for a in multi_indices(dim[0] + 1, order) if a[-1] <= dim[1])
     if dim < 1 or order < 0:
         raise ValueError(f"bad jet shape dim={dim} order={order}")
     out = []
@@ -64,29 +73,28 @@ def multi_indices(dim: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _rank(dim: int, order: int) -> dict:
+def _rank(dim, order: int) -> dict:
     return {alpha: i for i, alpha in enumerate(multi_indices(dim, order))}
 
 
 @lru_cache(maxsize=None)
-def _size(dim: int, order: int) -> int:
+def _size(dim, order: int) -> int:
     return len(multi_indices(dim, order))
 
 
 @lru_cache(maxsize=None)
-def _mul_table(dim: int, order: int):
-    """Gather tables (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic."""
+def _mul_table(dim, order: int):
+    """Gather tables (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic inside the ring of dim."""
     idx = multi_indices(dim, order)
     rank = _rank(dim, order)
     ia, ib, ic = [], [], []
     for i, a in enumerate(idx):
-        da = sum(a)
-        for j, b in enumerate(idx):
-            if da + sum(b) > order:
-                continue
-            ia.append(i)
-            ib.append(j)
-            ic.append(rank[tuple(x + y for x, y in zip(a, b))])
+        for j, b in enumerate(idx[: _size(dim, order - sum(a))]):  # graded: a prefix
+            c = rank.get(tuple(x + y for x, y in zip(a, b)))
+            if c is not None:
+                ia.append(i)
+                ib.append(j)
+                ic.append(c)
     return (
         np.asarray(ia, dtype=np.intp),
         np.asarray(ib, dtype=np.intp),
@@ -95,7 +103,7 @@ def _mul_table(dim: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _partial_table(dim: int, order: int, slot: int):
+def _partial_table(dim, order: int, slot: int):
     """Source ranks and multipliers mapping coeffs(K) -> coeffs of d/dx_slot (K-1)."""
     rank = _rank(dim, order)
     src, mul = [], []
@@ -108,22 +116,10 @@ def _partial_table(dim: int, order: int, slot: int):
 
 
 @lru_cache(maxsize=None)
-def _extend_table(dim: int, order: int, extra: int):
-    """Ranks in the (dim+extra) context of each alpha padded with zeros."""
-    rank_big = _rank(dim + extra, order)
-    pad = (0,) * extra
-    return np.asarray(
-        [rank_big[alpha + pad] for alpha in multi_indices(dim, order)], dtype=np.intp
-    )
-
-
-@lru_cache(maxsize=None)
-def _linear_table(dim: int, order: int, slot: int):
-    """Ranks of the coefficients linear in one variable: the gather of Jet.linear_part
-    and detour.linearized_bach, the scatter of detour.perturbed_geometry."""
-    rank = _rank(dim, order)
-    return np.asarray([rank[beta[:slot] + (1,) + beta[slot:]]
-                       for beta in multi_indices(dim - 1, order - 1)], dtype=np.intp)
+def _embed_table(dim: int, order: int, key, pad: tuple):
+    """Ranks in the jets of key, at order + |pad|, of alpha + pad for each alpha of (dim, order)."""
+    rank = _rank(key, order + sum(pad))
+    return np.asarray([rank[alpha + pad] for alpha in multi_indices(dim, order)], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ _CHUNK_BYTES = 1 << 18  # bound on the gathered temporaries of one contract() ch
 
 
 @lru_cache(maxsize=None)
-def _pair_runs(dim: int, order: int):
+def _pair_runs(dim, order: int):
     """_mul_table pairs sorted by product coefficient, and where each run starts.
 
     The sort is stable, so each coefficient sums its pairs in the order
@@ -146,12 +142,12 @@ def _pair_runs(dim: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _partials_table(dim: int, order: int, slots: int):
+def _partials_table(dim, order: int, slots: int):
     tables = [_partial_table(dim, order, s) for s in range(slots)]
     return np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
 
 
-def order_of(dim: int, ncoeff: int) -> int:
+def order_of(dim, ncoeff: int) -> int:
     """Jet order whose coefficient vector in dim variables has length ncoeff."""
     order = 0
     while _size(dim, order) < ncoeff:
@@ -161,28 +157,34 @@ def order_of(dim: int, ncoeff: int) -> int:
     return order
 
 
-def contract(x: np.ndarray, y: np.ndarray, dim: int, order: int) -> np.ndarray:
+def contract(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
     """Jet matrix product of dense arrays: out[i, j] = sum_k x[i, k] * y[k, j].
 
     x has shape (r, m, ncoeff) and y (m, s, ncoeff); every entry product is
     the truncated Taylor product of Jet.__mul__.
     """
+    return _pair_sums(x, y, dim, order, 0, _size(dim, order))
+
+
+def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) -> np.ndarray:
+    """Coefficients c0..c1 of contract(x, y, dim, order), summed over their pairs in chunks."""
     ia, ib, bounds = _pair_runs(dim, order)
     xt, yt = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
     shape = (x.shape[0], y.shape[1])
     step = max(1, _CHUNK_BYTES // (8 * (xt[0].size + yt[0].size + math.prod(shape))))
-    out = np.empty(shape + (bounds.size - 1,))
-    c0 = 0
-    while c0 < out.shape[-1]:
-        p0 = bounds[c0]
-        c1 = max(c0 + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1)
-        prods = np.matmul(xt[ia[p0 : bounds[c1]]], yt[ib[p0 : bounds[c1]]])
-        out[..., c0:c1] = np.add.reduceat(prods, bounds[c0:c1] - p0, axis=0).transpose(1, 2, 0)
-        c0 = c1
+    out = np.empty(shape + (c1 - c0,))
+    c = c0
+    while c < c1:
+        p0 = bounds[c]
+        ce = min(c1, max(c + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1))
+        prods = np.matmul(xt[ia[p0 : bounds[ce]]], yt[ib[p0 : bounds[ce]]])
+        sums = np.add.reduceat(prods, bounds[c:ce] - p0, axis=0)
+        out[..., c - c0 : ce - c0] = sums.transpose(1, 2, 0)
+        c = ce
     return out
 
 
-def partials(x: np.ndarray, dim: int, order: int, slots: int) -> np.ndarray:
+def partials(x: np.ndarray, dim, order: int, slots: int) -> np.ndarray:
     """d/dx_s of every entry of a dense array for s < slots, as a new leading axis."""
     src, mul = _partials_table(dim, order, slots)
     out = x[..., src]
@@ -196,7 +198,7 @@ def to_dense(arr) -> np.ndarray:
     return np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
 
 
-def to_jets(x: np.ndarray, dim: int, order: int) -> np.ndarray:
+def to_jets(x: np.ndarray, dim, order: int) -> np.ndarray:
     """Object array of jets viewing the rows of a dense coefficient array."""
     out = np.empty(math.prod(x.shape[:-1]), dtype=object)
     out[:] = [Jet(dim, order, row) for row in x.reshape(-1, x.shape[-1])]
@@ -208,7 +210,7 @@ def as_dense(arr: np.ndarray) -> np.ndarray:
     return to_dense(arr) if arr.dtype == object else arr
 
 
-def like(x: np.ndarray, arr: np.ndarray, dim: int) -> np.ndarray:
+def like(x: np.ndarray, arr: np.ndarray, dim) -> np.ndarray:
     """Dense x in the layout of arr: x itself, or jets viewing it if arr holds jets."""
     return x if arr.dtype != object else to_jets(x, dim, order_of(dim, x.shape[-1]))
 
@@ -313,21 +315,8 @@ class Jet:
         if extra == 0:
             return self
         c = np.zeros(_size(self.dim + extra, self.order))
-        c[_extend_table(self.dim, self.order, extra)] = self.coeffs
+        c[_embed_table(self.dim, self.order, self.dim + extra, (0,) * extra)] = self.coeffs
         return Jet(self.dim + extra, self.order, c)
-
-    def linear_part(self, slot: int) -> "Jet":
-        """Coefficient of the first power of one variable, as a jet without it.
-
-        For f = g + eps*h + O(eps^2) with eps the given slot, returns the jet
-        of h in the remaining variables at order K-1.
-        """
-        if self.dim < 2:
-            raise ValueError("linear_part needs at least two variables")
-        if not 0 <= slot < self.dim:
-            raise ValueError(f"slot {slot} out of range")
-        src = _linear_table(self.dim, self.order, slot)
-        return Jet(self.dim - 1, self.order - 1, self.coeffs[src])
 
     # -- ring arithmetic -----------------------------------------------------
 

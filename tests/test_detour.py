@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detourcert import catalog
 from detourcert import connections as co
 from detourcert import jets
 from detourcert import detour as de
@@ -587,6 +588,49 @@ def test_padded_slots_of_the_perturbation_are_never_read(order):
     assert np.all(np.isfinite(with_nan))
     np.testing.assert_array_equal(with_nan, clean)
     assert np.max(np.abs(clean)) > 0.0
+
+
+def full_variable_bach(h, geom):
+    """linearized_bach with eps a full jet variable: g and h scattered into the
+    jets of jet_dim + 1 variables, whose eps^2 coefficients are formed and
+    dropped.  The reference for the ring (jet_dim, 1), where eps^2 = 0."""
+    dim, k = geom.jet_dim, min(geom.order, order_of(geom.jet_dim, h.shape[-1]) + 1)
+    rank = jets._rank(dim + 1, k)
+    comps = np.zeros((4, 4, jets._size(dim + 1, k)))
+    comps[..., [rank[a + (0,)] for a in multi_indices(dim, k)]] = geom.dense("g", k)
+    linear = [rank[b + (1,)] for b in multi_indices(dim, k - 1)]
+    comps[..., linear] = h[..., : len(linear)]
+    pg = Geometry(metric_jets=comps, order=k, point=geom.point)
+    assert pg.jet_dim == dim + 1
+    linear = [jets._rank(dim + 1, k - 4)[b + (1,)] for b in multi_indices(dim, k - 5)]
+    return pg.dense("bach")[..., linear]
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names() if catalog.get(n).spec().dim == 4])
+def test_ring_linearized_bach_equals_the_full_variable_reference(name):
+    rng = np.random.default_rng(89)
+    for order in (6, 8):
+        g = catalog.get(name).geometry(order=order)
+        v = np.zeros((4, jets._size(4, order)))
+        v[:, : jets._size(4, 3)] = rng.uniform(-1.0, 1.0, (4, jets._size(4, 3)))
+        h = rng.standard_normal((4, 4, jets._size(4, order - 1)))
+        for pert in (de.op_K0(v, g).comps, h + h.transpose(1, 0, 2)):
+            pg = de.perturbed_geometry(g, pert)
+            assert pg.jet_dim == (4, 1) and pg.dense("g").shape[-1] == jets._size((4, 1), order)
+            np.testing.assert_array_equal(de.linearized_bach(pert, g), full_variable_bach(pert, g))
+
+
+def test_conformal_killing_operator_takes_dense_fields():
+    rng = np.random.default_rng(97)
+    g = Geometry(BUMP4, P_BUMP, order=5)
+    v = rng.standard_normal((4, jets._size(4, 5)))
+    dense = de.op_K0(v, g)
+    assert dense.comps.shape == (4, 4, jets._size(4, 4)) and dense.comps.dtype == float
+    np.testing.assert_array_equal(dense.comps, to_dense(de.op_K0(to_jets(v, 4, 5), g).comps))
+    with pytest.raises(ValueError):
+        JetTensor(("d",), dense.comps)
+    with pytest.raises(ValueError):
+        JetTensor(("d", "d", "d"), dense.comps)
 
 
 def test_degree_errors():

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detourcert import catalog, jets, prolong
+from detourcert import catalog, detour, jets, prolong
 from detourcert.connections import tractor_connection
 from detourcert.dsl import parse_expression, parse_metric_text
 from detourcert.geometry import (
@@ -367,6 +367,55 @@ def test_tiny_pivot_raises_and_zero_diagonal_pivots():
     eye = jets.contract(g, inv, 3, 2)
     eye[..., 0] -= np.eye(3)
     assert maxabs(eye) < 1e-15
+
+
+def _ring_metric(geom):
+    """The metric of g + eps K0(v) in the ring (jet_dim, 1) of jets."""
+    n = geom.n
+    v = np.zeros((n, jets._size(n, geom.order)))
+    v[:, : jets._size(n, 3)] = np.random.default_rng(3).uniform(-1.0, 1.0, (n, jets._size(n, 3)))
+    pg = detour.perturbed_geometry(geom, detour.op_K0(v, geom).comps)
+    assert pg.jet_dim == (n, 1)
+    return pg.dense("g"), pg.jet_dim
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_degree_sweep_inverse_is_exact_in_every_coefficient(name):
+    # g g^-1 = I in every coefficient at order 8, at the seed-0 sample point;
+    # near the chart poles |g^-1| reaches 1e6, so the bound scales with
+    # max |g| max |g^-1| (the largest one measured is 6e-11 absolute)
+    geom = catalog.get(name).geometry(order=8)
+    cases = [(geom.dense("g"), geom.jet_dim)] + ([_ring_metric(geom)] if geom.n == 4 else [])
+    for g, dim in cases:
+        inv = invert_jet_matrix(g, dim)
+        eye = jets.contract(g, inv, dim, 8)
+        eye[..., 0] -= np.eye(geom.n)
+        assert maxabs(eye) <= 1e-13 * maxabs(g) * maxabs(inv), (dim, maxabs(eye))
+
+
+def test_degree_sweep_inverse_is_independent_of_chunking(monkeypatch):
+    geom = Geometry(BUMP4, P_BUMP, order=8)
+    cases = [(geom.dense("g"), 4), _ring_metric(geom)]
+    whole = [invert_jet_matrix(g, dim) for g, dim in cases]
+    monkeypatch.setattr(jets, "_CHUNK_BYTES", 600)
+    for (g, dim), ref in zip(cases, whole):
+        np.testing.assert_array_equal(invert_jet_matrix(g, dim), ref)
+
+
+@pytest.mark.parametrize("dim", [3, (3, 1)])
+def test_nan_top_coefficient_gives_nan_and_the_pivot_rule_holds(dim):
+    rng = np.random.default_rng(7)
+    g = 0.1 * rng.standard_normal((3, 3, jets._size(dim, 4)))
+    g = g + g.transpose(1, 0, 2)
+    g[..., 0] = np.diag([1.0, 2.0, 0.5])
+    clean = invert_jet_matrix(g, dim)
+    g[1, 2, -1] = np.nan
+    inv = invert_jet_matrix(g, dim)
+    assert np.isnan(inv[..., -1]).all()  # fails closed: no finite top coefficient
+    np.testing.assert_array_equal(inv[..., :-1], clean[..., :-1])
+    g[..., 0] = np.diag([1.0, 1e-13, 1.0])
+    with pytest.raises(SingularMetricError):
+        invert_jet_matrix(g, dim)
 
 
 def test_geometry_rejects_bad_order_and_point():

@@ -305,16 +305,15 @@ def test_partial_shifts_coefficients():
     assert fy.value == pytest.approx(0.2**2 + math.cos(0.9), abs=1e-14)
 
 
-def test_extend_and_linear_part():
+def test_extended_slot_is_passive():
     x = variable(0.7, 0, dim=1, order=3)
     g = jets.exp(x)
     h = jets.sin(x)
     big = g.extended(1) + variable(0.0, 1, dim=2, order=3) * h.extended(1)
-    # the new slot is passive for the base part
-    assert big.coeff((2, 0)) == pytest.approx(g.coeff((2,)), abs=1e-15)
-    lin = big.linear_part(1)
-    assert lin.dim == 1 and lin.order == 2
-    assert np.allclose(lin.coeffs, h.truncated(2).coeffs, atol=1e-15)
+    # the new slot is passive for the base part, and its linear part is h
+    for k in range(3):
+        assert big.coeff((k, 0)) == pytest.approx(g.coeff((k,)), abs=1e-15)
+        assert big.coeff((k, 1)) == pytest.approx(h.coeff((k,)), abs=1e-15)
 
 
 def test_multi_index_layout_is_graded_and_prefix_stable():
@@ -403,6 +402,63 @@ def test_contract_is_independent_of_chunking(monkeypatch, chunk_bytes):
     whole = jets.contract(x, y, 5, 4)
     monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
     np.testing.assert_array_equal(jets.contract(x, y, 5, 4), whole)
+
+
+def _brute_mul_table(dim, order):
+    idx = multi_indices(dim, order)
+    rank = jets._rank(dim, order)
+    table = [(i, j, rank.get(tuple(x + y for x, y in zip(a, b))))
+             for i, a in enumerate(idx) for j, b in enumerate(idx)]
+    return [np.array(t) for t in zip(*[row for row in table if row[2] is not None])]
+
+
+@pytest.mark.parametrize("dim,order", [(3, 4), (1, 5), ((2, 1), 4), ((3, 1), 3)])
+def test_mul_table_lists_every_pair_once_in_row_order(dim, order):
+    for got, ref in zip(jets._mul_table(dim, order), _brute_mul_table(dim, order)):
+        np.testing.assert_array_equal(got, ref)
+
+
+# -- the ring key (d, 1): d variables and one eps with eps^2 = 0
+
+
+def _ring_in_full(dim, order):
+    """Ranks among the jets of dim+1 variables of the ring (dim, 1)'s coefficients."""
+    rank = jets._rank(dim + 1, order)
+    return np.array([rank[a] for a in multi_indices((dim, 1), order)], dtype=np.intp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 7), st.tuples(*[st.integers(1, 3)] * 3),
+       st.integers(0, 2**32 - 1))
+def test_ring_products_partials_and_truncation_equal_the_full_ones(dim, order, shape, seed):
+    # on every coefficient of eps-degree <= 1, the ring computes bit for bit
+    # what the jets of dim+1 variables compute; its eps^2 pairs are never formed
+    rng = np.random.default_rng(seed)
+    r, m, s = shape
+    key, ring = (dim, 1), _ring_in_full(dim, order)
+    assert all(a[-1] <= 1 for a in multi_indices(key, order))
+    x = rng.standard_normal((r, m, jets._size(dim + 1, order)))
+    y = rng.standard_normal((m, s, jets._size(dim + 1, order)))
+    np.testing.assert_array_equal(jets.contract(x[..., ring], y[..., ring], key, order),
+                                  jets.contract(x, y, dim + 1, order)[..., ring])
+    a, b = Jet(key, order, x[0, 0, ring]), Jet(key, order, y[0, 0, ring])
+    full = Jet(dim + 1, order, x[0, 0]) * Jet(dim + 1, order, y[0, 0])
+    np.testing.assert_array_equal((a * b).coeffs, full.coeffs[ring])
+    if order:
+        full = jets.partials(x, dim + 1, order, dim)[..., _ring_in_full(dim, order - 1)]
+        np.testing.assert_array_equal(jets.partials(x[..., ring], key, order, dim), full)
+    for k in range(order + 1):
+        assert multi_indices(key, k) == multi_indices(key, order)[: jets._size(key, k)]
+        assert jets.order_of(key, jets._size(key, k)) == k
+        np.testing.assert_array_equal(ring[: jets._size(key, k)], _ring_in_full(dim, k))
+
+
+def test_ring_table_skips_the_eps_squared_pairs():
+    # 4 coordinates and eps at order 8: 18,018 of the 43,758 pairs of five
+    # full variables land on eps^2 or higher
+    assert jets._size(5, 8) == 1287 and jets._size((4, 1), 8) == 825
+    assert jets._mul_table(5, 8)[0].size == 43758
+    assert jets._mul_table((4, 1), 8)[0].size == 25740
 
 
 def test_dense_roundtrip_and_partials():
