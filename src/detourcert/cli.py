@@ -467,7 +467,7 @@ def _cmd_verify(args) -> int:
     except (ConfigError, MetricSyntaxError, MetricValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, prolong.CertificationError) as exc:
         # the metric (or a derived quantity) cannot be evaluated at a sample point
         print(f"error: evaluating {args.metric}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

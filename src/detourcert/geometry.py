@@ -77,8 +77,8 @@ def invert_jet_matrix(g: np.ndarray, dim) -> np.ndarray:
     below _PIVOT_FLOOR * max(1, max |g_ij|) raises SingularMetricError.  The
     higher coefficients follow one degree d at a time from g X = I:
     X_d = -X_0 sum g_a X_b over the product pairs a + b of degree d, summed
-    by the chunked loop of jets.contract while X_d is still zero, so every
-    pair of the product table is formed once.
+    by the kernel of jets.contract (its buckets sliced to degree d) while X_d
+    is still zero, so every pair of the product table is formed once.
     """
     n, order = g.shape[0], jets.order_of(dim, g.shape[-1])
     scale = max(1.0, float(np.max(np.abs(g[..., 0]))))

@@ -12,15 +12,15 @@ Derivatives are recovered by unscaling: d^alpha f = alpha! * f_alpha.
 
 Tensors of jets have a dense layout as well: a float array of shape
 tensor_shape + (ncoeff,) whose last axis holds each component's coefficient
-vector.  contract() is the one product kernel on that layout.  It takes the
-coefficient pairs (alpha, beta) of the product table, gathers them along a
-leading pair axis, runs one batched np.matmul that contracts the tensor index
-of every pair at once, and sums the pairs of each product coefficient
-alpha + beta with np.add.reduceat.  The pair axis is processed in chunks cut
-at product-coefficient boundaries, so the gathered temporaries stay within
-_CHUNK_BYTES.  to_dense() and to_jets() convert between the two layouts; the
-jets built by to_jets() view rows of the dense array.  Functions that accept
-either layout take as_dense() of their input and return like() it.
+vector.  contract() is the one product kernel on that layout: each product
+coefficient is one matmul over the joint index (pair, tensor index) of its
+pairs (alpha, beta).  Coefficients are bucketed by pair count and padded to a
+power of two (at least 8) with pairs that read an appended zero coefficient on
+both sides; a bucket runs in chunks of one gather per operand and one batched
+np.matmul within _CHUNK_BYTES.  Terms are summed in BLAS order, not
+Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
+between the layouts (to_jets() views rows of the dense array); functions that
+accept either layout take as_dense() of their input and return like() it.
 
 The variables of a jet are a number d, or the ring key (d, 1): d variables
 and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
@@ -95,11 +95,7 @@ def _mul_table(dim, order: int):
                 ia.append(i)
                 ib.append(j)
                 ic.append(c)
-    return (
-        np.asarray(ia, dtype=np.intp),
-        np.asarray(ib, dtype=np.intp),
-        np.asarray(ic, dtype=np.intp),
-    )
+    return tuple(np.asarray(t, dtype=np.intp) for t in (ia, ib, ic))
 
 
 @lru_cache(maxsize=None)
@@ -125,20 +121,29 @@ def _embed_table(dim: int, order: int, key, pad: tuple):
 # ---------------------------------------------------------------------------
 # dense jet tensors and the product kernel
 
-_CHUNK_BYTES = 1 << 18  # bound on the gathered temporaries of one contract() chunk
+_CHUNK_BYTES = 1 << 19  # bound on the gathered operands and products of one contract() chunk
 
 
 @lru_cache(maxsize=None)
-def _pair_runs(dim, order: int):
-    """_mul_table pairs sorted by product coefficient, and where each run starts.
+def _pair_runs(dim, order: int) -> tuple:
+    """Buckets (cs, ia, ib) of the coefficients whose P pairs pad to w = 2^k >= max(P, 8).
 
-    The sort is stable, so each coefficient sums its pairs in the order
-    Jet.__mul__ does.  (Jet.__mul__ keeps the unsorted table: its gathers
-    are faster in that order.)
+    cs is sorted (a degree range is a searchsorted slice); row i of the (len(cs), w) ranks
+    ia, ib is cs[i]'s pairs in _mul_table order, then pads (n, n), n = _size(dim, order).
+    The floor of 8 keeps low orders to one or two buckets.
     """
     ia, ib, ic = _mul_table(dim, order)
-    perm = np.argsort(ic, kind="stable")
-    return ia[perm], ib[perm], np.searchsorted(ic[perm], np.arange(_size(dim, order) + 1))
+    n, perm = _size(dim, order), np.argsort(ic, kind="stable")
+    sa, sb = np.append(ia[perm], n), np.append(ib[perm], n)  # last slot: the pad pair (n, n)
+    counts = np.bincount(ic, minlength=n)
+    widths = np.array([1 << max(3, (int(k) - 1).bit_length()) for k in counts])
+    buckets = []
+    for w in np.unique(widths):
+        cs = np.flatnonzero(widths == w)
+        run = (np.cumsum(counts) - counts)[cs, None] + np.arange(w)
+        slot = np.where(np.arange(w) < counts[cs, None], run, perm.size)
+        buckets.append((cs, sa[slot], sb[slot]))
+    return tuple(buckets)
 
 
 @lru_cache(maxsize=None)
@@ -167,20 +172,20 @@ def contract(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
 
 
 def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) -> np.ndarray:
-    """Coefficients c0..c1 of contract(x, y, dim, order), summed over their pairs in chunks."""
-    ia, ib, bounds = _pair_runs(dim, order)
-    xt, yt = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
-    shape = (x.shape[0], y.shape[1])
-    step = max(1, _CHUNK_BYTES // (8 * (xt[0].size + yt[0].size + math.prod(shape))))
-    out = np.empty(shape + (c1 - c0,))
-    c = c0
-    while c < c1:
-        p0 = bounds[c]
-        ce = min(c1, max(c + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1))
-        prods = np.matmul(xt[ia[p0 : bounds[ce]]], yt[ib[p0 : bounds[ce]]])
-        sums = np.add.reduceat(prods, bounds[c:ce] - p0, axis=0)
-        out[..., c - c0 : ce - c0] = sums.transpose(1, 2, 0)
-        c = ce
+    """Coefficients c0..c1 of contract: c is [x_a1 .. x_aw] @ [y_b1; ..; y_bw] over its pairs."""
+    n, (r, m), s = _size(dim, order), x.shape[:2], y.shape[1]
+    xz, yz = np.zeros((n + 1, m, r)), np.zeros((n + 1, m, s))  # row n: the pads' zero
+    xz[:n], yz[:n] = x.transpose(2, 1, 0), y.transpose(2, 0, 1)
+    out = np.empty((r, s, c1 - c0))
+    for cs, ia, ib in _pair_runs(dim, order):
+        lo, hi = np.searchsorted(cs, (c0, c1)) if c1 - c0 < n else (0, cs.size)
+        w = ia.shape[1]
+        step = max(1, _CHUNK_BYTES // (8 * (w * m * (r + s) + r * s)))
+        for k in range(lo, hi, step):
+            e = min(hi, k + step)  # one statement, so no chunk's gathers outlive it
+            out[..., cs[k:e] - c0] = np.matmul(
+                xz.take(ia[k:e], axis=0).reshape(e - k, w * m, r).transpose(0, 2, 1),
+                yz.take(ib[k:e], axis=0).reshape(e - k, w * m, s)).transpose(1, 2, 0)
     return out
 
 
@@ -452,9 +457,7 @@ def _reciprocal(a: Jet) -> Jet:
 
 def _dispatch(name, jet_fn, float_fn):
     def wrapper(x):
-        if isinstance(x, Jet):
-            return jet_fn(x)
-        return float_fn(x)
+        return jet_fn(x) if isinstance(x, Jet) else float_fn(x)
 
     wrapper.__name__ = name
     return wrapper
@@ -522,12 +525,7 @@ sin = _dispatch("sin", _sin_jet, math.sin)
 cos = _dispatch("cos", _cos_jet, math.cos)
 sinh = _dispatch("sinh", _sinh_jet, math.sinh)
 cosh = _dispatch("cosh", _cosh_jet, math.cosh)
-
-
-def tan(x):
-    if isinstance(x, Jet):
-        return _sin_jet(x) / _cos_jet(x)
-    return math.tan(x)
+tan = _dispatch("tan", lambda a: _sin_jet(a) / _cos_jet(a), math.tan)
 
 
 FUNCTIONS = {

@@ -2,11 +2,12 @@
 import json
 import math
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from detourcert import cli, detour, tractor
+from detourcert import cli, detour, prolong, tractor
 from detourcert.geometry import Geometry
 from detourcert.jets import Jet
 
@@ -222,6 +223,19 @@ def test_evaluation_error_exits_with_code_2(tmp_path, capsys, g11, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
+    # a transport whose integrator gives up is an evaluation error, not a traceback
+    def failing(*args, **kwargs):
+        return SimpleNamespace(success=False, message="forced")
+
+    monkeypatch.setattr(prolong, "solve_ivp", failing)
+    code = cli.main(["verify", "--metric", "generic_bump3", "--suite", "prolong",
+                     "--points", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "CertificationError: integrator failed: forced" in err
 
 
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):

@@ -8,6 +8,7 @@ without reference to the package internals.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,93 @@ def test_contract_is_independent_of_chunking(monkeypatch, chunk_bytes):
     whole = jets.contract(x, y, 5, 4)
     monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
     np.testing.assert_array_equal(jets.contract(x, y, 5, 4), whole)
+
+
+def ref_pair_sums(x, y, dim, order, c0, c1):
+    """Coefficients c0..c1 of contract by the reduceat kernel the bucketed one replaced.
+
+    One matmul per product pair over the pairs sorted stably by coefficient,
+    then np.add.reduceat over each coefficient's run, in chunks cut at
+    coefficient boundaries.
+    """
+    ia, ib, ic = jets._mul_table(dim, order)
+    perm = np.argsort(ic, kind="stable")
+    ia, ib = ia[perm], ib[perm]
+    bounds = np.searchsorted(ic[perm], np.arange(jets._size(dim, order) + 1))
+    xt, yt = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
+    shape = (x.shape[0], y.shape[1])
+    step = max(1, (1 << 18) // (8 * (xt[0].size + yt[0].size + math.prod(shape))))
+    out = np.empty(shape + (c1 - c0,))
+    c = c0
+    while c < c1:
+        p0 = bounds[c]
+        ce = min(c1, max(c + 1, int(np.searchsorted(bounds, p0 + step, side="right")) - 1))
+        prods = np.matmul(xt[ia[p0 : bounds[ce]]], yt[ib[p0 : bounds[ce]]])
+        sums = np.add.reduceat(prods, bounds[c:ce] - p0, axis=0)
+        out[..., c - c0 : ce - c0] = sums.transpose(1, 2, 0)
+        c = ce
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5, (1, 1), (2, 1), (3, 1), (4, 1)]), st.integers(0, 8),
+       st.one_of(st.tuples(*[st.integers(1, 4)] * 3), st.just((16, 4, 16))),
+       st.data(), st.integers(0, 2**32 - 1))
+def test_bucketed_kernel_matches_the_reduceat_reference(key, order, shape, data, seed):
+    # full range and the degree range [size(d-1), size(d)) that
+    # invert_jet_matrix asks for; each coefficient sums its terms in another
+    # order, so the bound is relative to the sum of their absolute values
+    rng = np.random.default_rng(seed)
+    r, m, s = shape
+    size = jets._size(key, order)
+    x, y = rng.standard_normal((r, m, size)), rng.standard_normal((m, s, size))
+    deg = data.draw(st.integers(0, order))
+    ranges = [(0, size), (jets._size(key, deg - 1) if deg else 0, jets._size(key, deg))]
+    for c0, c1 in ranges:
+        got = jets._pair_sums(x, y, key, order, c0, c1)
+        ref = ref_pair_sums(x, y, key, order, c0, c1)
+        scale = ref_pair_sums(np.abs(x), np.abs(y), key, order, c0, c1)
+        assert got.shape == ref.shape == (r, s, c1 - c0)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale), (c0, c1)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, None])
+@pytest.mark.parametrize("key,order", [(4, 5), ((3, 1), 5)])
+def test_padding_is_never_read(monkeypatch, key, order, chunk_bytes):
+    # a NaN in coefficient a of one operand reaches exactly the coefficients
+    # a + b of the product table; a pad that read a real coefficient k > 0 of
+    # either operand would spread a NaN planted there to padded coefficients
+    if chunk_bytes is not None:
+        monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
+    ia, ib, ic = jets._mul_table(key, order)
+    n = jets._size(key, order)
+    assert sum(a.size for _, a, _ in jets._pair_runs(key, order)) > ia.size  # pads exist
+    rng = np.random.default_rng(4)
+    for a in (0, 1, n // 2, n - 1):
+        for side, ranks in (("x", ia), ("y", ib)):
+            x, y = rng.standard_normal((2, 3, n)), rng.standard_normal((3, 2, n))
+            (x if side == "x" else y)[0, 0, a] = np.nan
+            out = jets.contract(x, y, key, order)
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
+            np.testing.assert_array_equal(bad, np.unique(ic[ranks == a]), err_msg=f"{side}[{a}]")
+
+
+def test_contract_memory_stays_within_its_chunk_budget():
+    # order-8 ring, Riemann shape (16 x 4 @ 4 x 16): the coefficient-major
+    # operand copies and one chunk of gathers; gathering every padded pair at
+    # once would take 36 MB
+    key, order = (4, 1), 8
+    n = jets._size(key, order)
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((16, 4, n)), rng.standard_normal((4, 16, n))
+    jets.contract(x, y, key, order)  # tables warm
+    tracemalloc.start()
+    try:
+        out = jets.contract(x, y, key, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * jets._CHUNK_BYTES, peak - out.nbytes
 
 
 def _brute_mul_table(dim, order):

@@ -40,3 +40,33 @@ def test_verdict_changes_are_listed_and_residual_changes_are_not():
     new[0][3] = json.dumps(report)
     changes, _, _ = report_diff.compare(old, new)
     assert len(changes) == 2 and "exit code 0 -> 1" in changes[0]
+
+
+def test_the_five_largest_residual_changes_are_listed():
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import report_diff
+    finally:
+        sys.path.pop(0)
+    worker = subprocess.run([sys.executable, str(TOOL), "--worker", str(ROOT / "src"),
+                             "--metrics", "flat4", "--suites", "curvature,tractor"],
+                            capture_output=True, text=True, timeout=300, check=True)
+    old = json.loads(worker.stdout)
+    new, moved, k = copy.deepcopy(old), [], 0
+    for row in new:
+        report = json.loads(row[3])
+        for check in report["checks"]:
+            k += 1
+            check["max_residual"] += 1e-15 * k
+            moved.append((k, f"{row[0]}/{row[1]} {check['id']} max_residual",
+                          check["max_residual"]))
+        row[3] = json.dumps(report)
+    changes, _, residuals = report_diff.compare(old, new)
+    assert changes == [] and len(residuals) == k > 5
+    lines = report_diff.residual_lines(residuals)
+    assert lines[0] == f"{k} residuals changed, the 5 largest:"
+    assert len(lines) == 6
+    # largest first, each naming metric/suite, check and old -> new
+    for line, (_, where, value) in zip(lines[1:], sorted(moved, reverse=True)):
+        assert f"  {where}: " in line and line.endswith(f" -> {value!r}")
+    assert report_diff.residual_lines([]) == ["0 residuals changed"]

@@ -9,9 +9,9 @@ metrics) the script runs `detourcert verify --format json`, all of one tree
 in one subprocess, and then lists every report whose exit code, overall
 `passed`, check ids, or per-check `passed`, `expected_negative` or other
 non-residual field changed.  It prints how many reports are byte-identical,
-how many residuals (`max_residual`, `prediction_gap`) changed and the
-largest change.  The exit code is 1 when anything besides a residual
-changed, else 0.
+how many residuals (`max_residual`, `prediction_gap`) changed, and the five
+largest changes with their metric, suite, check and old -> new values.  The
+exit code is 1 when anything besides a residual changed, else 0.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 RESIDUALS = ("max_residual", "prediction_gap")
+LARGEST = 5  # residual changes listed
 
 
 def run_reports(src: str, metrics: list | None, suites: list | None) -> list:
@@ -91,6 +92,15 @@ def compare(old: list, new: list) -> tuple:
     return changes, identical, residuals
 
 
+def residual_lines(residuals: list) -> list:
+    """The count of residual changes, then the LARGEST biggest, one line each."""
+    if not residuals:
+        return ["0 residuals changed"]
+    top = sorted(residuals, key=lambda r: r[0], reverse=True)[:LARGEST]
+    return [f"{len(residuals)} residuals changed, the {len(top)} largest:"] + [
+        f"  {delta:.3e}  {where}: {a!r} -> {b!r}" for delta, where, a, b in top]
+
+
 def _worker_cmd(src: str, args) -> list:
     cmd = [sys.executable, __file__, "--worker", src]
     if args.metrics:
@@ -127,12 +137,8 @@ def main(argv=None) -> int:
     print(f"{len(sides[0])} reports, {identical} byte-identical")
     for line in changes:
         print("changed: " + line)
-    if residuals:
-        delta, where, a, b = max(residuals)
-        print(f"{len(residuals)} residuals changed, "
-              f"largest by {delta:.3e} ({where}: {a!r} -> {b!r})")
-    else:
-        print("0 residuals changed")
+    for line in residual_lines(residuals):
+        print(line)
     return 1 if changes else 0
 
 
