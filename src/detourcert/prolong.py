@@ -12,8 +12,10 @@ handles on that space:
 * parallel transport: integrate v' = -Theta(c'(t)) v along explicit
   curves with an independent tighter re-solve as an error certificate.
 
-Transport rebuilds low-order geometry at every right-hand-side
-evaluation, so it consumes only the metric text, not a fixed chart jet.
+Transport consumes only the metric text, not a fixed chart jet: it
+rebuilds order-2 geometry once per distinct stage time of the
+integrator.  The integrator is Dormand-Prince 5(4) with RK45's step
+control, in-repo, so no start of the program imports scipy.integrate.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .connections import Connection, covd_endomorphism, curvature
 from .geometry import Geometry
@@ -84,6 +85,96 @@ def _theta_values(spec, builder, point) -> np.ndarray:
     return builder(Geometry(spec, point, order=2)).theta[..., 0]
 
 
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980), with the step control
+# of Hairer, Norsett & Wanner, Solving ODEs I, II.4.  The arithmetic is that
+# of scipy's RK45 operation for operation, so end states and nfev match it
+# bit for bit.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dopri45(matrix_at: Callable, t0: float, t1: float, y0: np.ndarray,
+             rtol: float, atol: float) -> tuple:
+    """Integrate y' = -M(t) y from t0 to t1; returns (y(t1), nfev).
+
+    matrix_at(t) = M(t) is called once per distinct stage time: the c = 1
+    stage and the first-same-as-last derivative share t + h, so a step
+    attempt costs 5 matrices.  nfev is RK45's count of right-hand sides,
+    2 + 6 per attempt.  A non-finite right-hand side raises at once.
+    """
+    t, t1, y = float(t0), float(t1), np.asarray(y0, dtype=float)
+    if t == t1:
+        return y, 1
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    direction = np.sign(t1 - t)
+
+    def deriv(s, m, v):
+        f = -(m @ v)
+        if not np.isfinite(f).all():
+            raise CertificationError(
+                f"integrator failed: non-finite right-hand side at t={float(s)!r}")
+        return f
+
+    # initial step: Hairer-Norsett-Wanner's two-evaluation estimate
+    f = deriv(t, matrix_at(t), y)
+    interval = abs(t1 - t)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    s = t + h0 * direction
+    d2 = _rms((deriv(s, matrix_at(s), y + h0 * direction * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (
+        (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, interval)
+    nfev = 2
+
+    k = np.empty((7, y.size))
+    while direction * (t - t1) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise CertificationError("integrator failed: Required step size "
+                                         "is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for i in range(1, 6):
+                s = t + _C[i] * h
+                m = matrix_at(s)
+                k[i] = deriv(s, m, y + np.dot(k[:i].T, _A[i, :i]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            f_new = k[6] = deriv(t + h, m, y_new)  # the c = 1 stage's matrix
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(k.T, _E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y, nfev
+
+
 def transport(spec, builder: Callable, curve: Callable, v0,
               t0: float = 0.0, t1: float = 1.0,
               rtol: float = 1e-10, atol: float = 1e-12,
@@ -96,29 +187,21 @@ def transport(spec, builder: Callable, curve: Callable, v0,
     CertificationError if the certificate exceeds it.  refine=False
     skips the second solve (no certificate; error reported as nan).
     """
-    v0 = np.asarray(v0, dtype=float)
-
-    def rhs(t, v):
+    def connection(t):
         point, vel = curve(t)
         th = _theta_values(spec, builder, tuple(point))
-        a_mat = np.tensordot(np.asarray(vel, dtype=float), th, axes=(0, 0))
-        return -(a_mat @ v)
+        return np.tensordot(np.asarray(vel, dtype=float), th, axes=(0, 0))
 
-    sols = []
-    for factor in (1.0, 0.01)[: 2 if refine else 1]:
-        res = solve_ivp(rhs, (t0, t1), v0, method="RK45",
-                        rtol=rtol * factor, atol=atol * factor, dense_output=False)
-        if not res.success:
-            raise CertificationError(f"integrator failed: {res.message}")
-        sols.append(res)
+    end, nfev = _dopri45(connection, t0, t1, v0, rtol, atol)
     if not refine:
-        return TransportResult(sols[0].y[:, -1], float("nan"), sols[0].nfev)
-    err = float(np.max(np.abs(sols[0].y[:, -1] - sols[1].y[:, -1])))
+        return TransportResult(end, float("nan"), nfev)
+    fine_end, fine_nfev = _dopri45(connection, t0, t1, v0, rtol * 0.01, atol * 0.01)
+    err = float(np.max(np.abs(end - fine_end)))
     if certify_tol is not None and err > certify_tol:
         raise CertificationError(
             f"transport certificate {err:.3e} exceeds tolerance {certify_tol:.1e}"
         )
-    return TransportResult(sols[1].y[:, -1], err, sols[0].nfev + sols[1].nfev)
+    return TransportResult(fine_end, err, nfev + fine_nfev)
 
 
 def segment(p0: Sequence[float], p1: Sequence[float]) -> Callable:

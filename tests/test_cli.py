@@ -1,8 +1,11 @@
 """Harness behavior: determinism, exit codes, expected negatives, formats."""
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import cached_property
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,15 +230,28 @@ def test_evaluation_error_exits_with_code_2(tmp_path, capsys, g11, name):
 
 def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
     # a transport whose integrator gives up is an evaluation error, not a traceback
-    def failing(*args, **kwargs):
-        return SimpleNamespace(success=False, message="forced")
+    def non_finite(spec, builder, point):
+        return np.full((len(point), spec.dim + 2, spec.dim + 2), np.nan)
 
-    monkeypatch.setattr(prolong, "solve_ivp", failing)
+    monkeypatch.setattr(prolong, "_theta_values", non_finite)
     code = cli.main(["verify", "--metric", "generic_bump3", "--suite", "prolong",
                      "--points", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "CertificationError: integrator failed: forced" in err
+    assert err.startswith("error:") and "CertificationError: integrator failed" in err
+
+
+def test_start_imports_no_heavy_scipy_subpackages():
+    # every `detourcert` start pays for what importing the CLI pulls in
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, detourcert.cli; "
+         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):

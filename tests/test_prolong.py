@@ -1,8 +1,11 @@
 """Prolongation connections: obstruction ranks and certified transport."""
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from detourcert import prolong
+from detourcert import catalog, prolong
 from detourcert.connections import (
     killing_connection,
     polynomial_connection,
@@ -240,3 +243,96 @@ def test_certificate_reported_and_small():
     res = prolong.transport(SPHERE4, tractor_connection, prolong.segment(p0, p1), v0)
     assert res.error < 1e-8
     assert res.nfev > 0
+
+
+# -- the Dormand-Prince stepper against scipy's RK45 --------------------------
+
+
+def _linear(t):
+    return np.array([[0.0, 1.0 + t], [-1.0 - t, 0.2 * np.cos(3 * t)]])
+
+
+def _kicked_rotation(t):
+    # a narrow burst of angular speed makes the step control reject steps
+    return np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1.0 + 40.0 * np.exp(-((t - 0.6) / 0.05) ** 2))
+
+
+def _rk45(matrix_at, t0, t1, y0, rtol, atol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns when it raises rtol to its floor
+        return solve_ivp(lambda t, y: -(matrix_at(t) @ y), (t0, t1), y0,
+                         method="RK45", rtol=rtol, atol=atol)
+
+
+def _counted(fn, calls):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("matrix_at,t0,t1,rtol,rejects", [
+    (_linear, 0.0, 2.0, 1e-9, False),
+    (_linear, 2.0, -1.0, 1e-9, False),  # backwards in time
+    (_kicked_rotation, 0.0, 1.0, 1e-6, True),
+    (_linear, 0.0, 2.0, 1e-16, False),  # below the 100 eps floor on rtol
+])
+def test_stepper_matches_scipy_rk45_bit_for_bit(matrix_at, t0, t1, rtol, rejects):
+    y0 = np.array([1.0, 0.5])
+    ref = _rk45(matrix_at, t0, t1, y0, rtol, 1e-2 * rtol)
+    calls = []
+    end, nfev = prolong._dopri45(_counted(matrix_at, calls), t0, t1, y0, rtol, 1e-2 * rtol)
+    assert np.array_equal(end, ref.y[:, -1])
+    assert nfev == ref.nfev
+    attempts, rest = divmod(nfev - 2, 6)
+    assert rest == 0 and len(calls) == 2 + 5 * attempts
+    if rejects:
+        assert attempts > len(ref.t) - 1
+
+
+def _tractor_segment(name, seed):
+    entry = catalog.get(name)
+    rng = np.random.default_rng(seed)
+    p0 = np.array(entry.sample_point(rng))
+    p1 = p0 + 0.4 * (np.array(entry.sample_point(rng)) - p0)
+    return entry.spec(), prolong.segment(p0, p1), rng.standard_normal(entry.spec().dim + 2)
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-12])
+def test_tractor_transport_matches_scipy_rk45(monkeypatch, rtol):
+    spec, curve, v0 = _tractor_segment("generic_bump4", 0)
+
+    def connection(t):
+        point, vel = curve(t)
+        th = prolong._theta_values(spec, tractor_connection, tuple(point))
+        return np.tensordot(vel, th, axes=(0, 0))
+
+    ref = _rk45(connection, 0.0, 1.0, v0, rtol, 1e-2 * rtol)
+    builds = []
+    monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
+    res = prolong.transport(spec, tractor_connection, curve, v0, rtol=rtol,
+                            atol=1e-2 * rtol, refine=False)
+    assert np.array_equal(res.end, ref.y[:, -1])
+    assert res.nfev == ref.nfev
+    assert len(builds) == 2 + 5 * (ref.nfev - 2) // 6
+
+
+def test_non_finite_stage_fails_at_once(monkeypatch):
+    # past the middle of the segment the connection is NaN; the integrator
+    # stops at the first such build instead of shrinking h to its floor
+    spec, curve, v0 = _tractor_segment("generic_bump4", 1)
+    middle = curve(0.5)[0]
+    theta = prolong._theta_values
+    poisoned_builds = []  # one flag per build
+
+    def poisoned(spec, builder, point):
+        th = theta(spec, builder, point)
+        poisoned_builds.append(np.dot(np.subtract(point, middle), curve(0.0)[1]) > 0)
+        return np.full_like(th, np.nan) if poisoned_builds[-1] else th
+
+    monkeypatch.setattr(prolong, "_theta_values", poisoned)
+    with pytest.raises(prolong.CertificationError,
+                       match="integrator failed: non-finite right-hand side at t="):
+        prolong.transport(spec, tractor_connection, curve, v0, rtol=1e-9, atol=1e-11)
+    # scipy's RK45 spends about 500 builds here shrinking h down to 10 ulp
+    assert poisoned_builds[-1] and not any(poisoned_builds[:-1])
