@@ -137,24 +137,24 @@ def killing_connection(geom: Geometry) -> Connection:
             return None, 0.0
         return (n + pos[(b, c)], 1.0) if b < c else (n + pos[(c, b)], -1.0)
 
-    th = np.zeros((n, rank, rank, gam.shape[-1]))  # axes [a, row, column]
-    th[:, :n, :n] = -gam.transpose(1, 2, 0, 3)
+    th = np.zeros(gam.shape[:-4] + (n, rank, rank, gam.shape[-1]))  # axes [..., a, row, column]
+    th[..., :n, :n, :] = -np.moveaxis(gam, -4, -2)
     for a in range(n):
         for b in range(n):
             idx, sgn = mu_slot(a, b)
             if idx is not None:
-                th[a, b, idx, 0] -= sgn
+                th[..., a, b, idx, 0] -= sgn
     for b, c in pairs:
         row = n + pos[(b, c)]
-        th[:, row, :n] = -riem[b, c].transpose(1, 0, 2)
+        th[..., row, :n, :] = -riem[..., b, c, :, :, :].swapaxes(-3, -2)
         for d in range(n):
             # LC action on both antisymmetric slots
             idx, sgn = mu_slot(d, c)
             if idx is not None:
-                th[:, row, idx] -= sgn * gam[d, :, b]
+                th[..., row, idx, :] -= sgn * gam[..., d, :, b, :]
             idx, sgn = mu_slot(b, d)
             if idx is not None:
-                th[:, row, idx] -= sgn * gam[d, :, c]
+                th[..., row, idx, :] -= sgn * gam[..., d, :, c, :]
     return Connection(geom, rank, th, label="killing")
 
 

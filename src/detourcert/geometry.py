@@ -27,6 +27,11 @@ stage computes only its dense array (Geometry.dense); its public attribute,
 jets viewing that array, is built on first access.  covd_array accepts and
 returns either layout; trace and lower contract the leading slots of a dense
 array with the inverse metric and the metric.
+
+A batch of P points (the stage points of prolong.transport) gives the stages
+up to Schouten (Geometry._BATCHED) a leading points axis, bit-identical per
+point to a single-point Geometry; later stages, covd_array, trace and lower
+raise ValueError on a batch.
 """
 from __future__ import annotations
 
@@ -71,32 +76,36 @@ _PIVOT_FLOOR = 1e-12  # relative to max(1, max |g_ij|) at the base point
 
 
 def invert_jet_matrix(g: np.ndarray, dim) -> np.ndarray:
-    """Inverse of a dense (n, n, ncoeff) jet matrix in dim variables (or a ring key).
+    """Inverse of a dense (..., n, n, ncoeff) jet matrix in dim variables (or a ring key).
 
-    The values are inverted by Gauss-Jordan with partial pivoting; a pivot
-    below _PIVOT_FLOOR * max(1, max |g_ij|) raises SingularMetricError.  The
-    higher coefficients follow one degree d at a time from g X = I:
+    The values are inverted by Gauss-Jordan with partial pivoting, pivots
+    chosen per point of the leading axes; a pivot below _PIVOT_FLOOR *
+    max(1, max |g_ij|) of its point raises SingularMetricError.  The higher
+    coefficients follow one degree d at a time from g X = I:
     X_d = -X_0 sum g_a X_b over the product pairs a + b of degree d, summed
     by the kernel of jets.contract (its buckets sliced to degree d) while X_d
     is still zero, so every pair of the product table is formed once.
     """
-    n, order = g.shape[0], jets.order_of(dim, g.shape[-1])
-    scale = max(1.0, float(np.max(np.abs(g[..., 0]))))
-    ax = np.concatenate([g[..., 0], np.eye(n)], axis=1)  # [g | I] -> [I | g^-1]
+    lead, n, order = g.shape[:-3], g.shape[-2], jets.order_of(dim, g.shape[-1])
+    g0 = g[..., 0].reshape(-1, n, n)
+    pts, eye = np.arange(len(g0)), np.eye(n)
+    floor = _PIVOT_FLOOR * np.maximum(1.0, np.max(np.abs(g0), axis=(1, 2)))
+    ax = np.concatenate([g0, np.zeros_like(g0) + eye], axis=2)  # [g | I] -> [I | g^-1]
     for col in range(n):
-        p = col + int(np.argmax(np.abs(ax[col:, col])))
-        if abs(ax[p, col]) < _PIVOT_FLOOR * scale:
+        mag = np.abs(ax[:, col:, col])
+        if (mag.max(axis=1) < floor).any():  # a point's pivot: its largest |entry|
             raise SingularMetricError(f"metric is singular (pivot {col})")
-        if p != col:
-            ax[[col, p]] = ax[[p, col]]
-        ax[col] *= 1.0 / ax[col, col]
-        ax -= np.outer(np.where(np.arange(n) == col, 0.0, ax[:, col]), ax[col])
+        p = col + mag.argmax(axis=1)
+        if (p != col).any():  # swap rows col and p, per point
+            ax[pts, col], ax[pts, p] = ax[pts, p], ax[pts, col]
+        ax[:, col] *= 1.0 / ax[:, col, col, None]
+        ax -= np.where(eye[col], 0.0, ax[:, :, col])[:, :, None] * ax[:, None, col]
     inv = np.zeros(g.shape)
-    inv[..., 0] = ax[:, n:]
+    inv[..., 0] = ax[:, :, n:].reshape(lead + (n, n))
     for deg in range(1, order + 1):
         c0, c1 = jets._size(dim, deg - 1), jets._size(dim, deg)
         s = jets._pair_sums(g, inv, dim, order, c0, c1)
-        inv[..., c0:c1] = -(inv[..., 0] @ s.reshape(n, -1)).reshape(s.shape)
+        inv[..., c0:c1] = -(inv[..., 0] @ s.reshape(lead + (n, -1))).reshape(s.shape)
     return inv
 
 
@@ -113,34 +122,39 @@ class _stage(cached_property):
 
 
 class Geometry:
-    """Cached jets of the curvature chain for one metric at one point.
+    """Cached jets of the curvature chain for one metric at one point, or at a batch.
 
     The metric comes from a spec, or as metric_jets: an (n, n) object array
     of jets or a dense (n, n, ncoeff) array, kept in g as given.  The jets
     may carry more variables than the manifold has coordinates (extra
     passive parameters); geometric derivatives only ever touch the first n
-    slots.
+    slots.  A (P, n) array of points, or a dense (P, n, n, ncoeff) metric,
+    makes a batch (see the module docstring).
     """
+
+    _BATCHED = frozenset({"g", "ginv", "gamma", "riemann", "ricci", "scalar", "jtrace", "schouten"})
 
     def __init__(self, spec=None, point=None, order: int = 4, *, metric_jets=None):
         if order is None or int(order) < 0:
             raise ValueError(f"bad jet order {order!r}")
         self.order = int(order)
         self.spec = spec
+        pts = np.asarray(() if point is None else point, dtype=float)
+        vals = pts.tolist()  # (P, n) points make a batch
+        self.point = None if point is None else tuple(map(tuple, vals) if pts.ndim == 2 else vals)
         if metric_jets is None:
             if spec is None:
                 raise ValueError("need a metric spec or explicit metric jets")
-            if point is None or len(point) != spec.dim:
+            if point is None or pts.ndim > 2 or pts.shape[-1:] != (spec.dim,):
                 raise ValueError(f"point must have {spec.dim} coordinates")
-            self.point = tuple(float(x) for x in point)
-            self.g = spec.metric_jets(self.point, self.order)
+            self.g = spec.metric_jets(self.point, self.order) if pts.ndim == 1 else np.stack(
+                [jets.to_dense(spec.metric_jets(p, self.order)) for p in self.point])
         else:
-            self.point = None if point is None else tuple(float(x) for x in point)
             self.g = metric_jets
-        self.n = self.g.shape[0]
+        self._dense = {"g": jets.as_dense(self.g)}
+        self.lead, self.n = self._dense["g"].shape[:-3], self._dense["g"].shape[-2]
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
-        self._dense = {"g": jets.as_dense(self.g)}
         # the jets carry the n coordinates, possibly passive parameters, and
         # possibly one eps with eps^2 = 0 (the ring key (d, 1) of jets)
         ncoeff, self.jet_dim = self._dense["g"].shape[-1], self.n
@@ -164,13 +178,22 @@ class Geometry:
         """Dense coefficients of "g" or a stage, computed once, optionally truncated."""
         x = self._dense.get(stage)
         if x is None:
+            if stage not in self._BATCHED:
+                self._single(stage)
             # through the class attribute, so that a wrapper installed there
             # sees every stage computation; contiguous, so that views share it
             x = self._dense[stage] = np.ascontiguousarray(getattr(type(self), stage).func(self))
         return x if order is None else x[..., : jets._size(self.jet_dim, order)]
 
+    def _single(self, what: str):
+        if self.lead:
+            raise ValueError(f"{what} is not computed on a batch of points")
+
     def _contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return jets.contract(x, y, self.jet_dim, jets.order_of(self.jet_dim, x.shape[-1]))
+
+    def _shape(self, x: np.ndarray, *shape) -> np.ndarray:
+        return x.reshape(self.lead + shape)
 
     # -- curvature chain ------------------------------------------------------
     # Each stage computes its dense array from the dense arrays of earlier stages.
@@ -184,10 +207,10 @@ class Geometry:
         """Gamma[c, a, b] = Gam^c_ab at order K-1."""
         self.require(1, "christoffel")
         n, k = self.n, self.order - 1
-        dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n)  # d_a g_db at [a, d, b]
-        low = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg  # [d, a, b]
-        gam = self._contract(self.dense("ginv", k), low.reshape(n, n * n, -1)) * 0.5
-        return gam.reshape(n, n, n, -1)
+        dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n, len(self.lead))
+        low = dg.swapaxes(-4, -3) + np.moveaxis(dg, -4, -2) - dg  # [d, a, b]; dg: d_a g_db at [a, d, b]
+        gam = self._contract(self.dense("ginv", k), self._shape(low, n, n * n, -1)) * 0.5
+        return self._shape(gam, n, n, n, -1)
 
     @_stage
     def riemann(self) -> np.ndarray:
@@ -197,11 +220,11 @@ class Geometry:
         gam = self.dense("gamma")
         low = self.dense("gamma", k)
         # d_a Gam^c_bd + Gam^c_ae Gam^e_bd, laid out [a, c, b, d]
-        half = jets.partials(gam, self.jet_dim, k + 1, n)
-        half += self._contract(low.transpose(1, 0, 2, 3).reshape(n * n, n, -1),
-                               low.reshape(n, n * n, -1)).reshape(n, n, n, n, -1)
-        half = half.transpose(0, 2, 1, 3, 4)
-        return np.subtract(half, half.transpose(1, 0, 2, 3, 4), order="C")
+        half = jets.partials(gam, self.jet_dim, k + 1, n, len(self.lead))
+        half += self._shape(self._contract(self._shape(low.swapaxes(-4, -3), n * n, n, -1),
+                                           self._shape(low, n, n * n, -1)), n, n, n, n, -1)
+        half = half.swapaxes(-4, -3)
+        return np.subtract(half, half.swapaxes(-5, -4), order="C")
 
     @_stage
     def riemann_down(self) -> np.ndarray:
@@ -212,14 +235,14 @@ class Geometry:
 
     @_stage
     def ricci(self) -> np.ndarray:
-        return np.trace(self.dense("riemann"), axis1=0, axis2=2)
+        return np.trace(self.dense("riemann"), axis1=-5, axis2=-3)
 
     @_stage
     def scalar(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        sc = self._contract(self.dense("ginv", k).reshape(1, n * n, -1),
-                            self.dense("ricci").reshape(n * n, 1, -1))
-        return sc[0, 0]
+        sc = self._contract(self._shape(self.dense("ginv", k), 1, n * n, -1),
+                            self._shape(self.dense("ricci"), n * n, 1, -1))
+        return sc[..., 0, 0, :]
 
     @_stage
     def jtrace(self) -> np.ndarray:
@@ -228,9 +251,9 @@ class Geometry:
     @_stage
     def schouten(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        jg = self._contract(self.dense("jtrace").reshape(1, 1, -1),
-                            self.dense("g", k).reshape(1, n * n, -1))
-        return (self.dense("ricci") - jg.reshape(n, n, -1)) / float(n - 2)
+        jg = self._contract(self._shape(self.dense("jtrace"), 1, 1, -1),
+                            self._shape(self.dense("g", k), 1, n * n, -1))
+        return (self.dense("ricci") - self._shape(jg, n, n, -1)) / float(n - 2)
 
     @_stage
     def schouten_up(self) -> np.ndarray:
@@ -279,6 +302,7 @@ class Geometry:
         comps is an object array of jets or a dense coefficient array; the
         result comes in the same layout.
         """
+        self._single("covd_array")
         x = jets.as_dense(comps)
         order_in = jets.order_of(self.jet_dim, x.shape[-1])
         out_order = order_in - 1
@@ -299,6 +323,7 @@ class Geometry:
 
     def trace(self, x: np.ndarray) -> np.ndarray:
         """g^{ea} x[e, a, ...] for a dense x whose first two axes are down slots."""
+        self._single("trace")
         n = self.n
         gl = self.dense("ginv")[..., : x.shape[-1]]
         tr = self._contract(gl.reshape(1, n * n, -1), x.reshape(n * n, -1, x.shape[-1]))
@@ -306,6 +331,7 @@ class Geometry:
 
     def lower(self, x: np.ndarray) -> np.ndarray:
         """g_ab x[b, ...] for a dense x whose first axis is an up slot."""
+        self._single("lower")
         n = self.n
         low = self._contract(self.dense("g")[..., : x.shape[-1]], x.reshape(n, -1, x.shape[-1]))
         return low.reshape(x.shape)

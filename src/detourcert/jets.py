@@ -12,12 +12,14 @@ Derivatives are recovered by unscaling: d^alpha f = alpha! * f_alpha.
 
 Tensors of jets have a dense layout as well: a float array of shape
 tensor_shape + (ncoeff,) whose last axis holds each component's coefficient
-vector.  contract() is the one product kernel on that layout: each product
-coefficient is one matmul over the joint index (pair, tensor index) of its
-pairs (alpha, beta).  Coefficients are bucketed by pair count and padded to a
-power of two (at least 8) with pairs that read an appended zero coefficient on
-both sides; a bucket runs in chunks of one gather per operand and one batched
-np.matmul within _CHUNK_BYTES.  Terms are summed in BLAS order, not
+vector, behind optional leading points axes.  contract() is the one product
+kernel on that layout: each product coefficient is one matmul over the joint
+index (pair, tensor index) of its pairs (alpha, beta), at every point.
+Coefficients are bucketed by pair count and padded to a power of two (at
+least 8) with pairs that read an appended zero coefficient on both sides; a
+bucket runs in chunks of one gather per operand and one batched np.matmul
+within _CHUNK_BYTES, whose stack axis holds the points too, into the rows of
+a coefficient-major buffer.  Terms are summed in BLAS order, not
 Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
 between the layouts (to_jets() views rows of the dense array); functions that
 accept either layout take as_dense() of their input and return like() it.
@@ -163,38 +165,42 @@ def order_of(dim, ncoeff: int) -> int:
 
 
 def contract(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
-    """Jet matrix product of dense arrays: out[i, j] = sum_k x[i, k] * y[k, j].
+    """Jet matrix product of dense arrays: out[..., i, j] = sum_k x[..., i, k] * y[..., k, j].
 
-    x has shape (r, m, ncoeff) and y (m, s, ncoeff); every entry product is
-    the truncated Taylor product of Jet.__mul__.
+    x has shape (..., r, m, ncoeff) and y (..., m, s, ncoeff), with the same leading
+    points axes; every entry product is the truncated Taylor product of Jet.__mul__,
+    and each point's result is bit-identical to a call on that point alone.
     """
     return _pair_sums(x, y, dim, order, 0, _size(dim, order))
 
 
 def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) -> np.ndarray:
     """Coefficients c0..c1 of contract: c is [x_a1 .. x_aw] @ [y_b1; ..; y_bw] over its pairs."""
-    n, (r, m), s = _size(dim, order), x.shape[:2], y.shape[1]
-    xz, yz = np.zeros((n + 1, m, r)), np.zeros((n + 1, m, s))  # row n: the pads' zero
-    xz[:n], yz[:n] = x.transpose(2, 1, 0), y.transpose(2, 0, 1)
-    out = np.empty((r, s, c1 - c0))
+    n, lead, (r, m), s = _size(dim, order), x.shape[:-3], x.shape[-3:-1], y.shape[-2]
+    x, y = (x[None], y[None]) if not lead else (  # one stack axis b of points
+        x.reshape(-1, r, m, x.shape[-1]), y.reshape(-1, m, s, y.shape[-1]))
+    b = len(x)
+    xz, yz = np.zeros((b, n + 1, m, r)), np.zeros((b, n + 1, m, s))  # row n: the pads' zero
+    xz[:, :n], yz[:, :n] = x.transpose(0, 3, 2, 1), y.transpose(0, 3, 1, 2)
+    out = np.empty((c1, b, r, s))  # the rows below c0 are neither written nor read
     for cs, ia, ib in _pair_runs(dim, order):
         lo, hi = np.searchsorted(cs, (c0, c1)) if c1 - c0 < n else (0, cs.size)
         w = ia.shape[1]
-        step = max(1, _CHUNK_BYTES // (8 * (w * m * (r + s) + r * s)))
+        step = max(1, _CHUNK_BYTES // (8 * b * (w * m * (r + s) + r * s)))
         for k in range(lo, hi, step):
             e = min(hi, k + step)  # one statement, so no chunk's gathers outlive it
-            out[..., cs[k:e] - c0] = np.matmul(
-                xz.take(ia[k:e], axis=0).reshape(e - k, w * m, r).transpose(0, 2, 1),
-                yz.take(ib[k:e], axis=0).reshape(e - k, w * m, s)).transpose(1, 2, 0)
-    return out
+            out[cs[k:e]] = np.matmul(
+                xz.take(ia[k:e], axis=1).reshape(b, e - k, w * m, r).swapaxes(2, 3),
+                yz.take(ib[k:e], axis=1).reshape(b, e - k, w * m, s)).swapaxes(0, 1)
+    return out[c0:].transpose(1, 2, 3, 0).reshape(lead + (r, s, c1 - c0))
 
 
-def partials(x: np.ndarray, dim, order: int, slots: int) -> np.ndarray:
-    """d/dx_s of every entry of a dense array for s < slots, as a new leading axis."""
+def partials(x: np.ndarray, dim, order: int, slots: int, lead: int = 0) -> np.ndarray:
+    """d/dx_s of every entry of a dense array for s < slots, as a new axis after lead axes."""
     src, mul = _partials_table(dim, order, slots)
     out = x[..., src]
     out *= mul
-    return np.moveaxis(out, -2, 0)
+    return np.moveaxis(out, -2, lead)
 
 
 def to_dense(arr) -> np.ndarray:

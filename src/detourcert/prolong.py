@@ -13,9 +13,11 @@ handles on that space:
   curves with an independent tighter re-solve as an error certificate.
 
 Transport consumes only the metric text, not a fixed chart jet: it
-rebuilds order-2 geometry once per distinct stage time of the
-integrator.  The integrator is Dormand-Prince 5(4) with RK45's step
-control, in-repo, so no start of the program imports scipy.integrate.
+rebuilds order-2 geometry at the stage times of the integrator, Dormand-
+Prince 5(4) with RK45's step control, in-repo (no start of the program
+imports scipy.integrate).  A(t) = Theta(c(t)) c'(t) does not depend on v,
+so the five stage points of a step attempt share one batched Geometry
+(a leading points axis), bit-identical to five single-point builds.
 """
 from __future__ import annotations
 
@@ -81,8 +83,12 @@ class TransportResult:
     nfev: int
 
 
-def _theta_values(spec, builder, point) -> np.ndarray:
-    return builder(Geometry(spec, point, order=2)).theta[..., 0]
+def _theta_values(spec, builder, points) -> np.ndarray:
+    """Values of the connection matrices at a point (n,) or at a (P, n) batch of points."""
+    th = builder(Geometry(spec, points, order=2)).theta[..., 0]
+    if th.ndim != np.ndim(points) + 2:
+        raise ValueError("the connection builder returned no points axis")
+    return th
 
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980), with the step control
@@ -106,14 +112,15 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dopri45(matrix_at: Callable, t0: float, t1: float, y0: np.ndarray,
+def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
              rtol: float, atol: float) -> tuple:
     """Integrate y' = -M(t) y from t0 to t1; returns (y(t1), nfev).
 
-    matrix_at(t) = M(t) is called once per distinct stage time: the c = 1
-    stage and the first-same-as-last derivative share t + h, so a step
-    attempt costs 5 matrices.  nfev is RK45's count of right-hand sides,
-    2 + 6 per attempt.  A non-finite right-hand side raises at once.
+    matrices_at(ts) returns M(t) for each t of the array ts: twice with one
+    time for the initial step, then once per step attempt with its 5 distinct
+    stage times (the c = 1 stage and the first-same-as-last derivative share
+    t + h).  nfev is RK45's count of right-hand sides, 2 + 6 per attempt.  A
+    non-finite right-hand side raises at once, at the first such stage.
     """
     t, t1, y = float(t0), float(t1), np.asarray(y0, dtype=float)
     if t == t1:
@@ -129,13 +136,13 @@ def _dopri45(matrix_at: Callable, t0: float, t1: float, y0: np.ndarray,
         return f
 
     # initial step: Hairer-Norsett-Wanner's two-evaluation estimate
-    f = deriv(t, matrix_at(t), y)
+    f = deriv(t, matrices_at(np.array([t]))[0], y)
     interval = abs(t1 - t)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     s = t + h0 * direction
-    d2 = _rms((deriv(s, matrix_at(s), y + h0 * direction * f) - f) / scale) / h0
+    d2 = _rms((deriv(s, matrices_at(np.array([s]))[0], y + h0 * direction * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (
         (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs = min(100 * h0, h1, interval)
@@ -156,12 +163,12 @@ def _dopri45(matrix_at: Callable, t0: float, t1: float, y0: np.ndarray,
             h = t_new - t
             h_abs = np.abs(h)
             k[0] = f
+            ts = t + _C[1:] * h
+            ms = matrices_at(ts)
             for i in range(1, 6):
-                s = t + _C[i] * h
-                m = matrix_at(s)
-                k[i] = deriv(s, m, y + np.dot(k[:i].T, _A[i, :i]) * h)
+                k[i] = deriv(ts[i - 1], ms[i - 1], y + np.dot(k[:i].T, _A[i, :i]) * h)
             y_new = y + h * np.dot(k[:-1].T, _B)
-            f_new = k[6] = deriv(t + h, m, y_new)  # the c = 1 stage's matrix
+            f_new = k[6] = deriv(t + h, ms[4], y_new)  # the c = 1 stage's matrix
             nfev += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(np.dot(k.T, _E) * h / scale)
@@ -187,15 +194,15 @@ def transport(spec, builder: Callable, curve: Callable, v0,
     CertificationError if the certificate exceeds it.  refine=False
     skips the second solve (no certificate; error reported as nan).
     """
-    def connection(t):
-        point, vel = curve(t)
-        th = _theta_values(spec, builder, tuple(point))
-        return np.tensordot(np.asarray(vel, dtype=float), th, axes=(0, 0))
+    def connections(ts):
+        points, vels = zip(*map(curve, ts))
+        th = _theta_values(spec, builder, np.array(points, dtype=float))
+        return [np.tensordot(np.asarray(v, dtype=float), m, axes=(0, 0)) for v, m in zip(vels, th)]
 
-    end, nfev = _dopri45(connection, t0, t1, v0, rtol, atol)
+    end, nfev = _dopri45(connections, t0, t1, v0, rtol, atol)
     if not refine:
         return TransportResult(end, float("nan"), nfev)
-    fine_end, fine_nfev = _dopri45(connection, t0, t1, v0, rtol * 0.01, atol * 0.01)
+    fine_end, fine_nfev = _dopri45(connections, t0, t1, v0, rtol * 0.01, atol * 0.01)
     err = float(np.max(np.abs(end - fine_end)))
     if certify_tol is not None and err > certify_tol:
         raise CertificationError(

@@ -131,12 +131,12 @@ def _laplacian(s: np.ndarray, geom: Geometry) -> np.ndarray:
 
 
 def _gram(geom: Geometry, order: int) -> np.ndarray:
-    """The tractor metric as a dense (n+2, n+2) jet matrix on (sigma, mu_c, rho)."""
+    """The tractor metric as a dense (..., n+2, n+2) jet matrix on (sigma, mu_c, rho)."""
     n = geom.n
     gi = geom.dense("ginv", order)
-    h = np.zeros((n + 2, n + 2, gi.shape[-1]))
-    h[0, n + 1, 0] = h[n + 1, 0, 0] = 1.0
-    h[1 : n + 1, 1 : n + 1] = gi
+    h = np.zeros(gi.shape[:-3] + (n + 2, n + 2, gi.shape[-1]))
+    h[..., 0, n + 1, 0] = h[..., n + 1, 0, 0] = 1.0
+    h[..., 1 : n + 1, 1 : n + 1, :] = gi
     return h
 
 
@@ -280,16 +280,16 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
 
 
 def connection_dense(geom: Geometry, order: int) -> np.ndarray:
-    """The matrices of connection_matrices as a dense (n, n+2, n+2, ncoeff) array."""
+    """The matrices of connection_matrices as a dense (..., n, n+2, n+2, ncoeff) array."""
     n = geom.n
     geom.require(order + 2, "tractor connection coefficients")
     P = geom.dense("schouten", order)
-    t = np.zeros((n, n + 2, n + 2, P.shape[-1]))
-    t[:, 0, 1 : n + 1, 0] = -np.eye(n)
-    t[:, 1 : n + 1, 0] = P
-    t[:, 1 : n + 1, n + 1] = geom.dense("g", order)
-    t[:, 1 : n + 1, 1 : n + 1] = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
-    t[:, n + 1, 1 : n + 1] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
+    t = np.zeros(P.shape[:-3] + (n, n + 2, n + 2, P.shape[-1]))
+    t[..., 0, 1 : n + 1, 0] = -np.eye(n)
+    t[..., 1 : n + 1, 0, :] = P
+    t[..., 1 : n + 1, n + 1, :] = geom.dense("g", order)
+    t[..., 1 : n + 1, 1 : n + 1, :] = -np.moveaxis(geom.dense("gamma", order), -4, -2)
+    t[..., n + 1, 1 : n + 1, :] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
     return t
 
 

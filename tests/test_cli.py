@@ -230,8 +230,8 @@ def test_evaluation_error_exits_with_code_2(tmp_path, capsys, g11, name):
 
 def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
     # a transport whose integrator gives up is an evaluation error, not a traceback
-    def non_finite(spec, builder, point):
-        return np.full((len(point), spec.dim + 2, spec.dim + 2), np.nan)
+    def non_finite(spec, builder, points):
+        return np.full(np.shape(points) + (spec.dim + 2, spec.dim + 2), np.nan)
 
     monkeypatch.setattr(prolong, "_theta_values", non_finite)
     code = cli.main(["verify", "--metric", "generic_bump3", "--suite", "prolong",

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from detourcert import catalog, detour, jets, prolong
-from detourcert.connections import tractor_connection
+from detourcert.connections import killing_connection, tractor_connection
 from detourcert.dsl import parse_expression, parse_metric_text
 from detourcert.geometry import (
     Geometry,
@@ -416,6 +416,105 @@ def test_nan_top_coefficient_gives_nan_and_the_pivot_rule_holds(dim):
     g[..., 0] = np.diag([1.0, 1e-13, 1.0])
     with pytest.raises(SingularMetricError):
         invert_jet_matrix(g, dim)
+
+
+# -- a batch of points along the leading axis ---------------------------------
+
+BATCHED = ("g", "ginv", "gamma", "riemann", "ricci", "scalar", "jtrace", "schouten")
+
+
+def _assert_batch_equals_singles(batch, singles):
+    for stage in BATCHED:
+        for p, geom in enumerate(singles):
+            np.testing.assert_array_equal(batch.dense(stage)[p], geom.dense(stage))
+    for builder in (tractor_connection, killing_connection):
+        theta = builder(batch).theta
+        for p, geom in enumerate(singles):
+            np.testing.assert_array_equal(theta[p], builder(geom).theta)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", catalog.names())
+def test_a_batch_of_points_equals_one_geometry_per_point(name, order):
+    entry = catalog.get(name)
+    rng = np.random.default_rng(23)
+    points = np.array([entry.sample_point(rng) for _ in range(3)])
+    batch = Geometry(entry.spec(), points, order)
+    assert batch.lead == (3,) and batch.point == tuple(map(tuple, points.tolist()))
+    _assert_batch_equals_singles(batch, [Geometry(entry.spec(), p, order) for p in points])
+
+
+def test_a_batch_in_the_ring_equals_one_geometry_per_point():
+    points = [P_BUMP, (0.1, 0.2, -0.3, 0.4), (-0.2, 0.0, 0.1, 0.3)]
+    metrics = [_ring_metric(Geometry(BUMP4, p, order=4))[0] for p in points]
+    batch = Geometry(metric_jets=np.stack(metrics), order=4)
+    assert batch.jet_dim == (4, 1)
+    _assert_batch_equals_singles(batch, [Geometry(metric_jets=g, order=4) for g in metrics])
+
+
+def test_a_batch_of_one_equals_the_unbatched_geometry():
+    _assert_batch_equals_singles(Geometry(BUMP4, [P_BUMP], order=2), [Geometry(BUMP4, P_BUMP, 2)])
+    one = prolong._theta_values(BUMP4, tractor_connection, np.array([P_BUMP]))
+    np.testing.assert_array_equal(one[0], prolong._theta_values(BUMP4, tractor_connection, P_BUMP))
+
+
+@pytest.mark.parametrize("stage", ["riemann_down", "schouten_up", "weyl", "cotton", "bach"])
+def test_a_batch_refuses_the_stages_beyond_schouten(stage):
+    batch = Geometry(BUMP4, [P_BUMP, P_BUMP], order=4)
+    with pytest.raises(ValueError, match="batch of points"):
+        batch.dense(stage)
+    with pytest.raises(ValueError, match="batch of points"):
+        getattr(batch, stage)
+
+
+def test_a_batch_refuses_covariant_derivatives_traces_and_lowering():
+    batch = Geometry(BUMP4, [P_BUMP, P_BUMP], order=4)
+    x = batch.dense("schouten")
+    for op in (lambda: batch.covd_array(x, ("d", "d")), lambda: batch.trace(x),
+               lambda: batch.lower(x)):
+        with pytest.raises(ValueError, match="batch of points"):
+            op()
+
+
+def test_a_batch_pivots_per_point():
+    # a point that needs no row swap next to points that swap different rows
+    rng = np.random.default_rng(13)
+    g = 0.1 * rng.standard_normal((4, 3, 3, jets._size(3, 3)))
+    g = g + g.swapaxes(1, 2)
+    g[..., 0] = [np.diag([1.0, 2.0, 3.0]), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+                 [[0.1, 0.0, 3.0], [0.0, 1.0, 0.0], [3.0, 0.0, 0.1]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
+    inv = invert_jet_matrix(g, 3)
+    for p in range(4):
+        np.testing.assert_array_equal(inv[p], invert_jet_matrix(g[p], 3))
+        eye = jets.contract(g[p], inv[p], 3, 3)
+        eye[..., 0] -= np.eye(3)
+        assert maxabs(eye) < 1e-13
+
+
+def test_a_singular_point_in_a_batch_raises_under_the_per_point_pivot_rule():
+    g = np.zeros((5, 3, 3, jets._size(3, 2)))
+    g[..., 0] = np.eye(3)
+    g[3, ..., 0] = np.diag([1.0, 1e-13, 1.0])  # below the floor at one point of five
+    with pytest.raises(SingularMetricError):
+        invert_jet_matrix(g, 3)
+    # the floor is 1e-12 max(1, max |g_ij|) of each point: a pivot of 1e-10 passes
+    # at a point of scale 1 next to a point of scale 1e3, and fails at the latter
+    g[3, ..., 0] = np.diag([1.0, 1e-10, 1.0])
+    g[1, ..., 0] = np.diag([1e3, 1.0, 1.0])
+    inv = invert_jet_matrix(g, 3)
+    for p in range(5):
+        np.testing.assert_array_equal(inv[p], invert_jet_matrix(g[p], 3))
+    g[1, ..., 0] = np.diag([1e3, 1e-10, 1.0])
+    with pytest.raises(SingularMetricError):
+        invert_jet_matrix(g, 3)
+    degenerate = parse_metric_text(
+        'dimension = 3\nsignature = "+++"\ncoords = x y z\n'
+        'g[1][1] = "1"\ng[2][2] = "x"\ng[3][3] = "1"\n'
+    )
+    points = [(0.5, 0.0, 0.0), (1.0, 0.2, 0.0), (0.0, 0.0, 0.0), (2.0, 0.0, 1.0)]
+    with pytest.raises(SingularMetricError):
+        Geometry(degenerate, points, order=2)
+    Geometry(degenerate, points[:2] + points[3:], order=2)
 
 
 def test_geometry_rejects_bad_order_and_point():

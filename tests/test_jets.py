@@ -381,6 +381,29 @@ def test_contract_matches_sum_of_jet_products(dim, order, shape, seed):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, (2, 1), (4, 1)]), st.integers(0, 6),
+       st.tuples(*[st.integers(1, 4)] * 3), st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       st.sampled_from([None, 600]), st.integers(0, 2**32 - 1))
+def test_leading_points_axes_equal_a_loop_of_single_calls(key, order, shape, lead, chunk, seed):
+    # each (coefficient, point) is one gemm slice of the same shape, so a
+    # batch is bit-identical to one call per point, whatever the chunking
+    rng = np.random.default_rng(seed)
+    (r, m, s), lead, size = shape, tuple(lead), jets._size(key, order)
+    x, y = rng.standard_normal(lead + (r, m, size)), rng.standard_normal(lead + (m, s, size))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(jets, "_CHUNK_BYTES", chunk)
+        got = jets.contract(x, y, key, order)
+    slots = key[0] if isinstance(key, tuple) else key
+    der = jets.partials(x, key, order, slots, len(lead)) if order else None
+    assert got.shape == lead + (r, s, size)
+    for p in np.ndindex(lead):
+        np.testing.assert_array_equal(got[p], jets.contract(x[p], y[p], key, order))
+        if order:
+            np.testing.assert_array_equal(der[p], jets.partials(x[p], key, order, slots))
+
+
 def test_contract_spanning_several_chunks():
     dim, order, r = 4, 8, 8
     pairs = jets._mul_table(dim, order)[0].size

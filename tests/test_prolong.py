@@ -271,6 +271,18 @@ def _counted(fn, calls):
     return wrapped
 
 
+def _batched(matrix_at):
+    return lambda ts: [matrix_at(t) for t in ts]
+
+
+def _assert_one_batch_per_attempt(sizes, nfev):
+    # two single-time calls for the initial step, then one call per attempt
+    # with its 5 stage times
+    attempts, rest = divmod(nfev - 2, 6)
+    assert rest == 0 and sizes == [1, 1] + [5] * attempts
+    return attempts
+
+
 @pytest.mark.parametrize("matrix_at,t0,t1,rtol,rejects", [
     (_linear, 0.0, 2.0, 1e-9, False),
     (_linear, 2.0, -1.0, 1e-9, False),  # backwards in time
@@ -281,11 +293,11 @@ def test_stepper_matches_scipy_rk45_bit_for_bit(matrix_at, t0, t1, rtol, rejects
     y0 = np.array([1.0, 0.5])
     ref = _rk45(matrix_at, t0, t1, y0, rtol, 1e-2 * rtol)
     calls = []
-    end, nfev = prolong._dopri45(_counted(matrix_at, calls), t0, t1, y0, rtol, 1e-2 * rtol)
+    end, nfev = prolong._dopri45(_counted(_batched(matrix_at), calls), t0, t1, y0, rtol,
+                                 1e-2 * rtol)
     assert np.array_equal(end, ref.y[:, -1])
     assert nfev == ref.nfev
-    attempts, rest = divmod(nfev - 2, 6)
-    assert rest == 0 and len(calls) == 2 + 5 * attempts
+    attempts = _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
     if rejects:
         assert attempts > len(ref.t) - 1
 
@@ -314,25 +326,47 @@ def test_tractor_transport_matches_scipy_rk45(monkeypatch, rtol):
                             atol=1e-2 * rtol, refine=False)
     assert np.array_equal(res.end, ref.y[:, -1])
     assert res.nfev == ref.nfev
-    assert len(builds) == 2 + 5 * (ref.nfev - 2) // 6
+    _assert_one_batch_per_attempt([len(points) for _, _, points in builds], ref.nfev)
 
 
 def test_non_finite_stage_fails_at_once(monkeypatch):
     # past the middle of the segment the connection is NaN; the integrator
-    # stops at the first such build instead of shrinking h to its floor
+    # stops at the first build whose batch holds such a point instead of
+    # shrinking h to its floor
     spec, curve, v0 = _tractor_segment("generic_bump4", 1)
     middle = curve(0.5)[0]
     theta = prolong._theta_values
-    poisoned_builds = []  # one flag per build
+    poisoned_builds = []  # one flag per point of each build
 
-    def poisoned(spec, builder, point):
-        th = theta(spec, builder, point)
-        poisoned_builds.append(np.dot(np.subtract(point, middle), curve(0.0)[1]) > 0)
-        return np.full_like(th, np.nan) if poisoned_builds[-1] else th
+    def poisoned(spec, builder, points):
+        th = theta(spec, builder, points)
+        poisoned_builds.append(np.dot(np.subtract(points, middle), curve(0.0)[1]) > 0)
+        return np.where(poisoned_builds[-1][:, None, None, None], np.nan, th)
 
     monkeypatch.setattr(prolong, "_theta_values", poisoned)
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t="):
         prolong.transport(spec, tractor_connection, curve, v0, rtol=1e-9, atol=1e-11)
     # scipy's RK45 spends about 500 builds here shrinking h down to 10 ulp
-    assert poisoned_builds[-1] and not any(poisoned_builds[:-1])
+    assert poisoned_builds[-1].any() and not any(f.any() for f in poisoned_builds[:-1])
+
+
+@pytest.mark.parametrize("stages", [[2], [1, 3], [4], [0, 1, 2, 3, 4]])
+def test_first_non_finite_stage_of_a_batch_is_reported(stages):
+    # the stages of an attempt are evaluated in order after their one build:
+    # the error names the time of the first poisoned stage
+    calls = []
+
+    def matrices_at(ts):
+        calls.append(ts)
+        ms = [_linear(t) for t in ts]
+        if len(calls) == 4:  # the second step attempt
+            for i in stages:
+                ms[i] = np.full((2, 2), np.nan)
+        return ms
+
+    with pytest.raises(prolong.CertificationError,
+                       match="integrator failed: non-finite right-hand side at t=") as err:
+        prolong._dopri45(matrices_at, 0.0, 2.0, np.array([1.0, 0.5]), 1e-9, 1e-11)
+    assert len(calls) == 4
+    assert str(err.value).endswith(f"t={float(calls[-1][stages[0]])!r}")
