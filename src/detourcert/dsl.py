@@ -14,15 +14,18 @@ parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.
 
-MetricSpec.metric_jets evaluates each tree on Jet objects, while everything
-downstream is dense: evaluate() is public on Jet environments, and this is the
-one Jet arithmetic of a verify run, where perfbench's tracer counts Jet.__mul__.
+MetricSpec.metric_jets evaluates each distinct tree once on Jet objects, at
+one point or, for a (P, n) batch of points, on coordinate jets with a leading
+points axis (one walk serves all P points), while everything downstream is
+dense: evaluate() is public on Jet environments, and this is the one Jet
+arithmetic of a verify run, where perfbench's tracer counts Jet.__mul__.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -369,20 +372,35 @@ class MetricSpec:
         return dict(zip(self.coords, values))
 
     def metric_jets(self, point, order: int) -> np.ndarray:
-        """Symmetric (dim, dim) object array of jets of the components."""
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.dim}")
-        env = self._env(jets.coordinates(point, order))
-        zero = jets.constant(0.0, self.dim, order)
-        g = np.empty((self.dim, self.dim), dtype=object)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                ast = self.components.get((i, j))
-                val = zero if ast is None else evaluate(ast, env)
-                if not isinstance(val, jets.Jet):
-                    val = jets.constant(float(val), self.dim, order)
-                g[i, j] = g[j, i] = val
+        """Symmetric (n, n) object array of jets at a point, or dense (P, n, n, ncoeff) at (P, n) points.
+
+        One walk of each distinct tree serves all P points, bit-identical per point.
+        """
+        pts = np.asarray(point, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
+            raise ValueError(f"points of shape {pts.shape}, expected ({self.dim},) or (P, {self.dim})")
+        env = self._env(jets.coordinates(pts, order))
+        batch = pts.ndim == 2
+        g = np.zeros(pts.shape[:1] + (self.dim, self.dim, jets._size(self.dim, order))) if batch else (
+            np.full((self.dim, self.dim), jets.constant(0.0, self.dim, order), dtype=object))
+        for ast, entries in self._trees.items():
+            val = evaluate(ast, env)
+            if not isinstance(val, jets.Jet):
+                val = jets.constant(float(val), self.dim, order)
+            for i, j in entries:
+                if batch:
+                    g[:, i, j] = g[:, j, i] = val.coeffs
+                else:
+                    g[i, j] = g[j, i] = val
         return g
+
+    @cached_property
+    def _trees(self) -> dict:
+        """{tree: the entries (i, j) it gives}: each distinct component tree once."""
+        trees = {}
+        for key, ast in self.components.items():
+            trees.setdefault(ast, []).append(key)
+        return trees
 
     def metric_values(self, point) -> np.ndarray:
         env = self._env([float(x) for x in point])

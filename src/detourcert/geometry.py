@@ -88,18 +88,21 @@ def invert_jet_matrix(g: np.ndarray, dim) -> np.ndarray:
     """
     lead, n, order = g.shape[:-3], g.shape[-2], jets.order_of(dim, g.shape[-1])
     g0 = g[..., 0].reshape(-1, n, n)
-    pts, eye = np.arange(len(g0)), np.eye(n)
+    pts, off = np.arange(len(g0)), (1.0 - np.eye(n))[:, :, None]  # off[col]: 0 at row col
     floor = _PIVOT_FLOOR * np.maximum(1.0, np.max(np.abs(g0), axis=(1, 2)))
-    ax = np.concatenate([g0, np.zeros_like(g0) + eye], axis=2)  # [g | I] -> [I | g^-1]
-    for col in range(n):
-        mag = np.abs(ax[:, col:, col])
-        if (mag.max(axis=1) < floor).any():  # a point's pivot: its largest |entry|
-            raise SingularMetricError(f"metric is singular (pivot {col})")
-        p = col + mag.argmax(axis=1)
-        if (p != col).any():  # swap rows col and p, per point
-            ax[pts, col], ax[pts, p] = ax[pts, p], ax[pts, col]
-        ax[:, col] *= 1.0 / ax[:, col, col, None]
-        ax -= np.where(eye[col], 0.0, ax[:, :, col])[:, :, None] * ax[:, None, col]
+    ax = np.concatenate([g0, np.broadcast_to(np.eye(n), g0.shape)], axis=2)  # [g | I] -> [I | g^-1]
+    piv = np.empty((len(g0), n))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a small pivot raises below
+        for col in range(n):
+            k = np.abs(ax[:, col:, col]).argmax(axis=1)  # a point's pivot: its largest |entry|
+            if k.any():  # swap rows col and col + k, per point
+                ax[pts, col], ax[pts, col + k] = ax[pts, col + k], ax[pts, col]
+            piv[:, col] = ax[:, col, col]
+            ax[:, col] *= 1.0 / ax[:, col, col, None]
+            ax -= ax[:, :, col, None] * off[col] * ax[:, None, col]
+    small = np.abs(piv) < floor[:, None]
+    if small.any():  # the first column where a point's pivot is too small
+        raise SingularMetricError(f"metric is singular (pivot {small.any(axis=0).argmax()})")
     inv = np.zeros(g.shape)
     inv[..., 0] = ax[:, :, n:].reshape(lead + (n, n))
     for deg in range(1, order + 1):
@@ -147,8 +150,7 @@ class Geometry:
                 raise ValueError("need a metric spec or explicit metric jets")
             if point is None or pts.ndim > 2 or pts.shape[-1:] != (spec.dim,):
                 raise ValueError(f"point must have {spec.dim} coordinates")
-            self.g = spec.metric_jets(self.point, self.order) if pts.ndim == 1 else np.stack(
-                [jets.to_dense(spec.metric_jets(p, self.order)) for p in self.point])
+            self.g = spec.metric_jets(pts, self.order)
         else:
             self.g = metric_jets
         self._dense = {"g": jets.as_dense(self.g)}

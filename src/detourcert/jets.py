@@ -24,6 +24,15 @@ Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
 between the layouts (to_jets() views rows of the dense array); functions that
 accept either layout take as_dense() of their input and return like() it.
 
+A Jet's coefficients may carry leading points axes, shape (..., ncoeff):
+Jet.constant, Jet.variable and coordinates() take arrays of values, and +,
+-, *, /, ** and the analytic functions act at every point, each point
+bit-identical to a Jet of that point alone.  A product is one bincount whose
+bins are offset per point, so each point sums in _mul_table order; a series
+table is built per point in scalar arithmetic, and the first point out of
+the domain raises.  The queries (value, coeff, derivative) and the
+structural operations (truncated, padded, partial, extended) stay unbatched.
+
 The variables of a jet are a number d, or the ring key (d, 1): d variables
 and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
 graded-lex ones of d+1 variables with eps-degree (the last exponent) at most
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -154,6 +163,12 @@ def _partials_table(dim, order: int, slots: int):
     return np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
 
 
+@lru_cache(maxsize=None)
+def _point_offsets(dim, order: int, points: int) -> np.ndarray:
+    """The ic of _mul_table shifted by ncoeff per point, flat: the bins of a batched Jet.__mul__."""
+    return (np.arange(points)[:, None] * _size(dim, order) + _mul_table(dim, order)[2]).ravel()
+
+
 def order_of(dim, ncoeff: int) -> int:
     """Jet order whose coefficient vector in dim variables has length ncoeff."""
     order = 0
@@ -226,18 +241,29 @@ def like(x: np.ndarray, arr: np.ndarray, dim) -> np.ndarray:
     return x if arr.dtype != object else to_jets(x, dim, order_of(dim, x.shape[-1]))
 
 
+def _constant_coeffs(value, n: int) -> np.ndarray:
+    """Coefficients of a constant: (n,) for a float, value.shape + (n,) for an array."""
+    if not isinstance(value, np.ndarray):
+        c = np.zeros(n)
+        c[0] = value
+        return c
+    c = np.zeros(value.shape + (n,))
+    c[..., 0] = value
+    return c
+
+
 # ---------------------------------------------------------------------------
 
 
 class Jet:
-    """Immutable truncated Taylor expansion at a point."""
+    """Immutable truncated Taylor expansion at a point, or at each point of a batch (see above)."""
 
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         self.dim = dim
         self.order = order
-        if coeffs.shape != (_size(dim, order),):
+        if coeffs.shape[-1:] != (_size(dim, order),):
             raise ValueError("coefficient vector has wrong length")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
@@ -245,20 +271,19 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: float, dim: int, order: int) -> "Jet":
-        c = np.zeros(_size(dim, order))
-        c[0] = value
-        return Jet(dim, order, c)
+    def constant(value, dim: int, order: int) -> "Jet":
+        """The constant jet of a float, or of an array of values (one per point)."""
+        return Jet(dim, order, _constant_coeffs(value, _size(dim, order)))
 
     @staticmethod
-    def variable(value: float, slot: int, dim: int, order: int) -> "Jet":
+    def variable(value, slot: int, dim: int, order: int) -> "Jet":
+        """The jet of coordinate slot at a float value, or at an array of values."""
         if not 0 <= slot < dim:
             raise ValueError(f"variable slot {slot} out of range for dim {dim}")
-        c = np.zeros(_size(dim, order))
-        c[0] = value
+        c = _constant_coeffs(value, _size(dim, order))
         if order >= 1:
             unit = tuple(1 if i == slot else 0 for i in range(dim))
-            c[_rank(dim, order)[unit]] = 1.0
+            c[..., _rank(dim, order)[unit]] = 1.0
         return Jet(dim, order, c)
 
     # -- basic queries -----------------------------------------------------
@@ -373,8 +398,14 @@ class Jet:
         if o is None:
             return NotImplemented
         ia, ib, ic = _mul_table(self.dim, self.order)
-        prod = np.bincount(ic, weights=self.coeffs[ia] * o.coeffs[ib], minlength=self.coeffs.size)
-        return Jet(self.dim, self.order, prod)
+        x, y = self.coeffs, o.coeffs
+        if x.ndim == y.ndim == 1:
+            return Jet(self.dim, self.order, np.bincount(ic, weights=x[ia] * y[ib], minlength=x.size))
+        w = x[..., ia] * y[..., ib]  # the leading axes broadcast
+        n, lead = x.shape[-1], w.shape[:-1]
+        prod = np.bincount(_point_offsets(self.dim, self.order, math.prod(lead)), weights=w.ravel(),
+                           minlength=n * math.prod(lead))
+        return Jet(self.dim, self.order, prod.reshape(lead + (n,)))
 
     __rmul__ = __mul__
 
@@ -407,8 +438,9 @@ class Jet:
             for _ in range(abs(n) - 1):
                 out = out * base
             return out
-        if self.value <= 0.0:
-            raise ValueError(f"fractional power of nonpositive value {self.value}")
+        v = self.coeffs[..., 0]
+        if (v <= 0.0).any():
+            raise ValueError(f"fractional power of nonpositive value {v[v <= 0.0][0]}")
         if e == 0.5:
             return sqrt(self)
         return exp(log(self) * e)
@@ -432,33 +464,51 @@ def from_coeffs(coeffs, dim: int, order: int) -> Jet:
     return Jet(dim, order, arr)
 
 
-def coordinates(point: Iterable[float], order: int, dim: int | None = None) -> list:
-    """Variable jets for every coordinate of a base point."""
-    pt = [float(x) for x in point]
-    d = dim if dim is not None else len(pt)
-    return [Jet.variable(x, k, d, order) for k, x in enumerate(pt)]
+def coordinates(point, order: int, dim: int | None = None) -> list:
+    """Variable jets for every coordinate of a base point, or of a (P, n) batch of points."""
+    pt = np.asarray(point, dtype=float)
+    d = dim if dim is not None else pt.shape[-1]
+    values = pt.tolist() if pt.ndim == 1 else np.moveaxis(pt, -1, 0)
+    return [Jet.variable(x, k, d, order) for k, x in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
 # analytic functions via Horner composition with univariate Taylor tables
 
 
-def _compose(a: Jet, table: np.ndarray) -> Jet:
-    """Evaluate sum_k table[k] * (a - a0)^k; exact since a - a0 is nilpotent."""
-    t = a - a.value
-    out = Jet.constant(float(table[a.order]), a.dim, a.order)
+def _compose(a: Jet, a0, table) -> Jet:
+    """Evaluate sum_k table[k] * (a - a0)^k; exact since a - a0 is nilpotent.
+
+    a0 and each table[k] are floats, or arrays over the points of a batched a.
+    """
+    t = a - Jet.constant(a0, a.dim, a.order)
+    out = Jet.constant(table[a.order], a.dim, a.order)
     for k in range(a.order - 1, -1, -1):
-        out = out * t + float(table[k])
+        out = out * t + Jet.constant(table[k], a.dim, a.order)
     return out
 
 
-def _reciprocal(a: Jet) -> Jet:
-    a0 = a.value
+def _series(table):
+    """Jet function composing a with the Taylor table table(a0, order) of each point's value a0.
+
+    Tables are built point by point in scalar arithmetic; the first point out of the domain raises.
+    """
+    def jet_fn(a: Jet) -> Jet:
+        a0 = a.coeffs[..., 0]
+        if a0.ndim == 0:
+            return _compose(a, float(a0), table(float(a0), a.order).tolist())
+        rows = np.array([table(x, a.order) for x in a0.ravel().tolist()])
+        return _compose(a, a0, rows.T.reshape((a.order + 1,) + a0.shape))
+
+    return jet_fn
+
+
+@_series
+def _reciprocal(a0: float, order: int) -> np.ndarray:
     if a0 == 0.0:
         raise SingularPointError("division by a jet with zero constant term")
-    k = np.arange(a.order + 1)
-    table = (-1.0) ** k / a0 ** (k + 1)
-    return _compose(a, table)
+    k = np.arange(order + 1)
+    return (-1.0) ** k / a0 ** (k + 1)
 
 
 def _dispatch(name, jet_fn, float_fn):
@@ -469,59 +519,59 @@ def _dispatch(name, jet_fn, float_fn):
     return wrapper
 
 
-def _exp_jet(a: Jet) -> Jet:
-    e0 = math.exp(a.value)
-    table = np.array([e0 / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, table)
+@_series
+def _exp_jet(a0: float, order: int) -> np.ndarray:
+    e0 = math.exp(a0)
+    return np.array([e0 / math.factorial(k) for k in range(order + 1)])
 
 
-def _log_jet(a: Jet) -> Jet:
-    a0 = a.value
+@_series
+def _log_jet(a0: float, order: int) -> np.ndarray:
     if a0 <= 0.0:
         raise ValueError(f"log of nonpositive value {a0}")
-    table = np.empty(a.order + 1)
+    table = np.empty(order + 1)
     table[0] = math.log(a0)
-    for k in range(1, a.order + 1):
+    for k in range(1, order + 1):
         table[k] = (-1.0) ** (k + 1) / (k * a0**k)
-    return _compose(a, table)
+    return table
 
 
-def _sqrt_jet(a: Jet) -> Jet:
-    a0 = a.value
+@_series
+def _sqrt_jet(a0: float, order: int) -> np.ndarray:
     if a0 <= 0.0:
         raise ValueError(f"sqrt of nonpositive value {a0}")
-    table = np.empty(a.order + 1)
+    table = np.empty(order + 1)
     coef = 1.0
-    for k in range(a.order + 1):
+    for k in range(order + 1):
         table[k] = coef * a0 ** (0.5 - k)
         coef *= (0.5 - k) / (k + 1.0)
-    return _compose(a, table)
+    return table
 
 
-def _sin_jet(a: Jet) -> Jet:
-    s, c = math.sin(a.value), math.cos(a.value)
+@_series
+def _sin_jet(a0: float, order: int) -> np.ndarray:
+    s, c = math.sin(a0), math.cos(a0)
     cycle = [s, c, -s, -c]
-    table = np.array([cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, table)
+    return np.array([cycle[k % 4] / math.factorial(k) for k in range(order + 1)])
 
 
-def _cos_jet(a: Jet) -> Jet:
-    s, c = math.sin(a.value), math.cos(a.value)
+@_series
+def _cos_jet(a0: float, order: int) -> np.ndarray:
+    s, c = math.sin(a0), math.cos(a0)
     cycle = [c, -s, -c, s]
-    table = np.array([cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, table)
+    return np.array([cycle[k % 4] / math.factorial(k) for k in range(order + 1)])
 
 
-def _sinh_jet(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    table = np.array([(s if k % 2 == 0 else c) / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, table)
+@_series
+def _sinh_jet(a0: float, order: int) -> np.ndarray:
+    s, c = math.sinh(a0), math.cosh(a0)
+    return np.array([(s if k % 2 == 0 else c) / math.factorial(k) for k in range(order + 1)])
 
 
-def _cosh_jet(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    table = np.array([(c if k % 2 == 0 else s) / math.factorial(k) for k in range(a.order + 1)])
-    return _compose(a, table)
+@_series
+def _cosh_jet(a0: float, order: int) -> np.ndarray:
+    s, c = math.sinh(a0), math.cosh(a0)
+    return np.array([(c if k % 2 == 0 else s) / math.factorial(k) for k in range(order + 1)])
 
 
 exp = _dispatch("exp", _exp_jet, math.exp)

@@ -17,7 +17,9 @@ rebuilds order-2 geometry at the stage times of the integrator, Dormand-
 Prince 5(4) with RK45's step control, in-repo (no start of the program
 imports scipy.integrate).  A(t) = Theta(c(t)) c'(t) does not depend on v,
 so the five stage points of a step attempt share one batched Geometry
-(a leading points axis), bit-identical to five single-point builds.
+(a leading points axis), bit-identical to five single-point builds: one
+evaluation of the metric text (MetricSpec.metric_jets on the batch), one
+order-2 chain and one batched product v^a Theta_a.
 """
 from __future__ import annotations
 
@@ -197,7 +199,8 @@ def transport(spec, builder: Callable, curve: Callable, v0,
     def connections(ts):
         points, vels = zip(*map(curve, ts))
         th = _theta_values(spec, builder, np.array(points, dtype=float))
-        return [np.tensordot(np.asarray(v, dtype=float), m, axes=(0, 0)) for v, m in zip(vels, th)]
+        p, n, r = th.shape[:3]  # A = v^a Theta_a at each point, as one batched matmul
+        return (np.array(vels, dtype=float)[:, None, :] @ th.reshape(p, n, r * r)).reshape(p, r, r)
 
     end, nfev = _dopri45(connections, t0, t1, v0, rtol, atol)
     if not refine:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detourcert import dsl, jets
 from detourcert.dsl import (
@@ -204,3 +205,90 @@ def test_degenerate_metric_rejected_at_inversion():
 
     with pytest.raises(SingularMetricError):
         Geometry(spec, (0.0, 0.0, 0.0), order=2)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: coordinate jets with a leading points axis
+
+_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 3.0)
+_trees = st.recursive(
+    st.one_of(st.sampled_from([dsl.Var("x"), dsl.Var("y"), dsl.Var("pi")]),
+              st.floats(min_value=-3, max_value=3).map(dsl.Num)),
+    lambda sub: st.one_of(
+        st.builds(dsl.Call, st.sampled_from(dsl.FUNCTION_NAMES), sub),
+        st.builds(dsl.Neg, sub),
+        st.builds(dsl.Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(dsl.Pow, sub, st.sampled_from(_EXPONENTS)),
+    ),
+    max_leaves=8,
+)
+_coord = st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2))
+# out of the domain of a point; ZeroDivisionError, OverflowError and a complex
+# power of a negative constant come from the float arithmetic of constant subtrees
+_DOMAIN = (ValueError, ArithmeticError, TypeError)
+
+
+def _outcome(ast, points, order):
+    """Coefficients of ast on coordinate jets at a point (n,) or points (P, n), or the exception raised."""
+    env = dict(zip(("x", "y"), jets.coordinates(points, order)))
+    try:
+        with np.errstate(all="ignore"):
+            val = evaluate(ast, env)
+        if not isinstance(val, jets.Jet):
+            val = jets.constant(float(val), 2, order)
+    except _DOMAIN as exc:
+        return exc
+    return np.broadcast_to(val.coeffs, points.shape[:-1] + val.coeffs.shape[-1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=_trees, points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5),
+       order=st.integers(min_value=0, max_value=4))
+def test_batched_evaluation_equals_per_point_jets(ast, points, order):
+    pts = np.array(points, dtype=float)
+    batch = _outcome(ast, pts, order)
+    singles = [_outcome(ast, p, order) for p in pts]  # unbatched jets, one point each
+    failed = [type(s) for s in singles if isinstance(s, Exception)]
+    if failed:
+        # the batch raises where its first point leaves the domain, as that point alone
+        assert isinstance(batch, Exception), (failed, batch)
+        assert type(batch) in failed
+        if len(failed) == 1:
+            assert type(batch) is failed[0]
+        return
+    assert not isinstance(batch, Exception), batch
+    assert np.array_equal(batch, np.stack(singles), equal_nan=True)
+
+
+@pytest.mark.parametrize("ast, exc", [
+    (parse_expression("1 / x"), jets.SingularPointError),
+    (dsl.Pow(dsl.Var("x"), -1.0), jets.SingularPointError),
+    (parse_expression("log(x)"), ValueError),
+    (parse_expression("x^0.5"), ValueError),
+])
+def test_one_point_out_of_the_domain_fails_the_batch(ast, exc):
+    pts = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.4]])  # x = 0 at the middle point only
+    assert isinstance(_outcome(ast, pts[1], 2), exc)
+    assert isinstance(_outcome(ast, pts, 2), exc)
+    assert not isinstance(_outcome(ast, pts[::2], 2), Exception)
+
+
+def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
+    # the batch costs one walk of the metric text, not one per point: a slide
+    # back to per-point evaluation multiplies the jet products by the points
+    spec = parse_metric_text(SCHWARZSCHILD_TEXT)
+    calls, mul = [0], jets.Jet.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counting)
+    pts = np.array([[0.0, 5.0 + k, 1.2, 0.3 * k] for k in range(5)])
+    spec.metric_jets(pts[0], 3)
+    single, calls[0] = calls[0], 0
+    batch = spec.metric_jets(pts, 3)
+    assert single > 0 and calls[0] == single
+    assert batch.shape == (5, 4, 4, jets._size(4, 3))
+    for k, p in enumerate(pts):
+        assert np.array_equal(batch[k], jets.to_dense(spec.metric_jets(p, 3)))
