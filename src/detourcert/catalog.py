@@ -12,6 +12,7 @@ metrics and cot factors stay well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,11 @@ from .dsl import MetricSpec, evaluate, parse_expression, parse_metric_text
 from .geometry import Geometry
 
 TWO_PI = 6.283185307179586
+
+
+@lru_cache(maxsize=None)  # one parse per text and process: a MetricSpec is never mutated
+def _parsed(text: str, name: str) -> MetricSpec:
+    return parse_metric_text(text, label=name)
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class CatalogEntry:
     notes: str = ""
 
     def spec(self) -> MetricSpec:
-        return parse_metric_text(self.text, label=self.name)
+        return _parsed(self.text, self.name)
 
     def sample_point(self, rng: np.random.Generator) -> tuple:
         return tuple(float(rng.uniform(lo, hi)) for lo, hi in self.sample_box)

@@ -315,10 +315,11 @@ def _gauge_linearization(geom, rng, tol):
     n = geom.n
     v = np.zeros((n, jets._size(n, geom.order)))  # order-3 field, zero padded
     v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
-    bp = detour.linearized_bach(detour.op_K0(v, geom).comps, geom)
+    h = detour.op_K0(v, geom).comps[..., : jets._size(n, 4)]  # the value of bp reads h to order 4
+    bp = detour.linearized_bach(h, geom)
     bach = geom.dense("bach")
     db = geom.covd_array(bach, ("d", "d"))[..., 0]  # nabla_c B_ab at [c, a, b]
-    dv = geom.covd_array(v, ("u",))[..., 0]  # nabla_a v^c at [a, c]
+    dv = geom.covd_array(v[:, : jets._size(n, 1)], ("u",))[..., 0]  # nabla_a v^c at [a, c]
     b = bach[..., 0]
     lie = (np.einsum("c,cab->ab", v[:, 0], db) + np.einsum("cb,ac->ab", b, dv)
            + np.einsum("ac,bc->ab", b, dv))
@@ -368,7 +369,9 @@ def run(config: RunConfig) -> Report:
     rng = np.random.default_rng(config.seed)
     points = [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
               for _ in range(config.points)]
-    geoms = [Geometry(spec, pt, order=order) for pt in points]
+    # only prolong reads past value coefficients, and jet truncation is exact
+    build = order if "prolong" in config.suites else config.required_order()
+    geoms = [Geometry(spec, pt, order=build) for pt in points]
 
     suites = tuple(s for s in SUITES if s in config.suites)
     report = Report(

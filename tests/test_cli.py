@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detourcert import cli, detour, prolong, tractor
+from detourcert import catalog, cli, detour, jets, prolong, tractor
+from detourcert.connections import covector_connection
 from detourcert.geometry import Geometry
 from detourcert.jets import Jet
 
@@ -282,3 +283,62 @@ def test_gauge_linearization_passes_where_the_obstruction_is_alive():
     # gives each term of L_v B + (2/n) div(v) B its weight
     report = cli.run(run_config(metric="generic_bump4", suites=("deformation",), points=1))
     assert report.passed
+
+
+def _value_checks(n):
+    """(suite, check, takes the covector connection) for every check that reads only values."""
+    rows = [(suite, fn, suite == "detour") for suite, table in
+            [("curvature", cli._CURVATURE), ("tractor", cli._TRACTOR), ("detour", cli._DETOUR)]
+            for _, _, fn, dim4_only in table if n == 4 or not dim4_only]
+    rows.append(("detour", cli._complex_composition, False))
+    if n == 4:
+        rows.append(("deformation", cli._gauge_linearization, False))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["sphere4", "schwarzschild", "generic_bump4", "generic_bump3"])
+def test_value_checks_are_bit_identical_at_the_suite_minimum_and_at_order_8(name):
+    # the proof obligation behind cli.run building every suite but prolong
+    # at its minimum order: a higher jet order changes no residual bit
+    entry = catalog.get(name)
+    point = entry.sample_point(np.random.default_rng(3))
+    high = Geometry(entry.spec(), point, order=8)
+    rngs = [np.random.default_rng(11), np.random.default_rng(11)]  # one stream per side
+    for suite, fn, on_connection in _value_checks(len(point)):
+        pair = [Geometry(entry.spec(), point, order=cli.MIN_ORDER[suite]), high]
+        if on_connection:
+            pair = [covector_connection(g) for g in pair]
+        lo, hi = (fn(x, rng, 1e-8) for x, rng in zip(pair, rngs))
+        assert lo == hi, (suite, fn.__name__, lo, hi)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_gauge_linearization_reads_h_to_order_4_and_v_to_order_1(order):
+    # the values the check reads are the same from the truncated inputs
+    # as from the whole padded field and its full-order K0 image
+    entry = catalog.get("generic_bump4")
+    geom = Geometry(entry.spec(), entry.sample_point(np.random.default_rng(4)), order=order)
+    n = geom.n
+    v = np.zeros((n, jets._size(n, order)))
+    v[:, : jets._size(n, 3)] = np.random.default_rng(5).standard_normal((n, jets._size(n, 3)))
+    h = detour.op_K0(v, geom).comps
+    full = detour.linearized_bach(h, geom)[..., 0]
+    cut = detour.linearized_bach(h[..., : jets._size(n, 4)], geom)[..., 0]
+    assert np.array_equal(full, cut) and np.any(full != 0)
+    dv = geom.covd_array(v, ("u",))[..., 0]
+    assert np.array_equal(dv, geom.covd_array(v[:, : jets._size(n, 1)], ("u",))[..., 0])
+
+
+def test_only_prolong_builds_geometry_at_the_requested_order(monkeypatch):
+    orders, build = [], cli.Geometry
+
+    def recording(spec, point, order):
+        orders.append(order)
+        return build(spec, point, order=order)
+
+    monkeypatch.setattr(cli, "Geometry", recording)
+    for suite, built in [("curvature", 4), ("prolong", 8)]:
+        orders.clear()
+        report = cli.run(run_config(metric="flat3", suites=(suite,), points=1, jet_order=8))
+        assert orders == [built], suite
+        assert report.config["jet_order"] == report.environment["jet_order"] == 8

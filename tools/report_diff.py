@@ -5,13 +5,17 @@
 OLD_SRC and NEW_SRC are directories holding a `detourcert` package (a
 checkout's `src`).  For every catalog metric and suite (seed 0, the default
 points and jet order; the deformation suite only on four-dimensional
-metrics) the script runs `detourcert verify --format json`, all of one tree
-in one subprocess, and then lists every report whose exit code, overall
-`passed`, check ids, or per-check `passed`, `expected_negative` or other
-non-residual field changed.  It prints how many reports are byte-identical,
-how many residuals (`max_residual`, `prediction_gap`) changed, and the five
-largest changes with their metric, suite, check and old -> new values.  The
-exit code is 1 when anything besides a residual changed, else 0.
+metrics) the script runs `detourcert verify --format json`.  Every suite
+but `prolong` then runs a second time at `--jet-order 8`, above each
+suite's minimum; those reports are labelled `suite@8`.  Each pass runs all
+reports of one tree in one subprocess.  The script lists every report
+whose exit code, overall `passed`, check ids, or per-check `passed`,
+`expected_negative` or other non-residual field changed.  It prints how
+many reports are byte-identical, first at the default orders and then at
+order 8, how many residuals (`max_residual`, `prediction_gap`) changed,
+and the five largest changes with their metric, suite, check and
+old -> new values.  The exit code is 1 when anything besides a residual
+changed, else 0.
 """
 from __future__ import annotations
 
@@ -25,29 +29,35 @@ from pathlib import Path
 
 RESIDUALS = ("max_residual", "prediction_gap")
 LARGEST = 5  # residual changes listed
+HIGH_ORDER = 8  # the second pass runs every suite but prolong at this jet order
 
 
-def run_reports(src: str, metrics: list | None, suites: list | None) -> list:
-    """Every verify report of the package under src, as [metric, suite, exit, text]."""
+def run_reports(src: str, metrics: list | None, suites: list | None,
+                order: int | None = None) -> list:
+    """Every verify report of the package under src, as [metric, suite label, exit, text].
+
+    With an order, every suite but prolong runs at that jet order, labelled suite@order.
+    """
     sys.path.insert(0, str(Path(src).resolve()))
     from detourcert import catalog, cli
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: imported detourcert from {cli.__file__}, not from {src}")
+    extra = ["--jet-order", str(order)] if order else []
     out = []
     for metric in metrics or catalog.names():
         dim = catalog.get(metric).spec().dim
         for suite in suites or cli.SUITES:
-            if suite == "deformation" and dim != 4:
+            if (suite == "deformation" and dim != 4) or (order and suite == "prolong"):
                 continue
             text, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
                 try:
                     code = cli.main(["verify", "--metric", metric, "--suite", suite,
-                                     "--format", "json"])
+                                     "--format", "json"] + extra)
                 except Exception as exc:  # an uncaught error exits 1 from the shell
                     code, text = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
-            out.append([metric, suite, code, text.getvalue()])
+            out.append([metric, f"{suite}@{order}" if order else suite, code, text.getvalue()])
     return out
 
 
@@ -101,8 +111,10 @@ def residual_lines(residuals: list) -> list:
         f"  {delta:.3e}  {where}: {a!r} -> {b!r}" for delta, where, a, b in top]
 
 
-def _worker_cmd(src: str, args) -> list:
+def _worker_cmd(src: str, order: int | None, args) -> list:
     cmd = [sys.executable, __file__, "--worker", src]
+    if order:
+        cmd += ["--worker-order", str(order)]
     if args.metrics:
         cmd += ["--metrics", args.metrics]
     if args.suites:
@@ -117,24 +129,32 @@ def main(argv=None) -> int:
     p.add_argument("--metrics", default=None, help="comma separated catalog names")
     p.add_argument("--suites", default=None, help="comma separated suites")
     p.add_argument("--worker", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--worker-order", type=int, default=None, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     split = (lambda s: s.split(",") if s else None)
     if args.worker:
-        json.dump(run_reports(args.worker, split(args.metrics), split(args.suites)), sys.stdout)
+        json.dump(run_reports(args.worker, split(args.metrics), split(args.suites),
+                              args.worker_order), sys.stdout)
         return 0
     if not (args.old_src and args.new_src):
         p.error("need OLD_SRC and NEW_SRC")
-    procs = [subprocess.Popen(_worker_cmd(src, args), stdout=subprocess.PIPE, text=True)
-             for src in (args.old_src, args.new_src)]
-    sides = []
-    for proc in procs:
-        text, _ = proc.communicate()
-        if proc.returncode != 0:
-            print(f"error: the report run of one tree exited {proc.returncode}", file=sys.stderr)
-            return 2
-        sides.append(json.loads(text))
-    changes, identical, residuals = compare(*sides)
-    print(f"{len(sides[0])} reports, {identical} byte-identical")
+    changes, residuals = [], []
+    for order in (None, HIGH_ORDER):
+        procs = [subprocess.Popen(_worker_cmd(src, order, args), stdout=subprocess.PIPE,
+                                  text=True) for src in (args.old_src, args.new_src)]
+        sides = []
+        for proc in procs:
+            text, _ = proc.communicate()
+            if proc.returncode != 0:
+                print(f"error: the report run of one tree exited {proc.returncode}",
+                      file=sys.stderr)
+                return 2
+            sides.append(json.loads(text))
+        part, identical, moved = compare(*sides)
+        changes += part
+        residuals += moved
+        title = f" at --jet-order {order}" if order else ""
+        print(f"{len(sides[0])} reports{title}, {identical} byte-identical")
     for line in changes:
         print("changed: " + line)
     for line in residual_lines(residuals):
