@@ -26,15 +26,14 @@ against this in the tests.  The derivatives are one jets.partials gather
 and every commutator comes out of one matmul call.
 
 matmul is the one fiber product of this module and of detour: a single
-jets.contract call.  Layout rule, as for Geometry.covd_array: matmul,
-covd_section and covd_endomorphism accept object arrays of jets or dense
-arrays and return the layout they were given.  In the coupled
-derivatives the Levi-Civita part is Geometry.covd_array on the form slots
-with the fiber axes riding along, and the Theta part is one matmul (two
-for the commutator).  curvature(conn) returns a dense array and is
-computed once per Connection: the result is kept, read-only, in
-Connection.cache, where detour.ym_current keeps the Yang-Mills current as
-well.
+jets.contract call.  The coupled derivatives are one call each of
+Geometry.covd_array, the one coupled covariant derivative: Levi-Civita
+on the form slots, Theta on a fiber slot 'V' and -Theta^T on a dual
+fiber slot 'V*' (both for an endomorphism, which gives the commutator).
+matmul, covd_section and covd_endomorphism take and return dense arrays
+only.  curvature(conn) returns a dense array and is computed once per
+Connection: the result is kept, read-only, in Connection.cache, where
+detour.ym_current keeps the Yang-Mills current as well.
 """
 from __future__ import annotations
 
@@ -53,7 +52,6 @@ class Connection:
     rank: int
     theta: np.ndarray  # (n, rank, rank, ncoeff) dense jets
     label: str = ""
-    fiber_gram: np.ndarray | None = None  # constant Gram matrix for pairings
     cache: dict = field(default_factory=dict, init=False, repr=False)  # curvature, ym_current
 
     @property
@@ -80,23 +78,15 @@ class Connection:
         return x
 
 
-def trivial_connection(geom: Geometry, rank: int = 1) -> Connection:
-    th = np.zeros((geom.n, rank, rank, _size(geom.jet_dim, geom.order - 1)))
-    return Connection(geom, rank, th, label="trivial")
-
-
 def covector_connection(geom: Geometry) -> Connection:
     """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab."""
     th = -geom.dense("gamma").transpose(1, 2, 0, 3)
-    return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector",
-                      fiber_gram=geom.dense("ginv")[..., 0].copy())
+    return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector")
 
 
 def tractor_connection(geom: Geometry) -> Connection:
     th = tractor_mod.connection_dense(geom, geom.order - 2)
-    return Connection(
-        geom, geom.n + 2, th, label="tractor", fiber_gram=tractor_mod.gram_matrix(geom)
-    )
+    return Connection(geom, geom.n + 2, th, label="tractor")
 
 
 def tensor_square(conn: Connection) -> Connection:
@@ -105,11 +95,7 @@ def tensor_square(conn: Connection) -> Connection:
     eye = np.eye(r)
     th = np.einsum("aijc,kl->aikjlc", conn.theta, eye)
     th += np.einsum("ij,aklc->aikjlc", eye, conn.theta)
-    gram = None
-    if conn.fiber_gram is not None:
-        gram = np.kron(conn.fiber_gram, conn.fiber_gram)
-    return Connection(conn.geom, r * r, th.reshape(n, r * r, r * r, -1),
-                      label=conn.label + "^2", fiber_gram=gram)
+    return Connection(conn.geom, r * r, th.reshape(n, r * r, r * r, -1), label=conn.label + "^2")
 
 
 def _pair_basis(n: int) -> list:
@@ -158,16 +144,15 @@ def killing_connection(geom: Geometry) -> Connection:
     return Connection(geom, rank, th, label="killing")
 
 
-def polynomial_connection(geom: Geometry, rank: int, rng, scale: float = 0.2,
-                          degree: int = 2) -> Connection:
+def polynomial_connection(geom: Geometry, rank: int, rng) -> Connection:
     """Random polynomial coefficient matrices; generic, nothing flat about it.
 
     Entry (a, i, j) is c + sum_s (l_s x_s + q_s x_s^2) with the normal draws
-    c, l_0, q_0, l_1, q_1, ... taken in that order.
+    c, l_0, q_0, l_1, q_1, ... of standard deviation 0.2 taken in that order.
     """
     n, dim = geom.n, geom.jet_dim
     order = geom.order - 1
-    draws = rng.normal(0.0, scale, size=(n, rank, rank, 1 + 2 * n))
+    draws = rng.normal(0.0, 0.2, size=(n, rank, rank, 1 + 2 * n))
     rank_of = _rank(dim, order)
     th = np.zeros((n, rank, rank, _size(dim, order)))
     th[..., 0] = draws[..., 0]
@@ -186,12 +171,10 @@ def polynomial_connection(geom: Geometry, rank: int, rng, scale: float = 0.2,
 def matmul(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
     """Jet matrix product x @ y: one jets.contract call, at the lower order of the two.
 
-    x (r, m) and y (m, s) hold jets or dense coefficients in dim variables;
-    the product comes in the layout of x.
+    x (r, m) and y (m, s) are dense arrays of coefficients in dim variables.
     """
-    a, b = jets.as_dense(x), jets.as_dense(y)
-    nc = min(a.shape[-1], b.shape[-1])
-    return jets.like(jets.contract(a[..., :nc], b[..., :nc], dim, jets.order_of(dim, nc)), x, dim)
+    nc = min(x.shape[-1], y.shape[-1])
+    return jets.contract(x[..., :nc], y[..., :nc], dim, jets.order_of(dim, nc))
 
 
 def curvature(conn: Connection) -> np.ndarray:
@@ -211,40 +194,17 @@ def curvature(conn: Connection) -> np.ndarray:
     return conn.keep("curvature", F)
 
 
-def covd_section(conn: Connection, comps: np.ndarray) -> np.ndarray:
-    """Coupled derivative of a V-valued covariant tensor.
+def covd_section(conn: Connection, x: np.ndarray) -> np.ndarray:
+    """Coupled derivative of a dense V-valued covariant tensor, shape (n,)*p + (rank, ncoeff).
 
-    comps has shape (n,)*p + (rank,), as jets or dense; the output prepends
-    one more down slot.  Levi-Civita acts on the form slots, Theta on the
-    fiber.
+    The output prepends one more down slot: Levi-Civita acts on the form
+    slots, Theta on the fiber.
     """
-    x = jets.as_dense(comps)
-    p = x.ndim - 2
-    n, r = conn.n, conn.rank
-    out = conn.geom.covd_array(x, ("d",) * p)
-    th = conn.theta_at(jets.order_of(conn.dim, out.shape[-1]))
-    low = np.moveaxis(x[..., : out.shape[-1]], p, 0)  # fiber first
-    term = matmul(th.reshape(n * r, r, -1), low.reshape(r, -1, low.shape[-1]), conn.dim)
-    out += np.moveaxis(term.reshape((n, r) + low.shape[1:]), 1, p + 1)
-    return jets.like(out, comps, conn.dim)
+    theta = conn.theta_at(jets.order_of(conn.dim, x.shape[-1]) - 1)
+    return conn.geom.covd_array(x, ("d",) * (x.ndim - 2) + ("V",), theta)
 
 
-def covd_endomorphism(conn: Connection, comps: np.ndarray) -> np.ndarray:
-    """Same, for End(V)-valued tensors: Theta acts by commutator."""
-    x = jets.as_dense(comps)
-    p = x.ndim - 3
-    n, r = conn.n, conn.rank
-    out = conn.geom.covd_array(x, ("d",) * p)
-    th = conn.theta_at(jets.order_of(conn.dim, out.shape[-1]))
-    low = x[..., : out.shape[-1]]
-    base = low.shape[:p]
-    # Theta_d T: rows of T first
-    left = matmul(th.reshape(n * r, r, -1), np.moveaxis(low, p, 0).reshape(r, -1, low.shape[-1]),
-                  conn.dim)
-    out += np.moveaxis(left.reshape((n, r) + base + (r, -1)), 1, p + 1)
-    # T Theta_d: columns of Theta_d last
-    right = matmul(low.reshape(-1, r, low.shape[-1]),
-                   th.transpose(1, 0, 2, 3).reshape(r, n * r, -1), conn.dim)
-    out -= np.moveaxis(right.reshape(base + (r, n, r, -1)), p + 1, 0)
-    return jets.like(out, comps, conn.dim)
-
+def covd_endomorphism(conn: Connection, x: np.ndarray) -> np.ndarray:
+    """Same, for dense End(V)-valued tensors: Theta acts by commutator."""
+    theta = conn.theta_at(jets.order_of(conn.dim, x.shape[-1]) - 1)
+    return conn.geom.covd_array(x, ("d",) * (x.ndim - 3) + ("V", "V*"), theta)

@@ -14,9 +14,11 @@ the Yang-Mills current delta F:
 
 The twisted operators work on dense jet tensors (see jets and
 connections): each is one or two jets.contract calls against the inverse
-metric and the connection's dense Theta and curvature.  They follow the
-layout rule of connections: a TwistedForm of jets comes back as jets, a
-dense one as dense, and op_M passes dense arrays between its steps.
+metric and the connection's dense Theta and curvature.  Jets appear only
+at the public edge: twisted_d, twisted_delta, op_M, current_action,
+current_contraction, op_K0 and linearized_bach return the layout they were
+given; f_action, _pair_raised and perturbed_geometry are dense-only, and
+op_M passes dense arrays between its steps.
 ym_current(conn) returns a dense array and, like curvature(conn), is
 computed once per Connection and kept in Connection.cache.
 
@@ -29,9 +31,9 @@ einstein_detour_expected assembles that action as one matmul of the
 
 The deformation side: the conformal Killing operator K0 and a linearized
 Bach operator obtained by differentiating the full nonlinear curvature
-chain along a metric perturbation with one extra jet variable eps.  K0 and
-its adjoint are Geometry.lower, covd_array and tractor.divergence on dense
-arrays.  perturbed_geometry scatters the coefficients of g and of h into
+chain along a metric perturbation with one extra jet variable eps.  K0 is
+Geometry.lower, covd_array and tractor.trace_free on dense arrays.
+perturbed_geometry scatters the coefficients of g and of h into
 one dense metric in the ring key (jet_dim, 1) of jets, where eps^2 = 0, so
 the curvature chain never forms a product of two eps-linear coefficients;
 linearized_bach gathers the Bach coefficients linear in eps.
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, tractor as tractor_mod
-from .connections import Connection, covd_endomorphism, covd_section, curvature, matmul
+from .connections import (Connection, covd_endomorphism, covd_section, curvature, matmul,
+                          tractor_connection)
 from .geometry import Geometry, JetTensor
 from .jets import Jet
 
@@ -82,18 +85,17 @@ def twisted_delta(phi: TwistedForm, conn: Connection) -> TwistedForm:
     return TwistedForm(phi.degree - 1, jets.like(out, phi.comps, conn.dim))
 
 
-def _pair_raised(conn: Connection, mats, comps) -> np.ndarray:
+def _pair_raised(conn: Connection, mats: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """sum_{a,j} mats[..., a, i, j] g^{ab} comps[b, j]: End-valued 1-form on a twisted 1-form."""
-    m = jets.as_dense(mats)
     n, r = comps.shape[:2]
-    up = matmul(conn.geom.dense("ginv"), jets.as_dense(comps), conn.dim)  # g^{ab} comps[b, j]
-    out = matmul(np.swapaxes(m, -4, -3).reshape(-1, n * r, m.shape[-1]),
+    up = matmul(conn.geom.dense("ginv"), comps, conn.dim)  # g^{ab} comps[b, j]
+    out = matmul(np.swapaxes(mats, -4, -3).reshape(-1, n * r, mats.shape[-1]),
                  up.reshape(n * r, 1, up.shape[-1]), conn.dim)
-    return jets.like(out.reshape(m.shape[:-4] + (r, -1)), comps, conn.dim)
+    return out.reshape(mats.shape[:-4] + (r, -1))
 
 
 def f_action(phi: TwistedForm, conn: Connection) -> TwistedForm:
-    """(F# phi)_b = g^{ac} F_ba phi_c on twisted 1-forms."""
+    """(F# phi)_b = g^{ac} F_ba phi_c on dense twisted 1-forms."""
     if phi.degree != 1:
         raise ValueError("F# acts on 1-forms here")
     return TwistedForm(1, _pair_raised(conn, curvature(conn), phi.comps))
@@ -137,31 +139,21 @@ def current_action(current: np.ndarray, section: np.ndarray) -> np.ndarray:
 
 
 def current_contraction(current: np.ndarray, phi: TwistedForm, conn: Connection) -> np.ndarray:
-    """iota(delta F) phi = g^{ab} (delta F)_a phi_b, a section of V."""
-    return _pair_raised(conn, current, phi.comps)
+    """iota(delta F) phi = g^{ab} (delta F)_a phi_b, a section of V in the layout of phi."""
+    out = _pair_raised(conn, jets.as_dense(current), jets.as_dense(phi.comps))
+    return jets.like(out, phi.comps, conn.dim)
 
 
 # ---------------------------------------------------------------------------
 # translation to trace-free symmetric tensors
 
 
-def tractor_form(phi: tractor_mod.TractorOneForm) -> TwistedForm:
-    return TwistedForm(1, phi.as_matrix())
-
-
-def form_to_tractor(phi: TwistedForm) -> tractor_mod.TractorOneForm:
-    return tractor_mod.TractorOneForm.from_matrix(phi.comps)
-
-
 def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None) -> JetTensor:
     """E* M E: the detour operator translated to trace-free symmetric tensors."""
-    from .connections import tractor_connection
-
     if conn is None:
         conn = tractor_connection(geom)
-    injected = tractor_mod.op_E(psi, geom)
-    m_out = op_M(tractor_form(injected), conn)
-    return tractor_mod.op_E_star(form_to_tractor(m_out), geom)
+    m_out = op_M(TwistedForm(1, tractor_mod.op_E(psi, geom).as_matrix()), conn)
+    return tractor_mod.op_E_star(tractor_mod.TractorOneForm.from_matrix(m_out.comps), geom)
 
 
 def einstein_detour_expected(sigma: Jet, geom: Geometry) -> JetTensor:
@@ -194,31 +186,24 @@ def op_K0(v_up: np.ndarray, geom: Geometry) -> JetTensor:
     return JetTensor(("d", "d"), jets.like(tf, v_up, geom.jet_dim))
 
 
-def op_K0_star(psi: JetTensor, geom: Geometry) -> np.ndarray:
-    """Adjoint of K0 on trace-free symmetric inputs: -2 nabla^b psi_ab."""
-    comps = psi.comps if isinstance(psi, JetTensor) else psi
-    div = tractor_mod.divergence(jets.as_dense(comps), geom)
-    return jets.like(-2.0 * div, comps, geom.jet_dim)
-
-
 def perturbed_geometry(geom: Geometry, h: np.ndarray) -> Geometry:
-    """Geometry of g + eps h in the ring (jet_dim, 1) of jets, where eps^2 = 0.
+    """Geometry of g + eps h, h dense, in the ring (jet_dim, 1) of jets, where eps^2 = 0.
 
     The metric is two scatters into zeros at order k: g onto the ranks free
     of eps, and h up to order k-1 onto the ranks linear in eps.  Higher
     coefficients of h are never read.
     """
-    dim, hd = geom.jet_dim, jets.as_dense(h)
-    k = min(geom.order, jets.order_of(dim, hd.shape[-1]) + 1)
+    dim = geom.jet_dim
+    k = min(geom.order, jets.order_of(dim, h.shape[-1]) + 1)
     comps = np.zeros((geom.n, geom.n, jets._size((dim, 1), k)))
     comps[..., jets._embed_table(dim, k, (dim, 1), (0,))] = geom.dense("g", k)
-    comps[..., jets._embed_table(dim, k - 1, (dim, 1), (1,))] = hd[..., : jets._size(dim, k - 1)]
+    comps[..., jets._embed_table(dim, k - 1, (dim, 1), (1,))] = h[..., : jets._size(dim, k - 1)]
     return Geometry(metric_jets=comps, order=k, point=geom.point)
 
 
 def linearized_bach(h: np.ndarray, geom: Geometry) -> np.ndarray:
     """Derivative of the Bach tensor along the metric perturbation h, in the layout of h."""
-    pg = perturbed_geometry(geom, h)
+    pg = perturbed_geometry(geom, jets.as_dense(h))
     dim = geom.jet_dim
     eps_linear = jets._embed_table(dim, pg.order - 5, (dim, 1), (1,))
     return jets.like(pg.dense("bach")[..., eps_linear], h, dim)

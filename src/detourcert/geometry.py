@@ -24,9 +24,10 @@ values, and then one sweep over the degrees of the product table
 (invert_jet_matrix).  A metric in the ring key (d, 1) of jets runs the same
 stages with the eps^2 products never formed (detour.linearized_bach).  A
 stage computes only its dense array (Geometry.dense); its public attribute,
-jets viewing that array, is built on first access.  covd_array accepts and
-returns either layout; trace and lower contract the leading slots of a dense
-array with the inverse metric and the metric.
+jets viewing that array, is built on first access.  covd_array is the one
+coupled covariant derivative: Gamma on tangent slots, connection matrices on
+fiber slots, dense arrays in and out.  trace and lower contract the leading
+slots of a dense array with the inverse metric and the metric.
 
 A batch of P points (the stage points of prolong.transport) gives the stages
 up to Schouten (Geometry._BATCHED) a leading points axis, bit-identical per
@@ -298,30 +299,41 @@ class Geometry:
 
     # -- coupled derivative ----------------------------------------------------
 
-    def covd_array(self, comps: np.ndarray, variances: tuple) -> np.ndarray:
-        """Covariant derivative; new 'd' slot first, jet order drops by one.
+    def covd_array(self, x: np.ndarray, variances: tuple, theta: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """Coupled covariant derivative of a dense tensor; new 'd' slot first, order drops by one.
 
-        comps is an object array of jets or a dense coefficient array; the
-        result comes in the same layout.
+        variances names each slot of x: 'u' and 'd' are tangent slots, where
+        Gamma acts; 'V' and 'V*' are fiber slots of a bundle with connection
+        matrices theta, a dense (n, r, r, ncoeff) array, where Theta and -Theta^T act.
         """
         self._single("covd_array")
-        x = jets.as_dense(comps)
         order_in = jets.order_of(self.jet_dim, x.shape[-1])
         out_order = order_in - 1
         if out_order < 0:
             raise ValueError("cannot differentiate order-0 jets")
         self.require(out_order + 1, "covariant derivative")
-        n = self.n
+        n, nc = self.n, jets._size(self.jet_dim, out_order)
         gam = self.dense("gamma", out_order)
-        low = x[..., : jets._size(self.jet_dim, out_order)]
+        low = x[..., :nc]
         out = jets.partials(x, self.jet_dim, order_in, n)
         for s, var in enumerate(variances):
+            if var == "V*":  # -T[.. m ..] Theta_a[m, i]: the product T Theta_a, Theta on the right
+                moved = np.moveaxis(low, s, -2)
+                r = moved.shape[-2]
+                term = self._contract(moved.reshape(-1, r, nc),
+                                      theta[..., :nc].transpose(1, 0, 2, 3).reshape(r, n * r, nc))
+                out -= np.moveaxis(term.reshape(moved.shape[:-2] + (n, r, nc)), (-3, -2),
+                                   (0, s + 1))
+                continue
             # cross[a, i, m]: coefficient of T[.. m ..] in nabla_a T[.. i ..] (slot s)
-            cross = gam.transpose(1, 0, 2, 3) if var == "u" else -gam.transpose(1, 2, 0, 3)
+            mat = gam.transpose(1, 0, 2, 3) if var in ("u", "d") else theta[..., :nc]
+            cross = mat if var in ("u", "V") else -mat.transpose(0, 2, 1, 3)
             moved = np.moveaxis(low, s, 0)
-            term = self._contract(cross.reshape(n * n, n, -1), moved.reshape(n, -1, low.shape[-1]))
-            out += np.moveaxis(term.reshape((n, n) + moved.shape[1:]), 1, s + 1)
-        return jets.like(out, comps, self.jet_dim)
+            r = moved.shape[0]
+            term = self._contract(cross.reshape(n * r, r, -1), moved.reshape(r, -1, nc))
+            out += np.moveaxis(term.reshape((n, r) + moved.shape[1:]), 1, s + 1)
+        return out
 
     def trace(self, x: np.ndarray) -> np.ndarray:
         """g^{ea} x[e, a, ...] for a dense x whose first two axes are down slots."""

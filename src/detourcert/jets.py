@@ -21,8 +21,9 @@ bucket runs in chunks of one gather per operand and one batched np.matmul
 within _CHUNK_BYTES, whose stack axis holds the points too, into the rows of
 a coefficient-major buffer.  Terms are summed in BLAS order, not
 Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
-between the layouts (to_jets() views rows of the dense array); functions that
-accept either layout take as_dense() of their input and return like() it.
+between the layouts (to_jets() views rows of the dense array).  Internal
+functions take dense arrays only; a public operator that accepts either
+layout takes as_dense() of its input and returns like() it.
 
 A Jet's coefficients may carry leading points axes, shape (..., ncoeff):
 Jet.constant, Jet.variable and coordinates() take arrays of values, and +,

@@ -41,33 +41,33 @@ def _level_blocks(arr: np.ndarray) -> list:
     return list(arr[..., 0].reshape((-1,) + arr.shape[-3:-1]))
 
 
-def _stack_rank(blocks: list, rel_tol: float, floor: float) -> int:
+_REL_TOL, _FLOOR = 1e-8, 1e-10  # singular values below max(_REL_TOL * largest, _FLOOR) are 0
+
+
+def _stack_rank(blocks: list) -> int:
     s = np.linalg.svd(np.concatenate(blocks, axis=0), compute_uv=False)
-    if s.size == 0 or s[0] <= floor:
+    if s.size == 0 or s[0] <= _FLOOR:
         return 0
-    return int(np.sum(s > max(rel_tol * s[0], floor)))
+    return int(np.sum(s > max(_REL_TOL * s[0], _FLOOR)))
 
 
-def kernel_dimension(conn: Connection, depth: int | None = None,
-                     rel_tol: float = 1e-8, floor: float = 1e-10) -> int:
+def kernel_dimension(conn: Connection) -> int:
     """Dimension of the joint kernel of the stacked obstruction matrices.
 
     Adds derivative levels until the rank stops growing, the fiber is
     exhausted, or the jets run out of orders.  Singular values below
-    max(rel_tol * largest, floor) count as zero, so roundoff-level
+    max(_REL_TOL * largest, _FLOOR) count as zero, so roundoff-level
     curvature (flat or maximally symmetric descriptors) reads as rank 0.
     """
     level = curvature(conn)
-    avail = order_of(conn.dim, level.shape[-1])
-    max_depth = avail if depth is None else min(depth, avail)
     blocks = _level_blocks(level)
-    rank = _stack_rank(blocks, rel_tol, floor)
-    for _ in range(max_depth):
+    rank = _stack_rank(blocks)
+    for _ in range(order_of(conn.dim, level.shape[-1])):
         if rank == conn.rank:
             break
         level = covd_endomorphism(conn, level)
         blocks.extend(_level_blocks(level))
-        new_rank = _stack_rank(blocks, rel_tol, floor)
+        new_rank = _stack_rank(blocks)
         if new_rank == rank:
             break
         rank = new_rank
@@ -185,11 +185,10 @@ def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
 
 
 def transport(spec, builder: Callable, curve: Callable, v0,
-              t0: float = 0.0, t1: float = 1.0,
               rtol: float = 1e-10, atol: float = 1e-12,
               certify_tol: float | None = 1e-6,
               refine: bool = True) -> TransportResult:
-    """Parallel transport of v0 along curve; curve(t) = (point, velocity).
+    """Parallel transport of v0 along curve from t = 0 to 1; curve(t) = (point, velocity).
 
     Solves twice, the second time with 100x tighter tolerances; the
     disagreement is the reported error.  When certify_tol is set, raise
@@ -202,10 +201,10 @@ def transport(spec, builder: Callable, curve: Callable, v0,
         p, n, r = th.shape[:3]  # A = v^a Theta_a at each point, as one batched matmul
         return (np.array(vels, dtype=float)[:, None, :] @ th.reshape(p, n, r * r)).reshape(p, r, r)
 
-    end, nfev = _dopri45(connections, t0, t1, v0, rtol, atol)
+    end, nfev = _dopri45(connections, 0.0, 1.0, v0, rtol, atol)
     if not refine:
         return TransportResult(end, float("nan"), nfev)
-    fine_end, fine_nfev = _dopri45(connections, t0, t1, v0, rtol * 0.01, atol * 0.01)
+    fine_end, fine_nfev = _dopri45(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01)
     err = float(np.max(np.abs(end - fine_end)))
     if certify_tol is not None and err > certify_tol:
         raise CertificationError(

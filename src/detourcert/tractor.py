@@ -27,10 +27,10 @@ tractor metric is h = g^{-1}(mu, mu) + 2 sigma rho with signature
 (p+1, q+1) for a metric of signature (p, q).
 
 Every operator computes on dense jet tensors (see jets) with
-Geometry.covd_array, Geometry.trace and connections.matmul.  Public
-functions take and return jets: Jet, object arrays of jets, TractorJet and
-TractorOneForm; trace_free and divergence also accept dense arrays and
-return the layout they were given.
+Geometry.covd_array, Geometry.trace and connections.matmul.  The operators
+on Jet, TractorJet, TractorOneForm and JetTensor take and return jets;
+divergence, trace_free and trace_free_symmetric take and return dense
+arrays only.
 """
 from __future__ import annotations
 
@@ -144,27 +144,25 @@ def _gram(geom: Geometry, order: int) -> np.ndarray:
 # trace and divergence of 2-tensors
 
 
-def divergence(comps: np.ndarray, geom: Geometry) -> np.ndarray:
-    """nabla^b comps_ab of a 2-tensor, one order lower."""
-    d = geom.covd_array(jets.as_dense(comps), ("d", "d"))  # [c, a, b]
-    return jets.like(geom.trace(d.transpose(0, 2, 1, 3)), comps, geom.jet_dim)
+def divergence(x: np.ndarray, geom: Geometry) -> np.ndarray:
+    """nabla^b x_ab of a dense 2-tensor, one order lower."""
+    d = geom.covd_array(x, ("d", "d"))  # [c, a, b]
+    return geom.trace(d.transpose(0, 2, 1, 3))
 
 
-def trace_free(comps: np.ndarray, geom: Geometry, validate_input: bool = False) -> np.ndarray:
-    """Subtract (g-trace / n) * g from a symmetric 2-tensor."""
-    x = jets.as_dense(comps)
+def trace_free(x: np.ndarray, geom: Geometry, validate_input: bool = False) -> np.ndarray:
+    """Subtract (g-trace / n) * g from a dense symmetric 2-tensor."""
     tr = geom.trace(x)
     if validate_input:
         scale = 1.0 + float(np.max(np.abs(x[..., 0])))
         if abs(tr[0]) > 1e-8 * scale:
             raise ValueError(f"input is not trace-free (trace {tr[0]:.3e})")
     g = geom.dense("g")[..., : x.shape[-1]]
-    return jets.like(x - _times(g, tr / float(geom.n), geom), comps, geom.jet_dim)
+    return x - _times(g, tr / float(geom.n), geom)
 
 
-def trace_free_symmetric(comps: np.ndarray, geom: Geometry) -> np.ndarray:
-    x = jets.as_dense(comps)
-    return jets.like(trace_free((x + x.swapaxes(0, 1)) * 0.5, geom), comps, geom.jet_dim)
+def trace_free_symmetric(x: np.ndarray, geom: Geometry) -> np.ndarray:
+    return trace_free((x + x.swapaxes(0, 1)) * 0.5, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def op_D(sigma: Jet, geom: Geometry) -> JetTensor:
 
 def op_E(psi: JetTensor, geom: Geometry) -> TractorOneForm:
     """Inject a trace-free symmetric 2-tensor into tractor-valued 1-forms."""
-    x = jets.as_dense(psi.comps if isinstance(psi, JetTensor) else psi)
+    x = jets.as_dense(psi.comps)
     n = geom.n
     # validated: op_E is only defined on trace-free symmetric inputs
     vals = x[..., 0]
@@ -207,7 +205,7 @@ def op_E(psi: JetTensor, geom: Geometry) -> TractorOneForm:
 
 def op_D_star(phi: JetTensor, geom: Geometry) -> Jet:
     """Formal adjoint of op_D: nabla^a nabla^b phi_ab + P^ab phi_ab."""
-    x = jets.as_dense(phi.comps if isinstance(phi, JetTensor) else phi)
+    x = jets.as_dense(phi.comps)
     n = geom.n
     ddphi = geom.covd_array(geom.covd_array(x, ("d", "d")), ("d", "d", "d"))  # [c, d, a, b]
     dd = geom.trace(geom.trace(ddphi.transpose(0, 2, 1, 3, 4)))
@@ -242,8 +240,9 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
 
 def apply_connection(t: TractorJet, geom: Geometry) -> TractorOneForm:
     """Tractor covariant derivative in the fixed scale."""
-    d = connections.covd_section(connections.tractor_connection(geom), t.as_vector())
-    return TractorOneForm.from_matrix(d)
+    conn = connections.tractor_connection(geom)
+    d = connections.covd_section(conn, jets.as_dense(t.as_vector()))
+    return TractorOneForm.from_matrix(_jets(d, geom))
 
 
 def coupled_divergence(phi: TractorOneForm, geom: Geometry) -> TractorJet:

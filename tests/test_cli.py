@@ -104,6 +104,24 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_default_suites_follow_the_metric_dimension(capsys):
+    # "all" leaves out the deformation suite on a metric that is not four dimensional
+    assert cli.main(["verify", "--metric", "generic_bump3", "--points", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "overall: PASS" in out and "transport-roundtrip" in out
+    assert "gauge-linearization" not in out
+
+
+def test_signature_reads_the_eigenvalues_of_a_non_diagonal_metric(tmp_path):
+    # null coordinates: the Lorentzian metric has no positive diagonal entry in (x, y)
+    path = tmp_path / "null.metric"
+    path.write_text('dimension = 3\ncoords = x y z\nsignature = "-++"\n'
+                    'g[1][2] = "1"\ng[3][3] = "1 + 0.1*x^2"\n')
+    report = cli.run(run_config(metric=str(path), suites=("tractor",), points=1))
+    assert {c.check_id: c.max_residual for c in report.checks}["signature"] == 0.0
+    assert report.passed
+
+
 def test_text_report_shape(capsys):
     assert cli.main(["verify", "--metric", "flat3", "--suite", "curvature",
                      "--points", "1", "--format", "text"]) == 0
@@ -155,21 +173,39 @@ def test_flat_all_suites_clean():
     assert all(c.max_residual < 1e-9 for c in report.checks)
 
 
-def test_nan_residual_fails_the_check(monkeypatch):
+def _nan_patches():
+    """(check id, suite, module attribute, value) making that one check's residual NaN."""
     nan = float("nan")
-    table = [(cid, text, (lambda geom, rng, tol: nan) if cid == "algebraic-bianchi" else fn, d4)
-             for cid, text, fn, d4 in cli._CURVATURE]
-    monkeypatch.setattr(cli, "_CURVATURE", table)
-    monkeypatch.setattr(cli, "_complex_composition", lambda geom, rng, tol: (1.0, 1.0, nan))
-    monkeypatch.setattr(cli, "_transport_roundtrip", lambda spec, box, rng, tol: nan)
-    report = cli.run(run_config(metric="flat4", suites=("curvature", "detour", "prolong"),
-                                points=2))
-    rec = {c.check_id: c for c in report.checks}
-    for cid in ("algebraic-bianchi", "complex-composition", "transport-roundtrip"):
-        assert not rec[cid].passed, cid
-    assert rec["algebraic-bianchi"].max_residual != rec["algebraic-bianchi"].max_residual
-    assert rec["contracted-bianchi"].passed
-    assert not report.passed
+    for attr in ("_CURVATURE", "_TRACTOR", "_DETOUR"):
+        table = getattr(cli, attr)
+        suite = attr[1:].lower()
+        for i, row in enumerate(table):
+            patched = list(table)
+            patched[i] = row[:2] + (lambda *args: nan,) + row[3:]
+            yield row[0], suite, attr, patched
+    composition = cli._complex_composition  # a NaN residual beside the real prediction
+    yield ("complex-composition", "detour", "_complex_composition",
+           lambda geom, rng: (nan,) + composition(geom, rng)[1:])
+    yield "kernel-bound", "prolong", "_kernel_bound", lambda *args: nan
+    yield "scale-kernel-bound", "prolong", "_scale_kernel_bound", lambda *args: nan
+    yield "transport-roundtrip", "prolong", "_transport_roundtrip", lambda *args: nan
+    yield "gauge-linearization", "deformation", "_gauge_linearization", lambda *args: nan
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    # each check of every suite in turn returns NaN: its record and the report fail
+    seen = set()
+    for check_id, suite, attr, value in _nan_patches():
+        with monkeypatch.context() as m:
+            m.setattr(cli, attr, value)
+            report = cli.run(run_config(metric="flat4", suites=(suite,), points=1))
+        rec = {c.check_id: c for c in report.checks}
+        assert not rec[check_id].passed and math.isnan(rec[check_id].max_residual), check_id
+        assert all(c.passed for c in report.checks if c.check_id != check_id), check_id
+        assert not report.passed, check_id
+        assert "FAIL" in report.to_text() and '"passed": false' in report.to_json()
+        seen.add(check_id)
+    assert len(seen) == 17
 
 
 def _with_nan_entry(arr):
@@ -308,7 +344,7 @@ def test_value_checks_are_bit_identical_at_the_suite_minimum_and_at_order_8(name
         pair = [Geometry(entry.spec(), point, order=cli.MIN_ORDER[suite]), high]
         if on_connection:
             pair = [covector_connection(g) for g in pair]
-        lo, hi = (fn(x, rng, 1e-8) for x, rng in zip(pair, rngs))
+        lo, hi = (fn(x, rng) for x, rng in zip(pair, rngs))
         assert lo == hi, (suite, fn.__name__, lo, hi)
 
 
