@@ -157,10 +157,9 @@ def resolve_metric(source: str):
     return spec, box, None
 
 
-def _rand_jets(rng, shape, n, order, scale=1.0) -> np.ndarray:
-    """Jets with standard normal coefficients, drawn entry by entry in C order."""
-    size = jets._size(n, order)
-    return jets.to_jets(rng.standard_normal(shape + (size,)) * scale, n, order)
+def _rand_jets(rng, shape, n, order) -> np.ndarray:
+    """Dense jets with standard normal coefficients, drawn entry by entry in C order."""
+    return rng.standard_normal(shape + (jets._size(n, order),))
 
 
 def _worst(residuals) -> float:
@@ -183,8 +182,8 @@ def _rel_diff(lhs, rhs) -> float:
 # ---------------------------------------------------------------------------
 # per-point check functions; each returns a residual, optionally with a
 # (prediction_norm, prediction_gap) pair for obstruction-style checks.  Each
-# reads its tensors through Geometry.dense or the public operator, and their
-# values at the point as the coefficient 0 of the dense array.
+# reads its tensors through Geometry.dense or a public operator given dense
+# arrays, and their values at the point as the coefficient 0.
 
 
 def _check_algebraic_bianchi(geom, rng):
@@ -224,7 +223,7 @@ def _check_bach_shape(geom, rng):
 def _check_tractor_metric_parallel(geom, rng):
     # compatibility of the position dependent pairing: d_a h = T_a^T h + h T_a
     n = geom.n
-    t = jets.as_dense(tractor.connection_matrices(geom, 1))[..., 0]
+    t = tractor.connection_matrices(geom, 1)[..., 0]
     h = tractor.gram_matrix(geom)
     dh = np.zeros_like(t)
     dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv"), geom.jet_dim,
@@ -234,11 +233,10 @@ def _check_tractor_metric_parallel(geom, rng):
 
 
 def _check_splitting_commutation(geom, rng):
-    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 5))[()]
+    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 5))
     lhs = tractor.apply_connection(tractor.splitting(sigma, geom), geom)
     rhs = tractor.op_E(tractor.op_D(sigma, geom), geom)
-    return _rel_diff(jets.as_dense(lhs.as_matrix())[..., 0],
-                     jets.as_dense(rhs.as_matrix())[..., 0])
+    return _rel_diff(lhs.as_matrix()[..., 0], rhs.as_matrix()[..., 0])
 
 
 def _check_adjoint_factorization(geom, rng):
@@ -247,11 +245,11 @@ def _check_adjoint_factorization(geom, rng):
     phi = tractor.TractorOneForm(_rand_jets(rng, (n,), n, 3), nu, _rand_jets(rng, (n,), n, 3))
     lhs = tractor.splitting_star(tractor.coupled_divergence(phi, geom), geom)
     rhs = tractor.op_D_star(tractor.op_E_star(phi, geom), geom)
-    return abs(lhs.value - rhs.value) / max(1.0, abs(lhs.value), abs(rhs.value))
+    return abs(lhs[0] - rhs[0]) / max(1.0, abs(lhs[0]), abs(rhs[0]))
 
 
 def _check_tractor_curvature_skew(geom, rng):
-    m = jets.as_dense(tractor.tractor_curvature(geom))[..., 0]
+    m = tractor.tractor_curvature(geom)[..., 0]
     h = tractor.gram_matrix(geom)
     skew = [m + m.swapaxes(0, 1), m.swapaxes(-1, -2) @ h + h @ m]
     return _max_abs(skew) / max(1.0, _max_abs(m))
@@ -268,20 +266,20 @@ def _ym_exterior(conn, rng):
     f = _rand_jets(rng, (conn.n,), conn.n, 4)
     lhs = detour.op_M(detour.twisted_d(detour.TwistedForm(0, f), conn), conn)
     rhs = detour.current_action(detour.ym_current(conn), f)
-    return _rel_diff(jets.as_dense(lhs.comps)[..., 0], jets.as_dense(rhs)[..., 0])
+    return _rel_diff(lhs.comps[..., 0], rhs[..., 0])
 
 
 def _ym_interior(conn, rng):
     phi = detour.TwistedForm(1, _rand_jets(rng, (conn.n, conn.n), conn.n, 4))
     lhs = detour.twisted_delta(detour.op_M(phi, conn), conn)
     rhs = detour.current_contraction(detour.ym_current(conn), phi, conn)
-    return _rel_diff(jets.as_dense(lhs.comps)[..., 0], -jets.as_dense(rhs)[..., 0])
+    return _rel_diff(lhs.comps[..., 0], -rhs[..., 0])
 
 
 def _complex_composition(geom, rng):
-    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 6))[()]
-    comp = jets.as_dense(detour.op_MT(tractor.op_D(sigma, geom), geom).comps)[..., 0]
-    pred = jets.as_dense(detour.einstein_detour_expected(sigma, geom).comps)[..., 0]
+    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 6))
+    comp = detour.op_MT(tractor.op_D(sigma, geom), geom).comps[..., 0]
+    pred = detour.einstein_detour_expected(sigma, geom).comps[..., 0]
     return _max_abs(comp), _max_abs(pred), _max_abs(comp - pred)
 
 

@@ -10,7 +10,7 @@ transport, prolongation checks) consumes only this presentation, so the
 same code path serves the Levi-Civita connection on covectors, the
 tractor connection, its tensor square, the Killing prolongation
 connection and ad-hoc polynomial examples.  The tractor connection in
-particular is nothing but covd_section over tractor.connection_dense:
+particular is nothing but covd_section over tractor.connection_matrices:
 tractor.apply_connection and tractor.coupled_divergence call it, and the
 slot-by-slot tractor formula survives only in the tests, as the
 reference this generic derivative is checked against.
@@ -85,7 +85,7 @@ def covector_connection(geom: Geometry) -> Connection:
 
 
 def tractor_connection(geom: Geometry) -> Connection:
-    th = tractor_mod.connection_dense(geom, geom.order - 2)
+    th = tractor_mod.connection_matrices(geom, geom.order - 2)
     return Connection(geom, geom.n + 2, th, label="tractor")
 
 

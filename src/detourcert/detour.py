@@ -15,12 +15,14 @@ the Yang-Mills current delta F:
 The twisted operators work on dense jet tensors (see jets and
 connections): each is one or two jets.contract calls against the inverse
 metric and the connection's dense Theta and curvature.  Jets appear only
-at the public edge: twisted_d, twisted_delta, op_M, current_action,
-current_contraction, op_K0 and linearized_bach return the layout they were
-given; f_action, _pair_raised and perturbed_geometry are dense-only, and
-op_M passes dense arrays between its steps.
-ym_current(conn) returns a dense array and, like curvature(conn), is
-computed once per Connection and kept in Connection.cache.
+at the public edge: twisted_d, twisted_delta, op_M, op_MT, current_action,
+current_contraction, einstein_detour_expected, op_K0 and linearized_bach
+return the layout of the section they were given; f_action, _pair_raised
+and perturbed_geometry are dense-only, and op_M and op_MT pass dense
+arrays between their steps.  ym_current(conn), a function of the
+connection alone, returns a dense array and, like curvature(conn), is
+computed once per Connection and kept in Connection.cache; current_action
+takes it dense.
 
 Translating M through the injector E and its adjoint yields the
 second-order operator on trace-free symmetric tensors whose composition
@@ -123,19 +125,13 @@ def ym_current(conn: Connection) -> np.ndarray:
 
 
 def current_action(current: np.ndarray, section: np.ndarray) -> np.ndarray:
-    """epsilon(delta F) f: pair an End-valued 1-form with a section.
+    """epsilon(delta F) f: pair a dense End-valued 1-form with a section, in its layout.
 
-    Either argument may be dense, not both: the jet variables are read off
-    the one given as jets.  The result comes in the layout of section.
+    The jet variables are the n coordinates of the current's form axis.
     """
-    like = section if section.dtype == object else current
-    if like.dtype != object:
-        raise ValueError("current_action needs the current or the section as jets")
-    dim = like.flat[0].dim
-    cur, f = jets.as_dense(current), jets.as_dense(section)
-    n, r = cur.shape[:2]
-    out = matmul(cur.reshape(n * r, r, -1), f.reshape(r, 1, -1), dim)
-    return jets.like(out.reshape(n, r, -1), section, dim)
+    n, r = current.shape[:2]
+    out = matmul(current.reshape(n * r, r, -1), jets.as_dense(section).reshape(r, 1, -1), n)
+    return jets.like(out.reshape(n, r, -1), section, n)
 
 
 def current_contraction(current: np.ndarray, phi: TwistedForm, conn: Connection) -> np.ndarray:
@@ -152,27 +148,29 @@ def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None) -> Jet
     """E* M E: the detour operator translated to trace-free symmetric tensors."""
     if conn is None:
         conn = tractor_connection(geom)
-    m_out = op_M(TwistedForm(1, tractor_mod.op_E(psi, geom).as_matrix()), conn)
-    return tractor_mod.op_E_star(tractor_mod.TractorOneForm.from_matrix(m_out.comps), geom)
+    dense = JetTensor(psi.variances, jets.as_dense(psi.comps))  # dense between the steps
+    m_out = op_M(TwistedForm(1, tractor_mod.op_E(dense, geom).as_matrix()), conn)
+    out = tractor_mod.op_E_star(tractor_mod.TractorOneForm.from_matrix(m_out.comps), geom)
+    return JetTensor(out.variances, jets.like(out.comps, psi.comps, geom.jet_dim))
 
 
-def einstein_detour_expected(sigma: Jet, geom: Geometry) -> JetTensor:
+def einstein_detour_expected(sigma: Jet | np.ndarray, geom: Geometry) -> JetTensor:
     """Zeroth-order action TFS(-B_ab sigma + (n-4) A_acb nabla^c sigma).
 
     This is what M^T composed with the Einstein operator D must produce;
     the Cotton slot order matters only away from dimension four.
     """
-    n, dim = geom.n, geom.jet_dim
+    n, dim, s = geom.n, geom.jet_dim, jets.as_dense(sigma)
     geom.require(5, "detour composition")
     k = geom.order - 5
     nc = jets._size(dim, k)
-    grad = jets.partials(sigma.coeffs, dim, sigma.order, n)[:, None, :nc]
+    grad = jets.partials(s, dim, jets.order_of(dim, s.shape[-1]), n)[:, None, :nc]
     # rows (a, b): [-B_ab, (n-4) A_acb] against the column [sigma, nabla^c sigma]
-    col = np.concatenate([sigma.coeffs[None, None, :nc], matmul(geom.dense("ginv", k), grad, dim)])
+    col = np.concatenate([s[None, None, :nc], matmul(geom.dense("ginv", k), grad, dim)])
     coef = np.concatenate([-geom.dense("bach", k)[:, :, None],
                            (n - 4.0) * geom.dense("cotton", k).transpose(0, 2, 1, 3)], axis=2)
     comps = matmul(coef.reshape(n * n, n + 1, -1), col, dim).reshape(n, n, -1)
-    return JetTensor(("d", "d"), jets.to_jets(tractor_mod.trace_free_symmetric(comps, geom), dim, k))
+    return JetTensor(("d", "d"), jets.like(tractor_mod.trace_free_symmetric(comps, geom), sigma, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ bucket runs in chunks of one gather per operand and one batched np.matmul
 within _CHUNK_BYTES, whose stack axis holds the points too, into the rows of
 a coefficient-major buffer.  Terms are summed in BLAS order, not
 Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
-between the layouts (to_jets() views rows of the dense array).  Internal
-functions take dense arrays only; a public operator that accepts either
-layout takes as_dense() of its input and returns like() it.
+between the layouts (to_jets() views rows of the dense array).  Only
+as_dense() and like() decide the layout: a public operator takes as_dense()
+of its input (a Jet, jets or a dense array) and returns like() it, so it
+returns the layout it was given; internal functions take dense arrays only.
 
 A Jet's coefficients may carry leading points axes, shape (..., ncoeff):
 Jet.constant, Jet.variable and coordinates() take arrays of values, and +,
@@ -232,14 +233,19 @@ def to_jets(x: np.ndarray, dim, order: int) -> np.ndarray:
     return out.reshape(x.shape[:-1])
 
 
-def as_dense(arr: np.ndarray) -> np.ndarray:
-    """arr itself if it is dense, else its coefficients (to_dense)."""
+def as_dense(arr) -> np.ndarray:
+    """arr itself if it is dense, else the coefficients of a Jet or of jets (to_dense)."""
+    if isinstance(arr, Jet):
+        return arr.coeffs
     return to_dense(arr) if arr.dtype == object else arr
 
 
-def like(x: np.ndarray, arr: np.ndarray, dim) -> np.ndarray:
-    """Dense x in the layout of arr: x itself, or jets viewing it if arr holds jets."""
-    return x if arr.dtype != object else to_jets(x, dim, order_of(dim, x.shape[-1]))
+def like(x: np.ndarray, arr, dim):
+    """Dense x in the layout of arr: x itself, else jets viewing it (a Jet if x is 1-D)."""
+    if not isinstance(arr, Jet) and arr.dtype != object:
+        return x
+    out = to_jets(x, dim, order_of(dim, x.shape[-1]))
+    return out[()] if x.ndim == 1 else out
 
 
 def _constant_coeffs(value, n: int) -> np.ndarray:

@@ -13,10 +13,10 @@ Connection, in the fixed scale:
          nabla_a mu_b + g_ab rho + P_ab sigma,
          d_a rho - P_a^b mu_b)
 
-connection_dense holds it as coefficient matrices T_a on the stacked vector
-(sigma, mu_c, rho), the Levi-Civita action on mu folded in.  The tractor
-connection is the generic coupled derivative of connections over those
-matrices: apply_connection is covd_section of tractor_connection, and
+connection_matrices holds it as coefficient matrices T_a on the stacked
+vector (sigma, mu_c, rho), the Levi-Civita action on mu folded in.  The
+tractor connection is the generic coupled derivative of connections over
+those matrices: apply_connection is covd_section of tractor_connection, and
 coupled_divergence minus its trace.  The slot formula above is written out
 only in the tests, as the reference the generic derivative is checked
 against.
@@ -28,9 +28,11 @@ tractor metric is h = g^{-1}(mu, mu) + 2 sigma rho with signature
 
 Every operator computes on dense jet tensors (see jets) with
 Geometry.covd_array, Geometry.trace and connections.matmul.  The operators
-on Jet, TractorJet, TractorOneForm and JetTensor take and return jets;
-divergence, trace_free and trace_free_symmetric take and return dense
-arrays only.
+on a section (Jet, TractorJet, TractorOneForm, JetTensor) take either layout
+and return the one they were given; TractorJet and TractorOneForm hold
+either.  Functions of the geometry alone (connection_matrices,
+tractor_curvature) and divergence, trace_free and trace_free_symmetric
+return dense arrays; curvature_divergence returns jets.
 """
 from __future__ import annotations
 
@@ -45,26 +47,18 @@ from .jets import Jet
 
 @dataclass
 class TractorJet:
-    """Splitting components (sigma, mu_a, rho) with equal jet orders."""
+    """Splitting components (sigma, mu_a, rho) with equal jet orders, as jets or dense."""
 
-    sigma: Jet
+    sigma: Jet | np.ndarray
     mu: np.ndarray
-    rho: Jet
+    rho: Jet | np.ndarray
 
     @property
     def n(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def order(self) -> int:
-        return self.sigma.order
-
     def as_vector(self) -> np.ndarray:
-        out = np.empty(self.n + 2, dtype=object)
-        out[0] = self.sigma
-        out[1 : self.n + 1] = self.mu
-        out[self.n + 1] = self.rho
-        return out
+        return np.concatenate([[self.sigma], self.mu, [self.rho]])
 
     @staticmethod
     def from_vector(vec: np.ndarray) -> "TractorJet":
@@ -74,7 +68,7 @@ class TractorJet:
 
 @dataclass
 class TractorOneForm:
-    """Tractor-valued 1-form: slots (alpha_a, nu_ab, tau_a); a is the form index."""
+    """Tractor-valued 1-form: slots (alpha_a, nu_ab, tau_a), a the form index; jets or dense."""
 
     alpha: np.ndarray
     nu: np.ndarray
@@ -84,17 +78,8 @@ class TractorOneForm:
     def n(self) -> int:
         return self.alpha.shape[0]
 
-    @property
-    def order(self) -> int:
-        return self.alpha[0].order
-
     def as_matrix(self) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n + 2), dtype=object)
-        out[:, 0] = self.alpha
-        out[:, 1 : n + 1] = self.nu
-        out[:, n + 1] = self.tau
-        return out
+        return np.concatenate([self.alpha[:, None], self.nu, self.tau[:, None]], axis=1)
 
     @staticmethod
     def from_matrix(mat: np.ndarray) -> "TractorOneForm":
@@ -106,12 +91,6 @@ class TractorOneForm:
 
 # ---------------------------------------------------------------------------
 # dense helpers
-
-
-def _jets(x: np.ndarray, geom: Geometry):
-    """Jets of a dense array; a single Jet for a coefficient vector."""
-    out = jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
-    return out[()] if x.ndim == 1 else out
 
 
 def _times(t: np.ndarray, s: np.ndarray, geom: Geometry) -> np.ndarray:
@@ -150,13 +129,9 @@ def divergence(x: np.ndarray, geom: Geometry) -> np.ndarray:
     return geom.trace(d.transpose(0, 2, 1, 3))
 
 
-def trace_free(x: np.ndarray, geom: Geometry, validate_input: bool = False) -> np.ndarray:
+def trace_free(x: np.ndarray, geom: Geometry) -> np.ndarray:
     """Subtract (g-trace / n) * g from a dense symmetric 2-tensor."""
     tr = geom.trace(x)
-    if validate_input:
-        scale = 1.0 + float(np.max(np.abs(x[..., 0])))
-        if abs(tr[0]) > 1e-8 * scale:
-            raise ValueError(f"input is not trace-free (trace {tr[0]:.3e})")
     g = geom.dense("g")[..., : x.shape[-1]]
     return x - _times(g, tr / float(geom.n), geom)
 
@@ -169,21 +144,22 @@ def trace_free_symmetric(x: np.ndarray, geom: Geometry) -> np.ndarray:
 # splitting operators and their adjoints
 
 
-def splitting(sigma: Jet, geom: Geometry) -> TractorJet:
+def splitting(sigma: Jet | np.ndarray, geom: Geometry) -> TractorJet:
     """sigma -> (sigma, grad sigma, -(laplacian + J) sigma / n), orders equalized."""
-    s = sigma.coeffs
+    s = jets.as_dense(sigma)
     lap = _laplacian(s, geom)
     nc = lap.shape[-1]
     rho = (lap + _times(geom.dense("jtrace")[:nc], s[:nc], geom)) * (-1.0 / geom.n)
     vec = np.concatenate([s[None, :nc], _grad(s, geom)[:, :nc], rho[None]])
-    return TractorJet.from_vector(_jets(vec, geom))
+    return TractorJet.from_vector(jets.like(vec, sigma, geom.jet_dim))
 
 
-def op_D(sigma: Jet, geom: Geometry) -> JetTensor:
+def op_D(sigma: Jet | np.ndarray, geom: Geometry) -> JetTensor:
     """Trace-free part of (hessian + P sigma); kernel = almost-Einstein scales."""
-    hess = geom.covd_array(_grad(sigma.coeffs, geom), ("d",))
-    comps = hess + _times(geom.dense("schouten", sigma.order - 2), sigma.coeffs, geom)
-    return JetTensor(("d", "d"), _jets(trace_free(comps, geom), geom))
+    s = jets.as_dense(sigma)
+    hess = geom.covd_array(_grad(s, geom), ("d",))
+    comps = hess + _times(geom.dense("schouten")[..., : hess.shape[-1]], s, geom)
+    return JetTensor(("d", "d"), jets.like(trace_free(comps, geom), sigma, geom.jet_dim))
 
 
 def op_E(psi: JetTensor, geom: Geometry) -> TractorOneForm:
@@ -195,15 +171,17 @@ def op_E(psi: JetTensor, geom: Geometry) -> TractorOneForm:
     scale = 1.0 + float(np.max(np.abs(vals)))
     if float(np.max(np.abs(vals - vals.T))) > 1e-8 * scale:
         raise ValueError("op_E input must be symmetric")
-    trace_free(x, geom, validate_input=True)
+    tr = geom.trace(x)[0]
+    if abs(tr) > 1e-8 * scale:
+        raise ValueError(f"input is not trace-free (trace {tr:.3e})")
     tau = divergence(x, geom) * (-1.0 / (n - 1))
     m = np.zeros((n, n + 2, tau.shape[-1]))
     m[:, 1 : n + 1] = x[..., : tau.shape[-1]]
     m[:, n + 1] = tau
-    return TractorOneForm.from_matrix(_jets(m, geom))
+    return TractorOneForm.from_matrix(jets.like(m, psi.comps, geom.jet_dim))
 
 
-def op_D_star(phi: JetTensor, geom: Geometry) -> Jet:
+def op_D_star(phi: JetTensor, geom: Geometry) -> Jet | np.ndarray:
     """Formal adjoint of op_D: nabla^a nabla^b phi_ab + P^ab phi_ab."""
     x = jets.as_dense(phi.comps)
     n = geom.n
@@ -211,7 +189,7 @@ def op_D_star(phi: JetTensor, geom: Geometry) -> Jet:
     dd = geom.trace(geom.trace(ddphi.transpose(0, 2, 1, 3, 4)))
     pp = connections.matmul(geom.dense("schouten_up").reshape(1, n * n, -1),
                             x.reshape(n * n, 1, -1), geom.jet_dim)
-    return _jets(pp[0, 0, : dd.shape[-1]] + dd, geom)
+    return jets.like(pp[0, 0, : dd.shape[-1]] + dd, phi.comps, geom.jet_dim)
 
 
 def op_E_star(phi: TractorOneForm, geom: Geometry) -> JetTensor:
@@ -220,10 +198,10 @@ def op_E_star(phi: TractorOneForm, geom: Geometry) -> JetTensor:
     m = jets.as_dense(phi.as_matrix())
     dalpha = geom.covd_array(m[:, 0], ("d",))
     comps = m[:, 1 : n + 1, : dalpha.shape[-1]] + dalpha * (1.0 / (n - 1))
-    return JetTensor(("d", "d"), _jets(trace_free_symmetric(comps, geom), geom))
+    return JetTensor(("d", "d"), jets.like(trace_free_symmetric(comps, geom), phi.alpha, geom.jet_dim))
 
 
-def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
+def splitting_star(t: TractorJet, geom: Geometry) -> Jet | np.ndarray:
     """Formal adjoint of the splitting: rho - div mu - (laplacian + J) sigma / n."""
     n = geom.n
     v = jets.as_dense(t.as_vector())
@@ -231,7 +209,7 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet:
     nc = lap.shape[-1]
     div = geom.trace(geom.covd_array(v[1 : n + 1], ("d",)))[:nc]
     js = _times(geom.dense("jtrace")[:nc], v[0, :nc], geom)
-    return _jets(v[n + 1, :nc] - div - (lap + js) * (1.0 / n), geom)
+    return jets.like(v[n + 1, :nc] - div - (lap + js) * (1.0 / n), t.sigma, geom.jet_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +220,20 @@ def apply_connection(t: TractorJet, geom: Geometry) -> TractorOneForm:
     """Tractor covariant derivative in the fixed scale."""
     conn = connections.tractor_connection(geom)
     d = connections.covd_section(conn, jets.as_dense(t.as_vector()))
-    return TractorOneForm.from_matrix(_jets(d, geom))
+    return TractorOneForm.from_matrix(jets.like(d, t.sigma, geom.jet_dim))
 
 
 def coupled_divergence(phi: TractorOneForm, geom: Geometry) -> TractorJet:
     """delta on tractor-valued 1-forms: minus the coupled divergence."""
     conn = connections.tractor_connection(geom)
     d = connections.covd_section(conn, jets.as_dense(phi.as_matrix()))
-    return TractorJet.from_vector(_jets(-geom.trace(d), geom))
+    return TractorJet.from_vector(jets.like(-geom.trace(d), phi.alpha, geom.jet_dim))
 
 
-def tractor_metric(t1: TractorJet, t2: TractorJet, geom: Geometry) -> Jet:
-    k = min(t1.order, t2.order)
-    v1, v2 = (jets.as_dense(t.as_vector())[:, : jets._size(geom.jet_dim, k)] for t in (t1, t2))
-    hv = connections.matmul(_gram(geom, k), v2[:, None], geom.jet_dim)
-    return _jets(connections.matmul(v1[None], hv, geom.jet_dim)[0, 0], geom)
+def tractor_metric(t1: TractorJet, t2: TractorJet, geom: Geometry) -> Jet | np.ndarray:
+    v1, v2 = (jets.as_dense(t.as_vector()) for t in (t1, t2))
+    hv = connections.matmul(_gram(geom, geom.order), v2[:, None], geom.jet_dim)
+    return jets.like(connections.matmul(v1[None], hv, geom.jet_dim)[0, 0], t1.sigma, geom.jet_dim)
 
 
 def gram_matrix(geom: Geometry) -> np.ndarray:
@@ -271,15 +248,10 @@ def tractor_signature(geom: Geometry) -> tuple:
 def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     """Coefficient matrices T_a with nabla_a t = d_a t + T_a t on (sigma, mu_c, rho).
 
-    The Levi-Civita action on the mu slot is folded in, so these matrices
-    define the tractor bundle as a plain rank-(n+2) bundle with connection.
-    Jets viewing connection_dense(geom, order).
+    A dense (..., n, n+2, n+2, ncoeff) array.  The Levi-Civita action on the
+    mu slot is folded in, so these matrices define the tractor bundle as a
+    plain rank-(n+2) bundle with connection.
     """
-    return jets.to_jets(connection_dense(geom, order), geom.jet_dim, order)
-
-
-def connection_dense(geom: Geometry, order: int) -> np.ndarray:
-    """The matrices of connection_matrices as a dense (..., n, n+2, n+2, ncoeff) array."""
     n = geom.n
     geom.require(order + 2, "tractor connection coefficients")
     P = geom.dense("schouten", order)
@@ -293,7 +265,7 @@ def connection_dense(geom: Geometry, order: int) -> np.ndarray:
 
 
 def tractor_curvature(geom: Geometry) -> np.ndarray:
-    """Curvature 2-form as (n, n, n+2, n+2) matrices acting on (sigma, mu_c, rho).
+    """Curvature 2-form as dense (n, n, n+2, n+2) matrices acting on (sigma, mu_c, rho).
 
     Blocks: mu-row sigma-column holds the Cotton tensor, the mu-mu block the
     Weyl tensor, the rho-row mu-column minus the Cotton tensor; everything
@@ -311,15 +283,16 @@ def tractor_curvature(geom: Geometry) -> np.ndarray:
     out[:, :, 1 : n + 1, 0] = A
     out[:, :, 1 : n + 1, 1 : n + 1] = up[: n**3].reshape(n, n, n, n, -1)
     out[:, :, n + 1, 1 : n + 1] = -up[n**3 :].reshape(n, n, n, -1)
-    return _jets(out, geom)
+    return out
 
 
 def curvature_divergence(geom: Geometry) -> np.ndarray:
-    """nabla^a Omega_ab, computed mechanically with the End-coupled connection."""
+    """nabla^a Omega_ab as jets, computed mechanically with the End-coupled connection."""
     geom.require(4, "curvature divergence")
     d_omega = connections.covd_endomorphism(connections.tractor_connection(geom),
-                                            jets.as_dense(tractor_curvature(geom)))
-    return _jets(geom.trace(d_omega), geom)
+                                            tractor_curvature(geom))
+    div = geom.trace(d_omega)
+    return jets.to_jets(div, geom.jet_dim, jets.order_of(geom.jet_dim, div.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +320,10 @@ def _change_of_scale(m: np.ndarray, omega: Jet, geom: Geometry) -> np.ndarray:
 def conformal_tractor(t: TractorJet, omega: Jet, geom: Geometry) -> TractorJet:
     """Components of the same tractor in the scale exp(2 omega) g."""
     m = _change_of_scale(jets.as_dense(t.as_vector())[None], omega, geom)
-    return TractorJet.from_vector(_jets(m[0], geom))
+    return TractorJet.from_vector(jets.like(m[0], t.sigma, geom.jet_dim))
 
 
 def conformal_one_form(phi: TractorOneForm, omega: Jet, geom: Geometry) -> TractorOneForm:
     """Slotwise transform of a tractor-valued 1-form (form index has weight 0)."""
     m = _change_of_scale(jets.as_dense(phi.as_matrix()), omega, geom)
-    return TractorOneForm.from_matrix(_jets(m, geom))
+    return TractorOneForm.from_matrix(jets.like(m, phi.alpha, geom.jet_dim))

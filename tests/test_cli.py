@@ -192,6 +192,17 @@ def _nan_patches():
     yield "gauge-linearization", "deformation", "_gauge_linearization", lambda *args: nan
 
 
+def test_verify_never_builds_jets_views(monkeypatch):
+    # every check runs on dense arrays from its random draw to its residual
+    def refuse(*args):
+        raise AssertionError("verify built a jets view")
+
+    monkeypatch.setattr(jets, "to_jets", refuse)
+    assert cli.run(run_config(metric="generic_bump4", suites=cli.SUITES, points=1)).passed
+    default = tuple(s for s in cli.SUITES if s != "deformation")  # --suite all in dimension 3
+    assert cli.run(run_config(metric="generic_bump3", suites=default, points=1)).passed
+
+
 def test_nan_residual_fails_the_check(monkeypatch):
     # each check of every suite in turn returns NaN: its record and the report fail
     seen = set()

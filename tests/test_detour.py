@@ -179,7 +179,7 @@ def test_tractor_descriptor_curvature_matches_blocks():
     g = Geometry(SCHWARZSCHILD, P_SCHW, order=5)
     conn = co.tractor_connection(g)
     F = jet_view(co.curvature(conn))
-    blocks = tr.tractor_curvature(g)
+    blocks = jet_view(tr.tractor_curvature(g))
     k = F[0, 1][0, 0].order
     for a in range(4):
         for b in range(4):
