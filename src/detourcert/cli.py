@@ -60,8 +60,10 @@ class RunConfig:
             raise ConfigError("no suites selected")
         if self.points < 1:
             raise ConfigError("points must be at least 1")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"--tol must be positive and finite, got {self.tol!r}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
         need = self.required_order()
         if self.jet_order is not None and self.jet_order < need:
             table = ", ".join(f"{s}>={MIN_ORDER[s]}" for s in self.suites)
@@ -457,6 +459,20 @@ def run(config: RunConfig) -> Report:
 # entry point
 
 
+def _emit(text: str, path: str | None) -> bool:
+    """Write text to the file path, or to stdout if path is empty; False after an OSError."""
+    try:
+        if not path:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     try:
@@ -474,11 +490,8 @@ def _cmd_verify(args) -> int:
         print(f"error: evaluating {args.metric}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     text = report.to_json() if config.fmt == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _emit(text, args.out):
+        return 2
     return 0 if report.passed else 1
 
 
@@ -499,12 +512,7 @@ def _cmd_catalog(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        if args.path == "-":
-            sys.stdout.write(entry.text)
-        else:
-            with open(args.path, "w") as fh:
-                fh.write(entry.text)
-        return 0
+        return 0 if _emit(entry.text, "" if args.path == "-" else args.path) else 2
     return 2
 
 

@@ -9,8 +9,9 @@ Everything downstream (twisted de Rham operators, curvature, parallel
 transport, prolongation checks) consumes only this presentation, so the
 same code path serves the Levi-Civita connection on covectors, the
 tractor connection, its tensor square, the Killing prolongation
-connection and ad-hoc polynomial examples.  The tractor connection in
-particular is nothing but covd_section over tractor.connection_matrices:
+connection (mu_bc = E[b, c, p] mu_p on the pairs b < c of np.triu_indices,
+E antisymmetric) and ad-hoc polynomial examples.  The tractor connection
+in particular is nothing but covd_section over tractor.connection_matrices:
 tractor.apply_connection and tractor.coupled_divergence call it, and the
 slot-by-slot tractor formula survives only in the tests, as the
 reference this generic derivative is checked against.
@@ -98,49 +99,29 @@ def tensor_square(conn: Connection) -> Connection:
     return Connection(conn.geom, r * r, th.reshape(n, r * r, r * r, -1), label=conn.label + "^2")
 
 
-def _pair_basis(n: int) -> list:
-    return [(b, c) for b in range(n) for c in range(b + 1, n)]
-
-
 def killing_connection(geom: Geometry) -> Connection:
     """Prolongation connection whose parallel sections are Killing fields.
 
-    Fiber (k_b, mu_bc) with mu antisymmetric, rank n(n+1)/2:
+    Fiber (k_b, mu_p), rank n(n+1)/2, one mu_p per pair p of b, c = np.triu_indices(n, 1);
+    the basis E[b, c, p] = 1 = -E[c, b, p] gives the antisymmetric mu_bc = E[b, c, p] mu_p:
         nabla_a k_b  = (LC) - mu_ab
         nabla_a mu_bc = (LC) - R_bc^d_a k_d
     """
     n = geom.n
-    pairs = _pair_basis(n)
-    pos = {p: i for i, p in enumerate(pairs)}
-    rank = n + len(pairs)
+    b, c = np.triu_indices(n, 1)
+    p, rank = np.arange(b.size), n + b.size
+    E = np.zeros((n, n, b.size))
+    E[b, c, p], E[c, b, p] = 1.0, -1.0
     order = geom.order - 2
     gam = geom.dense("gamma", order)  # [c, a, b]
     riem = geom.dense("riemann", order)  # [b, c, d, a] = R_bc^d_a
-
-    def mu_slot(b, c):
-        # returns (index, sign) with mu_bc = sign * basis component
-        if b == c:
-            return None, 0.0
-        return (n + pos[(b, c)], 1.0) if b < c else (n + pos[(c, b)], -1.0)
-
     th = np.zeros(gam.shape[:-4] + (n, rank, rank, gam.shape[-1]))  # axes [..., a, row, column]
     th[..., :n, :n, :] = -np.moveaxis(gam, -4, -2)
-    for a in range(n):
-        for b in range(n):
-            idx, sgn = mu_slot(a, b)
-            if idx is not None:
-                th[..., a, b, idx, 0] -= sgn
-    for b, c in pairs:
-        row = n + pos[(b, c)]
-        th[..., row, :n, :] = -riem[..., b, c, :, :, :].swapaxes(-3, -2)
-        for d in range(n):
-            # LC action on both antisymmetric slots
-            idx, sgn = mu_slot(d, c)
-            if idx is not None:
-                th[..., row, idx, :] -= sgn * gam[..., d, :, b, :]
-            idx, sgn = mu_slot(b, d)
-            if idx is not None:
-                th[..., row, idx, :] -= sgn * gam[..., d, :, c, :]
+    th[..., :n, n:, 0] = -E
+    th[..., n:, :n, :] = -np.moveaxis(riem[..., b, c, :, :, :], -2, -4)
+    # Levi-Civita on both antisymmetric slots: Gamma^d_ab mu_dc + Gamma^d_ac mu_bd
+    th[..., n:, n:, :] = (-np.einsum("...dapk,dpq->...apqk", gam[..., b, :], E[:, c])
+                          - np.einsum("...dapk,pdq->...apqk", gam[..., c, :], E[b]))
     return Connection(geom, rank, th, label="killing")
 
 

@@ -64,10 +64,6 @@ class TwistedForm:
     degree: int
     comps: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return self.comps.shape[self.degree]
-
 
 def twisted_d(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """Coupled exterior derivative on degrees 0 and 1."""

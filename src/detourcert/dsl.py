@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -294,9 +294,6 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-_LEVEL = {Bin: 0, Neg: 3, Pow: 4}
-
-
 def _render(node: Expr, minimum: int) -> str:
     if isinstance(node, Num):
         if node.value < 0:
@@ -362,11 +359,6 @@ class MetricSpec:
                 raise MetricValidationError(
                     f"unknown identifier {sorted(stray)[0]!r} in g[{i+1}][{j+1}]"
                 )
-
-    def component(self, i: int, j: int) -> Optional[Expr]:
-        if i > j:
-            i, j = j, i
-        return self.components.get((i, j))
 
     def _env(self, values) -> dict:
         return dict(zip(self.coords, values))

@@ -471,12 +471,11 @@ def from_coeffs(coeffs, dim: int, order: int) -> Jet:
     return Jet(dim, order, arr)
 
 
-def coordinates(point, order: int, dim: int | None = None) -> list:
+def coordinates(point, order: int) -> list:
     """Variable jets for every coordinate of a base point, or of a (P, n) batch of points."""
     pt = np.asarray(point, dtype=float)
-    d = dim if dim is not None else pt.shape[-1]
     values = pt.tolist() if pt.ndim == 1 else np.moveaxis(pt, -1, 0)
-    return [Jet.variable(x, k, d, order) for k, x in enumerate(values)]
+    return [Jet.variable(x, k, pt.shape[-1], order) for k, x in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,14 @@ def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
 
 def transport(spec, builder: Callable, curve: Callable, v0,
               rtol: float = 1e-10, atol: float = 1e-12,
-              certify_tol: float | None = 1e-6,
+              certify_tol: float = 1e-6,
               refine: bool = True) -> TransportResult:
     """Parallel transport of v0 along curve from t = 0 to 1; curve(t) = (point, velocity).
 
     Solves twice, the second time with 100x tighter tolerances; the
-    disagreement is the reported error.  When certify_tol is set, raise
-    CertificationError if the certificate exceeds it.  refine=False
-    skips the second solve (no certificate; error reported as nan).
+    disagreement is the reported error, and CertificationError is raised
+    if that certificate exceeds certify_tol.  refine=False skips the
+    second solve (no certificate; error reported as nan).
     """
     def connections(ts):
         points, vels = zip(*map(curve, ts))
@@ -206,7 +206,7 @@ def transport(spec, builder: Callable, curve: Callable, v0,
         return TransportResult(end, float("nan"), nfev)
     fine_end, fine_nfev = _dopri45(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01)
     err = float(np.max(np.abs(end - fine_end)))
-    if certify_tol is not None and err > certify_tol:
+    if err > certify_tol:
         raise CertificationError(
             f"transport certificate {err:.3e} exceeds tolerance {certify_tol:.1e}"
         )
@@ -262,5 +262,5 @@ def killing_residual(geom: Geometry, v_up: np.ndarray) -> float:
 def killing_fiber(geom: Geometry, v_up: np.ndarray) -> np.ndarray:
     """Fiber values (k_b, mu_bc) of the Killing prolongation of a vector field."""
     v, dv = _lowered_jet(geom, v_up)
-    b, c = np.triu_indices(geom.n, 1)  # the (b < c) order of connections._pair_basis
+    b, c = np.triu_indices(geom.n, 1)  # the pair order of connections.killing_connection
     return np.concatenate([v, 0.5 * (dv[b, c] - dv[c, b])])

@@ -53,10 +53,6 @@ class TractorJet:
     mu: np.ndarray
     rho: Jet | np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.mu.shape[0]
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([[self.sigma], self.mu, [self.rho]])
 
@@ -73,10 +69,6 @@ class TractorOneForm:
     alpha: np.ndarray
     nu: np.ndarray
     tau: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
 
     def as_matrix(self) -> np.ndarray:
         return np.concatenate([self.alpha[:, None], self.nu, self.tau[:, None]], axis=1)

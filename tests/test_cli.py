@@ -74,6 +74,25 @@ def test_unknown_suite_rejected():
         run_config(suites=("spectral",))
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+def test_non_finite_tolerance_rejected(tol, capsys):
+    # an infinite tolerance would pass every finite residual
+    with pytest.raises(cli.ConfigError, match="--tol"):
+        run_config(tol=float(tol))
+    assert cli.main(["verify", "--metric", "flat3", "--suite", "curvature",
+                     "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol must be positive and finite")
+
+
+def test_negative_seed_rejected(capsys):
+    # a config error, not an evaluation error of the metric
+    with pytest.raises(cli.ConfigError, match="--seed"):
+        run_config(seed=-1)
+    assert cli.main(["verify", "--metric", "flat3", "--suite", "curvature",
+                     "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed must be non-negative")
+
+
 def test_deformation_needs_dimension_four():
     with pytest.raises(cli.ConfigError, match="four dimensional"):
         cli.run(run_config(metric="generic_bump3", suites=("deformation",),
@@ -289,17 +308,32 @@ def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
     assert err.startswith("error:") and "CertificationError: integrator failed" in err
 
 
-def test_start_imports_no_heavy_scipy_subpackages():
-    # every `detourcert` start pays for what importing the CLI pulls in
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+def _python(*argv) -> subprocess.CompletedProcess:
+    """Run the interpreter with the package under test first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, detourcert.cli; "
-         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_start_imports_no_heavy_scipy_subpackages():
+    # every `detourcert` start pays for what importing the CLI pulls in
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    out = _python("-c", "import sys, detourcert.cli; "
+                  f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--metric", "flat3", "--suite", "curvature", "--points", "1", "--out"],
+    ["catalog", "export", "flat3"],
+])
+def test_unwritable_output_path_exits_with_code_2(tmp_path, argv):
+    # exit 1 means a check failed; a path that cannot be written is a usage error
+    out = _python("-m", "detourcert.cli", *argv, str(tmp_path / "missing" / "out.txt"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):

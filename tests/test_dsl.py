@@ -125,7 +125,7 @@ def test_parse_metric_file_schwarzschild():
     assert spec.signature == (-1, 1, 1, 1)
     assert spec.coords == ("t", "r", "th", "ph")
     # absent components are zero
-    assert spec.component(0, 1) is None
+    assert (0, 1) not in spec.components
     point = (0.0, 5.0, 1.2, 0.3)
     g = spec.metric_values(point)
     assert g[0, 0] == pytest.approx(-(1 - 2 / 5.0))

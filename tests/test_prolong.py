@@ -119,6 +119,67 @@ def test_generic_polynomial_connection_has_no_parallel_sections():
     assert prolong.kernel_dimension(conn) == 0
 
 
+# -- the Killing connection against its slot-by-slot formula -----------------
+
+
+def ref_killing_theta(geom):
+    """Theta of the Killing prolongation, filled pair by pair and slot by slot.
+
+    Fiber (k_b, mu_p), one mu_p per pair b < c in row-major order:
+        nabla_a k_b  = (LC) - mu_ab
+        nabla_a mu_bc = (LC) - R_bc^d_a k_d
+    """
+    n = geom.n
+    pairs = [(b, c) for b in range(n) for c in range(b + 1, n)]
+    pos = {p: i for i, p in enumerate(pairs)}
+    rank = n + len(pairs)
+    order = geom.order - 2
+    gam = geom.dense("gamma", order)  # [c, a, b]
+    riem = geom.dense("riemann", order)  # [b, c, d, a] = R_bc^d_a
+
+    def mu_slot(b, c):
+        # returns (index, sign) with mu_bc = sign * basis component
+        if b == c:
+            return None, 0.0
+        return (n + pos[(b, c)], 1.0) if b < c else (n + pos[(c, b)], -1.0)
+
+    th = np.zeros(gam.shape[:-4] + (n, rank, rank, gam.shape[-1]))  # axes [..., a, row, column]
+    th[..., :n, :n, :] = -np.moveaxis(gam, -4, -2)
+    for a in range(n):
+        for b in range(n):
+            idx, sgn = mu_slot(a, b)
+            if idx is not None:
+                th[..., a, b, idx, 0] -= sgn
+    for b, c in pairs:
+        row = n + pos[(b, c)]
+        th[..., row, :n, :] = -riem[..., b, c, :, :, :].swapaxes(-3, -2)
+        for d in range(n):
+            # LC action on both antisymmetric slots
+            idx, sgn = mu_slot(d, c)
+            if idx is not None:
+                th[..., row, idx, :] -= sgn * gam[..., d, :, b, :]
+            idx, sgn = mu_slot(b, d)
+            if idx is not None:
+                th[..., row, idx, :] -= sgn * gam[..., d, :, c, :]
+    return th
+
+
+KILLING_METRICS = ["generic_bump4", "sphere4", "schwarzschild", "s2xs2", "generic_bump3"]
+
+
+@pytest.mark.parametrize("name", KILLING_METRICS)
+def test_killing_connection_matches_slot_formula(name):
+    entry = catalog.get(name)
+    rng = np.random.default_rng(15)
+    for order in range(3, 7):
+        geom = entry.geometry(entry.sample_point(rng), order=order)
+        assert np.array_equal(killing_connection(geom).theta, ref_killing_theta(geom))
+    batch = Geometry(entry.spec(), np.array([entry.sample_point(rng) for _ in range(5)]), order=2)
+    theta = killing_connection(batch).theta
+    assert theta.shape[0] == 5
+    assert np.array_equal(theta, ref_killing_theta(batch))
+
+
 # -- transport against analytic parallel sections ----------------------------
 
 
