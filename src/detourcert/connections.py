@@ -79,14 +79,17 @@ class Connection:
         return x
 
 
-def covector_connection(geom: Geometry) -> Connection:
-    """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab."""
-    th = -geom.dense("gamma").transpose(1, 2, 0, 3)
+def covector_connection(geom: Geometry, order: int | None = None) -> Connection:
+    """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab, at order K-1 or the order given."""
+    order = geom.order - 1 if order is None else order
+    geom.require(order + 1, "covector connection")
+    th = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
     return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector")
 
 
-def tractor_connection(geom: Geometry) -> Connection:
-    th = tractor_mod.connection_matrices(geom, geom.order - 2)
+def tractor_connection(geom: Geometry, order: int | None = None) -> Connection:
+    """Theta = tractor.connection_matrices, at order K-2 or the order given (at most K-2)."""
+    th = tractor_mod.connection_matrices(geom, geom.order - 2 if order is None else order)
     return Connection(geom, geom.n + 2, th, label="tractor")
 
 

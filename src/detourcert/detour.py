@@ -24,6 +24,14 @@ connection alone, returns a dense array and, like curvature(conn), is
 computed once per Connection and kept in Connection.cache; current_action
 takes it dense.
 
+Each operator computes only the jet orders its output holds.  Jet
+truncation is exact (a coefficient of degree d is summed over the same
+pairs at any order), so an operand cut first gives the bits of the full
+computation cut afterwards.  op_M forms F# phi only to the order of
+delta d phi, two below phi; op_MT without a connection builds the tractor
+connection one order below the E-image.  A connection too low for its input
+raises (Connection.theta_at), never truncates.
+
 Translating M through the injector E and its adjoint yields the
 second-order operator on trace-free symmetric tensors whose composition
 with the Einstein operator D is the zeroth-order Bach/Cotton action;
@@ -86,6 +94,7 @@ def twisted_delta(phi: TwistedForm, conn: Connection) -> TwistedForm:
 def _pair_raised(conn: Connection, mats: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """sum_{a,j} mats[..., a, i, j] g^{ab} comps[b, j]: End-valued 1-form on a twisted 1-form."""
     n, r = comps.shape[:2]
+    comps = comps[..., : mats.shape[-1]]  # raised only to the order of mats
     up = matmul(conn.geom.dense("ginv"), comps, conn.dim)  # g^{ab} comps[b, j]
     out = matmul(np.swapaxes(mats, -4, -3).reshape(-1, n * r, mats.shape[-1]),
                  up.reshape(n * r, 1, up.shape[-1]), conn.dim)
@@ -100,12 +109,14 @@ def f_action(phi: TwistedForm, conn: Connection) -> TwistedForm:
 
 
 def op_M(phi: TwistedForm, conn: Connection) -> TwistedForm:
-    """Second-order detour operator delta d - F# on twisted 1-forms."""
-    dense = TwistedForm(1, jets.as_dense(phi.comps))
-    dd = twisted_delta(twisted_d(dense, conn), conn).comps
-    fa = f_action(dense, conn).comps
-    nc = min(dd.shape[-1], fa.shape[-1])
-    return TwistedForm(1, jets.like(dd[..., :nc] - fa[..., :nc], phi.comps, conn.dim))
+    """Second-order detour operator delta d - F# on twisted 1-forms, two orders below phi.
+
+    F# phi is formed only to the order of delta d phi, from phi cut to that order.
+    """
+    comps = jets.as_dense(phi.comps)
+    dd = twisted_delta(twisted_d(TwistedForm(1, comps), conn), conn).comps
+    fa = f_action(TwistedForm(1, comps[..., : dd.shape[-1]]), conn).comps
+    return TwistedForm(1, jets.like(dd - fa, phi.comps, conn.dim))
 
 
 def ym_current(conn: Connection) -> np.ndarray:
@@ -141,11 +152,16 @@ def current_contraction(current: np.ndarray, phi: TwistedForm, conn: Connection)
 
 
 def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None) -> JetTensor:
-    """E* M E: the detour operator translated to trace-free symmetric tensors."""
-    if conn is None:
-        conn = tractor_connection(geom)
+    """E* M E: the detour operator on trace-free symmetric tensors, four orders below psi.
+
+    Without conn the tractor connection is built one order below the E-image,
+    the highest order op_M reads of it; an explicit conn is used as given.
+    """
     dense = JetTensor(psi.variances, jets.as_dense(psi.comps))  # dense between the steps
-    m_out = op_M(TwistedForm(1, tractor_mod.op_E(dense, geom).as_matrix()), conn)
+    image = tractor_mod.op_E(dense, geom).as_matrix()
+    if conn is None:
+        conn = tractor_connection(geom, jets.order_of(geom.jet_dim, image.shape[-1]) - 1)
+    m_out = op_M(TwistedForm(1, image), conn)
     out = tractor_mod.op_E_star(tractor_mod.TractorOneForm.from_matrix(m_out.comps), geom)
     return JetTensor(out.variances, jets.like(out.comps, psi.comps, geom.jet_dim))
 

@@ -16,7 +16,8 @@ Connection, in the fixed scale:
 connection_matrices holds it as coefficient matrices T_a on the stacked
 vector (sigma, mu_c, rho), the Levi-Civita action on mu folded in.  The
 tractor connection is the generic coupled derivative of connections over
-those matrices: apply_connection is covd_section of tractor_connection, and
+those matrices, built one order below the input (all that a derivative
+reads): apply_connection is covd_section of tractor_connection, and
 coupled_divergence minus its trace.  The slot formula above is written out
 only in the tests, as the reference the generic derivative is checked
 against.
@@ -208,17 +209,21 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet | np.ndarray:
 # connection, metric, curvature
 
 
+def _covd(x: np.ndarray, geom: Geometry) -> np.ndarray:
+    """covd_section of the tractor connection, built one order below x: all that it reads."""
+    conn = connections.tractor_connection(geom, jets.order_of(geom.jet_dim, x.shape[-1]) - 1)
+    return connections.covd_section(conn, x)
+
+
 def apply_connection(t: TractorJet, geom: Geometry) -> TractorOneForm:
     """Tractor covariant derivative in the fixed scale."""
-    conn = connections.tractor_connection(geom)
-    d = connections.covd_section(conn, jets.as_dense(t.as_vector()))
+    d = _covd(jets.as_dense(t.as_vector()), geom)
     return TractorOneForm.from_matrix(jets.like(d, t.sigma, geom.jet_dim))
 
 
 def coupled_divergence(phi: TractorOneForm, geom: Geometry) -> TractorJet:
     """delta on tractor-valued 1-forms: minus the coupled divergence."""
-    conn = connections.tractor_connection(geom)
-    d = connections.covd_section(conn, jets.as_dense(phi.as_matrix()))
+    d = _covd(jets.as_dense(phi.as_matrix()), geom)
     return TractorJet.from_vector(jets.like(-geom.trace(d), phi.alpha, geom.jet_dim))
 
 

@@ -342,9 +342,9 @@ def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):
     built, currents = [], []
     build, current = cli.covector_connection, detour.ym_current
 
-    def counting_build(geom):
+    def counting_build(geom, *order):
         built.append(geom)
-        return build(geom)
+        return build(geom, *order)
 
     def counting_current(conn):
         if "ym_current" not in conn.cache:
