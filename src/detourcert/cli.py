@@ -5,11 +5,16 @@ metric and emits a deterministic certificate: a fixed-width table for
 humans or JSON for machines.  Identical configuration (including the
 seed) produces byte-identical JSON.
 
-Checks whose residual is *supposed* to be large (operator compositions
-on metrics where the obstruction tensor is visibly nonzero) are
-classified as expected negatives at runtime: they pass when the
-residual exceeds the tolerance and matches the predicted obstruction
-value.
+Every check is one row of ``_CHECKS`` (id, suite, statement, function,
+the dimensions it runs in), in report order.  Each function takes
+``fn(pt, rng)``, a ``_Point`` record of one sample point and the run's
+generator, and returns a residual or, where the residual is *supposed* to
+be large on metrics with a visibly nonzero obstruction, a (residual,
+prediction norm, gap) triple.  ``_verdict`` is the one rule: a residual
+passes at most tol, and NaN fails; a triple whose norm exceeds 10*tol is
+an expected negative, passing when the residual exceeds tol and the gap
+is at most OBSTRUCTION_MATCH_TOL*max(1, norm); a norm or gap that is not
+finite fails.
 """
 from __future__ import annotations
 
@@ -19,7 +24,8 @@ import math
 import platform
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -159,6 +165,20 @@ def resolve_metric(source: str):
     return spec, box, None
 
 
+@dataclass
+class _Point:
+    """What a check reads at one sample point."""
+
+    geom: Geometry
+    box: tuple
+    entry: Optional[catalog.CatalogEntry]
+
+    @cached_property
+    def twist(self):
+        """Order-2 covector connection of the ym-* checks, which read its curvature to order 1."""
+        return covector_connection(self.geom, 2)
+
+
 def _rand_jets(rng, shape, n, order, reads=None) -> np.ndarray:
     """Standard normal dense jets drawn at order entry by entry in C order, cut to reads."""
     x = rng.standard_normal(shape + (jets._size(n, order),))
@@ -183,19 +203,22 @@ def _rel_diff(lhs, rhs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-point check functions; each returns a residual, optionally with a
-# (prediction_norm, prediction_gap) pair for obstruction-style checks.  Each
-# reads its tensors through Geometry.dense or a public operator given dense
-# arrays, and their values at the point as the coefficient 0.
+# per-point check functions, fn(pt, rng).  Each reads its tensors through
+# Geometry.dense or a public operator given dense arrays, and their values at
+# the point as the coefficient 0.  Each computes only the jet orders its
+# residual reads: draw at the recorded order, then truncate to the order the
+# residual reads.  Truncation is exact, so the residuals and the rng stream
+# are those of the full-order computation.
 
 
-def _check_algebraic_bianchi(geom, rng):
-    rd = geom.dense("riemann_down")[..., 0]
+def _check_algebraic_bianchi(pt, rng):
+    rd = pt.geom.dense("riemann_down")[..., 0]
     cyclic = rd + rd.transpose(2, 0, 1, 3) + rd.transpose(1, 2, 0, 3)
     return _max_abs(cyclic) / max(1.0, _max_abs(rd))
 
 
-def _check_contracted_bianchi(geom, rng):
+def _check_contracted_bianchi(pt, rng):
+    geom = pt.geom
     dric = geom.covd_array(geom.dense("ricci", 1), ("d", "d"))[..., 0]
     gi = geom.dense("ginv")[..., 0]
     div = np.einsum("ea,eab->b", gi, dric)
@@ -203,29 +226,29 @@ def _check_contracted_bianchi(geom, rng):
     return _max_abs(div - 0.5 * dsc) / max(1.0, _max_abs(dric))
 
 
-def _check_weyl_trace(geom, rng):
-    w = geom.dense("weyl")[..., 0]
-    gi = geom.dense("ginv")[..., 0]
+def _check_weyl_trace(pt, rng):
+    w = pt.geom.dense("weyl")[..., 0]
+    gi = pt.geom.dense("ginv")[..., 0]
     traces = [np.einsum("ab,acbd->cd", gi, w), np.einsum("ab,abcd->cd", gi, w)]
     return _max_abs(traces) / max(1.0, _max_abs(w))
 
 
-def _check_cotton_trace(geom, rng):
-    cot = geom.dense("cotton")[..., 0]
-    gi = geom.dense("ginv")[..., 0]
+def _check_cotton_trace(pt, rng):
+    cot = pt.geom.dense("cotton")[..., 0]
+    gi = pt.geom.dense("ginv")[..., 0]
     traces = [np.einsum("ab,abc->c", gi, cot), np.einsum("ab,cab->c", gi, cot)]
     return _max_abs(traces) / max(1.0, _max_abs(cot))
 
 
-def _check_bach_shape(geom, rng):
-    b = geom.dense("bach")[..., 0]
-    gi = geom.dense("ginv")[..., 0]
+def _check_bach_shape(pt, rng):
+    b = pt.geom.dense("bach")[..., 0]
+    gi = pt.geom.dense("ginv")[..., 0]
     return _worst([abs(np.einsum("ij,ij->", gi, b)), _max_abs(b - b.T)]) / max(1.0, _max_abs(b))
 
 
-def _check_tractor_metric_parallel(geom, rng):
+def _check_tractor_metric_parallel(pt, rng):
     # compatibility of the position dependent pairing: d_a h = T_a^T h + h T_a
-    n = geom.n
+    geom, n = pt.geom, pt.geom.n
     t = tractor.connection_matrices(geom, 1)[..., 0]
     h = tractor.gram_matrix(geom)
     dh = np.zeros_like(t)
@@ -235,15 +258,16 @@ def _check_tractor_metric_parallel(geom, rng):
     return _max_abs(skew) / max(1.0, _max_abs(t), _max_abs(dh))
 
 
-def _check_splitting_commutation(geom, rng):
+def _check_splitting_commutation(pt, rng):
+    geom = pt.geom
     sigma = _rand_jets(rng, (), geom.n, min(geom.order, 5), 3)  # each side reads 3 orders
     lhs = tractor.apply_connection(tractor.splitting(sigma, geom), geom)
     rhs = tractor.op_E(tractor.op_D(sigma, geom), geom)
     return _rel_diff(lhs.as_matrix()[..., 0], rhs.as_matrix()[..., 0])
 
 
-def _check_adjoint_factorization(geom, rng):
-    n = geom.n
+def _check_adjoint_factorization(pt, rng):
+    geom, n = pt.geom, pt.geom.n
     nu = _rand_jets(rng, (n, n), n, 3)
     phi = tractor.TractorOneForm(_rand_jets(rng, (n,), n, 3), nu, _rand_jets(rng, (n,), n, 3))
     lhs = tractor.splitting_star(tractor.coupled_divergence(phi, geom), geom)
@@ -251,54 +275,58 @@ def _check_adjoint_factorization(geom, rng):
     return abs(lhs[0] - rhs[0]) / max(1.0, abs(lhs[0]), abs(rhs[0]))
 
 
-def _check_tractor_curvature_skew(geom, rng):
-    m = tractor.tractor_curvature(geom)[..., 0]
-    h = tractor.gram_matrix(geom)
+def _check_tractor_curvature_skew(pt, rng):
+    m = tractor.tractor_curvature(pt.geom)[..., 0]
+    h = tractor.gram_matrix(pt.geom)
     skew = [m + m.swapaxes(0, 1), m.swapaxes(-1, -2) @ h + h @ m]
     return _max_abs(skew) / max(1.0, _max_abs(m))
 
 
-def _check_signature(geom, rng):
-    p = int(np.sum(np.linalg.eigvalsh(geom.dense("g")[..., 0]) > 0))
-    got = tractor.tractor_signature(geom)
-    return 0.0 if got == (p + 1, geom.n - p + 1) else 1.0
+def _check_signature(pt, rng):
+    p = int(np.sum(np.linalg.eigvalsh(pt.geom.dense("g")[..., 0]) > 0))
+    got = tractor.tractor_signature(pt.geom)
+    return 0.0 if got == (p + 1, pt.geom.n - p + 1) else 1.0
 
 
-def _ym_exterior(conn, rng):
+def _ym_exterior(pt, rng):
     # M(d f) = + current acting on f, for a section f of the twist bundle
+    conn = pt.twist
     f = _rand_jets(rng, (conn.n,), conn.n, 4, 3)  # d, d and delta: three orders
     lhs = detour.op_M(detour.twisted_d(detour.TwistedForm(0, f), conn), conn)
     rhs = detour.current_action(detour.ym_current(conn), f)
     return _rel_diff(lhs.comps[..., 0], rhs[..., 0])
 
 
-def _ym_interior(conn, rng):
+def _ym_interior(pt, rng):
+    conn = pt.twist
     phi = detour.TwistedForm(1, _rand_jets(rng, (conn.n, conn.n), conn.n, 4, 3))
     lhs = detour.twisted_delta(detour.op_M(phi, conn), conn)
     rhs = detour.current_contraction(detour.ym_current(conn), phi, conn)
     return _rel_diff(lhs.comps[..., 0], -rhs[..., 0])
 
 
-def _complex_composition(geom, rng):
+def _complex_composition(pt, rng):
+    geom = pt.geom
     sigma = _rand_jets(rng, (), geom.n, min(geom.order, 6))
     comp = detour.op_MT(tractor.op_D(sigma, geom), geom).comps[..., 0]
     pred = detour.einstein_detour_expected(sigma, geom).comps[..., 0]
     return _max_abs(comp), _max_abs(pred), _max_abs(comp - pred)
 
 
-def _kernel_bound(geom, rng, entry):
-    listed = len(entry.killing_fields) if entry is not None else 0
-    dim = prolong.kernel_dimension(killing_connection(geom))
+def _kernel_bound(pt, rng):
+    listed = len(pt.entry.killing_fields) if pt.entry is not None else 0
+    dim = prolong.kernel_dimension(killing_connection(pt.geom))
     return float(max(0, listed - dim))
 
 
-def _scale_kernel_bound(geom, rng, entry):
-    listed = 1 if entry is not None and entry.einstein_scale is not None else 0
-    dim = prolong.kernel_dimension(tractor_connection(geom))
+def _scale_kernel_bound(pt, rng):
+    listed = 1 if pt.entry is not None and pt.entry.einstein_scale is not None else 0
+    dim = prolong.kernel_dimension(tractor_connection(pt.geom))
     return float(max(0, listed - dim))
 
 
-def _transport_roundtrip(spec, box, rng):
+def _transport_roundtrip(pt, rng):
+    spec, box = pt.geom.spec, pt.box
     p0 = np.array([rng.uniform(lo, hi) for lo, hi in box])
     p1 = p0 + 0.4 * (np.array([rng.uniform(lo, hi) for lo, hi in box]) - p0)
     v0 = rng.standard_normal(spec.dim + 2)
@@ -309,10 +337,10 @@ def _transport_roundtrip(spec, box, rng):
     return float(np.max(np.abs(back.end - v0)))
 
 
-def _gauge_linearization(geom, rng):
+def _gauge_linearization(pt, rng):
     # along the gauge direction K0 v the obstruction moves by its Lie
     # derivative plus the conformal weight term: L_v B + (2/n) div(v) B
-    n = geom.n
+    geom, n = pt.geom, pt.geom.n
     v = np.zeros((n, jets._size(n, geom.order)))  # order-3 field, zero padded
     v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
     h = detour.op_K0(v, geom).comps[..., : jets._size(n, 4)]  # the value of bp reads h to order 4
@@ -327,61 +355,88 @@ def _gauge_linearization(geom, rng):
 
 
 # ---------------------------------------------------------------------------
-# suite tables: (check id, statement, function, needs dim 4).  Each check
-# computes only the jet orders its residual reads: draw at the recorded order,
-# then truncate to the order the residual reads.  Truncation is exact, so the
-# residuals and the rng stream are those of the full-order computation.
+# the check table and its verdict rule
 
-_CURVATURE = [
-    ("algebraic-bianchi", "curvature satisfies R_[abc]d = 0", _check_algebraic_bianchi, False),
-    ("contracted-bianchi", "div Ric = d(scal)/2", _check_contracted_bianchi, False),
-    ("weyl-trace", "Weyl tensor is totally trace-free", _check_weyl_trace, True),
-    ("cotton-trace", "Cotton tensor vanishes under both metric traces", _check_cotton_trace, False),
-    ("bach-shape", "obstruction tensor is symmetric and trace-free", _check_bach_shape, True),
-]
 
-_TRACTOR = [
-    ("tractor-metric-parallel", "connection coefficients are skew for the tractor metric",
-     _check_tractor_metric_parallel, False),
-    ("splitting-commutation",
-     "connection applied to the canonical splitting equals the injected "
-     "second-order operator", _check_splitting_commutation, False),
-    ("adjoint-factorization",
-     "divergence adjoint of the splitting factors through the form adjoints",
-     _check_adjoint_factorization, False),
-    ("curvature-skew", "tractor curvature is antisymmetric and metric skew",
-     _check_tractor_curvature_skew, False),
-    ("signature", "tractor metric signature is (p+1, q+1)", _check_signature, False),
-]
+class _Check(NamedTuple):
+    id: str
+    suite: str
+    statement: str
+    fn: Callable
+    dims: Optional[tuple] = None  # the metric dimensions it runs in; None: all
 
-# the detour checks take the covector connection of the point instead of its
-# geometry, at order 2: their curvature is read to order 1, its derivative to 0
-_DETOUR = [
-    ("ym-source-exterior", "composition with the twisted differential returns "
-     "the source current", _ym_exterior, False),
-    ("ym-source-interior", "twisted divergence of the operator returns minus "
-     "the contracted current", _ym_interior, False),
-]
+    def runs_in(self, dim: int) -> bool:
+        return self.dims is None or dim in self.dims
+
+
+_CHECKS = (
+    _Check("algebraic-bianchi", "curvature", "curvature satisfies R_[abc]d = 0",
+           _check_algebraic_bianchi),
+    _Check("contracted-bianchi", "curvature", "div Ric = d(scal)/2", _check_contracted_bianchi),
+    _Check("weyl-trace", "curvature", "Weyl tensor is totally trace-free", _check_weyl_trace, (4,)),
+    _Check("cotton-trace", "curvature", "Cotton tensor vanishes under both metric traces",
+           _check_cotton_trace),
+    _Check("bach-shape", "curvature", "obstruction tensor is symmetric and trace-free",
+           _check_bach_shape, (4,)),
+    _Check("tractor-metric-parallel", "tractor", "connection coefficients are skew for the "
+           "tractor metric", _check_tractor_metric_parallel),
+    _Check("splitting-commutation", "tractor", "connection applied to the canonical splitting "
+           "equals the injected second-order operator", _check_splitting_commutation),
+    _Check("adjoint-factorization", "tractor", "divergence adjoint of the splitting factors "
+           "through the form adjoints", _check_adjoint_factorization),
+    _Check("curvature-skew", "tractor", "tractor curvature is antisymmetric and metric skew",
+           _check_tractor_curvature_skew),
+    _Check("signature", "tractor", "tractor metric signature is (p+1, q+1)", _check_signature),
+    _Check("ym-source-exterior", "detour", "composition with the twisted differential "
+           "returns the source current", _ym_exterior),
+    _Check("ym-source-interior", "detour", "twisted divergence of the operator returns minus "
+           "the contracted current", _ym_interior),
+    _Check("complex-composition", "detour", "translated operator composed with the splitting "
+           "operator reproduces the curvature obstruction", _complex_composition),
+    _Check("kernel-bound", "prolong", "stacked obstruction kernel admits every listed "
+           "Killing field", _kernel_bound),
+    _Check("scale-kernel-bound", "prolong", "parallel scale kernel admits the recorded "
+           "Einstein scale", _scale_kernel_bound),
+    _Check("transport-roundtrip", "prolong", "forward and reverse parallel transport return "
+           "the fiber", _transport_roundtrip),
+    _Check("gauge-linearization", "deformation", "linearized obstruction along gauge "
+           "directions equals the transported obstruction", _gauge_linearization, (4,)),
+)
+
+
+def _verdict(check: _Check, results: list, tol: float) -> CheckRecord:
+    """The record of a check from its per-point residuals or (residual, norm, gap) triples."""
+    worst, *prediction = map(_worst, zip(*(r if isinstance(r, tuple) else (r,) for r in results)))
+    ok, negative, gap = worst <= tol, False, None
+    if prediction:
+        norm, gap = prediction
+        negative = norm > 10.0 * tol
+        if negative:
+            ok = worst > tol and gap <= OBSTRUCTION_MATCH_TOL * max(1.0, norm)
+        ok = ok and math.isfinite(norm) and math.isfinite(gap)  # fail closed on the prediction
+    return CheckRecord(check.id, check.suite, check.statement, worst, tol, ok, len(results),
+                       negative, gap)
 
 
 def run(config: RunConfig) -> Report:
     spec, box, entry = resolve_metric(config.metric)
     order = config.resolved_order()
-    if "deformation" in config.suites and spec.dim != 4:
-        raise ConfigError("deformation suite requires a four dimensional metric")
+    checks = [c for c in _CHECKS if c.suite in config.suites and c.runs_in(spec.dim)]
+    empty = [s for s in SUITES if s in config.suites and all(c.suite != s for c in checks)]
+    if empty:
+        raise ConfigError(f"{empty[0]} suite has no check for a {spec.dim} dimensional metric")
 
     rng = np.random.default_rng(config.seed)
     points = [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
               for _ in range(config.points)]
     # only prolong reads past value coefficients, and jet truncation is exact
     build = order if "prolong" in config.suites else config.required_order()
-    geoms = [Geometry(spec, pt, order=build) for pt in points]
+    pts = [_Point(Geometry(spec, p, order=build), box, entry) for p in points]
 
-    suites = tuple(s for s in SUITES if s in config.suites)
-    report = Report(
+    return Report(
         config={
             "metric": config.metric,
-            "suites": list(suites),
+            "suites": [s for s in SUITES if s in config.suites],
             "points": config.points,
             "seed": config.seed,
             "tol": config.tol,
@@ -399,65 +454,9 @@ def run(config: RunConfig) -> Report:
                 "detourcert": __version__,
             },
         },
+        # the draws go suite by suite, check by check, point by point
+        checks=[_verdict(c, [c.fn(pt, rng) for pt in pts], config.tol) for c in checks],
     )
-
-    def plain(suite, table, per_point):
-        for check_id, statement, fn, dim4_only in table:
-            if dim4_only and spec.dim != 4:
-                continue
-            worst = _worst([fn(x, rng) for x in per_point])
-            report.checks.append(CheckRecord(
-                check_id, suite, statement, worst, config.tol,
-                worst <= config.tol, config.points))
-
-    for suite in suites:
-        if suite == "curvature":
-            plain(suite, _CURVATURE, geoms)
-        elif suite == "tractor":
-            plain(suite, _TRACTOR, geoms)
-        elif suite == "detour":
-            # one twist per point, shared by both current checks
-            plain(suite, _DETOUR, [covector_connection(geom, 2) for geom in geoms])
-            rows = [_complex_composition(geom, rng) for geom in geoms]
-            worst, pred_norm, gap = (_worst(col) for col in zip(*rows))
-            negative = pred_norm > 10.0 * config.tol
-            if negative:
-                ok = worst > config.tol and gap <= OBSTRUCTION_MATCH_TOL * max(1.0, pred_norm)
-            else:
-                ok = worst <= config.tol
-            report.checks.append(CheckRecord(
-                "complex-composition", suite,
-                "translated operator composed with the splitting operator "
-                "reproduces the curvature obstruction",
-                worst, config.tol, ok, config.points,
-                expected_negative=negative, prediction_gap=gap))
-        elif suite == "prolong":
-            for check_id, statement, fn in [
-                ("kernel-bound",
-                 "stacked obstruction kernel admits every listed Killing field",
-                 _kernel_bound),
-                ("scale-kernel-bound",
-                 "parallel scale kernel admits the recorded Einstein scale",
-                 _scale_kernel_bound),
-            ]:
-                worst = _worst([fn(geom, rng, entry) for geom in geoms])
-                report.checks.append(CheckRecord(
-                    check_id, suite, statement, worst, config.tol,
-                    worst <= config.tol, config.points))
-            worst = _worst([_transport_roundtrip(spec, box, rng)
-                            for _ in range(config.points)])
-            report.checks.append(CheckRecord(
-                "transport-roundtrip", suite,
-                "forward and reverse parallel transport return the fiber",
-                worst, config.tol, worst <= config.tol, config.points))
-        elif suite == "deformation":
-            worst = _worst([_gauge_linearization(geom, rng) for geom in geoms])
-            report.checks.append(CheckRecord(
-                "gauge-linearization", suite,
-                "linearized obstruction along gauge directions equals the "
-                "transported obstruction",
-                worst, config.tol, worst <= config.tol, config.points))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +480,9 @@ def _emit(text: str, path: str | None) -> bool:
 def _cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     try:
-        if args.suite == "all":  # the suites that apply to the metric's dimension
+        if args.suite == "all":  # the suites with a check in the metric's dimension
             dim = resolve_metric(args.metric)[0].dim
-            suites = tuple(s for s in SUITES if s != "deformation" or dim == 4)
+            suites = tuple(dict.fromkeys(c.suite for c in _CHECKS if c.runs_in(dim)))
         config = RunConfig(args.metric, suites, points=args.points, seed=args.seed,
                            tol=args.tol, jet_order=args.jet_order, fmt=args.fmt)
         report = run(config)

@@ -1,4 +1,5 @@
 """Harness behavior: determinism, exit codes, expected negatives, formats."""
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from detourcert import catalog, cli, detour, jets, prolong, tractor
-from detourcert.connections import covector_connection
 from detourcert.geometry import Geometry
 from detourcert.jets import Jet
 
@@ -94,7 +94,7 @@ def test_negative_seed_rejected(capsys):
 
 
 def test_deformation_needs_dimension_four():
-    with pytest.raises(cli.ConfigError, match="four dimensional"):
+    with pytest.raises(cli.ConfigError, match="deformation suite has no check"):
         cli.run(run_config(metric="generic_bump3", suites=("deformation",),
                            points=1))
 
@@ -192,23 +192,23 @@ def test_flat_all_suites_clean():
     assert all(c.max_residual < 1e-9 for c in report.checks)
 
 
+def _nan_residual(fn):
+    """The check function fn with its residual replaced by NaN, beside any real prediction."""
+    def patched(pt, rng):
+        out = fn(pt, rng)
+        return (math.nan,) + out[1:] if isinstance(out, tuple) else math.nan
+    return patched
+
+
+def _table_with(check_id, fn):
+    """A copy of the check table whose row check_id runs fn."""
+    return tuple(c._replace(fn=fn) if c.id == check_id else c for c in cli._CHECKS)
+
+
 def _nan_patches():
-    """(check id, suite, module attribute, value) making that one check's residual NaN."""
-    nan = float("nan")
-    for attr in ("_CURVATURE", "_TRACTOR", "_DETOUR"):
-        table = getattr(cli, attr)
-        suite = attr[1:].lower()
-        for i, row in enumerate(table):
-            patched = list(table)
-            patched[i] = row[:2] + (lambda *args: nan,) + row[3:]
-            yield row[0], suite, attr, patched
-    composition = cli._complex_composition  # a NaN residual beside the real prediction
-    yield ("complex-composition", "detour", "_complex_composition",
-           lambda geom, rng: (nan,) + composition(geom, rng)[1:])
-    yield "kernel-bound", "prolong", "_kernel_bound", lambda *args: nan
-    yield "scale-kernel-bound", "prolong", "_scale_kernel_bound", lambda *args: nan
-    yield "transport-roundtrip", "prolong", "_transport_roundtrip", lambda *args: nan
-    yield "gauge-linearization", "deformation", "_gauge_linearization", lambda *args: nan
+    """(check id, suite, check table) making that one row's residual NaN, for every row."""
+    for row in cli._CHECKS:
+        yield row.id, row.suite, _table_with(row.id, _nan_residual(row.fn))
 
 
 def test_verify_never_builds_jets_views(monkeypatch):
@@ -225,9 +225,9 @@ def test_verify_never_builds_jets_views(monkeypatch):
 def test_nan_residual_fails_the_check(monkeypatch):
     # each check of every suite in turn returns NaN: its record and the report fail
     seen = set()
-    for check_id, suite, attr, value in _nan_patches():
+    for check_id, suite, table in _nan_patches():
         with monkeypatch.context() as m:
-            m.setattr(cli, attr, value)
+            m.setattr(cli, "_CHECKS", table)
             report = cli.run(run_config(metric="flat4", suites=(suite,), points=1))
         rec = {c.check_id: c for c in report.checks}
         assert not rec[check_id].passed and math.isnan(rec[check_id].max_residual), check_id
@@ -236,6 +236,66 @@ def test_nan_residual_fails_the_check(monkeypatch):
         assert "FAIL" in report.to_text() and '"passed": false' in report.to_json()
         seen.add(check_id)
     assert len(seen) == 17
+
+
+def test_non_finite_prediction_fails_the_check(monkeypatch):
+    # a NaN prediction norm is not above 10*tol, so it must not pass as a plain positive
+    table = _table_with("complex-composition", lambda pt, rng: (1e-15, math.nan, math.nan))
+    monkeypatch.setattr(cli, "_CHECKS", table)
+    report = cli.run(run_config(metric="flat4", suites=("detour",), points=1))
+    rec = {c.check_id: c for c in report.checks}["complex-composition"]
+    assert not rec.passed and not report.passed
+    assert '"passed": false' in report.to_json()
+
+
+_COMPOSITION = next(c for c in cli._CHECKS if c.id == "complex-composition")
+TOL = 1e-8
+GAP_TOL = cli.OBSTRUCTION_MATCH_TOL
+
+
+@pytest.mark.parametrize("results, passed, negative", [
+    ([1e-12, 3e-9], True, False),  # plain pass
+    ([1e-12, 2e-8], False, False),  # plain fail
+    ([1e-12, math.nan], False, False),
+    ([math.inf, 1e-12], False, False),
+    ([(1e-15, 0.0, 1e-15)], True, False),  # no obstruction: a positive
+    ([(3.0, 3.0, 1e-12), (1e-9, 1e-3, 1e-15)], True, True),  # expected negative
+    ([(3.0, 3.0, 1.01 * GAP_TOL * 3.0)], False, True),  # gap above the match tolerance
+    ([(2.0, 0.5, 1.01 * GAP_TOL)], False, True),  # gap tolerance is at least GAP_TOL
+    ([(2.0, 0.5, 0.99 * GAP_TOL)], True, True),
+    ([(0.5 * TOL, 1.0, 1e-12)], False, True),  # a negative whose residual is within tol
+    ([(TOL, 1.0, 1e-12)], False, True),
+    ([(2 * TOL, 10 * TOL, 1e-15)], False, False),  # a norm of exactly 10*tol is a positive
+    ([(0.5 * TOL, 10 * TOL, 1e-15)], True, False),
+    ([(2 * TOL, 5 * TOL, 1e-15)], False, False),  # the band (tol, 10*tol]: judged a positive
+    ([(0.5 * TOL, 5 * TOL, 1e-15)], True, False),
+    ([(1e-15, math.nan, math.nan)], False, False),  # a non-finite prediction fails closed
+    ([(1e-15, 0.0, math.inf)], False, False),
+    ([(1e-15, math.inf, 1e-12)], False, False),
+    ([(3.0, 3.0, math.nan)], False, True),
+    ([(math.nan, 3.0, 1e-12)], False, True),
+])
+def test_verdict(results, passed, negative):
+    rec = cli._verdict(_COMPOSITION, results, TOL)
+    assert (rec.passed, rec.expected_negative) == (passed, negative)
+    assert rec.points == len(results) and rec.tolerance == TOL
+    assert (rec.prediction_gap is None) == (not isinstance(results[0], tuple))
+    worst = cli._worst(r[0] if isinstance(r, tuple) else r for r in results)
+    assert rec.max_residual == worst or math.isnan(rec.max_residual) and math.isnan(worst)
+
+
+def test_benchmark_table_matches_the_check_table(monkeypatch):
+    # perfbench/workloads.py keeps a hand-written copy of the check ids; a
+    # check id added on one side only fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.SUITE_ORDER == cli.SUITES
+    for suite in cli.SUITES:
+        rows = tuple((c.id, c.dims == (4,)) for c in cli._CHECKS if c.suite == suite)
+        assert workloads.SUITE_CHECKS[suite] == rows, suite
 
 
 def _with_nan_entry(arr):
@@ -367,14 +427,8 @@ def test_gauge_linearization_passes_where_the_obstruction_is_alive():
 
 
 def _value_checks(n):
-    """(suite, check, takes the covector connection) for every check that reads only values."""
-    rows = [(suite, fn, suite == "detour") for suite, table in
-            [("curvature", cli._CURVATURE), ("tractor", cli._TRACTOR), ("detour", cli._DETOUR)]
-            for _, _, fn, dim4_only in table if n == 4 or not dim4_only]
-    rows.append(("detour", cli._complex_composition, False))
-    if n == 4:
-        rows.append(("deformation", cli._gauge_linearization, False))
-    return rows
+    """The table rows that run in dimension n and read only values: all but prolong."""
+    return [c for c in cli._CHECKS if c.suite != "prolong" and c.runs_in(n)]
 
 
 @pytest.mark.parametrize("name", ["sphere4", "schwarzschild", "generic_bump4", "generic_bump3"])
@@ -385,12 +439,11 @@ def test_value_checks_are_bit_identical_at_the_suite_minimum_and_at_order_8(name
     point = entry.sample_point(np.random.default_rng(3))
     high = Geometry(entry.spec(), point, order=8)
     rngs = [np.random.default_rng(11), np.random.default_rng(11)]  # one stream per side
-    for suite, fn, on_connection in _value_checks(len(point)):
-        pair = [Geometry(entry.spec(), point, order=cli.MIN_ORDER[suite]), high]
-        if on_connection:
-            pair = [covector_connection(g) for g in pair]
-        lo, hi = (fn(x, rng) for x, rng in zip(pair, rngs))
-        assert lo == hi, (suite, fn.__name__, lo, hi)
+    for check in _value_checks(len(point)):
+        low = Geometry(entry.spec(), point, order=cli.MIN_ORDER[check.suite])
+        lo, hi = (check.fn(cli._Point(g, entry.sample_box, entry), rng)
+                  for g, rng in zip([low, high], rngs))
+        assert lo == hi, (check.id, lo, hi)
 
 
 @pytest.mark.parametrize("order", [6, 8])

@@ -162,18 +162,18 @@ def full_complex_composition(geom, rng):
     return cli._max_abs(comp), cli._max_abs(pred), cli._max_abs(comp - pred)
 
 
-def _check(table, check_id):
-    return next(fn for cid, _, fn, _ in table if cid == check_id)
+def _check(check_id):
+    return next(c for c in cli._CHECKS if c.id == check_id)
 
 
-# (suite, trimmed check of cli, its full-order reference, takes the covector twist)
+# (trimmed check row of cli, its full-order reference, the reference takes the covector twist)
 TRIMMED = [
-    ("curvature", _check(cli._CURVATURE, "contracted-bianchi"), full_contracted_bianchi, False),
-    ("tractor", _check(cli._TRACTOR, "splitting-commutation"), full_splitting_commutation, False),
-    ("tractor", _check(cli._TRACTOR, "adjoint-factorization"), full_adjoint_factorization, False),
-    ("detour", _check(cli._DETOUR, "ym-source-exterior"), full_ym_exterior, True),
-    ("detour", _check(cli._DETOUR, "ym-source-interior"), full_ym_interior, True),
-    ("detour", cli._complex_composition, full_complex_composition, False),
+    (_check("contracted-bianchi"), full_contracted_bianchi, False),
+    (_check("splitting-commutation"), full_splitting_commutation, False),
+    (_check("adjoint-factorization"), full_adjoint_factorization, False),
+    (_check("ym-source-exterior"), full_ym_exterior, True),
+    (_check("ym-source-interior"), full_ym_interior, True),
+    (_check("complex-composition"), full_complex_composition, False),
 ]
 METRICS = ["sphere4", "schwarzschild", "s2xs2", "generic_bump4", "generic_bump3", "sphere3"]
 
@@ -183,14 +183,15 @@ METRICS = ["sphere4", "schwarzschild", "s2xs2", "generic_bump4", "generic_bump3"
 def test_trimmed_checks_equal_their_full_order_references(name, high):
     entry = catalog.get(name)
     point = entry.sample_point(np.random.default_rng(5))
-    for suite, fn, ref, on_twist in TRIMMED:
-        geom = Geometry(entry.spec(), point, order=8 if high else cli.MIN_ORDER[suite])
-        # cli.run gives both current checks one covector twist at order 2
-        x, x_ref = (covector_connection(geom, 2), covector_connection(geom)) if on_twist else (
-            geom, geom)
+    for check, ref, on_twist in TRIMMED:
+        geom = Geometry(entry.spec(), point, order=8 if high else cli.MIN_ORDER[check.suite])
+        # cli.run gives both current checks one covector twist at order 2,
+        # their references get the twist at the full order
+        x_ref = covector_connection(geom) if on_twist else geom
         rng, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
-        got, want = fn(x, rng), ref(x_ref, rng_ref)
-        assert got == want, (suite, fn.__name__, got, want)
+        got = check.fn(cli._Point(geom, entry.sample_box, entry), rng)
+        want = ref(x_ref, rng_ref)
+        assert got == want, (check.id, got, want)
         assert rng.bit_generator.state == rng_ref.bit_generator.state  # the same draws
 
 
