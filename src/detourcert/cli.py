@@ -220,7 +220,7 @@ def _check_algebraic_bianchi(pt, rng):
 def _check_contracted_bianchi(pt, rng):
     geom = pt.geom
     dric = geom.covd_array(geom.dense("ricci", 1), ("d", "d"))[..., 0]
-    gi = geom.dense("ginv")[..., 0]
+    gi = geom.dense("ginv", 0)[..., 0]
     div = np.einsum("ea,eab->b", gi, dric)
     dsc = jets.partials(geom.dense("scalar", 1), geom.jet_dim, 1, geom.n)[:, 0]
     return _max_abs(div - 0.5 * dsc) / max(1.0, _max_abs(dric))
@@ -228,21 +228,21 @@ def _check_contracted_bianchi(pt, rng):
 
 def _check_weyl_trace(pt, rng):
     w = pt.geom.dense("weyl")[..., 0]
-    gi = pt.geom.dense("ginv")[..., 0]
+    gi = pt.geom.dense("ginv", 0)[..., 0]
     traces = [np.einsum("ab,acbd->cd", gi, w), np.einsum("ab,abcd->cd", gi, w)]
     return _max_abs(traces) / max(1.0, _max_abs(w))
 
 
 def _check_cotton_trace(pt, rng):
     cot = pt.geom.dense("cotton")[..., 0]
-    gi = pt.geom.dense("ginv")[..., 0]
+    gi = pt.geom.dense("ginv", 0)[..., 0]
     traces = [np.einsum("ab,abc->c", gi, cot), np.einsum("ab,cab->c", gi, cot)]
     return _max_abs(traces) / max(1.0, _max_abs(cot))
 
 
 def _check_bach_shape(pt, rng):
     b = pt.geom.dense("bach")[..., 0]
-    gi = pt.geom.dense("ginv")[..., 0]
+    gi = pt.geom.dense("ginv", 0)[..., 0]
     return _worst([abs(np.einsum("ij,ij->", gi, b)), _max_abs(b - b.T)]) / max(1.0, _max_abs(b))
 
 
@@ -252,8 +252,7 @@ def _check_tractor_metric_parallel(pt, rng):
     t = tractor.connection_matrices(geom, 1)[..., 0]
     h = tractor.gram_matrix(geom)
     dh = np.zeros_like(t)
-    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv"), geom.jet_dim,
-                                                geom.order, n)[..., 0]
+    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv", 1), geom.jet_dim, 1, n)[..., 0]
     skew = t.transpose(0, 2, 1) @ h + h @ t - dh
     return _max_abs(skew) / max(1.0, _max_abs(t), _max_abs(dh))
 
@@ -276,7 +275,7 @@ def _check_adjoint_factorization(pt, rng):
 
 
 def _check_tractor_curvature_skew(pt, rng):
-    m = tractor.tractor_curvature(pt.geom)[..., 0]
+    m = tractor.tractor_curvature(pt.geom, 0)[..., 0]
     h = tractor.gram_matrix(pt.geom)
     skew = [m + m.swapaxes(0, 1), m.swapaxes(-1, -2) @ h + h @ m]
     return _max_abs(skew) / max(1.0, _max_abs(m))

@@ -119,9 +119,9 @@ def killing_connection(geom: Geometry) -> Connection:
     gam = geom.dense("gamma", order)  # [c, a, b]
     riem = geom.dense("riemann", order)  # [b, c, d, a] = R_bc^d_a
     th = np.zeros(gam.shape[:-4] + (n, rank, rank, gam.shape[-1]))  # axes [..., a, row, column]
-    th[..., :n, :n, :] = -np.moveaxis(gam, -4, -2)
+    th[..., :n, :n, :] = -jets.moveaxis(gam, -4, -2)
     th[..., :n, n:, 0] = -E
-    th[..., n:, :n, :] = -np.moveaxis(riem[..., b, c, :, :, :], -2, -4)
+    th[..., n:, :n, :] = -jets.moveaxis(riem[..., b, c, :, :, :], -2, -4)
     # Levi-Civita on both antisymmetric slots: Gamma^d_ab mu_dc + Gamma^d_ac mu_bd
     th[..., n:, n:, :] = (-np.einsum("...dapk,dpq->...apqk", gam[..., b, :], E[:, c])
                           - np.einsum("...dapk,pdq->...apqk", gam[..., c, :], E[b]))

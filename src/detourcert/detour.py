@@ -95,7 +95,8 @@ def _pair_raised(conn: Connection, mats: np.ndarray, comps: np.ndarray) -> np.nd
     """sum_{a,j} mats[..., a, i, j] g^{ab} comps[b, j]: End-valued 1-form on a twisted 1-form."""
     n, r = comps.shape[:2]
     comps = comps[..., : mats.shape[-1]]  # raised only to the order of mats
-    up = matmul(conn.geom.dense("ginv"), comps, conn.dim)  # g^{ab} comps[b, j]
+    up = matmul(conn.geom.dense("ginv", jets.order_of(conn.dim, comps.shape[-1])), comps,
+                conn.dim)  # g^{ab} comps[b, j]
     out = matmul(np.swapaxes(mats, -4, -3).reshape(-1, n * r, mats.shape[-1]),
                  up.reshape(n * r, 1, up.shape[-1]), conn.dim)
     return out.reshape(mats.shape[:-4] + (r, -1))

@@ -14,11 +14,12 @@ parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.
 
-MetricSpec.metric_jets evaluates each distinct tree once on Jet objects, at
-one point or, for a (P, n) batch of points, on coordinate jets with a leading
-points axis (one walk serves all P points), while everything downstream is
-dense: evaluate() is public on Jet environments, and this is the one Jet
-arithmetic of a verify run, where perfbench's tracer counts Jet.__mul__.
+MetricSpec.metric_jets evaluates each distinct tree once.  At one point it
+walks them on Jet objects: evaluate() is public on Jet environments, and this
+is the one Jet arithmetic of a verify run, where perfbench's tracer counts
+Jet.__mul__.  On (P, n) points it runs them compiled once into a straight-line
+program over dense (P, ncoeff) jets by the functions of jets that Jet
+arithmetic runs, bit-identical per point.  Everything downstream is dense.
 """
 from __future__ import annotations
 
@@ -320,6 +321,19 @@ def expression_to_text(ast: Expr) -> str:
     return _render(ast, 0)
 
 
+def _jet_step(node: Expr, vals: list, dim: int, order: int):
+    """node on the dense jets vals of its operands, a float where one is free of coordinates."""
+    if isinstance(node, Bin):
+        if isinstance(vals[0], complex) or isinstance(vals[1], complex):  # as Jet arithmetic
+            raise TypeError(f"unsupported operands for {node.op}: {vals[0]!r}, {vals[1]!r}")
+        return jets.binary(node.op, *vals, dim, order)
+    if isinstance(node, Call):
+        return jets.series(node.fn, vals[0], dim, order)
+    if isinstance(node, Pow):
+        return jets.power(vals[0], float(node.expo), dim, order)
+    return -vals[0]
+
+
 # ---------------------------------------------------------------------------
 # metric files
 
@@ -364,26 +378,20 @@ class MetricSpec:
         return dict(zip(self.coords, values))
 
     def metric_jets(self, point, order: int) -> np.ndarray:
-        """Symmetric (n, n) object array of jets at a point, or dense (P, n, n, ncoeff) at (P, n) points.
-
-        One walk of each distinct tree serves all P points, bit-identical per point.
-        """
+        """Symmetric (n, n) object array of jets at a point, or dense (P, n, n, ncoeff) at (P, n) points."""
         pts = np.asarray(point, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
             raise ValueError(f"points of shape {pts.shape}, expected ({self.dim},) or (P, {self.dim})")
+        if pts.ndim == 2:
+            return self._run(pts, order)
         env = self._env(jets.coordinates(pts, order))
-        batch = pts.ndim == 2
-        g = np.zeros(pts.shape[:1] + (self.dim, self.dim, jets._size(self.dim, order))) if batch else (
-            np.full((self.dim, self.dim), jets.constant(0.0, self.dim, order), dtype=object))
+        g = np.full((self.dim, self.dim), jets.constant(0.0, self.dim, order), dtype=object)
         for ast, entries in self._trees.items():
             val = evaluate(ast, env)
             if not isinstance(val, jets.Jet):
                 val = jets.constant(float(val), self.dim, order)
             for i, j in entries:
-                if batch:
-                    g[:, i, j] = g[:, j, i] = val.coeffs
-                else:
-                    g[i, j] = g[j, i] = val
+                g[i, j] = g[j, i] = val
         return g
 
     @cached_property
@@ -393,6 +401,42 @@ class MetricSpec:
         for key, ast in self.components.items():
             trees.setdefault(ast, []).append(key)
         return trees
+
+    @cached_property
+    def _program(self) -> tuple:
+        """(steps, outputs): the trees as one straight-line program over dense jets.
+
+        A step (node, args) is node on the registers args (_jet_step), or evaluate() of a
+        coordinate or, args None, of a subtree free of coordinates.  Each distinct subexpression
+        is one step, where evaluate's walk first reaches it, so a point out of the domain raises
+        where the walk would.  outputs: (register, entries) per tree.
+        """
+        steps, seen = [], {}
+
+        def visit(node) -> int:
+            key = repr(node)  # unlike ==, tells -0.0 from 0.0
+            if key not in seen:
+                kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
+                steps.append((node, [visit(k) for k in kids] if variables(node) - {"pi"} else None))
+                seen[key] = len(steps) - 1
+            return seen[key]
+
+        outputs = [(visit(ast), entries) for ast, entries in self._trees.items()]
+        return steps, outputs
+
+    def _run(self, pts: np.ndarray, order: int) -> np.ndarray:
+        """The dense metric at a (P, n) batch of points, by the program."""
+        (steps, outputs), dim, n = self._program, self.dim, jets._size(self.dim, order)
+        env = {x: jets._variable_coeffs(pts[:, k], k, dim, order) for k, x in enumerate(self.coords)}
+        regs, g = [], np.zeros((len(pts), dim, dim, n))
+        for r, entries in outputs:  # a tree's value is made a jet before the next tree runs
+            for node, args in steps[len(regs) : r + 1]:
+                regs.append(_jet_step(node, [regs[a] for a in args], dim, order) if args
+                            else evaluate(node, env))
+            val = regs[r] if isinstance(regs[r], np.ndarray) else jets._constant_coeffs(float(regs[r]), n)
+            for i, j in entries:
+                g[:, i, j] = g[:, j, i] = val
+        return g
 
     def metric_values(self, point) -> np.ndarray:
         env = self._env([float(x) for x in point])

@@ -19,11 +19,12 @@ Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
 jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
-slice of the coefficient axis.  The inverse metric is a float inverse of the
-values, and then one sweep over the degrees of the product table
-(invert_jet_matrix).  A metric in the ring key (d, 1) of jets runs the same
-stages with the eps^2 products never formed (detour.linearized_bach).  A
-stage computes only its dense array (Geometry.dense); its public attribute,
+slice of the coefficient axis.  The inverse metric is the one stage formed
+degree by degree (invert_jet_matrix): the constructor inverts its values, and
+dense("ginv", k) sweeps the degrees up to k not yet formed, so every reader
+asks for the order it reads.  A metric in the ring key (d, 1) of jets runs
+the same stages with the eps^2 products never formed (detour.linearized_bach).
+A stage computes only its dense array (Geometry.dense); its public attribute,
 jets viewing that array, is built on first access.  covd_array is the one
 coupled covariant derivative: Gamma on tangent slots, connection matrices on
 fiber slots, dense arrays in and out.  trace and lower contract the leading
@@ -76,37 +77,40 @@ def value_array(arr: np.ndarray) -> np.ndarray:
 _PIVOT_FLOOR = 1e-12  # relative to max(1, max |g_ij|) at the base point
 
 
-def invert_jet_matrix(g: np.ndarray, dim) -> np.ndarray:
+def invert_jet_matrix(g: np.ndarray, dim, degrees: range | None = None,
+                      inv: np.ndarray | None = None) -> np.ndarray:
     """Inverse of a dense (..., n, n, ncoeff) jet matrix in dim variables (or a ring key).
 
-    The values are inverted by Gauss-Jordan with partial pivoting, pivots
-    chosen per point of the leading axes; a pivot below _PIVOT_FLOOR *
-    max(1, max |g_ij|) of its point raises SingularMetricError.  The higher
-    coefficients follow one degree d at a time from g X = I:
-    X_d = -X_0 sum g_a X_b over the product pairs a + b of degree d, summed
-    by the kernel of jets.contract (its buckets sliced to degree d) while X_d
-    is still zero, so every pair of the product table is formed once.
+    Forms the degrees in degrees (all by default), in inv if given.  Degree 0:
+    the values, by Gauss-Jordan with partial pivoting, pivots chosen per point
+    of the leading axes, into a new zero array; a pivot below _PIVOT_FLOOR *
+    max(1, max |g_ij|) of its point raises SingularMetricError.  Degree d > 0
+    from g X = I: X_d = -X_0 sum g_a X_b over the product pairs a + b of degree
+    d, summed by the kernel of jets.contract (its buckets sliced to degree d)
+    while X_d is still zero, so every pair of the product table is formed once.
     """
     lead, n, order = g.shape[:-3], g.shape[-2], jets.order_of(dim, g.shape[-1])
-    g0 = g[..., 0].reshape(-1, n, n)
-    pts, off = np.arange(len(g0)), (1.0 - np.eye(n))[:, :, None]  # off[col]: 0 at row col
-    floor = _PIVOT_FLOOR * np.maximum(1.0, np.max(np.abs(g0), axis=(1, 2)))
-    ax = np.concatenate([g0, np.broadcast_to(np.eye(n), g0.shape)], axis=2)  # [g | I] -> [I | g^-1]
-    piv = np.empty((len(g0), n))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a small pivot raises below
-        for col in range(n):
-            k = np.abs(ax[:, col:, col]).argmax(axis=1)  # a point's pivot: its largest |entry|
-            if k.any():  # swap rows col and col + k, per point
-                ax[pts, col], ax[pts, col + k] = ax[pts, col + k], ax[pts, col]
-            piv[:, col] = ax[:, col, col]
-            ax[:, col] *= 1.0 / ax[:, col, col, None]
-            ax -= ax[:, :, col, None] * off[col] * ax[:, None, col]
-    small = np.abs(piv) < floor[:, None]
-    if small.any():  # the first column where a point's pivot is too small
-        raise SingularMetricError(f"metric is singular (pivot {small.any(axis=0).argmax()})")
-    inv = np.zeros(g.shape)
-    inv[..., 0] = ax[:, :, n:].reshape(lead + (n, n))
-    for deg in range(1, order + 1):
+    degrees = range(order + 1) if degrees is None else degrees
+    if 0 in degrees:
+        g0 = g[..., 0].reshape(-1, n, n)
+        pts, off = np.arange(len(g0)), (1.0 - np.eye(n))[:, :, None]  # off[col]: 0 at row col
+        floor = _PIVOT_FLOOR * np.maximum(1.0, np.max(np.abs(g0), axis=(1, 2)))
+        ax = np.concatenate([g0, np.broadcast_to(np.eye(n), g0.shape)], axis=2)  # [g | I] -> [I | g^-1]
+        piv = np.empty((len(g0), n))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a small pivot raises below
+            for col in range(n):
+                k = np.abs(ax[:, col:, col]).argmax(axis=1)  # a point's pivot: its largest |entry|
+                if k.any():  # swap rows col and col + k, per point
+                    ax[pts, col], ax[pts, col + k] = ax[pts, col + k], ax[pts, col]
+                piv[:, col] = ax[:, col, col]
+                ax[:, col] *= 1.0 / ax[:, col, col, None]
+                ax -= ax[:, :, col, None] * off[col] * ax[:, None, col]
+        small = np.abs(piv) < floor[:, None]
+        if small.any():  # the first column where a point's pivot is too small
+            raise SingularMetricError(f"metric is singular (pivot {small.any(axis=0).argmax()})")
+        inv = np.zeros(g.shape)
+        inv[..., 0] = ax[:, :, n:].reshape(lead + (n, n))
+    for deg in range(max(1, degrees.start), degrees.stop):
         c0, c1 = jets._size(dim, deg - 1), jets._size(dim, deg)
         s = jets._pair_sums(g, inv, dim, order, c0, c1)
         inv[..., c0:c1] = -(inv[..., 0] @ s.reshape(lead + (n, -1))).reshape(s.shape)
@@ -167,7 +171,8 @@ class Geometry:
             self.jet_dim = ring if fits else ring[0] + 1
         if jets._size(self.jet_dim, self.order) != ncoeff:
             raise ValueError(f"metric jets do not have order {self.order}")
-        self.dense("ginv")  # eager inverse so a degenerate metric fails fast
+        self._ginv_degree = -1  # the inverse is formed up to this degree
+        self.dense("ginv", 0)  # eager values so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
 
@@ -178,14 +183,15 @@ class Geometry:
             )
 
     def dense(self, stage: str, order: int | None = None) -> np.ndarray:
-        """Dense coefficients of "g" or a stage, computed once, optionally truncated."""
+        """Dense coefficients of "g" or a stage, computed once (ginv: to the order read), truncated."""
         x = self._dense.get(stage)
-        if x is None:
+        if x is None or stage == "ginv" and self._ginv_degree < (self.order if order is None else order):
             if stage not in self._BATCHED:
                 self._single(stage)
             # through the class attribute, so that a wrapper installed there
             # sees every stage computation; contiguous, so that views share it
-            x = self._dense[stage] = np.ascontiguousarray(getattr(type(self), stage).func(self))
+            func, args = getattr(type(self), stage).func, (order,) if stage == "ginv" else ()
+            x = self._dense[stage] = np.ascontiguousarray(func(self, *args))
         return x if order is None else x[..., : jets._size(self.jet_dim, order)]
 
     def _single(self, what: str):
@@ -202,8 +208,13 @@ class Geometry:
     # Each stage computes its dense array from the dense arrays of earlier stages.
 
     @_stage
-    def ginv(self) -> np.ndarray:
-        return invert_jet_matrix(self.dense("g"), self.jet_dim)
+    def ginv(self, order: int | None = None) -> np.ndarray:
+        """g^ab at order K, formed up to degree order (K by default) and zero above, in place."""
+        top, done = self.order if order is None else order, self._ginv_degree
+        inv = invert_jet_matrix(self.dense("g"), self.jet_dim, range(done + 1, top + 1),
+                                self._dense.get("ginv"))
+        self._ginv_degree = max(done, top)
+        return inv
 
     @_stage
     def gamma(self) -> np.ndarray:
@@ -211,7 +222,7 @@ class Geometry:
         self.require(1, "christoffel")
         n, k = self.n, self.order - 1
         dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n, len(self.lead))
-        low = dg.swapaxes(-4, -3) + np.moveaxis(dg, -4, -2) - dg  # [d, a, b]; dg: d_a g_db at [a, d, b]
+        low = dg.swapaxes(-4, -3) + jets.moveaxis(dg, -4, -2) - dg  # [d, a, b]; dg: d_a g_db at [a, d, b]
         gam = self._contract(self.dense("ginv", k), self._shape(low, n, n * n, -1)) * 0.5
         return self._shape(gam, n, n, n, -1)
 
@@ -319,27 +330,27 @@ class Geometry:
         out = jets.partials(x, self.jet_dim, order_in, n)
         for s, var in enumerate(variances):
             if var == "V*":  # -T[.. m ..] Theta_a[m, i]: the product T Theta_a, Theta on the right
-                moved = np.moveaxis(low, s, -2)
+                moved = jets.moveaxis(low, s, -2)
                 r = moved.shape[-2]
                 term = self._contract(moved.reshape(-1, r, nc),
                                       theta[..., :nc].transpose(1, 0, 2, 3).reshape(r, n * r, nc))
-                out -= np.moveaxis(term.reshape(moved.shape[:-2] + (n, r, nc)), (-3, -2),
-                                   (0, s + 1))
+                out -= jets.moveaxis(term.reshape(moved.shape[:-2] + (n, r, nc)), (-3, -2),
+                                     (0, s + 1))
                 continue
             # cross[a, i, m]: coefficient of T[.. m ..] in nabla_a T[.. i ..] (slot s)
             mat = gam.transpose(1, 0, 2, 3) if var in ("u", "d") else theta[..., :nc]
             cross = mat if var in ("u", "V") else -mat.transpose(0, 2, 1, 3)
-            moved = np.moveaxis(low, s, 0)
+            moved = jets.moveaxis(low, s, 0)
             r = moved.shape[0]
             term = self._contract(cross.reshape(n * r, r, -1), moved.reshape(r, -1, nc))
-            out += np.moveaxis(term.reshape((n, r) + moved.shape[1:]), 1, s + 1)
+            out += jets.moveaxis(term.reshape((n, r) + moved.shape[1:]), 1, s + 1)
         return out
 
     def trace(self, x: np.ndarray) -> np.ndarray:
         """g^{ea} x[e, a, ...] for a dense x whose first two axes are down slots."""
         self._single("trace")
         n = self.n
-        gl = self.dense("ginv")[..., : x.shape[-1]]
+        gl = self.dense("ginv", jets.order_of(self.jet_dim, x.shape[-1]))
         tr = self._contract(gl.reshape(1, n * n, -1), x.reshape(n * n, -1, x.shape[-1]))
         return tr.reshape(x.shape[2:])
 

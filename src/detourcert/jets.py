@@ -18,22 +18,23 @@ index (pair, tensor index) of its pairs (alpha, beta), at every point.
 Coefficients are bucketed by pair count and padded to a power of two (at
 least 8) with pairs that read an appended zero coefficient on both sides; a
 bucket runs in chunks of one gather per operand and one batched np.matmul
-within _CHUNK_BYTES, whose stack axis holds the points too, into the rows of
-a coefficient-major buffer.  Terms are summed in BLAS order, not
-Jet.__mul__'s, so the two agree to roundoff.  to_dense() and to_jets() convert
-between the layouts (to_jets() views rows of the dense array).  Only
-as_dense() and like() decide the layout: a public operator takes as_dense()
-of its input (a Jet, jets or a dense array) and returns like() it, so it
-returns the layout it was given; internal functions take dense arrays only.
+within _CHUNK_BYTES, whose stack axis holds the points too; the bucket cuts
+of a coefficient range are planned once (_pair_plan), and one bucket that
+covers the range in order gives the result unscattered.  Terms are summed in
+BLAS order, not Jet.__mul__'s, so the two agree to roundoff.  to_dense() and
+to_jets() convert between the layouts (to_jets() views rows of the dense
+array).  Only as_dense() and like() decide the layout: a public operator
+takes as_dense() of its input (a Jet, jets or a dense array) and returns
+like() it, so it returns the layout it was given; internal functions take
+dense arrays only.
 
-A Jet's coefficients may carry leading points axes, shape (..., ncoeff):
-Jet.constant, Jet.variable and coordinates() take arrays of values, and +,
--, *, /, ** and the analytic functions act at every point, each point
-bit-identical to a Jet of that point alone.  A product is one bincount whose
-bins are offset per point, so each point sums in _mul_table order; a series
-table is built per point in scalar arithmetic, and the first point out of
-the domain raises.  The queries (value, coeff, derivative) and the
-structural operations (truncated, padded, partial, extended) stay unbatched.
+Pointwise arithmetic (binary, mul, reciprocal, power, series) acts on dense
+coefficient arrays (..., ncoeff) at every point, each point bit-identical to
+that point alone: a product is one bincount whose bins are offset per point,
+so each point sums in _mul_table order; a series table is built per point in
+scalar arithmetic, and the first point out of the domain raises.  A Jet is
+one point, whose operators run these functions on its coefficients;
+dsl.MetricSpec.metric_jets runs them on a batch of points.
 
 The variables of a jet are a number d, or the ring key (d, 1): d variables
 and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
@@ -191,6 +192,17 @@ def contract(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
     return _pair_sums(x, y, dim, order, 0, _size(dim, order))
 
 
+@lru_cache(maxsize=None)
+def _pair_plan(dim, order: int, c0: int, c1: int) -> tuple:
+    """(whole, the buckets (cs - c0, ia, ib) of _pair_runs cut to c0..c1); whole: one covers c0..c1."""
+    buckets = []
+    for cs, ia, ib in _pair_runs(dim, order):
+        lo, hi = np.searchsorted(cs, (c0, c1))
+        if lo < hi:
+            buckets.append((cs[lo:hi] - c0, ia[lo:hi], ib[lo:hi]))
+    return len(buckets) == 1 and len(buckets[0][0]) == c1 - c0, tuple(buckets)
+
+
 def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) -> np.ndarray:
     """Coefficients c0..c1 of contract: c is [x_a1 .. x_aw] @ [y_b1; ..; y_bw] over its pairs."""
     n, lead, (r, m), s = _size(dim, order), x.shape[:-3], x.shape[-3:-1], y.shape[-2]
@@ -199,17 +211,19 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) 
     b = len(x)
     xz, yz = np.zeros((b, n + 1, m, r)), np.zeros((b, n + 1, m, s))  # row n: the pads' zero
     xz[:, :n], yz[:, :n] = x.transpose(0, 3, 2, 1), y.transpose(0, 3, 1, 2)
-    out = np.empty((c1, b, r, s))  # the rows below c0 are neither written nor read
-    for cs, ia, ib in _pair_runs(dim, order):
-        lo, hi = np.searchsorted(cs, (c0, c1)) if c1 - c0 < n else (0, cs.size)
+    whole, plan = _pair_plan(dim, order, c0, c1)
+    out = np.empty((b, c1 - c0, r, s))
+    for cs, ia, ib in plan:
         w = ia.shape[1]
         step = max(1, _CHUNK_BYTES // (8 * b * (w * m * (r + s) + r * s)))
-        for k in range(lo, hi, step):
-            e = min(hi, k + step)  # one statement, so no chunk's gathers outlive it
-            out[cs[k:e]] = np.matmul(
-                xz.take(ia[k:e], axis=1).reshape(b, e - k, w * m, r).swapaxes(2, 3),
-                yz.take(ib[k:e], axis=1).reshape(b, e - k, w * m, s)).swapaxes(0, 1)
-    return out[c0:].transpose(1, 2, 3, 0).reshape(lead + (r, s, c1 - c0))
+        for k in range(0, len(cs), step):
+            prod = np.matmul(xz.take(ia[k : k + step], axis=1).reshape(b, -1, w * m, r).swapaxes(2, 3),
+                             yz.take(ib[k : k + step], axis=1).reshape(b, -1, w * m, s))
+            if whole and step >= len(cs):  # one chunk in order: its products are the result
+                out = prod
+            else:
+                out[:, cs[k : k + step]] = prod
+    return out.transpose(0, 2, 3, 1).reshape(lead + (r, s, c1 - c0))
 
 
 def partials(x: np.ndarray, dim, order: int, slots: int, lead: int = 0) -> np.ndarray:
@@ -217,7 +231,21 @@ def partials(x: np.ndarray, dim, order: int, slots: int, lead: int = 0) -> np.nd
     src, mul = _partials_table(dim, order, slots)
     out = x[..., src]
     out *= mul
-    return np.moveaxis(out, -2, lead)
+    return moveaxis(out, -2, lead)
+
+
+@lru_cache(maxsize=None)
+def _axis_order(ndim: int, source, dest) -> tuple:
+    src, dst = (np.atleast_1d(v) % ndim for v in (source, dest))
+    order = [a for a in range(ndim) if a not in src]
+    for d, a in sorted(zip(dst.tolist(), src.tolist())):
+        order.insert(d, a)
+    return tuple(order)
+
+
+def moveaxis(x: np.ndarray, source, dest) -> np.ndarray:
+    """np.moveaxis(x, source, dest) as one transpose, its axis order cached per (ndim, source, dest)."""
+    return x.transpose(_axis_order(x.ndim, source, dest))
 
 
 def to_dense(arr) -> np.ndarray:
@@ -248,6 +276,10 @@ def like(x: np.ndarray, arr, dim):
     return out[()] if x.ndim == 1 else out
 
 
+# ---------------------------------------------------------------------------
+# pointwise jet arithmetic on dense coefficient arrays (..., ncoeff)
+
+
 def _constant_coeffs(value, n: int) -> np.ndarray:
     """Coefficients of a constant: (n,) for a float, value.shape + (n,) for an array."""
     if not isinstance(value, np.ndarray):
@@ -259,18 +291,95 @@ def _constant_coeffs(value, n: int) -> np.ndarray:
     return c
 
 
+def _variable_coeffs(value, slot: int, dim: int, order: int) -> np.ndarray:
+    """Coefficients of coordinate slot at a float value, or at an array of values."""
+    c = _constant_coeffs(value, _size(dim, order))
+    if order >= 1:
+        c[..., _rank(dim, order)[tuple(int(i == slot) for i in range(dim))]] = 1.0
+    return c
+
+
+def mul(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
+    """Truncated product at every point; the leading axes of x and y broadcast."""
+    ia, ib, ic = _mul_table(dim, order)
+    if x.ndim == y.ndim == 1:
+        return np.bincount(ic, weights=x[ia] * y[ib], minlength=x.size)
+    w = x[..., ia] * y[..., ib]
+    n, lead, p = x.shape[-1], w.shape[:-1], math.prod(w.shape[:-1])
+    return np.bincount(_point_offsets(dim, order, p), weights=w.ravel(), minlength=n * p).reshape(lead + (n,))
+
+
+def binary(op: str, x, y, dim, order: int) -> np.ndarray:
+    """x op y for op in + - * / at every point; x or y may be a float (a constant jet)."""
+    if op in "*/" and not isinstance(y, np.ndarray):
+        if op == "/" and y == 0.0:
+            raise SingularPointError("division by zero")
+        return x * y if op == "*" else x / y
+    if op == "*" and not isinstance(x, np.ndarray):
+        return y * x
+    x, y = (v if isinstance(v, np.ndarray) else _constant_coeffs(v, _size(dim, order)) for v in (x, y))
+    if op in "+-":
+        return x + y if op == "+" else x - y
+    return mul(x, y if op == "*" else reciprocal(y, dim, order), dim, order)
+
+
+def _compose(a: np.ndarray, dim, order: int, table) -> np.ndarray:
+    """sum_k table(a_0)_k (a - a_0)^k at every point; exact since a - a_0 is nilpotent.
+
+    The tables table(a_0, order) are built point by point in scalar arithmetic, so the first
+    point out of the domain raises.
+    """
+    a0, n = a[..., 0], a.shape[-1]
+    tab = np.array([table(v, order) for v in a0.ravel().tolist()]).T.reshape((order + 1,) + a0.shape)
+    t = a - _constant_coeffs(a0, n)
+    out = _constant_coeffs(tab[order], n)
+    for k in range(order - 1, -1, -1):
+        out = mul(out, t, dim, order) + _constant_coeffs(tab[k], n)
+    return out
+
+
+def reciprocal(x: np.ndarray, dim, order: int) -> np.ndarray:
+    """1 / x at every point; a zero value raises SingularPointError."""
+    return _compose(x, dim, order, _reciprocal_table)
+
+
+def power(x: np.ndarray, e: float, dim, order: int) -> np.ndarray:
+    """x ** e at every point: repeated products for an integer e, else sqrt or exp(e log x)."""
+    if e.is_integer():
+        if e == 0:
+            return _constant_coeffs(1.0, x.shape[-1])
+        out = base = x if e > 0 else reciprocal(x, dim, order)
+        for _ in range(abs(int(e)) - 1):
+            out = mul(out, base, dim, order)
+        return out
+    v = x[..., 0]
+    if (v <= 0.0).any():
+        raise ValueError(f"fractional power of nonpositive value {v[v <= 0.0][0]}")
+    if e == 0.5:
+        return series("sqrt", x, dim, order)
+    return series("exp", series("log", x, dim, order) * e, dim, order)
+
+
+def series(name: str, x: np.ndarray, dim, order: int) -> np.ndarray:
+    """The analytic function name of FUNCTIONS at every point; tan is sin times 1 / cos."""
+    if name == "tan":
+        return mul(series("sin", x, dim, order),
+                   reciprocal(series("cos", x, dim, order), dim, order), dim, order)
+    return _compose(x, dim, order, _TABLES[name])
+
+
 # ---------------------------------------------------------------------------
 
 
 class Jet:
-    """Immutable truncated Taylor expansion at a point, or at each point of a batch (see above)."""
+    """Immutable truncated Taylor expansion at a point (see above)."""
 
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs: np.ndarray):
         self.dim = dim
         self.order = order
-        if coeffs.shape[-1:] != (_size(dim, order),):
+        if coeffs.shape != (_size(dim, order),):
             raise ValueError("coefficient vector has wrong length")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
@@ -278,20 +387,16 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value, dim: int, order: int) -> "Jet":
-        """The constant jet of a float, or of an array of values (one per point)."""
+    def constant(value: float, dim: int, order: int) -> "Jet":
+        """The constant jet of a float."""
         return Jet(dim, order, _constant_coeffs(value, _size(dim, order)))
 
     @staticmethod
-    def variable(value, slot: int, dim: int, order: int) -> "Jet":
-        """The jet of coordinate slot at a float value, or at an array of values."""
+    def variable(value: float, slot: int, dim: int, order: int) -> "Jet":
+        """The jet of coordinate slot at a float value."""
         if not 0 <= slot < dim:
             raise ValueError(f"variable slot {slot} out of range for dim {dim}")
-        c = _constant_coeffs(value, _size(dim, order))
-        if order >= 1:
-            unit = tuple(1 if i == slot else 0 for i in range(dim))
-            c[..., _rank(dim, order)[unit]] = 1.0
-        return Jet(dim, order, c)
+        return Jet(dim, order, _variable_coeffs(value, slot, dim, order))
 
     # -- basic queries -----------------------------------------------------
 
@@ -363,94 +468,51 @@ class Jet:
 
     # -- ring arithmetic -----------------------------------------------------
 
-    def _coerce(self, other):
+    def _binary(self, op: str, other, swap: bool = False):
+        """self op other (other op self if swap) by binary(), for a jet or a number other."""
         if isinstance(other, Jet):
             if other.dim != self.dim or other.order != self.order:
                 raise ValueError(
                     f"jet shape mismatch: ({self.dim},{self.order}) vs "
                     f"({other.dim},{other.order})"
                 )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.dim, self.order)
-        return None
+            other = other.coeffs
+        elif isinstance(other, (int, float, np.floating, np.integer)):
+            other = float(other)
+        else:
+            return NotImplemented
+        x, y = (other, self.coeffs) if swap else (self.coeffs, other)
+        return Jet(self.dim, self.order, binary(op, x, y, self.dim, self.order))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.dim, self.order, self.coeffs + o.coeffs)
+        return self._binary("+", other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.dim, self.order, self.coeffs - o.coeffs)
+        return self._binary("-", other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.dim, self.order, o.coeffs - self.coeffs)
+        return self._binary("-", other, swap=True)
 
     def __neg__(self):
         return Jet(self.dim, self.order, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.dim, self.order, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ia, ib, ic = _mul_table(self.dim, self.order)
-        x, y = self.coeffs, o.coeffs
-        if x.ndim == y.ndim == 1:
-            return Jet(self.dim, self.order, np.bincount(ic, weights=x[ia] * y[ib], minlength=x.size))
-        w = x[..., ia] * y[..., ib]  # the leading axes broadcast
-        n, lead = x.shape[-1], w.shape[:-1]
-        prod = np.bincount(_point_offsets(self.dim, self.order, math.prod(lead)), weights=w.ravel(),
-                           minlength=n * math.prod(lead))
-        return Jet(self.dim, self.order, prod.reshape(lead + (n,)))
+        return self._binary("*", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            if float(other) == 0.0:
-                raise SingularPointError("division by zero")
-            return Jet(self.dim, self.order, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * _reciprocal(o)
+        return self._binary("/", other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * _reciprocal(self)
+        return self._binary("/", other, swap=True)
 
     def __pow__(self, expo):
         if isinstance(expo, Jet):
             return NotImplemented
-        e = float(expo)
-        if e.is_integer():
-            n = int(e)
-            if n == 0:
-                return Jet.constant(1.0, self.dim, self.order)
-            base = self if n > 0 else _reciprocal(self)
-            out = base
-            for _ in range(abs(n) - 1):
-                out = out * base
-            return out
-        v = self.coeffs[..., 0]
-        if (v <= 0.0).any():
-            raise ValueError(f"fractional power of nonpositive value {v[v <= 0.0][0]}")
-        if e == 0.5:
-            return sqrt(self)
-        return exp(log(self) * e)
+        return Jet(self.dim, self.order, power(self.coeffs, float(expo), self.dim, self.order))
 
 
 # public constructor aliases
@@ -472,67 +534,28 @@ def from_coeffs(coeffs, dim: int, order: int) -> Jet:
 
 
 def coordinates(point, order: int) -> list:
-    """Variable jets for every coordinate of a base point, or of a (P, n) batch of points."""
-    pt = np.asarray(point, dtype=float)
-    values = pt.tolist() if pt.ndim == 1 else np.moveaxis(pt, -1, 0)
-    return [Jet.variable(x, k, pt.shape[-1], order) for k, x in enumerate(values)]
+    """Variable jets for every coordinate of a base point."""
+    pt = np.asarray(point, dtype=float).tolist()
+    return [Jet.variable(x, k, len(pt), order) for k, x in enumerate(pt)]
 
 
 # ---------------------------------------------------------------------------
-# analytic functions via Horner composition with univariate Taylor tables
+# univariate Taylor tables (a0, order) -> coefficients of f(a0 + t) in t
 
 
-def _compose(a: Jet, a0, table) -> Jet:
-    """Evaluate sum_k table[k] * (a - a0)^k; exact since a - a0 is nilpotent.
-
-    a0 and each table[k] are floats, or arrays over the points of a batched a.
-    """
-    t = a - Jet.constant(a0, a.dim, a.order)
-    out = Jet.constant(table[a.order], a.dim, a.order)
-    for k in range(a.order - 1, -1, -1):
-        out = out * t + Jet.constant(table[k], a.dim, a.order)
-    return out
-
-
-def _series(table):
-    """Jet function composing a with the Taylor table table(a0, order) of each point's value a0.
-
-    Tables are built point by point in scalar arithmetic; the first point out of the domain raises.
-    """
-    def jet_fn(a: Jet) -> Jet:
-        a0 = a.coeffs[..., 0]
-        if a0.ndim == 0:
-            return _compose(a, float(a0), table(float(a0), a.order).tolist())
-        rows = np.array([table(x, a.order) for x in a0.ravel().tolist()])
-        return _compose(a, a0, rows.T.reshape((a.order + 1,) + a0.shape))
-
-    return jet_fn
-
-
-@_series
-def _reciprocal(a0: float, order: int) -> np.ndarray:
+def _reciprocal_table(a0: float, order: int) -> np.ndarray:
     if a0 == 0.0:
         raise SingularPointError("division by a jet with zero constant term")
     k = np.arange(order + 1)
     return (-1.0) ** k / a0 ** (k + 1)
 
 
-def _dispatch(name, jet_fn, float_fn):
-    def wrapper(x):
-        return jet_fn(x) if isinstance(x, Jet) else float_fn(x)
-
-    wrapper.__name__ = name
-    return wrapper
-
-
-@_series
-def _exp_jet(a0: float, order: int) -> np.ndarray:
+def _exp_table(a0: float, order: int) -> np.ndarray:
     e0 = math.exp(a0)
     return np.array([e0 / math.factorial(k) for k in range(order + 1)])
 
 
-@_series
-def _log_jet(a0: float, order: int) -> np.ndarray:
+def _log_table(a0: float, order: int) -> np.ndarray:
     if a0 <= 0.0:
         raise ValueError(f"log of nonpositive value {a0}")
     table = np.empty(order + 1)
@@ -542,8 +565,7 @@ def _log_jet(a0: float, order: int) -> np.ndarray:
     return table
 
 
-@_series
-def _sqrt_jet(a0: float, order: int) -> np.ndarray:
+def _sqrt_table(a0: float, order: int) -> np.ndarray:
     if a0 <= 0.0:
         raise ValueError(f"sqrt of nonpositive value {a0}")
     table = np.empty(order + 1)
@@ -554,49 +576,30 @@ def _sqrt_jet(a0: float, order: int) -> np.ndarray:
     return table
 
 
-@_series
-def _sin_jet(a0: float, order: int) -> np.ndarray:
-    s, c = math.sin(a0), math.cos(a0)
-    cycle = [s, c, -s, -c]
-    return np.array([cycle[k % 4] / math.factorial(k) for k in range(order + 1)])
+def _periodic(f, df, sign: float):
+    """Table of a function whose derivatives cycle f, df, sign * f, sign * df."""
+    def table(a0: float, order: int) -> np.ndarray:
+        cycle = [f(a0), df(a0)]
+        cycle += [sign * cycle[0], sign * cycle[1]]
+        return np.array([cycle[k % 4] / math.factorial(k) for k in range(order + 1)])
+
+    return table
 
 
-@_series
-def _cos_jet(a0: float, order: int) -> np.ndarray:
-    s, c = math.sin(a0), math.cos(a0)
-    cycle = [c, -s, -c, s]
-    return np.array([cycle[k % 4] / math.factorial(k) for k in range(order + 1)])
+_TABLES = {"exp": _exp_table, "log": _log_table, "sqrt": _sqrt_table,
+           "sin": _periodic(math.sin, math.cos, -1.0), "cos": _periodic(math.cos, lambda x: -math.sin(x), -1.0),
+           "sinh": _periodic(math.sinh, math.cosh, 1.0), "cosh": _periodic(math.cosh, math.sinh, 1.0)}
 
 
-@_series
-def _sinh_jet(a0: float, order: int) -> np.ndarray:
-    s, c = math.sinh(a0), math.cosh(a0)
-    return np.array([(s if k % 2 == 0 else c) / math.factorial(k) for k in range(order + 1)])
+def _dispatch(name: str):
+    def wrapper(x):
+        if isinstance(x, Jet):
+            return Jet(x.dim, x.order, series(name, x.coeffs, x.dim, x.order))
+        return getattr(math, name)(x)
+
+    wrapper.__name__ = name
+    return wrapper
 
 
-@_series
-def _cosh_jet(a0: float, order: int) -> np.ndarray:
-    s, c = math.sinh(a0), math.cosh(a0)
-    return np.array([(c if k % 2 == 0 else s) / math.factorial(k) for k in range(order + 1)])
-
-
-exp = _dispatch("exp", _exp_jet, math.exp)
-log = _dispatch("log", _log_jet, math.log)
-sqrt = _dispatch("sqrt", _sqrt_jet, math.sqrt)
-sin = _dispatch("sin", _sin_jet, math.sin)
-cos = _dispatch("cos", _cos_jet, math.cos)
-sinh = _dispatch("sinh", _sinh_jet, math.sinh)
-cosh = _dispatch("cosh", _cosh_jet, math.cosh)
-tan = _dispatch("tan", lambda a: _sin_jet(a) / _cos_jet(a), math.tan)
-
-
-FUNCTIONS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "sinh": sinh,
-    "cosh": cosh,
-}
+FUNCTIONS = {name: _dispatch(name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")}
+sin, cos, tan, exp, log, sqrt, sinh, cosh = FUNCTIONS.values()

@@ -17,9 +17,10 @@ rebuilds order-2 geometry at the stage times of the integrator, Dormand-
 Prince 5(4) with RK45's step control, in-repo (no start of the program
 imports scipy.integrate).  A(t) = Theta(c(t)) c'(t) does not depend on v,
 so the five stage points of a step attempt share one batched Geometry
-(a leading points axis), bit-identical to five single-point builds: one
-evaluation of the metric text (MetricSpec.metric_jets on the batch), one
-order-2 chain and one batched product v^a Theta_a.
+(a leading points axis), bit-identical to five single-point builds: one run
+of the metric text's compiled program (MetricSpec.metric_jets), one order-2
+chain, whose inverse metric is formed to degree 1 only, and one batched
+product v^a Theta_a.
 """
 from __future__ import annotations
 

@@ -256,26 +256,27 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     t[..., 0, 1 : n + 1, 0] = -np.eye(n)
     t[..., 1 : n + 1, 0, :] = P
     t[..., 1 : n + 1, n + 1, :] = geom.dense("g", order)
-    t[..., 1 : n + 1, 1 : n + 1, :] = -np.moveaxis(geom.dense("gamma", order), -4, -2)
+    t[..., 1 : n + 1, 1 : n + 1, :] = -jets.moveaxis(geom.dense("gamma", order), -4, -2)
     t[..., n + 1, 1 : n + 1, :] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
     return t
 
 
-def tractor_curvature(geom: Geometry) -> np.ndarray:
+def tractor_curvature(geom: Geometry, order: int | None = None) -> np.ndarray:
     """Curvature 2-form as dense (n, n, n+2, n+2) matrices acting on (sigma, mu_c, rho).
 
     Blocks: mu-row sigma-column holds the Cotton tensor, the mu-mu block the
     Weyl tensor, the rho-row mu-column minus the Cotton tensor; everything
-    else vanishes.  Assembled from the curvature chain; cross-checked against
-    the commutator of coupled derivatives in the test-suite.
+    else vanishes.  Assembled from the curvature chain at order (K-3 by default);
+    cross-checked against the commutator of coupled derivatives in the tests.
     """
     n = geom.n
     geom.require(3, "tractor curvature")
-    A = geom.dense("cotton").transpose(1, 2, 0, 3)  # A_cab at [a, b, c]
+    order = geom.order - 3 if order is None else order
+    A = geom.dense("cotton", order).transpose(1, 2, 0, 3)  # A_cab at [a, b, c]
     # W_abc^e and A^e_ab: rows (a, b, c), then (a, b, d) raised by g^de
-    rows = np.concatenate([geom.dense("weyl", geom.order - 3).reshape(n**3, n, -1),
+    rows = np.concatenate([geom.dense("weyl", order).reshape(n**3, n, -1),
                            A.reshape(n * n, n, -1)])
-    up = connections.matmul(rows, geom.dense("ginv"), geom.jet_dim)
+    up = connections.matmul(rows, geom.dense("ginv", order), geom.jet_dim)
     out = np.zeros((n, n, n + 2, n + 2, A.shape[-1]))
     out[:, :, 1 : n + 1, 0] = A
     out[:, :, 1 : n + 1, 1 : n + 1] = up[: n**3].reshape(n, n, n, n, -1)
@@ -302,7 +303,7 @@ def _change_of_scale(m: np.ndarray, omega: Jet, geom: Geometry) -> np.ndarray:
     nc = min(m.shape[-1], jets._size(dim, omega.order - 1))
     sig, mu, rho = m[:, 0, :nc], m[:, 1 : n + 1, :nc], m[:, n + 1, :nc]
     ups = _grad(omega.coeffs, geom)[:, :nc]
-    ups_up = connections.matmul(geom.dense("ginv")[..., :nc], ups[:, None], dim)
+    ups_up = connections.matmul(geom.dense("ginv", jets.order_of(dim, nc)), ups[:, None], dim)
     cross = connections.matmul(mu, ups_up, dim)[:, 0]  # Upsilon^c mu_c of each row
     upsq = connections.matmul(ups[None], ups_up, dim)[0, 0]
     ew = jets.exp(omega.truncated(jets.order_of(dim, nc)))

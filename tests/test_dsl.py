@@ -208,7 +208,7 @@ def test_degenerate_metric_rejected_at_inversion():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: coordinate jets with a leading points axis
+# batched evaluation: the dense program of MetricSpec.metric_jets on (P, n) points
 
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 3.0)
 _trees = st.recursive(
@@ -228,26 +228,32 @@ _coord = st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2))
 _DOMAIN = (ValueError, ArithmeticError, TypeError)
 
 
-def _outcome(ast, points, order):
-    """Coefficients of ast on coordinate jets at a point (n,) or points (P, n), or the exception raised."""
-    env = dict(zip(("x", "y"), jets.coordinates(points, order)))
+def _plane(components) -> MetricSpec:
+    return MetricSpec(2, (1, 1), ("x", "y"), components)
+
+
+def _outcome(spec, points, order):
+    """Dense metric of spec by the walk on Jets at a point (n,), by the program at points (P, n).
+
+    Or the exception raised.
+    """
     try:
         with np.errstate(all="ignore"):
-            val = evaluate(ast, env)
-        if not isinstance(val, jets.Jet):
-            val = jets.constant(float(val), 2, order)
+            g = spec.metric_jets(points, order)
     except _DOMAIN as exc:
         return exc
-    return np.broadcast_to(val.coeffs, points.shape[:-1] + val.coeffs.shape[-1:])
+    return g if points.ndim == 2 else jets.to_dense(g)
 
 
 @settings(max_examples=300, deadline=None)
-@given(ast=_trees, points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5),
+@given(ast=_trees, other=_trees, points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5),
        order=st.integers(min_value=0, max_value=4))
-def test_batched_evaluation_equals_per_point_jets(ast, points, order):
+def test_batched_evaluation_equals_per_point_jets(ast, other, points, order):
+    # three components, the third sharing both others as subexpressions
+    spec = _plane({(0, 0): ast, (0, 1): other, (1, 1): dsl.Bin("*", ast, other)})
     pts = np.array(points, dtype=float)
-    batch = _outcome(ast, pts, order)
-    singles = [_outcome(ast, p, order) for p in pts]  # unbatched jets, one point each
+    batch = _outcome(spec, pts, order)
+    singles = [_outcome(spec, p, order) for p in pts]  # the walk on Jets, one point each
     failed = [type(s) for s in singles if isinstance(s, Exception)]
     if failed:
         # the batch raises where its first point leaves the domain, as that point alone
@@ -260,35 +266,82 @@ def test_batched_evaluation_equals_per_point_jets(ast, points, order):
     assert np.array_equal(batch, np.stack(singles), equal_nan=True)
 
 
+def _all_operations() -> MetricSpec:
+    """Every function of jets.FUNCTIONS, pi, division both ways, negative, fractional and zero
+    powers, a constant-only component and subexpressions shared across components."""
+    e = parse_expression
+    shared = e("sin(x) + cos(y) * tan(z)")
+    comps = {
+        (0, 0): dsl.Bin("-", shared, e("exp(x*y) / log(2 + x^2)")),
+        (0, 1): dsl.Bin("+", dsl.Pow(e("sqrt(1 + y^2)"), -1.5),
+                        dsl.Bin("*", dsl.Pow(e("sinh(z)"), -2.0), e("cosh(x)^0.5 - pi / (3 + x)"))),
+        (0, 2): e("2 * pi^2 - 1 / 3"),
+        (1, 1): dsl.Bin("+", dsl.Bin("*", shared, dsl.Pow(e("x"), -1.0)), e("(1 + y^2)^2.5")),
+        (1, 2): dsl.Bin("+", e("-(x - 4) / y^3 - 1 / (x * z)"), e("x^0 * 2")),
+        (2, 2): e("(sin(x) + cos(y) * tan(z))^2 + exp(x*y)"),
+    }
+    return MetricSpec(3, (1, 1, 1), ("x", "y", "z"), comps)
+
+
+def _nodes(ast, inside_constants=True):
+    yield ast
+    if inside_constants or dsl.variables(ast) - {"pi"}:
+        for child in (getattr(ast, name, None) for name in ("arg", "lhs", "rhs", "base")):
+            if child is not None:
+                yield from _nodes(child, inside_constants)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 6])
+def test_the_program_equals_the_walk_on_every_operation(order):
+    spec = _all_operations()
+    nodes = [node for ast in spec.components.values() for node in _nodes(ast)]
+    assert {node.fn for node in nodes if isinstance(node, dsl.Call)} == set(jets.FUNCTIONS)
+    pts = np.random.default_rng(order).uniform([0.5, 0.5, 0.3], [1.5, 1.5, 1.2], (4, 3))
+    batch = spec.metric_jets(pts, order)
+    for k, p in enumerate(pts):
+        assert np.array_equal(batch[k], jets.to_dense(spec.metric_jets(p, order)))
+    # one step per distinct subexpression, a subtree free of coordinates one step
+    steps = {repr(node) for ast in spec.components.values() for node in _nodes(ast, False)}
+    assert len(spec._program[0]) == len(steps) < len({repr(node) for node in nodes})
+
+
 @pytest.mark.parametrize("ast, exc", [
     (parse_expression("1 / x"), jets.SingularPointError),
     (dsl.Pow(dsl.Var("x"), -1.0), jets.SingularPointError),
     (parse_expression("log(x)"), ValueError),
     (parse_expression("x^0.5"), ValueError),
+    (parse_expression("y / (x * y)"), jets.SingularPointError),
 ])
 def test_one_point_out_of_the_domain_fails_the_batch(ast, exc):
+    spec = _plane({(0, 0): ast, (1, 1): parse_expression("1 + y")})
     pts = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.4]])  # x = 0 at the middle point only
-    assert isinstance(_outcome(ast, pts[1], 2), exc)
-    assert isinstance(_outcome(ast, pts, 2), exc)
-    assert not isinstance(_outcome(ast, pts[::2], 2), Exception)
+    assert isinstance(_outcome(spec, pts[1], 2), exc)
+    assert isinstance(_outcome(spec, pts, 2), exc)
+    assert not isinstance(_outcome(spec, pts[::2], 2), Exception)
 
 
 def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
-    # the batch costs one walk of the metric text, not one per point: a slide
-    # back to per-point evaluation multiplies the jet products by the points
+    # the batch costs one run of the program, not one walk per point: it makes no
+    # Jet product, and it shares the subexpressions 1 - 2/r and r^2 the walk repeats
     spec = parse_metric_text(SCHWARZSCHILD_TEXT)
-    calls, mul = [0], jets.Jet.__mul__
+    calls, products, mul, dense_mul = [0], [0], jets.Jet.__mul__, jets.mul
 
     def counting(self, other):
         calls[0] += 1
         return mul(self, other)
 
+    def counting_dense(*args):
+        products[0] += 1
+        return dense_mul(*args)
+
     monkeypatch.setattr(jets.Jet, "__mul__", counting)
+    monkeypatch.setattr(jets, "mul", counting_dense)
     pts = np.array([[0.0, 5.0 + k, 1.2, 0.3 * k] for k in range(5)])
     spec.metric_jets(pts[0], 3)
-    single, calls[0] = calls[0], 0
+    single, walked, calls[0], products[0] = calls[0], products[0], 0, 0
     batch = spec.metric_jets(pts, 3)
-    assert single > 0 and calls[0] == single
+    assert single > 0 and calls[0] == 0
+    assert 0 < products[0] < walked
     assert batch.shape == (5, 4, 4, jets._size(4, 3))
     for k, p in enumerate(pts):
         assert np.array_equal(batch[k], jets.to_dense(spec.metric_jets(p, 3)))

@@ -554,9 +554,9 @@ def test_each_stage_is_computed_once(monkeypatch, first):
     for stage in STAGES:
         orig = vars(Geometry)[stage]
 
-        def counted(self, stage=stage, func=orig.func):
+        def counted(self, *order, stage=stage, func=orig.func):
             calls[stage] += 1
-            return func(self)
+            return func(self, *order)
 
         patched = type(orig)(counted)
         patched.__set_name__(Geometry, stage)
@@ -569,7 +569,41 @@ def test_each_stage_is_computed_once(monkeypatch, first):
     for stage in STAGES:
         getattr(geom, stage)
         geom.dense(stage)
-    assert calls == dict.fromkeys(STAGES, 1)
+    # the inverse twice: its values in the constructor, its higher degrees when read
+    assert calls == {**dict.fromkeys(STAGES, 1), "ginv": 2}
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_the_inverse_is_formed_degree_by_degree_as_it_is_read(monkeypatch, ring):
+    # dense("ginv", k) for k rising from 0 to K equals the one-shot inverse bit for
+    # bit, and each degree is swept once, when the first reader asks for it
+    order = 6
+    g = _ring_metric(Geometry(BUMP4, P_BUMP, order))[0] if ring else Geometry(BUMP4, P_BUMP, order).g
+    whole = invert_jet_matrix(jets.as_dense(g), (4, 1) if ring else 4)
+    swept, pair_sums = [], jets._pair_sums
+
+    def recording(x, y, dim, k, c0, c1):
+        swept.append((c0, c1))
+        return pair_sums(x, y, dim, k, c0, c1)
+
+    monkeypatch.setattr(jets, "_pair_sums", recording)
+    geom = Geometry(metric_jets=g, order=order)
+    assert swept == [] and not geom.dense("ginv", 0)[..., 1:].any()
+    for k in [*range(order + 1), 3, 0]:
+        np.testing.assert_array_equal(geom.dense("ginv", k), whole[..., : jets._size(geom.jet_dim, k)])
+    assert swept == [(jets._size(geom.jet_dim, d - 1), jets._size(geom.jet_dim, d))
+                     for d in range(1, order + 1)]
+    np.testing.assert_array_equal(geom.dense("ginv"), whole)
+    np.testing.assert_array_equal(jets.to_dense(geom.ginv), whole)
+    assert len(swept) == order
+
+
+def test_a_transport_right_hand_side_leaves_the_top_degree_of_the_inverse_unformed():
+    # the order-2 chain reads g^-1 to degree 1 (Gamma); no reader asks for degree 2
+    geom = Geometry(BUMP4, [P_BUMP, P_BUMP], order=2)
+    tractor_connection(geom)
+    assert geom._ginv_degree == 1
+    assert not geom._dense["ginv"][..., jets._size(4, 1) :].any()
 
 
 def test_transport_right_hand_side_builds_no_jets_beyond_the_metric(monkeypatch):

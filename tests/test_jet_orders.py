@@ -162,6 +162,13 @@ def full_complex_composition(geom, rng):
     return cli._max_abs(comp), cli._max_abs(pred), cli._max_abs(comp - pred)
 
 
+def full_tractor_curvature_skew(geom, rng):
+    m = tractor.tractor_curvature(geom)[..., 0]
+    h = tractor.gram_matrix(geom)
+    skew = [m + m.swapaxes(0, 1), m.swapaxes(-1, -2) @ h + h @ m]
+    return cli._max_abs(skew) / max(1.0, cli._max_abs(m))
+
+
 def _check(check_id):
     return next(c for c in cli._CHECKS if c.id == check_id)
 
@@ -170,6 +177,7 @@ def _check(check_id):
 TRIMMED = [
     (_check("contracted-bianchi"), full_contracted_bianchi, False),
     (_check("splitting-commutation"), full_splitting_commutation, False),
+    (_check("curvature-skew"), full_tractor_curvature_skew, False),
     (_check("adjoint-factorization"), full_adjoint_factorization, False),
     (_check("ym-source-exterior"), full_ym_exterior, True),
     (_check("ym-source-interior"), full_ym_interior, True),
@@ -214,6 +222,9 @@ def test_trimmed_operators_equal_their_full_order_references(name, order):
     phi = tractor.TractorOneForm.from_matrix(_draw(rng, (n, n + 2), n, order - 1))
     assert np.array_equal(tractor.coupled_divergence(phi, geom).as_vector(),
                           full_coupled_divergence(phi, geom).as_vector())
+    full = tractor.tractor_curvature(geom)
+    for k in range(order - 2):
+        assert np.array_equal(tractor.tractor_curvature(geom, k), full[..., : jets._size(n, k)])
 
 
 def test_a_connection_built_too_low_raises():

@@ -476,6 +476,70 @@ def test_bucketed_kernel_matches_the_reduceat_reference(key, order, shape, data,
         assert np.all(np.abs(got - ref) <= 1e-13 * scale), (c0, c1)
 
 
+def bucket_loop_pair_sums(x, y, dim, order, c0, c1):
+    """Coefficients c0..c1 of contract by the bucket loop the planned kernel replaced.
+
+    Each call cuts every bucket to c0..c1 by searchsorted and scatters the
+    chunk products into a coefficient-major buffer; the np.matmul operands
+    are those of the planned kernel.
+    """
+    n, lead, (r, m), s = jets._size(dim, order), x.shape[:-3], x.shape[-3:-1], y.shape[-2]
+    x, y = (x[None], y[None]) if not lead else (
+        x.reshape(-1, r, m, x.shape[-1]), y.reshape(-1, m, s, y.shape[-1]))
+    b = len(x)
+    xz, yz = np.zeros((b, n + 1, m, r)), np.zeros((b, n + 1, m, s))
+    xz[:, :n], yz[:, :n] = x.transpose(0, 3, 2, 1), y.transpose(0, 3, 1, 2)
+    out = np.empty((c1, b, r, s))
+    for cs, ia, ib in jets._pair_runs(dim, order):
+        lo, hi = np.searchsorted(cs, (c0, c1)) if c1 - c0 < n else (0, cs.size)
+        w = ia.shape[1]
+        step = max(1, jets._CHUNK_BYTES // (8 * b * (w * m * (r + s) + r * s)))
+        for k in range(lo, hi, step):
+            e = min(hi, k + step)
+            out[cs[k:e]] = np.matmul(
+                xz.take(ia[k:e], axis=1).reshape(b, e - k, w * m, r).swapaxes(2, 3),
+                yz.take(ib[k:e], axis=1).reshape(b, e - k, w * m, s)).swapaxes(0, 1)
+    return out[c0:].transpose(1, 2, 3, 0).reshape(lead + (r, s, c1 - c0))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 600])
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("key", [3, 4, (4, 1)])
+def test_planned_kernel_equals_the_bucket_loop_bit_for_bit(monkeypatch, key, order, chunk_bytes):
+    # the full range and every single-degree range, with and without a points axis
+    if chunk_bytes is not None:
+        monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(order)
+    size = jets._size(key, order)
+    ranges = [(0, size)] + [(jets._size(key, d - 1) if d else 0, jets._size(key, d))
+                            for d in range(order + 1)]
+    for lead, (r, m, s) in (((), (3, 4, 2)), ((2,), (4, 4, 1)), ((2, 3), (1, 2, 3))):
+        x, y = rng.standard_normal(lead + (r, m, size)), rng.standard_normal(lead + (m, s, size))
+        for c0, c1 in ranges:
+            got = jets._pair_sums(x, y, key, order, c0, c1)
+            ref = bucket_loop_pair_sums(x, y, key, order, c0, c1)
+            assert got.shape == ref.shape == lead + (r, s, c1 - c0)
+            np.testing.assert_array_equal(got, ref, err_msg=f"{lead} {c0}..{c1}")
+
+
+def test_one_bucket_in_order_is_planned_whole():
+    # low orders and single degrees fit one bucket: the kernel skips the scatter
+    assert jets._pair_plan(4, 2, 0, jets._size(4, 2))[0]
+    assert jets._pair_plan((4, 1), 2, jets._size((4, 1), 1), jets._size((4, 1), 2))[0]
+    assert not jets._pair_plan(4, 8, 0, jets._size(4, 8))[0]
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4, 5, 6])
+def test_cached_axis_moves_equal_np_moveaxis(ndim):
+    x = np.arange(math.prod(range(2, ndim + 2)), dtype=float).reshape(range(2, ndim + 2))[..., ::2]
+    moves = [(s, d) for s in range(-ndim, ndim) for d in range(-ndim, ndim)]
+    moves += [((0, -1), (-1, 0)), ((1, 0), (0, ndim - 1))] + [((-3, -2), (0, 1))] * (ndim > 2)
+    for source, dest in moves:
+        got, ref = jets.moveaxis(x, source, dest), np.moveaxis(x, source, dest)
+        assert got.shape == ref.shape and got.strides == ref.strides, (source, dest)
+        assert np.shares_memory(got, x) and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, None])
 @pytest.mark.parametrize("key,order", [(4, 5), ((3, 1), 5)])
 def test_padding_is_never_read(monkeypatch, key, order, chunk_bytes):

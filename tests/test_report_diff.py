@@ -70,3 +70,32 @@ def test_the_five_largest_residual_changes_are_listed():
     for line, (_, where, value) in zip(lines[1:], sorted(moved, reverse=True)):
         assert f"  {where}: " in line and line.endswith(f" -> {value!r}")
     assert report_diff.residual_lines([]) == ["0 residuals changed"]
+
+
+def test_a_suite_without_checks_in_the_dimension_is_not_applicable():
+    # the CLI decides applicability: generic_bump3 has no deformation check, so the
+    # pair is left out of the counts, and a pair that applies on one tree is a change
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import report_diff
+    finally:
+        sys.path.pop(0)
+    worker = subprocess.run([sys.executable, str(TOOL), "--worker", str(ROOT / "src"),
+                             "--metrics", "generic_bump3,flat4", "--suites", "deformation"],
+                            capture_output=True, text=True, timeout=300, check=True)
+    rows = json.loads(worker.stdout)
+    assert [(m, s, c, t is None) for m, s, c, t in rows] == [
+        ("generic_bump3", "deformation", 2, True), ("flat4", "deformation", 0, False)]
+    assert report_diff.compare(rows, copy.deepcopy(rows)) == ([], 1, [])
+    applies = copy.deepcopy(rows)
+    applies[0][2:] = [0, rows[1][3]]
+    changes, _, _ = report_diff.compare(rows, applies)
+    assert changes == ["generic_bump3/deformation: applies on the new tree only"]
+    changes, _, _ = report_diff.compare(applies, rows)
+    assert changes == ["generic_bump3/deformation: applies on the old tree only"]
+    out = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(ROOT / "src"),
+                          "--metrics", "generic_bump3", "--suites", "deformation,curvature"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[:2] == ["1 reports, 1 byte-identical",
+                                           "1 reports at --jet-order 8, 1 byte-identical"]

@@ -4,18 +4,19 @@
 
 OLD_SRC and NEW_SRC are directories holding a `detourcert` package (a
 checkout's `src`).  For every catalog metric and suite (seed 0, the default
-points and jet order; the deformation suite only on four-dimensional
-metrics) the script runs `detourcert verify --format json`.  Every suite
-but `prolong` then runs a second time at `--jet-order 8`, above each
-suite's minimum; those reports are labelled `suite@8`.  Each pass runs all
-reports of one tree in one subprocess.  The script lists every report
-whose exit code, overall `passed`, check ids, or per-check `passed`,
-`expected_negative` or other non-residual field changed.  It prints how
-many reports are byte-identical, first at the default orders and then at
-order 8, how many residuals (`max_residual`, `prediction_gap`) changed,
-and the five largest changes with their metric, suite, check and
-old -> new values.  The exit code is 1 when anything besides a residual
-changed, else 0.
+points and jet order) the script runs `detourcert verify --format json`.
+A pair is not applicable where the CLI exits 2 with "suite has no check
+for a N dimensional metric"; it is left out of the counts, and a pair that
+applies on one tree only is a change.  Every suite but `prolong` then runs
+a second time at `--jet-order 8`, above each suite's minimum; those
+reports are labelled `suite@8`.  Each pass runs all reports of one tree in
+one subprocess.  The script lists every report whose exit code, overall
+`passed`, check ids, or per-check `passed`, `expected_negative` or other
+non-residual field changed.  It prints how many reports are
+byte-identical, first at the default orders and then at order 8, how many
+residuals (`max_residual`, `prediction_gap`) changed, and the five largest
+changes with their metric, suite, check and old -> new values.  The exit
+code is 1 when anything besides a residual changed, else 0.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,7 @@ from pathlib import Path
 RESIDUALS = ("max_residual", "prediction_gap")
 LARGEST = 5  # residual changes listed
 HIGH_ORDER = 8  # the second pass runs every suite but prolong at this jet order
+NOT_APPLICABLE = re.compile(r"suite has no check for a \d+ dimensional metric")
 
 
 def run_reports(src: str, metrics: list | None, suites: list | None,
@@ -37,6 +40,7 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
     """Every verify report of the package under src, as [metric, suite label, exit, text].
 
     With an order, every suite but prolong runs at that jet order, labelled suite@order.
+    text is None where the suite does not apply to the metric (NOT_APPLICABLE).
     """
     sys.path.insert(0, str(Path(src).resolve()))
     from detourcert import catalog, cli
@@ -46,9 +50,8 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
     extra = ["--jet-order", str(order)] if order else []
     out = []
     for metric in metrics or catalog.names():
-        dim = catalog.get(metric).spec().dim
         for suite in suites or cli.SUITES:
-            if (suite == "deformation" and dim != 4) or (order and suite == "prolong"):
+            if order and suite == "prolong":
                 continue
             text, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
@@ -57,7 +60,9 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
                                      "--format", "json"] + extra)
                 except Exception as exc:  # an uncaught error exits 1 from the shell
                     code, text = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
-            out.append([metric, f"{suite}@{order}" if order else suite, code, text.getvalue()])
+            applies = not (code == 2 and NOT_APPLICABLE.search(err.getvalue()))
+            out.append([metric, f"{suite}@{order}" if order else suite, code,
+                        text.getvalue() if applies else None])
     return out
 
 
@@ -71,6 +76,10 @@ def compare(old: list, new: list) -> tuple:
             changes.append(f"{where}: missing in the new tree")
             continue
         new_code, new_text = new_by_key.pop((metric, suite))
+        if text is None or new_text is None:
+            if text is not new_text:
+                changes.append(f"{where}: applies on the {'new' if text is None else 'old'} tree only")
+            continue
         if new_text == text and new_code == code:
             identical += 1
             continue
@@ -154,7 +163,8 @@ def main(argv=None) -> int:
         changes += part
         residuals += moved
         title = f" at --jet-order {order}" if order else ""
-        print(f"{len(sides[0])} reports{title}, {identical} byte-identical")
+        reports = sum(text is not None for *_, text in sides[0])
+        print(f"{reports} reports{title}, {identical} byte-identical")
     for line in changes:
         print("changed: " + line)
     for line in residual_lines(residuals):
