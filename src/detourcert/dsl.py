@@ -14,12 +14,13 @@ parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.
 
-MetricSpec.metric_jets evaluates each distinct tree once.  At one point it
-walks them on Jet objects: evaluate() is public on Jet environments, and this
-is the one Jet arithmetic of a verify run, where perfbench's tracer counts
-Jet.__mul__.  On (P, n) points it runs them compiled once into a straight-line
-program over dense (P, ncoeff) jets by the functions of jets that Jet
-arithmetic runs, bit-identical per point.  Everything downstream is dense.
+MetricSpec.metric_jets returns the dense metric; everything downstream is
+dense.  On (P, n) points it runs the component trees compiled once into a
+straight-line program, one step per distinct subexpression, over dense
+(P, ncoeff) jets by the pointwise functions of jets, bit-identical per point.
+At one point it walks each distinct tree once on Jets (evaluate()): the one
+Jet arithmetic of a verify run, which perfbench's tracer counts at
+Jet.__mul__.  The catalog runs the program at one point.
 """
 from __future__ import annotations
 
@@ -262,7 +263,10 @@ def evaluate(ast: Expr, env):
     if isinstance(ast, Neg):
         return -evaluate(ast.arg, env)
     if isinstance(ast, Pow):
-        return evaluate(ast.base, env) ** ast.expo
+        base = evaluate(ast.base, env)
+        if not isinstance(base, jets.Jet) and base < 0.0 and not float(ast.expo).is_integer():
+            raise ValueError(f"fractional power of negative value {base}")  # as jets.power
+        return base ** ast.expo
     if isinstance(ast, Bin):
         a, b = evaluate(ast.lhs, env), evaluate(ast.rhs, env)
         if ast.op == "+":
@@ -324,14 +328,46 @@ def expression_to_text(ast: Expr) -> str:
 def _jet_step(node: Expr, vals: list, dim: int, order: int):
     """node on the dense jets vals of its operands, a float where one is free of coordinates."""
     if isinstance(node, Bin):
-        if isinstance(vals[0], complex) or isinstance(vals[1], complex):  # as Jet arithmetic
-            raise TypeError(f"unsupported operands for {node.op}: {vals[0]!r}, {vals[1]!r}")
         return jets.binary(node.op, *vals, dim, order)
     if isinstance(node, Call):
         return jets.series(node.fn, vals[0], dim, order)
     if isinstance(node, Pow):
         return jets.power(vals[0], float(node.expo), dim, order)
     return -vals[0]
+
+
+def _compile(trees) -> tuple:
+    """(steps, outputs): the trees as one straight-line program over dense jets.
+
+    A step (node, args) is node on the registers args (_jet_step), or evaluate() of a
+    coordinate or, args None, of a subtree free of coordinates.  Each distinct subexpression
+    is one step, where evaluate's walk first reaches it, so a point out of the domain raises
+    where the walk would.  outputs: the register of each tree.
+    """
+    steps, seen = [], {}
+
+    def visit(node) -> int:
+        key = repr(node)  # unlike ==, tells -0.0 from 0.0
+        if key not in seen:
+            kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
+            steps.append((node, [visit(k) for k in kids] if variables(node) - {"pi"} else None))
+            seen[key] = len(steps) - 1
+        return seen[key]
+
+    return steps, [visit(ast) for ast in trees]
+
+
+def _run(program: tuple, coords: tuple, pts: np.ndarray, order: int) -> list:
+    """Dense jets (..., ncoeff) of each tree of program at points (..., n) named coords."""
+    (steps, outputs), dim = program, len(coords)
+    env = {x: jets._variable_coeffs(pts[..., k], k, dim, order) for k, x in enumerate(coords)}
+    regs = []
+    for node, args in steps:
+        regs.append(_jet_step(node, [regs[a] for a in args], dim, order) if args
+                    else evaluate(node, env))
+    n = jets._size(dim, order)
+    return [regs[r] if isinstance(regs[r], np.ndarray) else jets._constant_coeffs(float(regs[r]), n)
+            for r in outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -374,72 +410,31 @@ class MetricSpec:
                     f"unknown identifier {sorted(stray)[0]!r} in g[{i+1}][{j+1}]"
                 )
 
-    def _env(self, values) -> dict:
-        return dict(zip(self.coords, values))
-
     def metric_jets(self, point, order: int) -> np.ndarray:
-        """Symmetric (n, n) object array of jets at a point, or dense (P, n, n, ncoeff) at (P, n) points."""
+        """Dense symmetric metric: (n, n, ncoeff) at a point (n,) by the walk, (P, n, n, ncoeff) at (P, n)."""
         pts = np.asarray(point, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
             raise ValueError(f"points of shape {pts.shape}, expected ({self.dim},) or (P, {self.dim})")
-        if pts.ndim == 2:
-            return self._run(pts, order)
-        env = self._env(jets.coordinates(pts, order))
-        g = np.full((self.dim, self.dim), jets.constant(0.0, self.dim, order), dtype=object)
-        for ast, entries in self._trees.items():
-            val = evaluate(ast, env)
-            if not isinstance(val, jets.Jet):
-                val = jets.constant(float(val), self.dim, order)
-            for i, j in entries:
-                g[i, j] = g[j, i] = val
+        vals = _run(self._program, self.coords, pts, order) if pts.ndim == 2 else self._walk(pts, order)
+        g = np.zeros(pts.shape[:-1] + (self.dim, self.dim, jets._size(self.dim, order)))
+        for (i, j), val in zip(self.components, vals):
+            g[..., i, j, :] = g[..., j, i, :] = val
         return g
 
-    @cached_property
-    def _trees(self) -> dict:
-        """{tree: the entries (i, j) it gives}: each distinct component tree once."""
-        trees = {}
-        for key, ast in self.components.items():
-            trees.setdefault(ast, []).append(key)
-        return trees
+    def _walk(self, point: np.ndarray, order: int) -> list:
+        """Coefficients of each component at one point, each distinct tree walked once on Jets."""
+        (steps, outputs), n, pt = self._program, jets._size(self.dim, order), point.tolist()
+        env = {x: jets.variable(pt[k], k, self.dim, order) for k, x in enumerate(self.coords)}
+        walked = {r: evaluate(steps[r][0], env) for r in dict.fromkeys(outputs)}
+        return [v.coeffs if isinstance(v, jets.Jet) else jets._constant_coeffs(float(v), n)
+                for v in map(walked.get, outputs)]
 
     @cached_property
     def _program(self) -> tuple:
-        """(steps, outputs): the trees as one straight-line program over dense jets.
-
-        A step (node, args) is node on the registers args (_jet_step), or evaluate() of a
-        coordinate or, args None, of a subtree free of coordinates.  Each distinct subexpression
-        is one step, where evaluate's walk first reaches it, so a point out of the domain raises
-        where the walk would.  outputs: (register, entries) per tree.
-        """
-        steps, seen = [], {}
-
-        def visit(node) -> int:
-            key = repr(node)  # unlike ==, tells -0.0 from 0.0
-            if key not in seen:
-                kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
-                steps.append((node, [visit(k) for k in kids] if variables(node) - {"pi"} else None))
-                seen[key] = len(steps) - 1
-            return seen[key]
-
-        outputs = [(visit(ast), entries) for ast, entries in self._trees.items()]
-        return steps, outputs
-
-    def _run(self, pts: np.ndarray, order: int) -> np.ndarray:
-        """The dense metric at a (P, n) batch of points, by the program."""
-        (steps, outputs), dim, n = self._program, self.dim, jets._size(self.dim, order)
-        env = {x: jets._variable_coeffs(pts[:, k], k, dim, order) for k, x in enumerate(self.coords)}
-        regs, g = [], np.zeros((len(pts), dim, dim, n))
-        for r, entries in outputs:  # a tree's value is made a jet before the next tree runs
-            for node, args in steps[len(regs) : r + 1]:
-                regs.append(_jet_step(node, [regs[a] for a in args], dim, order) if args
-                            else evaluate(node, env))
-            val = regs[r] if isinstance(regs[r], np.ndarray) else jets._constant_coeffs(float(regs[r]), n)
-            for i, j in entries:
-                g[:, i, j] = g[:, j, i] = val
-        return g
+        return _compile(self.components.values())
 
     def metric_values(self, point) -> np.ndarray:
-        env = self._env([float(x) for x in point])
+        env = dict(zip(self.coords, [float(x) for x in point]))
         g = np.zeros((self.dim, self.dim))
         for (i, j), ast in self.components.items():
             g[i, j] = g[j, i] = float(evaluate(ast, env))

@@ -24,8 +24,10 @@ degree by degree (invert_jet_matrix): the constructor inverts its values, and
 dense("ginv", k) sweeps the degrees up to k not yet formed, so every reader
 asks for the order it reads.  A metric in the ring key (d, 1) of jets runs
 the same stages with the eps^2 products never formed (detour.linearized_bach).
-A stage computes only its dense array (Geometry.dense); its public attribute,
-jets viewing that array, is built on first access.  covd_array is the one
+A stage computes only its dense array (Geometry.dense), and the constructor
+keeps only the dense metric; a public attribute, g as every stage, is jets
+viewing that array, built on first access.  dense(stage, k) with k above the
+order the stage holds raises ValueError.  covd_array is the one
 coupled covariant derivative: Gamma on tangent slots, connection matrices on
 fiber slots, dense arrays in and out.  trace and lower contract the leading
 slots of a dense array with the inverse metric and the metric.
@@ -133,7 +135,7 @@ class Geometry:
     """Cached jets of the curvature chain for one metric at one point, or at a batch.
 
     The metric comes from a spec, or as metric_jets: an (n, n) object array
-    of jets or a dense (n, n, ncoeff) array, kept in g as given.  The jets
+    of jets or a dense (n, n, ncoeff) array; g views its dense array.  The jets
     may carry more variables than the manifold has coordinates (extra
     passive parameters); geometric derivatives only ever touch the first n
     slots.  A (P, n) array of points, or a dense (P, n, n, ncoeff) metric,
@@ -155,10 +157,8 @@ class Geometry:
                 raise ValueError("need a metric spec or explicit metric jets")
             if point is None or pts.ndim > 2 or pts.shape[-1:] != (spec.dim,):
                 raise ValueError(f"point must have {spec.dim} coordinates")
-            self.g = spec.metric_jets(pts, self.order)
-        else:
-            self.g = metric_jets
-        self._dense = {"g": jets.as_dense(self.g)}
+            metric_jets = spec.metric_jets(pts, self.order)
+        self._dense = {"g": jets.as_dense(metric_jets)}
         self.lead, self.n = self._dense["g"].shape[:-3], self._dense["g"].shape[-2]
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
@@ -183,7 +183,10 @@ class Geometry:
             )
 
     def dense(self, stage: str, order: int | None = None) -> np.ndarray:
-        """Dense coefficients of "g" or a stage, computed once (ginv: to the order read), truncated."""
+        """Dense coefficients of a stage, computed once (ginv: to the order read), truncated.
+
+        An order above the one the stage holds raises ValueError.
+        """
         x = self._dense.get(stage)
         if x is None or stage == "ginv" and self._ginv_degree < (self.order if order is None else order):
             if stage not in self._BATCHED:
@@ -192,7 +195,10 @@ class Geometry:
             # sees every stage computation; contiguous, so that views share it
             func, args = getattr(type(self), stage).func, (order,) if stage == "ginv" else ()
             x = self._dense[stage] = np.ascontiguousarray(func(self, *args))
-        return x if order is None else x[..., : jets._size(self.jet_dim, order)]
+        size = x.shape[-1] if order is None else jets._size(self.jet_dim, order)
+        if size > x.shape[-1]:
+            raise ValueError(f"{stage} has jet order {jets.order_of(self.jet_dim, x.shape[-1])}, not {order}")
+        return x[..., :size]
 
     def _single(self, what: str):
         if self.lead:
@@ -208,9 +214,14 @@ class Geometry:
     # Each stage computes its dense array from the dense arrays of earlier stages.
 
     @_stage
+    def g(self) -> np.ndarray:
+        """g_ab at order K, as the constructor keeps it."""
+        return self._dense["g"]
+
+    @_stage
     def ginv(self, order: int | None = None) -> np.ndarray:
-        """g^ab at order K, formed up to degree order (K by default) and zero above, in place."""
-        top, done = self.order if order is None else order, self._ginv_degree
+        """g^ab at order K, formed up to degree order (at most K) and zero above, in place."""
+        top, done = self.order if order is None else min(order, self.order), self._ginv_degree
         inv = invert_jet_matrix(self.dense("g"), self.jet_dim, range(done + 1, top + 1),
                                 self._dense.get("ginv"))
         self._ginv_degree = max(done, top)

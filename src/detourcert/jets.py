@@ -33,8 +33,9 @@ coefficient arrays (..., ncoeff) at every point, each point bit-identical to
 that point alone: a product is one bincount whose bins are offset per point,
 so each point sums in _mul_table order; a series table is built per point in
 scalar arithmetic, and the first point out of the domain raises.  A Jet is
-one point, whose operators run these functions on its coefficients;
-dsl.MetricSpec.metric_jets runs them on a batch of points.
+one point, whose operators run these functions on its coefficients; the
+compiled metric program of dsl runs them on the dense jets of one point or of
+a batch of points.
 
 The variables of a jet are a number d, or the ring key (d, 1): d variables
 and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
@@ -531,12 +532,6 @@ def from_coeffs(coeffs, dim: int, order: int) -> Jet:
         return Jet(dim, order, c)
     arr = np.asarray(coeffs, dtype=float).copy()
     return Jet(dim, order, arr)
-
-
-def coordinates(point, order: int) -> list:
-    """Variable jets for every coordinate of a base point."""
-    pt = np.asarray(point, dtype=float).tolist()
-    return [Jet.variable(x, k, len(pt), order) for k, x in enumerate(pt)]
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,16 @@ def test_unwritable_output_path_exits_with_code_2(tmp_path, argv):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("g11", ["1 + (0-2)^0.5 * x", "1 + (0-2)^0.5"])
+def test_a_complex_constant_exits_with_code_2(tmp_path, g11):
+    # a negative constant to a fractional power has no real value: an evaluation
+    # error (exit 2), not a traceback with the exit code of a failed check
+    out = _python("-m", "detourcert.cli", "verify", "--metric", _metric_file(tmp_path, g11),
+                  "--points", "1")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):
     # both current checks share the twist of a point, so its curvature and
     # Yang-Mills current are computed once per point

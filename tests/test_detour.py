@@ -499,7 +499,7 @@ def test_translated_composition_vanishes_on_sphere():
 def _trig_jet(rng, point, order):
     import detourcert.jets as jets
 
-    xs = jets.coordinates(point, order)
+    xs = [jets.variable(float(x), k, len(point), order) for k, x in enumerate(point)]
     two_pi = 2.0 * np.pi
     p, q = rng.integers(0, 4, size=2)
     a, b, c = rng.normal(0.0, 1.0, size=3)

@@ -133,8 +133,10 @@ def test_parse_metric_file_schwarzschild():
     assert g[2, 2] == pytest.approx(25.0)
     assert g[3, 3] == pytest.approx(25.0 * math.sin(1.2) ** 2)
     assert g[0, 1] == 0.0
-    # jets evaluate and are symmetric
-    gj = spec.metric_jets(point, order=3)
+    # jets evaluate, are symmetric, and equal the program at one point bit for bit
+    dense = spec.metric_jets(point, order=3)
+    assert np.array_equal(dense, _program(spec, point, 3))
+    gj = jets.to_jets(dense, 4, 3)
     assert gj[2, 3].value == 0.0
     assert gj[3, 3].derivative((0, 1, 0, 0)) == pytest.approx(
         2 * 5.0 * math.sin(1.2) ** 2
@@ -208,7 +210,7 @@ def test_degenerate_metric_rejected_at_inversion():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: the dense program of MetricSpec.metric_jets on (P, n) points
+# the compiled program against the walk on Jets of MetricSpec.metric_jets at one point
 
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 3.0)
 _trees = st.recursive(
@@ -223,26 +225,31 @@ _trees = st.recursive(
     max_leaves=8,
 )
 _coord = st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2))
-# out of the domain of a point; ZeroDivisionError, OverflowError and a complex
-# power of a negative constant come from the float arithmetic of constant subtrees
-_DOMAIN = (ValueError, ArithmeticError, TypeError)
+# out of the domain of a point; ZeroDivisionError and OverflowError come from
+# the float arithmetic of constant subtrees
+_DOMAIN = (ValueError, ArithmeticError)
 
 
 def _plane(components) -> MetricSpec:
     return MetricSpec(2, (1, 1), ("x", "y"), components)
 
 
-def _outcome(spec, points, order):
-    """Dense metric of spec by the walk on Jets at a point (n,), by the program at points (P, n).
+def _program(spec, point, order) -> np.ndarray:
+    """The dense metric at one point by the program with no points axis, as the catalog runs it."""
+    g = np.zeros((spec.dim, spec.dim, jets._size(spec.dim, order)))
+    vals = dsl._run(spec._program, spec.coords, np.asarray(point, dtype=float), order)
+    for (i, j), val in zip(spec.components, vals):
+        g[i, j] = g[j, i] = val
+    return g
 
-    Or the exception raised.
-    """
+
+def _outcome(metric, spec, points, order):
+    """metric(spec, points, order), or the exception it raised."""
     try:
         with np.errstate(all="ignore"):
-            g = spec.metric_jets(points, order)
+            return metric(spec, points, order)
     except _DOMAIN as exc:
         return exc
-    return g if points.ndim == 2 else jets.to_dense(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,8 +259,14 @@ def test_batched_evaluation_equals_per_point_jets(ast, other, points, order):
     # three components, the third sharing both others as subexpressions
     spec = _plane({(0, 0): ast, (0, 1): other, (1, 1): dsl.Bin("*", ast, other)})
     pts = np.array(points, dtype=float)
-    batch = _outcome(spec, pts, order)
-    singles = [_outcome(spec, p, order) for p in pts]  # the walk on Jets, one point each
+    batch = _outcome(MetricSpec.metric_jets, spec, pts, order)
+    singles = [_outcome(MetricSpec.metric_jets, spec, p, order) for p in pts]  # the walk on Jets
+    for p, single in zip(pts, singles):  # the program at one point, no leading axis
+        one = _outcome(_program, spec, p, order)
+        if isinstance(single, Exception):
+            assert type(one) is type(single), (single, one)
+        else:
+            assert np.array_equal(one, single, equal_nan=True)
     failed = [type(s) for s in singles if isinstance(s, Exception)]
     if failed:
         # the batch raises where its first point leaves the domain, as that point alone
@@ -299,7 +312,9 @@ def test_the_program_equals_the_walk_on_every_operation(order):
     pts = np.random.default_rng(order).uniform([0.5, 0.5, 0.3], [1.5, 1.5, 1.2], (4, 3))
     batch = spec.metric_jets(pts, order)
     for k, p in enumerate(pts):
-        assert np.array_equal(batch[k], jets.to_dense(spec.metric_jets(p, order)))
+        walked = spec.metric_jets(p, order)
+        assert np.array_equal(batch[k], walked)
+        assert np.array_equal(_program(spec, p, order), walked)
     # one step per distinct subexpression, a subtree free of coordinates one step
     steps = {repr(node) for ast in spec.components.values() for node in _nodes(ast, False)}
     assert len(spec._program[0]) == len(steps) < len({repr(node) for node in nodes})
@@ -315,14 +330,16 @@ def test_the_program_equals_the_walk_on_every_operation(order):
 def test_one_point_out_of_the_domain_fails_the_batch(ast, exc):
     spec = _plane({(0, 0): ast, (1, 1): parse_expression("1 + y")})
     pts = np.array([[0.5, 0.1], [0.0, 0.2], [0.3, 0.4]])  # x = 0 at the middle point only
-    assert isinstance(_outcome(spec, pts[1], 2), exc)
-    assert isinstance(_outcome(spec, pts, 2), exc)
-    assert not isinstance(_outcome(spec, pts[::2], 2), Exception)
+    assert isinstance(_outcome(MetricSpec.metric_jets, spec, pts[1], 2), exc)
+    assert isinstance(_outcome(_program, spec, pts[1], 2), exc)
+    assert isinstance(_outcome(MetricSpec.metric_jets, spec, pts, 2), exc)
+    assert not isinstance(_outcome(MetricSpec.metric_jets, spec, pts[::2], 2), Exception)
 
 
 def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
     # the batch costs one run of the program, not one walk per point: it makes no
-    # Jet product, and it shares the subexpressions 1 - 2/r and r^2 the walk repeats
+    # Jet product, and it shares the subexpressions 1 - 2/r and r^2 the walk repeats;
+    # the program at one point makes the same dense products as the batch
     spec = parse_metric_text(SCHWARZSCHILD_TEXT)
     calls, products, mul, dense_mul = [0], [0], jets.Jet.__mul__, jets.mul
 
@@ -342,6 +359,21 @@ def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
     batch = spec.metric_jets(pts, 3)
     assert single > 0 and calls[0] == 0
     assert 0 < products[0] < walked
+    one_run, products[0] = products[0], 0
+    _program(spec, pts[0], 3)
+    assert calls[0] == 0 and products[0] == one_run
     assert batch.shape == (5, 4, 4, jets._size(4, 3))
     for k, p in enumerate(pts):
-        assert np.array_equal(batch[k], jets.to_dense(spec.metric_jets(p, 3)))
+        assert np.array_equal(batch[k], spec.metric_jets(p, 3))
+
+
+@pytest.mark.parametrize("text", ["(0-2)^0.5", "1 + (0-2)^0.5 * x", "x^2 * (0-8)^1.5"])
+def test_a_negative_constant_to_a_fractional_power_is_a_domain_error(text):
+    # float ** makes a complex number here; the evaluator fails closed as jets.power does
+    spec = _plane({(0, 0): parse_expression(text), (1, 1): parse_expression("1")})
+    for metric in (MetricSpec.metric_jets, _program):
+        with pytest.raises(ValueError, match="fractional power"):
+            metric(spec, np.array([0.3, 0.2]), 2)
+    with pytest.raises(ValueError, match="fractional power"):
+        spec.metric_values((0.3, 0.2))
+    assert evaluate(parse_expression("(0-8)^2"), {}) == 64.0

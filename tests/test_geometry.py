@@ -539,7 +539,7 @@ STAGES = tuple(name for name, attr in vars(Geometry).items() if isinstance(attr,
 
 def test_stage_views_equal_the_dense_arrays():
     geom = Geometry(BUMP4, P_BUMP, order=4)
-    assert len(STAGES) == 12
+    assert len(STAGES) == 13
     for stage in STAGES:
         view = getattr(geom, stage)
         coeffs = view.coeffs if isinstance(view, jets.Jet) else jets.to_dense(view)
@@ -569,8 +569,18 @@ def test_each_stage_is_computed_once(monkeypatch, first):
     for stage in STAGES:
         getattr(geom, stage)
         geom.dense(stage)
-    # the inverse twice: its values in the constructor, its higher degrees when read
-    assert calls == {**dict.fromkeys(STAGES, 1), "ginv": 2}
+    # the inverse twice: its values in the constructor, its higher degrees when read;
+    # the metric never: the constructor keeps its dense array
+    assert calls == {**dict.fromkeys(STAGES, 1), "ginv": 2, "g": 0}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_an_order_above_the_stage_is_rejected(stage):
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    held = jets.order_of(4, geom.dense(stage).shape[-1])
+    assert geom.dense(stage, held).shape == geom.dense(stage).shape
+    with pytest.raises(ValueError, match=f"{stage} has jet order {held}, not {held + 2}"):
+        geom.dense(stage, held + 2)
 
 
 @pytest.mark.parametrize("ring", [False, True])

@@ -398,7 +398,7 @@ def test_pointwise_adjoint_identity(spec, pt):
 
 def _trig_jet(rng, point, order):
     """Small random frequency-one trig polynomial on the unit 4-torus."""
-    xs = jets.coordinates(point, order)
+    xs = [jets.variable(float(x), k, len(point), order) for k, x in enumerate(point)]
     two_pi = 2.0 * np.pi
     p, q = rng.integers(0, 4, size=2)
     a, b, c = rng.normal(0.0, 1.0, size=3)
@@ -535,6 +535,17 @@ def test_conformal_transformation_of_connection():
     h2 = tractor.tractor_metric(th, th, g2)
     assert coeff_dev([h1], [h2]) < 1e-11
     assert tractor.tractor_signature(g2) == tractor.tractor_signature(g1)
+
+
+def test_a_change_of_scale_above_the_geometry_order_is_rejected():
+    # tractor and omega at order 6 on an order-3 geometry: the inverse metric it
+    # reads holds order 3 only, and asking for more is a ValueError naming it
+    rng = np.random.default_rng(13)
+    spec = catalog.get("generic_bump4").spec()
+    g = Geometry(spec, P_BUMP, order=3)
+    om = _omega_jet(spec, "0.1*x*y - 0.05*z^2", P_BUMP, 6)
+    with pytest.raises(ValueError, match="ginv has jet order 3, not 5"):
+        tractor.conformal_tractor(rand_tractor(rng, 4, 6), om, g)
 
 
 # -- layout -------------------------------------------------------------------
