@@ -212,7 +212,7 @@ def _rel_diff(lhs, rhs) -> float:
 
 
 def _check_algebraic_bianchi(pt, rng):
-    rd = pt.geom.dense("riemann_down")[..., 0]
+    rd = pt.geom.dense("riemann_down", 0)[..., 0]
     cyclic = rd + rd.transpose(2, 0, 1, 3) + rd.transpose(1, 2, 0, 3)
     return _max_abs(cyclic) / max(1.0, _max_abs(rd))
 
@@ -227,21 +227,21 @@ def _check_contracted_bianchi(pt, rng):
 
 
 def _check_weyl_trace(pt, rng):
-    w = pt.geom.dense("weyl")[..., 0]
+    w = pt.geom.dense("weyl", 0)[..., 0]
     gi = pt.geom.dense("ginv", 0)[..., 0]
     traces = [np.einsum("ab,acbd->cd", gi, w), np.einsum("ab,abcd->cd", gi, w)]
     return _max_abs(traces) / max(1.0, _max_abs(w))
 
 
 def _check_cotton_trace(pt, rng):
-    cot = pt.geom.dense("cotton")[..., 0]
+    cot = pt.geom.dense("cotton", 0)[..., 0]
     gi = pt.geom.dense("ginv", 0)[..., 0]
     traces = [np.einsum("ab,abc->c", gi, cot), np.einsum("ab,cab->c", gi, cot)]
     return _max_abs(traces) / max(1.0, _max_abs(cot))
 
 
 def _check_bach_shape(pt, rng):
-    b = pt.geom.dense("bach")[..., 0]
+    b = pt.geom.dense("bach", 0)[..., 0]
     gi = pt.geom.dense("ginv", 0)[..., 0]
     return _worst([abs(np.einsum("ij,ij->", gi, b)), _max_abs(b - b.T)]) / max(1.0, _max_abs(b))
 
@@ -282,7 +282,7 @@ def _check_tractor_curvature_skew(pt, rng):
 
 
 def _check_signature(pt, rng):
-    p = int(np.sum(np.linalg.eigvalsh(pt.geom.dense("g")[..., 0]) > 0))
+    p = int(np.sum(np.linalg.eigvalsh(pt.geom.dense("g", 0)[..., 0]) > 0))
     got = tractor.tractor_signature(pt.geom)
     return 0.0 if got == (p + 1, pt.geom.n - p + 1) else 1.0
 
@@ -344,7 +344,7 @@ def _gauge_linearization(pt, rng):
     v[:, : jets._size(n, 3)] = rng.standard_normal((n, jets._size(n, 3))) * 0.5
     h = detour.op_K0(v, geom).comps[..., : jets._size(n, 4)]  # the value of bp reads h to order 4
     bp = detour.linearized_bach(h, geom)
-    bach = geom.dense("bach")
+    bach = geom.dense("bach", 1)
     db = geom.covd_array(bach, ("d", "d"))[..., 0]  # nabla_c B_ab at [c, a, b]
     dv = geom.covd_array(v[:, : jets._size(n, 1)], ("u",))[..., 0]  # nabla_a v^c at [a, c]
     b = bach[..., 0]

@@ -12,25 +12,28 @@ used consistently everywhere downstream:
 * Cotton:           A_abc = nabla_b P_ca - nabla_c P_ba
 * Bach:             B_ab = nabla^c A_acb + P^dc C_dacb
 
-Jet orders decay along the chain: the metric carries order K, Christoffel
-K-1, curvature K-2, Cotton K-3, Bach K-4.
+Jet orders decay along the chain to each stage's top order: the metric
+carries K, Christoffel K-1, curvature K-2, Cotton K-3, Bach K-4.  The stages
+up to Schouten but ginv are formed once, at the top; ginv and the later ones
+only to the order read.  dense(stage, k) forms such a stage at k, and again
+when a later reader asks for more (ginv sweeps just the degrees not yet
+formed); the lower coefficients stay bit-identical, as truncation commutes
+with every kernel.  bach(k) reads cotton(k+1), weyl(k) and schouten_up(k);
+cotton(k) reads schouten(k+1).
 
 Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
 jet matrix products and run through jets.contract, partial derivatives are
 one gather per array (jets.partials), and truncation to a lower order is a
-slice of the coefficient axis.  The inverse metric is the one stage formed
-degree by degree (invert_jet_matrix): the constructor inverts its values, and
-dense("ginv", k) sweeps the degrees up to k not yet formed, so every reader
-asks for the order it reads.  A metric in the ring key (d, 1) of jets runs
+slice of the coefficient axis.  A metric in the ring key (d, 1) of jets runs
 the same stages with the eps^2 products never formed (detour.linearized_bach).
 A stage computes only its dense array (Geometry.dense), and the constructor
 keeps only the dense metric; a public attribute, g as every stage, is jets
-viewing that array, built on first access.  dense(stage, k) with k above the
-order the stage holds raises ValueError.  covd_array is the one
-coupled covariant derivative: Gamma on tangent slots, connection matrices on
-fiber slots, dense arrays in and out.  trace and lower contract the leading
-slots of a dense array with the inverse metric and the metric.
+viewing that array at the top order, built on first access.  dense(stage, k)
+with k above the top raises ValueError.  covd_array is the one coupled
+covariant derivative: Gamma on tangent slots, connection matrices on fiber
+slots, dense arrays in and out.  trace and lower contract the leading slots
+of a dense array with the inverse metric and the metric.
 
 A batch of P points (the stage points of prolong.transport) gives the stages
 up to Schouten (Geometry._BATCHED) a leading points axis, bit-identical per
@@ -171,7 +174,7 @@ class Geometry:
             self.jet_dim = ring if fits else ring[0] + 1
         if jets._size(self.jet_dim, self.order) != ncoeff:
             raise ValueError(f"metric jets do not have order {self.order}")
-        self._ginv_degree = -1  # the inverse is formed up to this degree
+        self._formed = {}  # the order each stage was formed for (inf: once, at the top)
         self.dense("ginv", 0)  # eager values so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
@@ -183,18 +186,20 @@ class Geometry:
             )
 
     def dense(self, stage: str, order: int | None = None) -> np.ndarray:
-        """Dense coefficients of a stage, computed once (ginv: to the order read), truncated.
+        """Dense coefficients of a stage to order (default: its top order), formed as needed.
 
-        An order above the one the stage holds raises ValueError.
+        See the module docstring; an order above the top raises ValueError.
         """
-        x = self._dense.get(stage)
-        if x is None or stage == "ginv" and self._ginv_degree < (self.order if order is None else order):
+        x, want = self._dense.get(stage), self.order if order is None else order
+        if x is None or self._formed.get(stage, want) < want:
+            on_demand = stage == "ginv" or stage not in self._BATCHED
             if stage not in self._BATCHED:
                 self._single(stage)
             # through the class attribute, so that a wrapper installed there
             # sees every stage computation; contiguous, so that views share it
-            func, args = getattr(type(self), stage).func, (order,) if stage == "ginv" else ()
+            func, args = getattr(type(self), stage).func, (want,) if on_demand else ()
             x = self._dense[stage] = np.ascontiguousarray(func(self, *args))
+            self._formed[stage] = want if on_demand else np.inf
         size = x.shape[-1] if order is None else jets._size(self.jet_dim, order)
         if size > x.shape[-1]:
             raise ValueError(f"{stage} has jet order {jets.order_of(self.jet_dim, x.shape[-1])}, not {order}")
@@ -219,13 +224,10 @@ class Geometry:
         return self._dense["g"]
 
     @_stage
-    def ginv(self, order: int | None = None) -> np.ndarray:
+    def ginv(self, order: float = np.inf) -> np.ndarray:
         """g^ab at order K, formed up to degree order (at most K) and zero above, in place."""
-        top, done = self.order if order is None else min(order, self.order), self._ginv_degree
-        inv = invert_jet_matrix(self.dense("g"), self.jet_dim, range(done + 1, top + 1),
-                                self._dense.get("ginv"))
-        self._ginv_degree = max(done, top)
-        return inv
+        degrees = range(self._formed.get("ginv", -1) + 1, min(order, self.order) + 1)
+        return invert_jet_matrix(self.dense("g"), self.jet_dim, degrees, self._dense.get("ginv"))
 
     @_stage
     def gamma(self) -> np.ndarray:
@@ -252,9 +254,9 @@ class Geometry:
         return np.subtract(half, half.swapaxes(-5, -4), order="C")
 
     @_stage
-    def riemann_down(self) -> np.ndarray:
-        n, k = self.n, self.order - 2
-        rie = self.dense("riemann").transpose(2, 0, 1, 3, 4)  # [e, a, b, d]
+    def riemann_down(self, order: float = np.inf) -> np.ndarray:
+        n, k = self.n, min(order, self.order - 2)
+        rie = self.dense("riemann", k).transpose(2, 0, 1, 3, 4)  # [e, a, b, d]
         low = self._contract(self.dense("g", k), rie.reshape(n, n**3, -1))
         return low.reshape(n, n, n, n, -1).transpose(1, 2, 0, 3, 4)
 
@@ -281,18 +283,18 @@ class Geometry:
         return (self.dense("ricci") - self._shape(jg, n, n, -1)) / float(n - 2)
 
     @_stage
-    def schouten_up(self) -> np.ndarray:
-        """P with both indices raised, order K-2."""
-        gl = self.dense("ginv", self.order - 2)
-        return self._contract(self._contract(gl, self.dense("schouten")), gl.transpose(1, 0, 2))
+    def schouten_up(self, order: float = np.inf) -> np.ndarray:
+        """P with both indices raised, to order min(order, K-2)."""
+        gl, p = (self.dense(s, min(order, self.order - 2)) for s in ("ginv", "schouten"))
+        return self._contract(self._contract(gl, p), gl.transpose(1, 0, 2))
 
     @_stage
-    def weyl(self) -> np.ndarray:
-        """C[a, b, c, d] all indices down, order K-2."""
-        n, k = self.n, self.order - 2
-        rd = self.dense("riemann_down")
+    def weyl(self, order: float = np.inf) -> np.ndarray:
+        """C[a, b, c, d] all indices down, to order min(order, K-2)."""
+        n, k = self.n, min(order, self.order - 2)
+        rd = self.dense("riemann_down", k)
         gp = self._contract(self.dense("g", k).reshape(n * n, 1, -1),
-                            self.dense("schouten").reshape(1, n * n, -1))
+                            self.dense("schouten", k).reshape(1, n * n, -1))
         gp = gp.reshape(n, n, n, n, -1)  # g_ca P_bd at [c, a, b, d]
         weyl = rd - gp.transpose(1, 2, 0, 3, 4)
         weyl += gp.transpose(2, 1, 0, 3, 4)
@@ -301,18 +303,18 @@ class Geometry:
         return weyl
 
     @_stage
-    def cotton(self) -> np.ndarray:
-        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, order K-3."""
+    def cotton(self, order: float = np.inf) -> np.ndarray:
+        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, to order min(order, K-3)."""
         self.require(3, "cotton")
-        dp = self.covd_array(self.dense("schouten"), ("d", "d"))
+        dp = self.covd_array(self.dense("schouten", min(order, self.order - 3) + 1), ("d", "d"))
         return dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3)
 
     @_stage
-    def bach(self) -> np.ndarray:
-        """B[a, b], order K-4: one contraction of [g^ce, P^dc] with [nabla_e A_acb, C_dacb]."""
+    def bach(self, order: float = np.inf) -> np.ndarray:
+        """B[a, b] to order min(order, K-4): [g^ce, P^dc] contracted with [nabla_e A_acb, C_dacb]."""
         self.require(4, "bach")
-        n, k = self.n, self.order - 4
-        da = self.covd_array(self.dense("cotton"), ("d", "d", "d"))
+        n, k = self.n, min(order, self.order - 4)
+        da = self.covd_array(self.dense("cotton", k + 1), ("d", "d", "d"))
         coef = np.concatenate([self.dense("ginv", k), self.dense("schouten_up", k)])
         terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),
                                 self.dense("weyl", k).transpose(0, 2, 1, 3, 4)])

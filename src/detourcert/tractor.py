@@ -124,9 +124,8 @@ def divergence(x: np.ndarray, geom: Geometry) -> np.ndarray:
 
 def trace_free(x: np.ndarray, geom: Geometry) -> np.ndarray:
     """Subtract (g-trace / n) * g from a dense symmetric 2-tensor."""
-    tr = geom.trace(x)
-    g = geom.dense("g")[..., : x.shape[-1]]
-    return x - _times(g, tr / float(geom.n), geom)
+    tr = geom.trace(x) / float(geom.n)
+    return x - _times(geom.dense("g", jets.order_of(geom.jet_dim, tr.shape[-1])), tr, geom)
 
 
 def trace_free_symmetric(x: np.ndarray, geom: Geometry) -> np.ndarray:
@@ -141,8 +140,8 @@ def splitting(sigma: Jet | np.ndarray, geom: Geometry) -> TractorJet:
     """sigma -> (sigma, grad sigma, -(laplacian + J) sigma / n), orders equalized."""
     s = jets.as_dense(sigma)
     lap = _laplacian(s, geom)
-    nc = lap.shape[-1]
-    rho = (lap + _times(geom.dense("jtrace")[:nc], s[:nc], geom)) * (-1.0 / geom.n)
+    nc, k = lap.shape[-1], jets.order_of(geom.jet_dim, lap.shape[-1])
+    rho = (lap + _times(geom.dense("jtrace", k), s, geom)) * (-1.0 / geom.n)
     vec = np.concatenate([s[None, :nc], _grad(s, geom)[:, :nc], rho[None]])
     return TractorJet.from_vector(jets.like(vec, sigma, geom.jet_dim))
 
@@ -151,7 +150,8 @@ def op_D(sigma: Jet | np.ndarray, geom: Geometry) -> JetTensor:
     """Trace-free part of (hessian + P sigma); kernel = almost-Einstein scales."""
     s = jets.as_dense(sigma)
     hess = geom.covd_array(_grad(s, geom), ("d",))
-    comps = hess + _times(geom.dense("schouten")[..., : hess.shape[-1]], s, geom)
+    k = jets.order_of(geom.jet_dim, hess.shape[-1])
+    comps = hess + _times(geom.dense("schouten", k), s, geom)
     return JetTensor(("d", "d"), jets.like(trace_free(comps, geom), sigma, geom.jet_dim))
 
 
@@ -180,9 +180,9 @@ def op_D_star(phi: JetTensor, geom: Geometry) -> Jet | np.ndarray:
     n = geom.n
     ddphi = geom.covd_array(geom.covd_array(x, ("d", "d")), ("d", "d", "d"))  # [c, d, a, b]
     dd = geom.trace(geom.trace(ddphi.transpose(0, 2, 1, 3, 4)))
-    pp = connections.matmul(geom.dense("schouten_up").reshape(1, n * n, -1),
-                            x.reshape(n * n, 1, -1), geom.jet_dim)
-    return jets.like(pp[0, 0, : dd.shape[-1]] + dd, phi.comps, geom.jet_dim)
+    pu = geom.dense("schouten_up", jets.order_of(geom.jet_dim, dd.shape[-1]))
+    pp = connections.matmul(pu.reshape(1, n * n, -1), x.reshape(n * n, 1, -1), geom.jet_dim)
+    return jets.like(pp[0, 0] + dd, phi.comps, geom.jet_dim)
 
 
 def op_E_star(phi: TractorOneForm, geom: Geometry) -> JetTensor:
@@ -201,7 +201,7 @@ def splitting_star(t: TractorJet, geom: Geometry) -> Jet | np.ndarray:
     lap = _laplacian(v[0], geom)
     nc = lap.shape[-1]
     div = geom.trace(geom.covd_array(v[1 : n + 1], ("d",)))[:nc]
-    js = _times(geom.dense("jtrace")[:nc], v[0, :nc], geom)
+    js = _times(geom.dense("jtrace", jets.order_of(geom.jet_dim, nc)), v[0], geom)
     return jets.like(v[n + 1, :nc] - div - (lap + js) * (1.0 / n), t.sigma, geom.jet_dim)
 
 

@@ -327,7 +327,7 @@ def test_nan_entry_inside_one_point_fails_its_check(monkeypatch, owner, attr, su
     if isinstance(orig, cached_property):
         # a Geometry stage: the NaN goes into the dense array its function
         # returns, which Geometry.dense keeps and the checks read
-        stage = type(orig)(lambda self: _with_nan_entry(orig.func(self)))
+        stage = type(orig)(lambda self, *a: _with_nan_entry(orig.func(self, *a)))
         stage.__set_name__(owner, attr)
         monkeypatch.setattr(owner, attr, stage)
     else:

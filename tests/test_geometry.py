@@ -612,7 +612,7 @@ def test_a_transport_right_hand_side_leaves_the_top_degree_of_the_inverse_unform
     # the order-2 chain reads g^-1 to degree 1 (Gamma); no reader asks for degree 2
     geom = Geometry(BUMP4, [P_BUMP, P_BUMP], order=2)
     tractor_connection(geom)
-    assert geom._ginv_degree == 1
+    assert geom._formed["ginv"] == 1
     assert not geom._dense["ginv"][..., jets._size(4, 1) :].any()
 
 

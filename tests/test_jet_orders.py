@@ -8,8 +8,9 @@ gives the full-order result cut to k, bit for bit.
 
 On top of it, the full-order check bodies below (operands at the order they
 are drawn or built at, cut only at the end) are the references that every
-trimmed check of cli.run must reproduce exactly; and one deterministic work
-guard pins the orders the detour suite forms.
+trimmed check of cli.run must reproduce exactly; and two deterministic work
+guards pin the orders at which the detour suite forms connection curvature
+and the Geometry stages past Schouten.
 """
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ def test_contract_and_partials_commute_with_truncation_bit_for_bit(key, points):
         assert np.array_equal(got, _cut(grad, key, k - 1)), k
 
 
-def _random_geometry(key, rng) -> Geometry:
-    """A generic metric at order TOP: the identity plus small random symmetric coefficients."""
+def _random_geometry(key, rng, order=TOP) -> Geometry:
+    """A generic metric: the identity plus small random symmetric coefficients."""
     n = _slots(key)
-    g = 0.1 * rng.standard_normal((n, n, jets._size(key, TOP)))
+    g = 0.1 * rng.standard_normal((n, n, jets._size(key, order)))
     g = g + g.swapaxes(0, 1)
     g[..., 0] += np.eye(n)
-    return Geometry(metric_jets=g, order=TOP)
+    return Geometry(metric_jets=g, order=order)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -257,3 +258,49 @@ def test_detour_suite_forms_no_curvature_above_order_1(monkeypatch):
     report = cli.run(cli.RunConfig("generic_bump4", ("detour",), points=1, jet_order=6))
     assert [c.passed for c in report.checks] == [True] * 3
     assert orders and max(orders) <= 1, orders
+
+
+# the stages formed on demand, and how many orders below K each tops out
+LATE = {"riemann_down": 2, "weyl": 2, "schouten_up": 2, "cotton": 3, "bach": 4}
+
+
+def test_detour_suite_forms_each_late_stage_once_at_the_order_it_reads(monkeypatch):
+    # a deterministic work guard: einstein_detour_expected reads Bach at
+    # order 1, which reads Cotton at 2 and Weyl and P^ab at 1
+    formed = {}
+    for stage in LATE:
+        orig = vars(Geometry)[stage]
+
+        def recording(self, order, stage=stage, func=orig.func):
+            out = func(self, order)
+            formed.setdefault(stage, []).append(jets.order_of(self.jet_dim, out.shape[-1]))
+            return out
+
+        patched = type(orig)(recording)
+        patched.__set_name__(Geometry, stage)
+        monkeypatch.setattr(Geometry, stage, patched)
+    report = cli.run(cli.RunConfig("generic_bump4", ("detour",), points=1, jet_order=6))
+    assert [c.passed for c in report.checks] == [True] * 3
+    assert formed == {"bach": [1], "cotton": [2], "weyl": [1], "riemann_down": [1],
+                      "schouten_up": [1]}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_a_late_stage_formed_low_then_at_its_top_equals_the_full_order_stage(key):
+    # a fresh Geometry read at k forms the stage at k; a read at the top forms
+    # it again, and both equal the stage formed at the top, bit for bit
+    order = 6
+    g = _random_geometry(key, np.random.default_rng(20), order).dense("g")
+    for stage, drop in LATE.items():
+        top = order - drop
+        full = Geometry(metric_jets=g, order=order).dense(stage)
+        assert full.shape[-1] == jets._size(key, top)
+        for k in range(top + 1):
+            geom = Geometry(metric_jets=g, order=order)
+            low = geom.dense(stage, k)
+            assert geom._dense[stage].shape[-1] == jets._size(key, k), (stage, k)
+            assert np.array_equal(low, _cut(full, key, k)), (stage, k)
+            assert np.array_equal(geom.dense(stage), full), (stage, k)
+            assert np.array_equal(geom.dense(stage, k), low), (stage, k)
+        with pytest.raises(ValueError, match=f"{stage} has jet order {top}, not {top + 1}"):
+            Geometry(metric_jets=g, order=order).dense(stage, top + 1)
