@@ -58,7 +58,7 @@ class CatalogEntry:
         """Component jets v^a of every listed Killing field at geom's point."""
         trees = [parse_expression(text) for exprs in self.killing_fields for text in exprs]
         vals = _run(_compile(trees), self.spec().coords, np.asarray(geom.point), geom.order)
-        return [jets.to_jets(np.array(vals[k : k + geom.n]), geom.n, geom.order)
+        return [jets.to_jets(np.array(vals[k : k + geom.n]), geom.n)
                 for k in range(0, len(vals), geom.n)]
 
 

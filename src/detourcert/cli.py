@@ -222,7 +222,7 @@ def _check_contracted_bianchi(pt, rng):
     dric = geom.covd_array(geom.dense("ricci", 1), ("d", "d"))[..., 0]
     gi = geom.dense("ginv", 0)[..., 0]
     div = np.einsum("ea,eab->b", gi, dric)
-    dsc = jets.partials(geom.dense("scalar", 1), geom.jet_dim, 1, geom.n)[:, 0]
+    dsc = jets.partials(geom.dense("scalar", 1), geom.jet_dim, geom.n)[:, 0]
     return _max_abs(div - 0.5 * dsc) / max(1.0, _max_abs(dric))
 
 
@@ -252,7 +252,7 @@ def _check_tractor_metric_parallel(pt, rng):
     t = tractor.connection_matrices(geom, 1)[..., 0]
     h = tractor.gram_matrix(geom)
     dh = np.zeros_like(t)
-    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv", 1), geom.jet_dim, 1, n)[..., 0]
+    dh[:, 1 : n + 1, 1 : n + 1] = jets.partials(geom.dense("ginv", 1), geom.jet_dim, n)[..., 0]
     skew = t.transpose(0, 2, 1) @ h + h @ t - dh
     return _max_abs(skew) / max(1.0, _max_abs(t), _max_abs(dh))
 

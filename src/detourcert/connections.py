@@ -22,15 +22,15 @@ the coefficients,
 
     F_ab = d_a Theta_b - d_b Theta_a + [Theta_a, Theta_b],
 
+by geometry.curvature_form, the formula Riemann is of Theta = Gamma, and
 never assembled from curvature-tensor blocks; block formulas are checked
-against this in the tests.  The derivatives are one jets.partials gather
-and every commutator comes out of one matmul call.
+against it in the tests.
 
-matmul is the one fiber product of this module and of detour: a single
-jets.contract call.  The coupled derivatives are one call each of
-Geometry.covd_array, the one coupled covariant derivative: Levi-Civita
-on the form slots, Theta on a fiber slot 'V' and -Theta^T on a dual
-fiber slot 'V*' (both for an endomorphism, which gives the commutator).
+matmul is the one fiber product of this module, tractor and detour: one
+jets.contract call, at the lower order of its operands.  The coupled
+derivatives are one call each of Geometry.covd_array, the one coupled
+covariant derivative: Levi-Civita on the form slots, Theta on a fiber slot
+'V' and -Theta^T on a dual fiber slot 'V*' (both for an endomorphism).
 matmul, covd_section and covd_endomorphism take and return dense arrays
 only.  curvature(conn) returns a dense array and is computed once per
 Connection: the result is kept, read-only, in Connection.cache, where
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, tractor as tractor_mod
-from .geometry import Geometry
+from .geometry import Geometry, curvature_form
 from .jets import _rank, _size
 
 
@@ -153,29 +153,19 @@ def polynomial_connection(geom: Geometry, rank: int, rng) -> Connection:
 
 
 def matmul(x: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
-    """Jet matrix product x @ y: one jets.contract call, at the lower order of the two.
+    """Jet matrix product x @ y of dense (r, m) and (m, s) arrays: one jets.contract call.
 
-    x (r, m) and y (m, s) are dense arrays of coefficients in dim variables.
+    A function of its own since perfbench/tracer.py TARGETS times it as the fiber-product
+    span, and test_traced_call_counts_equal_cprofile_ncalls needs a verify call to reach it.
     """
-    nc = min(x.shape[-1], y.shape[-1])
-    return jets.contract(x[..., :nc], y[..., :nc], dim, jets.order_of(dim, nc))
+    return jets.contract(x, y, dim)
 
 
 def curvature(conn: Connection) -> np.ndarray:
     """F_ab as a dense (n, n, rank, rank, ncoeff) array, one order below Theta."""
-    if "curvature" in conn.cache:
-        return conn.cache["curvature"]
-    n, r = conn.n, conn.rank
-    low = conn.theta_at(conn.order - 1)
-    dth = jets.partials(conn.theta, conn.dim, conn.order, n)  # d_a Theta_b at [a, b]
-    # Theta_a Theta_b at [(a, i), (b, j)], every ordered pair in one product
-    prod = matmul(low.reshape(n * r, r, -1), low.transpose(1, 0, 2, 3).reshape(r, n * r, -1),
-                  conn.dim)
-    prod = prod.reshape(n, r, n, r, -1).transpose(0, 2, 1, 3, 4)
-    F = dth - dth.transpose(1, 0, 2, 3, 4)
-    F += prod
-    F -= prod.transpose(1, 0, 2, 3, 4)
-    return conn.keep("curvature", F)
+    if "curvature" not in conn.cache:
+        conn.keep("curvature", curvature_form(conn.theta, conn.dim))
+    return conn.cache["curvature"]
 
 
 def covd_section(conn: Connection, x: np.ndarray) -> np.ndarray:

@@ -94,9 +94,8 @@ def twisted_delta(phi: TwistedForm, conn: Connection) -> TwistedForm:
 def _pair_raised(conn: Connection, mats: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """sum_{a,j} mats[..., a, i, j] g^{ab} comps[b, j]: End-valued 1-form on a twisted 1-form."""
     n, r = comps.shape[:2]
-    comps = comps[..., : mats.shape[-1]]  # raised only to the order of mats
-    up = matmul(conn.geom.dense("ginv", jets.order_of(conn.dim, comps.shape[-1])), comps,
-                conn.dim)  # g^{ab} comps[b, j]
+    k = jets.order_of(conn.dim, min(mats.shape[-1], comps.shape[-1]))  # raised only to the order of mats
+    up = matmul(conn.geom.dense("ginv", k), comps, conn.dim)  # g^{ab} comps[b, j]
     out = matmul(np.swapaxes(mats, -4, -3).reshape(-1, n * r, mats.shape[-1]),
                  up.reshape(n * r, 1, up.shape[-1]), conn.dim)
     return out.reshape(mats.shape[:-4] + (r, -1))
@@ -176,10 +175,9 @@ def einstein_detour_expected(sigma: Jet | np.ndarray, geom: Geometry) -> JetTens
     n, dim, s = geom.n, geom.jet_dim, jets.as_dense(sigma)
     geom.require(5, "detour composition")
     k = geom.order - 5
-    nc = jets._size(dim, k)
-    grad = jets.partials(s, dim, jets.order_of(dim, s.shape[-1]), n)[:, None, :nc]
+    grad = jets.partials(s, dim, n)[:, None]
     # rows (a, b): [-B_ab, (n-4) A_acb] against the column [sigma, nabla^c sigma]
-    col = np.concatenate([s[None, None, :nc], matmul(geom.dense("ginv", k), grad, dim)])
+    col = np.concatenate([s[None, None, : jets._size(dim, k)], matmul(geom.dense("ginv", k), grad, dim)])
     coef = np.concatenate([-geom.dense("bach", k)[:, :, None],
                            (n - 4.0) * geom.dense("cotton", k).transpose(0, 2, 1, 3)], axis=2)
     comps = matmul(coef.reshape(n * n, n + 1, -1), col, dim).reshape(n, n, -1)

@@ -140,6 +140,8 @@ def _tokenize(text: str, line_offset: int = 0):
             end = m.end()
             if end < len(text) and text[end] == ".":
                 raise MetricSyntaxError("malformed number", line + line_offset, col)
+            if math.isinf(float(m.group())):
+                raise MetricSyntaxError("number out of range", line + line_offset, col)
             tokens.append(_Token("num", m.group(), float(m.group()), line + line_offset, col))
             col += end - i
             i = end

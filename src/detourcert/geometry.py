@@ -23,22 +23,27 @@ cotton(k) reads schouten(k+1).
 
 Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
-jet matrix products and run through jets.contract, partial derivatives are
-one gather per array (jets.partials), and truncation to a lower order is a
-slice of the coefficient axis.  A metric in the ring key (d, 1) of jets runs
-the same stages with the eps^2 products never formed (detour.linearized_bach).
+jet matrix products and run through jets.contract, at the lower order of
+its operands, partial derivatives are one gather per array (jets.partials),
+and truncation to a lower order is a slice of the coefficient axis.
+curvature_form is the one curvature formula: Riemann is its value on
+Theta_b[c, d] = Gam^c_bd, connections.curvature on a connection's matrices.
+A metric in the ring key (d, 1) of jets runs the same stages with the eps^2
+products never formed (detour.linearized_bach).  A metric with a non-finite
+coefficient raises ValueError.
 A stage computes only its dense array (Geometry.dense), and the constructor
 keeps only the dense metric; a public attribute, g as every stage, is jets
 viewing that array at the top order, built on first access.  dense(stage, k)
 with k above the top raises ValueError.  covd_array is the one coupled
 covariant derivative: Gamma on tangent slots, connection matrices on fiber
-slots, dense arrays in and out.  trace and lower contract the leading slots
-of a dense array with the inverse metric and the metric.
+slots, minus the transpose on a dual slot; dense arrays in and out.  trace
+and lower contract the leading slots of a dense array with the inverse
+metric and the metric (scalar traces Ricci, riemann_down lowers Riemann).
 
 A batch of P points (the stage points of prolong.transport) gives the stages
-up to Schouten (Geometry._BATCHED) a leading points axis, bit-identical per
-point to a single-point Geometry; later stages, covd_array, trace and lower
-raise ValueError on a batch.
+up to Schouten (Geometry._BATCHED) and trace a leading points axis,
+bit-identical per point to a single-point Geometry; later stages,
+covd_array and lower raise ValueError on a batch.
 """
 from __future__ import annotations
 
@@ -70,8 +75,8 @@ class JetTensor:
 
 def truncate_array(arr: np.ndarray, order: int) -> np.ndarray:
     """Jets of an object array truncated to a lower order (views of one dense array)."""
-    dim = arr.flat[0].dim
-    return jets.to_jets(jets.to_dense(arr)[..., : jets._size(dim, order)], dim, order)
+    dim = arr.flat[0].truncated(order).dim  # truncated() refuses an order above the jets'
+    return jets.to_jets(jets.to_dense(arr)[..., : jets._size(dim, order)], dim)
 
 
 def value_array(arr: np.ndarray) -> np.ndarray:
@@ -122,6 +127,22 @@ def invert_jet_matrix(g: np.ndarray, dim, degrees: range | None = None,
     return inv
 
 
+def curvature_form(theta: np.ndarray, dim) -> np.ndarray:
+    """F_ab = d_a Theta_b - d_b Theta_a + [Theta_a, Theta_b] of dense (..., n, r, r, ncoeff) Theta.
+
+    F[..., a, b, i, j], one order below Theta, behind its leading points axes:
+    d_a Theta_b + Theta_a Theta_b minus its (a, b) transpose.
+    """
+    lead, (n, r) = theta.shape[:-4], theta.shape[-4:-2]
+    half = jets.partials(theta, dim, n, len(lead))  # d_a Theta_b at [a, b]
+    low = theta[..., : half.shape[-1]]
+    # Theta_a Theta_b at [(a, i), (b, j)], every ordered pair in one product
+    prod = jets.contract(low.reshape(lead + (n * r, r, -1)),
+                         low.swapaxes(-4, -3).reshape(lead + (r, n * r, -1)), dim)
+    half += prod.reshape(lead + (n, r, n, r, -1)).swapaxes(-4, -3)
+    return np.subtract(half, half.swapaxes(-5, -4), order="C")
+
+
 class _stage(cached_property):
     """Stage whose func makes the array Geometry.dense keeps; the first read builds its jets."""
 
@@ -129,7 +150,7 @@ class _stage(cached_property):
         if geom is None:
             return self
         x = geom.dense(self.attrname)
-        view = jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
+        view = jets.to_jets(x, geom.jet_dim)
         geom.__dict__[self.attrname] = view = view[()] if x.ndim == 1 else view
         return view
 
@@ -162,6 +183,8 @@ class Geometry:
                 raise ValueError(f"point must have {spec.dim} coordinates")
             metric_jets = spec.metric_jets(pts, self.order)
         self._dense = {"g": jets.as_dense(metric_jets)}
+        if not np.isfinite(self._dense["g"]).all():
+            raise ValueError("metric has a non-finite coefficient")
         self.lead, self.n = self._dense["g"].shape[:-3], self._dense["g"].shape[-2]
         if self.n < 3:
             raise ValueError("the engine supports dimension >= 3")
@@ -209,9 +232,6 @@ class Geometry:
         if self.lead:
             raise ValueError(f"{what} is not computed on a batch of points")
 
-    def _contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return jets.contract(x, y, self.jet_dim, jets.order_of(self.jet_dim, x.shape[-1]))
-
     def _shape(self, x: np.ndarray, *shape) -> np.ndarray:
         return x.reshape(self.lead + shape)
 
@@ -234,31 +254,21 @@ class Geometry:
         """Gamma[c, a, b] = Gam^c_ab at order K-1."""
         self.require(1, "christoffel")
         n, k = self.n, self.order - 1
-        dg = jets.partials(self.dense("g"), self.jet_dim, self.order, n, len(self.lead))
+        dg = jets.partials(self.dense("g"), self.jet_dim, n, len(self.lead))
         low = dg.swapaxes(-4, -3) + jets.moveaxis(dg, -4, -2) - dg  # [d, a, b]; dg: d_a g_db at [a, d, b]
-        gam = self._contract(self.dense("ginv", k), self._shape(low, n, n * n, -1)) * 0.5
+        gam = jets.contract(self.dense("ginv", k), self._shape(low, n, n * n, -1), self.jet_dim) * 0.5
         return self._shape(gam, n, n, n, -1)
 
     @_stage
     def riemann(self) -> np.ndarray:
-        """R[a, b, c, d] = R_ab^c_d at order K-2."""
+        """R[a, b, c, d] = R_ab^c_d at order K-2: the curvature_form of Theta_b[c, d] = Gam^c_bd."""
         self.require(2, "curvature")
-        n, k = self.n, self.order - 2
-        gam = self.dense("gamma")
-        low = self.dense("gamma", k)
-        # d_a Gam^c_bd + Gam^c_ae Gam^e_bd, laid out [a, c, b, d]
-        half = jets.partials(gam, self.jet_dim, k + 1, n, len(self.lead))
-        half += self._shape(self._contract(self._shape(low.swapaxes(-4, -3), n * n, n, -1),
-                                           self._shape(low, n, n * n, -1)), n, n, n, n, -1)
-        half = half.swapaxes(-4, -3)
-        return np.subtract(half, half.swapaxes(-5, -4), order="C")
+        return curvature_form(self.dense("gamma").swapaxes(-4, -3), self.jet_dim)
 
     @_stage
     def riemann_down(self, order: float = np.inf) -> np.ndarray:
-        n, k = self.n, min(order, self.order - 2)
-        rie = self.dense("riemann", k).transpose(2, 0, 1, 3, 4)  # [e, a, b, d]
-        low = self._contract(self.dense("g", k), rie.reshape(n, n**3, -1))
-        return low.reshape(n, n, n, n, -1).transpose(1, 2, 0, 3, 4)
+        rie = self.dense("riemann", min(order, self.order - 2))
+        return self.lower(rie.transpose(2, 0, 1, 3, 4)).transpose(1, 2, 0, 3, 4)  # lowers [e, a, b, d]
 
     @_stage
     def ricci(self) -> np.ndarray:
@@ -266,10 +276,7 @@ class Geometry:
 
     @_stage
     def scalar(self) -> np.ndarray:
-        n, k = self.n, self.order - 2
-        sc = self._contract(self._shape(self.dense("ginv", k), 1, n * n, -1),
-                            self._shape(self.dense("ricci"), n * n, 1, -1))
-        return sc[..., 0, 0, :]
+        return self.trace(self.dense("ricci"))
 
     @_stage
     def jtrace(self) -> np.ndarray:
@@ -278,23 +285,23 @@ class Geometry:
     @_stage
     def schouten(self) -> np.ndarray:
         n, k = self.n, self.order - 2
-        jg = self._contract(self._shape(self.dense("jtrace"), 1, 1, -1),
-                            self._shape(self.dense("g", k), 1, n * n, -1))
+        jg = jets.contract(self._shape(self.dense("jtrace"), 1, 1, -1),
+                           self._shape(self.dense("g", k), 1, n * n, -1), self.jet_dim)
         return (self.dense("ricci") - self._shape(jg, n, n, -1)) / float(n - 2)
 
     @_stage
     def schouten_up(self, order: float = np.inf) -> np.ndarray:
         """P with both indices raised, to order min(order, K-2)."""
         gl, p = (self.dense(s, min(order, self.order - 2)) for s in ("ginv", "schouten"))
-        return self._contract(self._contract(gl, p), gl.transpose(1, 0, 2))
+        return jets.contract(jets.contract(gl, p, self.jet_dim), gl.transpose(1, 0, 2), self.jet_dim)
 
     @_stage
     def weyl(self, order: float = np.inf) -> np.ndarray:
         """C[a, b, c, d] all indices down, to order min(order, K-2)."""
         n, k = self.n, min(order, self.order - 2)
         rd = self.dense("riemann_down", k)
-        gp = self._contract(self.dense("g", k).reshape(n * n, 1, -1),
-                            self.dense("schouten", k).reshape(1, n * n, -1))
+        gp = jets.contract(self.dense("g", k).reshape(n * n, 1, -1),
+                           self.dense("schouten", k).reshape(1, n * n, -1), self.jet_dim)
         gp = gp.reshape(n, n, n, n, -1)  # g_ca P_bd at [c, a, b, d]
         weyl = rd - gp.transpose(1, 2, 0, 3, 4)
         weyl += gp.transpose(2, 1, 0, 3, 4)
@@ -318,7 +325,8 @@ class Geometry:
         coef = np.concatenate([self.dense("ginv", k), self.dense("schouten_up", k)])
         terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),
                                 self.dense("weyl", k).transpose(0, 2, 1, 3, 4)])
-        bach = self._contract(coef.reshape(1, 2 * n * n, -1), terms.reshape(2 * n * n, n * n, -1))
+        bach = jets.contract(coef.reshape(1, 2 * n * n, -1), terms.reshape(2 * n * n, n * n, -1),
+                             self.jet_dim)
         return bach.reshape(n, n, -1)
 
     # -- coupled derivative ----------------------------------------------------
@@ -327,51 +335,40 @@ class Geometry:
                    ) -> np.ndarray:
         """Coupled covariant derivative of a dense tensor; new 'd' slot first, order drops by one.
 
-        variances names each slot of x: 'u' and 'd' are tangent slots, where
-        Gamma acts; 'V' and 'V*' are fiber slots of a bundle with connection
-        matrices theta, a dense (n, r, r, ncoeff) array, where Theta and -Theta^T act.
+        variances names each slot of x: 'u' and 'd' are tangent slots, where Gamma acts;
+        'V' and 'V*' are fiber slots of a bundle with connection matrices theta, a dense
+        (n, r, r, ncoeff) array.  A dual slot ('d', 'V*') takes minus the transpose.
         """
         self._single("covd_array")
-        order_in = jets.order_of(self.jet_dim, x.shape[-1])
-        out_order = order_in - 1
+        out_order = jets.order_of(self.jet_dim, x.shape[-1]) - 1
         if out_order < 0:
             raise ValueError("cannot differentiate order-0 jets")
         self.require(out_order + 1, "covariant derivative")
         n, nc = self.n, jets._size(self.jet_dim, out_order)
         gam = self.dense("gamma", out_order)
         low = x[..., :nc]
-        out = jets.partials(x, self.jet_dim, order_in, n)
+        out = jets.partials(x, self.jet_dim, n)
         for s, var in enumerate(variances):
-            if var == "V*":  # -T[.. m ..] Theta_a[m, i]: the product T Theta_a, Theta on the right
-                moved = jets.moveaxis(low, s, -2)
-                r = moved.shape[-2]
-                term = self._contract(moved.reshape(-1, r, nc),
-                                      theta[..., :nc].transpose(1, 0, 2, 3).reshape(r, n * r, nc))
-                out -= jets.moveaxis(term.reshape(moved.shape[:-2] + (n, r, nc)), (-3, -2),
-                                     (0, s + 1))
-                continue
             # cross[a, i, m]: coefficient of T[.. m ..] in nabla_a T[.. i ..] (slot s)
-            mat = gam.transpose(1, 0, 2, 3) if var in ("u", "d") else theta[..., :nc]
+            mat = gam.transpose(1, 0, 2, 3) if var in ("u", "d") else theta
             cross = mat if var in ("u", "V") else -mat.transpose(0, 2, 1, 3)
             moved = jets.moveaxis(low, s, 0)
             r = moved.shape[0]
-            term = self._contract(cross.reshape(n * r, r, -1), moved.reshape(r, -1, nc))
+            term = jets.contract(cross.reshape(n * r, r, -1), moved.reshape(r, -1, nc), self.jet_dim)
             out += jets.moveaxis(term.reshape((n, r) + moved.shape[1:]), 1, s + 1)
         return out
 
     def trace(self, x: np.ndarray) -> np.ndarray:
-        """g^{ea} x[e, a, ...] for a dense x whose first two axes are down slots."""
-        self._single("trace")
-        n = self.n
-        gl = self.dense("ginv", jets.order_of(self.jet_dim, x.shape[-1]))
-        tr = self._contract(gl.reshape(1, n * n, -1), x.reshape(n * n, -1, x.shape[-1]))
-        return tr.reshape(x.shape[2:])
+        """g^{ea} x[..., e, a, ...] for a dense x whose first two axes after the points are down slots."""
+        n, p = self.n, len(self.lead)
+        gl = self._shape(self.dense("ginv", jets.order_of(self.jet_dim, x.shape[-1])), 1, n * n, -1)
+        tr = jets.contract(gl, x.reshape(self.lead + (n * n, -1, x.shape[-1])), self.jet_dim)
+        return tr.reshape(x.shape[:p] + x.shape[p + 2 :])
 
     def lower(self, x: np.ndarray) -> np.ndarray:
         """g_ab x[b, ...] for a dense x whose first axis is an up slot."""
         self._single("lower")
-        n = self.n
-        low = self._contract(self.dense("g")[..., : x.shape[-1]], x.reshape(n, -1, x.shape[-1]))
+        low = jets.contract(self.dense("g"), x.reshape(self.n, -1, x.shape[-1]), self.jet_dim)
         return low.reshape(x.shape)
 
 

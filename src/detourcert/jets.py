@@ -12,9 +12,11 @@ Derivatives are recovered by unscaling: d^alpha f = alpha! * f_alpha.
 
 Tensors of jets have a dense layout as well: a float array of shape
 tensor_shape + (ncoeff,) whose last axis holds each component's coefficient
-vector, behind optional leading points axes.  contract() is the one product
-kernel on that layout: each product coefficient is one matmul over the joint
-index (pair, tensor index) of its pairs (alpha, beta), at every point.
+vector, behind optional leading points axes.  Its kernels (contract, partials,
+to_jets) read the jet order off that axis.  contract() is the one product
+kernel on that layout, at the lower order of its two operands: each product
+coefficient is one matmul over the joint index (pair, tensor index) of its
+pairs (alpha, beta), at every point.
 Coefficients are bucketed by pair count and padded to a power of two (at
 least 8) with pairs that read an appended zero coefficient on both sides; a
 bucket runs in chunks of one gather per operand and one batched np.matmul
@@ -173,6 +175,7 @@ def _point_offsets(dim, order: int, points: int) -> np.ndarray:
     return (np.arange(points)[:, None] * _size(dim, order) + _mul_table(dim, order)[2]).ravel()
 
 
+@lru_cache(maxsize=None)
 def order_of(dim, ncoeff: int) -> int:
     """Jet order whose coefficient vector in dim variables has length ncoeff."""
     order = 0
@@ -183,14 +186,15 @@ def order_of(dim, ncoeff: int) -> int:
     return order
 
 
-def contract(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
+def contract(x: np.ndarray, y: np.ndarray, dim) -> np.ndarray:
     """Jet matrix product of dense arrays: out[..., i, j] = sum_k x[..., i, k] * y[..., k, j].
 
-    x has shape (..., r, m, ncoeff) and y (..., m, s, ncoeff), with the same leading
-    points axes; every entry product is the truncated Taylor product of Jet.__mul__,
-    and each point's result is bit-identical to a call on that point alone.
+    x has shape (..., r, m, ncoeff) and y (..., m, s, ncoeff'), with the same leading
+    points axes; the product has the lower of their orders.  Every entry product is the
+    truncated Taylor product of Jet.__mul__, each point bit-identical to a call on it alone.
     """
-    return _pair_sums(x, y, dim, order, 0, _size(dim, order))
+    nc = min(x.shape[-1], y.shape[-1])
+    return _pair_sums(x[..., :nc], y[..., :nc], dim, order_of(dim, nc), 0, nc)
 
 
 @lru_cache(maxsize=None)
@@ -227,9 +231,9 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, dim, order: int, c0: int, c1: int) 
     return out.transpose(0, 2, 3, 1).reshape(lead + (r, s, c1 - c0))
 
 
-def partials(x: np.ndarray, dim, order: int, slots: int, lead: int = 0) -> np.ndarray:
+def partials(x: np.ndarray, dim, slots: int, lead: int = 0) -> np.ndarray:
     """d/dx_s of every entry of a dense array for s < slots, as a new axis after lead axes."""
-    src, mul = _partials_table(dim, order, slots)
+    src, mul = _partials_table(dim, order_of(dim, x.shape[-1]), slots)
     out = x[..., src]
     out *= mul
     return moveaxis(out, -2, lead)
@@ -255,8 +259,9 @@ def to_dense(arr) -> np.ndarray:
     return np.array([j.coeffs for j in arr.flat]).reshape(arr.shape + (-1,))
 
 
-def to_jets(x: np.ndarray, dim, order: int) -> np.ndarray:
+def to_jets(x: np.ndarray, dim) -> np.ndarray:
     """Object array of jets viewing the rows of a dense coefficient array."""
+    order = order_of(dim, x.shape[-1])
     out = np.empty(math.prod(x.shape[:-1]), dtype=object)
     out[:] = [Jet(dim, order, row) for row in x.reshape(-1, x.shape[-1])]
     return out.reshape(x.shape[:-1])
@@ -273,7 +278,7 @@ def like(x: np.ndarray, arr, dim):
     """Dense x in the layout of arr: x itself, else jets viewing it (a Jet if x is 1-D)."""
     if not isinstance(arr, Jet) and arr.dtype != object:
         return x
-    out = to_jets(x, dim, order_of(dim, x.shape[-1]))
+    out = to_jets(x, dim)
     return out[()] if x.ndim == 1 else out
 
 

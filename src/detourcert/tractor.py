@@ -92,14 +92,9 @@ def _times(t: np.ndarray, s: np.ndarray, geom: Geometry) -> np.ndarray:
     return prod.reshape(t.shape[:-1] + (-1,))
 
 
-def _grad(s: np.ndarray, geom: Geometry) -> np.ndarray:
-    """d_a of a dense scalar, one order lower."""
-    return jets.partials(s, geom.jet_dim, jets.order_of(geom.jet_dim, s.shape[-1]), geom.n)
-
-
 def _laplacian(s: np.ndarray, geom: Geometry) -> np.ndarray:
     """g^ab nabla_a nabla_b of a dense scalar, two orders lower."""
-    return geom.trace(geom.covd_array(_grad(s, geom), ("d",)))
+    return geom.trace(geom.covd_array(jets.partials(s, geom.jet_dim, geom.n), ("d",)))
 
 
 def _gram(geom: Geometry, order: int) -> np.ndarray:
@@ -125,7 +120,7 @@ def divergence(x: np.ndarray, geom: Geometry) -> np.ndarray:
 def trace_free(x: np.ndarray, geom: Geometry) -> np.ndarray:
     """Subtract (g-trace / n) * g from a dense symmetric 2-tensor."""
     tr = geom.trace(x) / float(geom.n)
-    return x - _times(geom.dense("g", jets.order_of(geom.jet_dim, tr.shape[-1])), tr, geom)
+    return x - _times(geom.dense("g"), tr, geom)
 
 
 def trace_free_symmetric(x: np.ndarray, geom: Geometry) -> np.ndarray:
@@ -142,14 +137,14 @@ def splitting(sigma: Jet | np.ndarray, geom: Geometry) -> TractorJet:
     lap = _laplacian(s, geom)
     nc, k = lap.shape[-1], jets.order_of(geom.jet_dim, lap.shape[-1])
     rho = (lap + _times(geom.dense("jtrace", k), s, geom)) * (-1.0 / geom.n)
-    vec = np.concatenate([s[None, :nc], _grad(s, geom)[:, :nc], rho[None]])
+    vec = np.concatenate([s[None, :nc], jets.partials(s, geom.jet_dim, geom.n)[:, :nc], rho[None]])
     return TractorJet.from_vector(jets.like(vec, sigma, geom.jet_dim))
 
 
 def op_D(sigma: Jet | np.ndarray, geom: Geometry) -> JetTensor:
     """Trace-free part of (hessian + P sigma); kernel = almost-Einstein scales."""
     s = jets.as_dense(sigma)
-    hess = geom.covd_array(_grad(s, geom), ("d",))
+    hess = geom.covd_array(jets.partials(s, geom.jet_dim, geom.n), ("d",))
     k = jets.order_of(geom.jet_dim, hess.shape[-1])
     comps = hess + _times(geom.dense("schouten", k), s, geom)
     return JetTensor(("d", "d"), jets.like(trace_free(comps, geom), sigma, geom.jet_dim))
@@ -257,7 +252,7 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     t[..., 1 : n + 1, 0, :] = P
     t[..., 1 : n + 1, n + 1, :] = geom.dense("g", order)
     t[..., 1 : n + 1, 1 : n + 1, :] = -jets.moveaxis(geom.dense("gamma", order), -4, -2)
-    t[..., n + 1, 1 : n + 1, :] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim, order)
+    t[..., n + 1, 1 : n + 1, :] = -jets.contract(P, geom.dense("ginv", order), geom.jet_dim)
     return t
 
 
@@ -289,8 +284,7 @@ def curvature_divergence(geom: Geometry) -> np.ndarray:
     geom.require(4, "curvature divergence")
     d_omega = connections.covd_endomorphism(connections.tractor_connection(geom),
                                             tractor_curvature(geom))
-    div = geom.trace(d_omega)
-    return jets.to_jets(div, geom.jet_dim, jets.order_of(geom.jet_dim, div.shape[-1]))
+    return jets.to_jets(geom.trace(d_omega), geom.jet_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +296,7 @@ def _change_of_scale(m: np.ndarray, omega: Jet, geom: Geometry) -> np.ndarray:
     n, dim = geom.n, geom.jet_dim
     nc = min(m.shape[-1], jets._size(dim, omega.order - 1))
     sig, mu, rho = m[:, 0, :nc], m[:, 1 : n + 1, :nc], m[:, n + 1, :nc]
-    ups = _grad(omega.coeffs, geom)[:, :nc]
+    ups = jets.partials(omega.coeffs, dim, n)[:, :nc]
     ups_up = connections.matmul(geom.dense("ginv", jets.order_of(dim, nc)), ups[:, None], dim)
     cross = connections.matmul(mu, ups_up, dim)[:, 0]  # Upsilon^c mu_c of each row
     upsq = connections.matmul(ups[None], ups_up, dim)[0, 0]

@@ -406,6 +406,20 @@ def test_a_complex_constant_exits_with_code_2(tmp_path, g11):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf while evaluating
+@pytest.mark.parametrize("suite", ["curvature", "tractor", "detour", "prolong"])
+@pytest.mark.parametrize("g11, name", [("1 + 1e999 * x", "number out of range"),
+                                       ("1 + 1e308*10*x*x - 1e308*10*x*x", "non-finite")])
+def test_a_non_finite_metric_exits_with_code_2(tmp_path, capsys, suite, g11, name):
+    # an overflowing literal is a syntax error, and a metric that evaluates to inf
+    # or nan is refused before any check: an evaluation error, never a failed check
+    code = cli.main(["verify", "--metric", _metric_file(tmp_path, g11), "--suite", suite,
+                     "--points", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):
     # both current checks share the twist of a point, so its curvature and
     # Yang-Mills current are computed once per point

@@ -111,7 +111,7 @@ def maxwell_connection(geom):
 
 def jet_view(x, dim=4):
     """Jets of a dense array (curvature, theta) in dim variables."""
-    return to_jets(x, dim, order_of(dim, x.shape[-1]))
+    return to_jets(x, dim)
 
 
 # -- curvature cross-checks ---------------------------------------------------
@@ -357,6 +357,58 @@ def test_dense_connection_matches_object_reference(kind, rank, order, dim3, seed
                             jet_view(F, n), 1e-12 * scale * (1.0 + max_abs(conn.theta)))
 
 
+# -- the dense path against other summation orders -----------------------------
+# The curvature with its commutator summed last, and a dual fiber slot
+# contracted from the right: the same formulas, which agree with the dense
+# path to roundoff, and bit for bit on values.
+
+
+def curvature_commutator_last(conn):
+    """(d_a Theta_b - d_b Theta_a) + Theta_a Theta_b - Theta_b Theta_a, summed in that order."""
+    n, r, dim = conn.n, conn.rank, conn.dim
+    low = conn.theta_at(conn.order - 1)
+    dth = jets.partials(conn.theta, dim, n)  # d_a Theta_b at [a, b]
+    prod = jets.contract(low.reshape(n * r, r, -1), low.transpose(1, 0, 2, 3).reshape(r, n * r, -1),
+                         dim).reshape(n, r, n, r, -1).transpose(0, 2, 1, 3, 4)
+    F = dth - dth.transpose(1, 0, 2, 3, 4)
+    F += prod
+    F -= prod.transpose(1, 0, 2, 3, 4)
+    return F
+
+
+def covd_endomorphism_dual_on_the_right(conn, x):
+    """The form and 'V' slots by covd_array, then -T Theta_a: Theta contracted from the right."""
+    n, dim, s = conn.n, conn.dim, x.ndim - 2  # s: the dual slot
+    theta = conn.theta_at(order_of(dim, x.shape[-1]) - 1)
+    r, nc = conn.rank, theta.shape[-1]
+    out = conn.geom.covd_array(x, ("d",) * (s - 1) + ("V",), theta)  # slot s untouched
+    moved = jets.moveaxis(x[..., :nc], s, -2)
+    term = jets.contract(moved.reshape(-1, r, nc), theta.transpose(1, 0, 2, 3).reshape(r, n * r, nc),
+                         dim)
+    out -= jets.moveaxis(term.reshape(moved.shape[:-2] + (n, r, nc)), (-3, -2), (0, s + 1))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "square", "covector", "killing", "tractor"])
+@pytest.mark.parametrize("dim3", [False, True])
+def test_curvature_and_dual_slot_match_other_summation_orders(kind, dim3):
+    spec, pt = (BUMP3, P_B3) if dim3 else (BUMP4, P_BUMP)
+    g = Geometry(spec, pt, order=5)
+    rng = np.random.default_rng(29)
+    conn = co.tractor_connection(g) if kind == "tractor" else _oracle_connection(kind, 2, g, rng)
+    F, want = co.curvature(conn), curvature_commutator_last(conn)
+    assert F.shape == want.shape
+    np.testing.assert_allclose(F, want, rtol=0, atol=1e-14 * (1.0 + max_abs(want)))
+    r = conn.rank
+    end = rng.standard_normal((g.n, r, r, jets._size(g.n, conn.order)))
+    for x in (F, end):
+        got, want = co.covd_endomorphism(conn, x), covd_endomorphism_dual_on_the_right(conn, x)
+        # a value has one product pair, so it is the same sum from either side; a
+        # higher coefficient sums its pairs in the order of the left operand's index
+        np.testing.assert_array_equal(got[..., 0], want[..., 0])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + max_abs(want)))
+
+
 def test_curvature_and_current_are_computed_once_per_connection(monkeypatch):
     rng = np.random.default_rng(7)
     conn = co.polynomial_connection(Geometry(BUMP4, P_BUMP, order=5), 3, rng)
@@ -584,7 +636,7 @@ def test_padded_slots_of_the_perturbation_are_never_read(order):
     g = Geometry(BUMP4, (0.1, -0.2, 0.3, 0.05), order=order)
     v = np.zeros((4, jets._size(4, order)))
     v[:, : jets._size(4, 3)] = rng.uniform(-1.0, 1.0, (4, jets._size(4, 3)))
-    h = to_dense(de.op_K0(to_jets(v, 4, order), g).comps)  # order K-1
+    h = to_dense(de.op_K0(to_jets(v, 4), g).comps)  # order K-1
     h_nan = np.full((4, 4, jets._size(4, order)), np.nan)
     h_nan[..., : h.shape[-1]] = h
     clean = de.linearized_bach(h, g)
@@ -630,7 +682,7 @@ def test_conformal_killing_operator_takes_dense_fields():
     v = rng.standard_normal((4, jets._size(4, 5)))
     dense = de.op_K0(v, g)
     assert dense.comps.shape == (4, 4, jets._size(4, 4)) and dense.comps.dtype == float
-    np.testing.assert_array_equal(dense.comps, to_dense(de.op_K0(to_jets(v, 4, 5), g).comps))
+    np.testing.assert_array_equal(dense.comps, to_dense(de.op_K0(to_jets(v, 4), g).comps))
     with pytest.raises(ValueError):
         JetTensor(("d",), dense.comps)
     with pytest.raises(ValueError):

@@ -107,6 +107,15 @@ def test_print_parse_round_trip():
         assert parse_expression(printed) == ast, (text, printed)
 
 
+@pytest.mark.parametrize("text, col", [("1 + 1e999 * x", 5), ("x * 2e308", 5), ("1e400", 1)])
+def test_a_number_that_overflows_is_a_syntax_error(text, col):
+    # a literal that rounds to inf would reach the metric as a non-finite coefficient
+    with pytest.raises(MetricSyntaxError, match="number out of range") as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert parse_expression("1e308").value == 1e308
+
+
 def test_syntax_errors_carry_location():
     bad = ["x +", "sin(", "(x", "x ^ y", "foo(x)", "1..2", "x @ y", "x ^ -2"]
     for text in bad:
@@ -136,7 +145,7 @@ def test_parse_metric_file_schwarzschild():
     # jets evaluate, are symmetric, and equal the program at one point bit for bit
     dense = spec.metric_jets(point, order=3)
     assert np.array_equal(dense, _program(spec, point, 3))
-    gj = jets.to_jets(dense, 4, 3)
+    gj = jets.to_jets(dense, 4)
     assert gj[2, 3].value == 0.0
     assert gj[3, 3].derivative((0, 1, 0, 0)) == pytest.approx(
         2 * 5.0 * math.sin(1.2) ** 2

@@ -20,14 +20,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detourcert import catalog, detour, jets, prolong
+from detourcert import catalog, detour, geometry, jets, prolong
 from detourcert.connections import killing_connection, tractor_connection
 from detourcert.dsl import parse_expression, parse_metric_text
 from detourcert.geometry import (
     Geometry,
     SingularMetricError,
     conformal_rescale,
+    curvature_form,
     invert_jet_matrix,
+    truncate_array,
     value_array,
 )
 
@@ -225,7 +227,7 @@ def test_pack_invariants_on_generic_metric():
 def covd(geom, comps, variances):
     """Geometry.covd_array of a tensor of jets, viewed as jets."""
     x = geom.covd_array(jets.to_dense(comps), variances)
-    return jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
+    return jets.to_jets(x, geom.jet_dim)
 
 
 def test_ricci_identity_on_random_vector():
@@ -352,10 +354,10 @@ def test_dense_inverse_matches_jet_gauss_jordan(n, order, negatives, seed):
     g = g + g.transpose(1, 0, 2)
     g[..., 0] = q @ np.diag(signs * rng.uniform(0.5, 2.0, n)) @ q.T
     inv = invert_jet_matrix(g, n)
-    ref = jets.to_dense(ref_invert_jet_matrix(jets.to_jets(g, n, order)))
+    ref = jets.to_dense(ref_invert_jet_matrix(jets.to_jets(g, n)))
     assert inv.shape == g.shape
     assert maxabs(inv - ref) < 1e-10 * (1.0 + maxabs(ref))
-    eye = jets.contract(g, inv, n, order)
+    eye = jets.contract(g, inv, n)
     eye[..., 0] -= np.eye(n)
     assert maxabs(eye) < 1e-10 * (1.0 + maxabs(inv))
 
@@ -370,7 +372,7 @@ def test_tiny_pivot_raises_and_zero_diagonal_pivots():
     g[..., 0] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
     g[0, 1, 1] = g[1, 0, 1] = 0.5
     inv = invert_jet_matrix(g, 3)
-    eye = jets.contract(g, inv, 3, 2)
+    eye = jets.contract(g, inv, 3)
     eye[..., 0] -= np.eye(3)
     assert maxabs(eye) < 1e-15
 
@@ -394,7 +396,7 @@ def test_degree_sweep_inverse_is_exact_in_every_coefficient(name):
     cases = [(geom.dense("g"), geom.jet_dim)] + ([_ring_metric(geom)] if geom.n == 4 else [])
     for g, dim in cases:
         inv = invert_jet_matrix(g, dim)
-        eye = jets.contract(g, inv, dim, 8)
+        eye = jets.contract(g, inv, dim)
         eye[..., 0] -= np.eye(geom.n)
         assert maxabs(eye) <= 1e-13 * maxabs(g) * maxabs(inv), (dim, maxabs(eye))
 
@@ -474,12 +476,17 @@ def test_a_batch_refuses_the_stages_beyond_schouten(stage):
 
 
 def test_a_batch_refuses_covariant_derivatives_traces_and_lowering():
-    batch = Geometry(BUMP4, [P_BUMP, P_BUMP], order=4)
+    # covd_array and lower refuse a batch; trace takes it, bit for bit per point
+    pts = [P_BUMP, (0.2, 0.1, -0.3, 0.4)]
+    batch = Geometry(BUMP4, pts, order=4)
     x = batch.dense("schouten")
-    for op in (lambda: batch.covd_array(x, ("d", "d")), lambda: batch.trace(x),
-               lambda: batch.lower(x)):
+    for op in (lambda: batch.covd_array(x, ("d", "d")), lambda: batch.lower(x)):
         with pytest.raises(ValueError, match="batch of points"):
             op()
+    tr = batch.trace(x)
+    assert tr.shape == (2, x.shape[-1])
+    for p, pt in enumerate(pts):
+        np.testing.assert_array_equal(tr[p], Geometry(BUMP4, pt, order=4).trace(x[p]))
 
 
 def test_a_batch_pivots_per_point():
@@ -492,7 +499,7 @@ def test_a_batch_pivots_per_point():
     inv = invert_jet_matrix(g, 3)
     for p in range(4):
         np.testing.assert_array_equal(inv[p], invert_jet_matrix(g[p], 3))
-        eye = jets.contract(g[p], inv[p], 3, 3)
+        eye = jets.contract(g[p], inv[p], 3)
         eye[..., 0] -= np.eye(3)
         assert maxabs(eye) < 1e-13
 
@@ -695,3 +702,54 @@ def test_curvature_chain_matches_symbolic_oracle():
     for got, want in ((geom.riemann, riem), (geom.ricci, ric), (geom.schouten, sch)):
         assert maxabs(value_array(got) - np.asarray(want, dtype=float)) < 1e-14
     assert abs(geom.scalar.value - float(scal)) < 1e-14
+
+
+# -- one curvature formula -----------------------------------------------------
+
+
+def ref_riemann(geom):
+    """Riemann from the Christoffel symbols in place: d_a Gam^c_bd + Gam^c_ae Gam^e_bd
+    laid out [a, c, b, d], minus its (a, b) transpose, the sum order curvature_form keeps."""
+    n, lead, dim = geom.n, geom.lead, geom.jet_dim
+    gam = geom.dense("gamma")
+    low = gam[..., : jets._size(dim, geom.order - 2)]
+    half = jets.partials(gam, dim, n, len(lead))
+    half += jets.contract(low.swapaxes(-4, -3).reshape(lead + (n * n, n, -1)),
+                          low.reshape(lead + (n, n * n, -1)), dim).reshape(lead + (n,) * 4 + (-1,))
+    half = half.swapaxes(-4, -3)
+    return half - half.swapaxes(-5, -4)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_riemann_is_the_curvature_form_of_gamma_bit_for_bit(name):
+    entry = catalog.get(name)
+    points = np.array([entry.sample_point(np.random.default_rng(s)) for s in (1, 2)])
+    for geom in (entry.geometry(order=5), Geometry(entry.spec(), points, order=5)):
+        want = ref_riemann(geom)
+        np.testing.assert_array_equal(geom.dense("riemann"), want)
+        theta = geom.dense("gamma").swapaxes(-4, -3)  # Theta_b[c, d] = Gam^c_bd
+        np.testing.assert_array_equal(curvature_form(theta, geom.jet_dim), want)
+
+
+def test_truncate_array_refuses_an_order_above_its_jets():
+    riem = Geometry(BUMP4, P_BUMP, order=5).riemann  # order-3 jets
+    assert truncate_array(riem, 3)[0, 1, 2, 3].order == 3
+    assert truncate_array(riem, 1)[0, 1, 2, 3].order == 1
+    for order in (4, 5):
+        with pytest.raises(ValueError, match="cannot truncate order 3"):
+            truncate_array(riem, order)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("coeff", [0, 7])
+def test_a_metric_with_a_non_finite_coefficient_is_refused_before_pivoting(monkeypatch, bad, coeff):
+    g = Geometry(BUMP4, P_BUMP, order=3).dense("g").copy()
+    g[1, 2, coeff] = g[2, 1, coeff] = bad
+
+    def never(*args, **kw):
+        raise AssertionError("pivoted a non-finite metric")
+
+    monkeypatch.setattr(geometry, "invert_jet_matrix", never)
+    with pytest.raises(ValueError, match="non-finite"):
+        Geometry(metric_jets=g, order=3)
+

@@ -40,13 +40,28 @@ def test_contract_and_partials_commute_with_truncation_bit_for_bit(key, points):
     # m = 8 splits the wide buckets of contract into several chunks
     x = rng.standard_normal(lead + (3, 8, jets._size(key, TOP)))
     y = rng.standard_normal(lead + (8, 2, jets._size(key, TOP)))
-    prod = jets.contract(x, y, key, TOP)
-    grad = jets.partials(x, key, TOP, _slots(key), len(lead))
+    prod = jets.contract(x, y, key)
+    grad = jets.partials(x, key, _slots(key), len(lead))
     for k in range(1, TOP):
-        got = jets.contract(_cut(x, key, k), _cut(y, key, k), key, k)
+        got = jets.contract(_cut(x, key, k), _cut(y, key, k), key)
         assert np.array_equal(got, _cut(prod, key, k)), k
-        got = jets.partials(_cut(x, key, k), key, k, _slots(key), len(lead))
+        got = jets.partials(_cut(x, key, k), key, _slots(key), len(lead))
         assert np.array_equal(got, _cut(grad, key, k - 1)), k
+
+
+@pytest.mark.parametrize("points", [None, 3])
+@pytest.mark.parametrize("key", KEYS)
+def test_contract_of_two_orders_is_the_product_at_the_lower_one(key, points):
+    # the operand of the higher order is read only to the lower one, on either side
+    rng = np.random.default_rng(21)
+    lead = () if points is None else (points,)
+    x = rng.standard_normal(lead + (3, 8, jets._size(key, TOP)))
+    y = rng.standard_normal(lead + (8, 2, jets._size(key, TOP)))
+    for lo, hi in ((0, 1), (1, 2), (3, TOP), (TOP - 1, TOP)):
+        want = jets.contract(_cut(x, key, lo), _cut(y, key, lo), key)
+        assert want.shape[-1] == jets._size(key, lo)
+        assert np.array_equal(jets.contract(_cut(x, key, lo), _cut(y, key, hi), key), want), (lo, hi)
+        assert np.array_equal(jets.contract(_cut(x, key, hi), _cut(y, key, lo), key), want), (lo, hi)
 
 
 def _random_geometry(key, rng, order=TOP) -> Geometry:
@@ -122,7 +137,7 @@ def _draw(rng, shape, n, order):
 def full_contracted_bianchi(geom, rng):
     dric = geom.covd_array(geom.dense("ricci"), ("d", "d"))[..., 0]
     div = np.einsum("ea,eab->b", geom.dense("ginv")[..., 0], dric)
-    dsc = jets.partials(geom.dense("scalar"), geom.jet_dim, geom.order - 2, geom.n)[:, 0]
+    dsc = jets.partials(geom.dense("scalar"), geom.jet_dim, geom.n)[:, 0]
     return cli._max_abs(div - 0.5 * dsc) / max(1.0, cli._max_abs(dric))
 
 

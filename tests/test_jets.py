@@ -376,7 +376,7 @@ def test_contract_matches_sum_of_jet_products(dim, order, shape, seed):
     x = rng.standard_normal((r, m, size))
     y = rng.standard_normal((m, s, size))
     ref = _contract_by_jets(x, y, dim, order)
-    got = jets.contract(x, y, dim, order)
+    got = jets.contract(x, y, dim)
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -394,14 +394,14 @@ def test_leading_points_axes_equal_a_loop_of_single_calls(key, order, shape, lea
     with pytest.MonkeyPatch.context() as mp:
         if chunk:
             mp.setattr(jets, "_CHUNK_BYTES", chunk)
-        got = jets.contract(x, y, key, order)
+        got = jets.contract(x, y, key)
     slots = key[0] if isinstance(key, tuple) else key
-    der = jets.partials(x, key, order, slots, len(lead)) if order else None
+    der = jets.partials(x, key, slots, len(lead)) if order else None
     assert got.shape == lead + (r, s, size)
     for p in np.ndindex(lead):
-        np.testing.assert_array_equal(got[p], jets.contract(x[p], y[p], key, order))
+        np.testing.assert_array_equal(got[p], jets.contract(x[p], y[p], key))
         if order:
-            np.testing.assert_array_equal(der[p], jets.partials(x[p], key, order, slots))
+            np.testing.assert_array_equal(der[p], jets.partials(x[p], key, slots))
 
 
 def test_contract_spanning_several_chunks():
@@ -413,7 +413,7 @@ def test_contract_spanning_several_chunks():
     x = rng.standard_normal((r, r, size))
     y = rng.standard_normal((r, r, size))
     ref = _contract_by_jets(x, y, dim, order)
-    np.testing.assert_allclose(jets.contract(x, y, dim, order), ref,
+    np.testing.assert_allclose(jets.contract(x, y, dim), ref,
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -423,9 +423,9 @@ def test_contract_is_independent_of_chunking(monkeypatch, chunk_bytes):
     size = len(multi_indices(5, 4))
     x = rng.standard_normal((2, 3, size))
     y = rng.standard_normal((3, 2, size))
-    whole = jets.contract(x, y, 5, 4)
+    whole = jets.contract(x, y, 5)
     monkeypatch.setattr(jets, "_CHUNK_BYTES", chunk_bytes)
-    np.testing.assert_array_equal(jets.contract(x, y, 5, 4), whole)
+    np.testing.assert_array_equal(jets.contract(x, y, 5), whole)
 
 
 def ref_pair_sums(x, y, dim, order, c0, c1):
@@ -556,7 +556,7 @@ def test_padding_is_never_read(monkeypatch, key, order, chunk_bytes):
         for side, ranks in (("x", ia), ("y", ib)):
             x, y = rng.standard_normal((2, 3, n)), rng.standard_normal((3, 2, n))
             (x if side == "x" else y)[0, 0, a] = np.nan
-            out = jets.contract(x, y, key, order)
+            out = jets.contract(x, y, key)
             bad = np.flatnonzero(~np.isfinite(out).all(axis=(0, 1)))
             np.testing.assert_array_equal(bad, np.unique(ic[ranks == a]), err_msg=f"{side}[{a}]")
 
@@ -569,10 +569,10 @@ def test_contract_memory_stays_within_its_chunk_budget():
     n = jets._size(key, order)
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((16, 4, n)), rng.standard_normal((4, 16, n))
-    jets.contract(x, y, key, order)  # tables warm
+    jets.contract(x, y, key)  # tables warm
     tracemalloc.start()
     try:
-        out = jets.contract(x, y, key, order)
+        out = jets.contract(x, y, key)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -614,14 +614,14 @@ def test_ring_products_partials_and_truncation_equal_the_full_ones(dim, order, s
     assert all(a[-1] <= 1 for a in multi_indices(key, order))
     x = rng.standard_normal((r, m, jets._size(dim + 1, order)))
     y = rng.standard_normal((m, s, jets._size(dim + 1, order)))
-    np.testing.assert_array_equal(jets.contract(x[..., ring], y[..., ring], key, order),
-                                  jets.contract(x, y, dim + 1, order)[..., ring])
+    np.testing.assert_array_equal(jets.contract(x[..., ring], y[..., ring], key),
+                                  jets.contract(x, y, dim + 1)[..., ring])
     a, b = Jet(key, order, x[0, 0, ring]), Jet(key, order, y[0, 0, ring])
     full = Jet(dim + 1, order, x[0, 0]) * Jet(dim + 1, order, y[0, 0])
     np.testing.assert_array_equal((a * b).coeffs, full.coeffs[ring])
     if order:
-        full = jets.partials(x, dim + 1, order, dim)[..., _ring_in_full(dim, order - 1)]
-        np.testing.assert_array_equal(jets.partials(x[..., ring], key, order, dim), full)
+        full = jets.partials(x, dim + 1, dim)[..., _ring_in_full(dim, order - 1)]
+        np.testing.assert_array_equal(jets.partials(x[..., ring], key, dim), full)
     for k in range(order + 1):
         assert multi_indices(key, k) == multi_indices(key, order)[: jets._size(key, k)]
         assert jets.order_of(key, jets._size(key, k)) == k
@@ -642,9 +642,9 @@ def test_dense_roundtrip_and_partials():
                     for _ in range(3)], dtype=object)
     dense = jets.to_dense(arr)
     assert dense.shape == (3, 2, 35)
-    back = jets.to_jets(dense, 4, 3)
+    back = jets.to_jets(dense, 4)
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(arr.flat, back.flat))
-    d = jets.partials(dense, 4, 3, 2)
+    d = jets.partials(dense, 4, 2)
     assert d.shape == (2, 3, 2, 15)
     for s in range(2):
         for idx in np.ndindex(3, 2):
@@ -652,3 +652,13 @@ def test_dense_roundtrip_and_partials():
     assert jets.order_of(4, 35) == 3
     with pytest.raises(ValueError):
         jets.order_of(4, 34)
+
+
+@pytest.mark.parametrize("key, ncoeff", [(4, 34), (4, 36), (3, 0), ((4, 1), 16)])
+def test_kernels_refuse_a_coefficient_count_that_fits_no_order(key, ncoeff):
+    # the order is read off the last axis, so a count between two orders is an error
+    x = np.zeros((2, 3, ncoeff))
+    slots = key[0] if isinstance(key, tuple) else key
+    for kernel in (lambda: jets.partials(x, key, slots), lambda: jets.to_jets(x, key)):
+        with pytest.raises(ValueError, match="fit no jet order"):
+            kernel()

@@ -173,7 +173,7 @@ def test_connection_is_metric():
 
 def jet_view(x, geom):
     """Jets of a dense array in the jet variables of geom; a Jet for a 1-D array."""
-    out = jets.to_jets(x, geom.jet_dim, jets.order_of(geom.jet_dim, x.shape[-1]))
+    out = jets.to_jets(x, geom.jet_dim)
     return out[()] if x.ndim == 1 else out
 
 
@@ -492,14 +492,14 @@ def test_trace_free_kills_trace():
     for a in range(4):
         for b in range(4):
             comps[a, b] = rand_jet(rng, 4, 3)
-    tf = jets.to_jets(tractor.trace_free_symmetric(jets.to_dense(comps), g), 4, 3)
+    tf = jets.to_jets(tractor.trace_free_symmetric(jets.to_dense(comps), g), 4)
     gl = truncate_array(g.ginv, 3)
     tr = Jet.constant(0.0, 4, 3)
     for a in range(4):
         for b in range(4):
             tr = tr + gl[a, b] * tf[a, b]
     assert float(np.max(np.abs(tr.coeffs))) < 1e-12
-    again = jets.to_jets(tractor.trace_free(jets.to_dense(tf), g), 4, 3)
+    again = jets.to_jets(tractor.trace_free(jets.to_dense(tf), g), 4)
     assert coeff_dev(again, tf) < 1e-12
 
 
