@@ -47,12 +47,8 @@ class CatalogEntry:
     def sample_point(self, rng: np.random.Generator) -> tuple:
         return tuple(float(rng.uniform(lo, hi)) for lo, hi in self.sample_box)
 
-    def geometry(self, point=None, order: int = 4,
-                 rng: Optional[np.random.Generator] = None) -> Geometry:
-        spec = self.spec()
-        if point is None:
-            point = self.sample_point(rng if rng is not None else np.random.default_rng(0))
-        return Geometry(spec, point, order=order)
+    def geometry(self, point, order: int = 4) -> Geometry:
+        return Geometry(self.spec(), point, order=order)
 
     def killing_jets(self, geom: Geometry) -> list:
         """Component jets v^a of every listed Killing field at geom's point."""

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, catalog, detour, jets, prolong, tractor
 from .connections import covector_connection, killing_connection, tractor_connection
@@ -329,10 +328,9 @@ def _transport_roundtrip(pt, rng):
     p0 = np.array([rng.uniform(lo, hi) for lo, hi in box])
     p1 = p0 + 0.4 * (np.array([rng.uniform(lo, hi) for lo, hi in box]) - p0)
     v0 = rng.standard_normal(spec.dim + 2)
-    fwd = prolong.transport(spec, tractor_connection, prolong.segment(p0, p1), v0,
-                            rtol=1e-9, atol=1e-11, refine=False)
-    back = prolong.transport(spec, tractor_connection, prolong.segment(p1, p0), fwd.end,
-                             rtol=1e-9, atol=1e-11, refine=False)
+    kw = dict(rtol=1e-9, atol=1e-11, refine=False)
+    fwd = prolong.transport(spec, tractor_connection, p0, p1, v0, **kw)
+    back = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, **kw)
     return float(np.max(np.abs(back.end - v0)))
 
 
@@ -449,7 +447,6 @@ def run(config: RunConfig) -> Report:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "detourcert": __version__,
             },
         },
@@ -488,7 +485,7 @@ def _cmd_verify(args) -> int:
     except (ConfigError, MetricSyntaxError, MetricValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, prolong.CertificationError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, prolong.CertificationError) as exc:
         # the metric (or a derived quantity) cannot be evaluated at a sample point
         print(f"error: evaluating {args.metric}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

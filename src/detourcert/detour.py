@@ -17,8 +17,8 @@ connections): each is one or two jets.contract calls against the inverse
 metric and the connection's dense Theta and curvature.  Jets appear only
 at the public edge: twisted_d, twisted_delta, op_M, op_MT, current_action,
 current_contraction, einstein_detour_expected, op_K0 and linearized_bach
-return the layout of the section they were given; f_action, _pair_raised
-and perturbed_geometry are dense-only, and op_M and op_MT pass dense
+return the layout of the section they were given; _pair_raised and
+perturbed_geometry are dense-only, and op_M and op_MT pass dense
 arrays between their steps.  ym_current(conn), a function of the
 connection alone, returns a dense array and, like curvature(conn), is
 computed once per Connection and kept in Connection.cache; current_action
@@ -28,9 +28,9 @@ Each operator computes only the jet orders its output holds.  Jet
 truncation is exact (a coefficient of degree d is summed over the same
 pairs at any order), so an operand cut first gives the bits of the full
 computation cut afterwards.  op_M forms F# phi only to the order of
-delta d phi, two below phi; op_MT without a connection builds the tractor
-connection one order below the E-image.  A connection too low for its input
-raises (Connection.theta_at), never truncates.
+delta d phi, two below phi; op_MT builds the tractor connection one order
+below the E-image.  A connection too low for its input raises
+(Connection.theta_at), never truncates.
 
 Translating M through the injector E and its adjoint yields the
 second-order operator on trace-free symmetric tensors whose composition
@@ -101,13 +101,6 @@ def _pair_raised(conn: Connection, mats: np.ndarray, comps: np.ndarray) -> np.nd
     return out.reshape(mats.shape[:-4] + (r, -1))
 
 
-def f_action(phi: TwistedForm, conn: Connection) -> TwistedForm:
-    """(F# phi)_b = g^{ac} F_ba phi_c on dense twisted 1-forms."""
-    if phi.degree != 1:
-        raise ValueError("F# acts on 1-forms here")
-    return TwistedForm(1, _pair_raised(conn, curvature(conn), phi.comps))
-
-
 def op_M(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """Second-order detour operator delta d - F# on twisted 1-forms, two orders below phi.
 
@@ -115,7 +108,7 @@ def op_M(phi: TwistedForm, conn: Connection) -> TwistedForm:
     """
     comps = jets.as_dense(phi.comps)
     dd = twisted_delta(twisted_d(TwistedForm(1, comps), conn), conn).comps
-    fa = f_action(TwistedForm(1, comps[..., : dd.shape[-1]]), conn).comps
+    fa = _pair_raised(conn, curvature(conn), comps[..., : dd.shape[-1]])  # F# phi
     return TwistedForm(1, jets.like(dd - fa, phi.comps, conn.dim))
 
 
@@ -151,16 +144,15 @@ def current_contraction(current: np.ndarray, phi: TwistedForm, conn: Connection)
 # translation to trace-free symmetric tensors
 
 
-def op_MT(psi: JetTensor, geom: Geometry, conn: Connection | None = None) -> JetTensor:
+def op_MT(psi: JetTensor, geom: Geometry) -> JetTensor:
     """E* M E: the detour operator on trace-free symmetric tensors, four orders below psi.
 
-    Without conn the tractor connection is built one order below the E-image,
-    the highest order op_M reads of it; an explicit conn is used as given.
+    The tractor connection is built one order below the E-image, the highest
+    order op_M reads of it.
     """
     dense = JetTensor(psi.variances, jets.as_dense(psi.comps))  # dense between the steps
     image = tractor_mod.op_E(dense, geom).as_matrix()
-    if conn is None:
-        conn = tractor_connection(geom, jets.order_of(geom.jet_dim, image.shape[-1]) - 1)
+    conn = tractor_connection(geom, jets.order_of(geom.jet_dim, image.shape[-1]) - 1)
     m_out = op_M(TwistedForm(1, image), conn)
     out = tractor_mod.op_E_star(tractor_mod.TractorOneForm.from_matrix(m_out.comps), geom)
     return JetTensor(out.variances, jets.like(out.comps, psi.comps, geom.jet_dim))

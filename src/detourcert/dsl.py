@@ -417,7 +417,8 @@ class MetricSpec:
         pts = np.asarray(point, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
             raise ValueError(f"points of shape {pts.shape}, expected ({self.dim},) or (P, {self.dim})")
-        vals = _run(self._program, self.coords, pts, order) if pts.ndim == 2 else self._walk(pts, order)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values: Geometry refuses them
+            vals = _run(self._program, self.coords, pts, order) if pts.ndim == 2 else self._walk(pts, order)
         g = np.zeros(pts.shape[:-1] + (self.dim, self.dim, jets._size(self.dim, order)))
         for (i, j), val in zip(self.components, vals):
             g[..., i, j, :] = g[..., j, i, :] = val

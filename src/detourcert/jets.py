@@ -116,19 +116,6 @@ def _mul_table(dim, order: int):
 
 
 @lru_cache(maxsize=None)
-def _partial_table(dim, order: int, slot: int):
-    """Source ranks and multipliers mapping coeffs(K) -> coeffs of d/dx_slot (K-1)."""
-    rank = _rank(dim, order)
-    src, mul = [], []
-    for beta in multi_indices(dim, order - 1):
-        up = list(beta)
-        up[slot] += 1
-        src.append(rank[tuple(up)])
-        mul.append(beta[slot] + 1.0)
-    return np.asarray(src, dtype=np.intp), np.asarray(mul)
-
-
-@lru_cache(maxsize=None)
 def _embed_table(dim: int, order: int, key, pad: tuple):
     """Ranks in the jets of key, at order + |pad|, of alpha + pad for each alpha of (dim, order)."""
     rank = _rank(key, order + sum(pad))
@@ -165,8 +152,11 @@ def _pair_runs(dim, order: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _partials_table(dim, order: int, slots: int):
-    tables = [_partial_table(dim, order, s) for s in range(slots)]
-    return np.stack([t[0] for t in tables]), np.stack([t[1] for t in tables])
+    """Source ranks and multipliers, one row per s < slots: coeffs(K) -> coeffs of d/dx_s (K-1)."""
+    rank, lower = _rank(dim, order), multi_indices(dim, order - 1)
+    src = [[rank[beta[:s] + (beta[s] + 1,) + beta[s + 1 :]] for beta in lower] for s in range(slots)]
+    mul = [[beta[s] + 1.0 for beta in lower] for s in range(slots)]
+    return np.asarray(src, dtype=np.intp), np.asarray(mul)
 
 
 @lru_cache(maxsize=None)
@@ -411,22 +401,6 @@ class Jet:
         """Constant term: the function value at the base point."""
         return float(self.coeffs[0])
 
-    def coeff(self, alpha) -> float:
-        """Taylor coefficient for the exponent tuple alpha."""
-        alpha = tuple(int(a) for a in alpha)
-        r = _rank(self.dim, self.order).get(alpha)
-        if r is None:
-            raise ValueError(f"multi-index {alpha} outside jet of order {self.order}")
-        return float(self.coeffs[r])
-
-    def derivative(self, alpha) -> float:
-        """Partial derivative d^alpha at the base point (factorial unscaled)."""
-        alpha = tuple(int(a) for a in alpha)
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
-        return self.coeff(alpha) * fac
-
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
@@ -459,8 +433,7 @@ class Jet:
             raise ValueError(f"slot {slot} out of range")
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, mul = _partial_table(self.dim, self.order, slot)
-        return Jet(self.dim, self.order - 1, self.coeffs[src] * mul)
+        return Jet(self.dim, self.order - 1, partials(self.coeffs, self.dim, self.dim)[slot])
 
     def extended(self, extra: int) -> "Jet":
         """Same germ viewed in dim+extra variables; new slots are passive."""

@@ -9,18 +9,18 @@ handles on that space:
   curvature and all of its covariant derivatives, so the kernel of the
   stacked value matrices F, grad F, grad^2 F ... bounds the solution
   space (and equals it at generic points);
-* parallel transport: integrate v' = -Theta(c'(t)) v along explicit
-  curves with an independent tighter re-solve as an error certificate.
+* parallel transport: integrate v' = -Theta(c'(t)) v along coordinate
+  segments with an independent tighter re-solve as an error certificate.
 
 Transport consumes only the metric text, not a fixed chart jet: it
 rebuilds order-2 geometry at the stage times of the integrator, Dormand-
-Prince 5(4) with RK45's step control, in-repo (no start of the program
-imports scipy.integrate).  A(t) = Theta(c(t)) c'(t) does not depend on v,
-so the five stage points of a step attempt share one batched Geometry
-(a leading points axis), bit-identical to five single-point builds: one run
-of the metric text's compiled program (MetricSpec.metric_jets), one order-2
-chain, whose inverse metric is formed to degree 1 only, and one batched
-product v^a Theta_a.
+Prince 5(4) with RK45's step control, in-repo (the program imports no
+scipy).  On the segment c(t) = a + t d, A(t) = d^a Theta_a(c(t))
+does not depend on v, so the five stage points of a step attempt share one
+batched Geometry (a leading points axis), bit-identical to five single-point
+builds: one run of the metric text's compiled program
+(MetricSpec.metric_jets), one order-2 chain, whose inverse metric is formed
+to degree 1 only, and one batched product d^a Theta_a.
 """
 from __future__ import annotations
 
@@ -185,22 +185,24 @@ def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
     return y, nfev
 
 
-def transport(spec, builder: Callable, curve: Callable, v0,
+def transport(spec, builder: Callable, p0: Sequence[float], p1: Sequence[float], v0,
               rtol: float = 1e-10, atol: float = 1e-12,
               certify_tol: float = 1e-6,
               refine: bool = True) -> TransportResult:
-    """Parallel transport of v0 along curve from t = 0 to 1; curve(t) = (point, velocity).
+    """Parallel transport of v0 along the coordinate segment from p0 to p1.
 
     Solves twice, the second time with 100x tighter tolerances; the
     disagreement is the reported error, and CertificationError is raised
     if that certificate exceeds certify_tol.  refine=False skips the
     second solve (no certificate; error reported as nan).
     """
+    a = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - a
+
     def connections(ts):
-        points, vels = zip(*map(curve, ts))
-        th = _theta_values(spec, builder, np.array(points, dtype=float))
-        p, n, r = th.shape[:3]  # A = v^a Theta_a at each point, as one batched matmul
-        return (np.array(vels, dtype=float)[:, None, :] @ th.reshape(p, n, r * r)).reshape(p, r, r)
+        th = _theta_values(spec, builder, a + ts[:, None] * d)
+        p, n, r = th.shape[:3]  # A = d^a Theta_a at each point, as one batched matmul
+        return (d @ th.reshape(p, n, r * r)).reshape(p, r, r)
 
     end, nfev = _dopri45(connections, 0.0, 1.0, v0, rtol, atol)
     if not refine:
@@ -214,23 +216,13 @@ def transport(spec, builder: Callable, curve: Callable, v0,
     return TransportResult(fine_end, err, nfev + fine_nfev)
 
 
-def segment(p0: Sequence[float], p1: Sequence[float]) -> Callable:
-    a = np.asarray(p0, dtype=float)
-    b = np.asarray(p1, dtype=float)
-
-    def curve(t):
-        return a + t * (b - a), b - a
-
-    return curve
-
-
 def transport_polyline(spec, builder, points: Sequence, v0, **kw) -> TransportResult:
     """Chain transports along straight coordinate segments."""
     v = np.asarray(v0, dtype=float)
     err = 0.0
     nfev = 0
     for p0, p1 in zip(points[:-1], points[1:]):
-        res = transport(spec, builder, segment(p0, p1), v, **kw)
+        res = transport(spec, builder, p0, p1, v, **kw)
         v, err, nfev = res.end, err + res.error, nfev + res.nfev
     return TransportResult(v, err, nfev)
 

@@ -376,13 +376,19 @@ def _python(*argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
-def test_start_imports_no_heavy_scipy_subpackages():
-    # every `detourcert` start pays for what importing the CLI pulls in
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+def test_the_runtime_needs_no_scipy():
+    # scipy is a test dependency only: importing the CLI loads none of it, a run
+    # with scipy unimportable passes, and the report names no scipy version
     out = _python("-c", "import sys, detourcert.cli; "
-                  f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+    out = _python("-c", "import sys; sys.modules['scipy'] = None; "
+                  "from detourcert import cli; sys.exit(cli.main(['verify', '--metric', "
+                  "'generic_bump4', '--points', '1', '--format', 'json']))")
+    assert out.returncode == 0, out.stderr
+    versions = json.loads(out.stdout)["environment"]["versions"]
+    assert sorted(versions) == ["detourcert", "numpy", "python"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -406,7 +412,7 @@ def test_a_complex_constant_exits_with_code_2(tmp_path, g11):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf while evaluating
+@pytest.mark.filterwarnings("error")  # inf - inf while evaluating warns nothing
 @pytest.mark.parametrize("suite", ["curvature", "tractor", "detour", "prolong"])
 @pytest.mark.parametrize("g11, name", [("1 + 1e999 * x", "number out of range"),
                                        ("1 + 1e308*10*x*x - 1e308*10*x*x", "non-finite")])
@@ -417,7 +423,19 @@ def test_a_non_finite_metric_exits_with_code_2(tmp_path, capsys, suite, g11, nam
                      "--points", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err
+    assert err.startswith("error:") and name in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("g11", ["1" + "+x" * 399, "(" * 250 + "1+x" + ")" * 250],
+                         ids=["sum-of-400-terms", "250-parentheses"])
+def test_deeply_nested_metric_text_exits_with_code_2(tmp_path, g11):
+    # a 400-term sum or 250 nested parentheses exceeds the recursion limit of the
+    # parser and the compiler: an evaluation error, not a traceback
+    out = _python("-m", "detourcert.cli", "verify", "--metric", _metric_file(tmp_path, g11),
+                  "--points", "1")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert "RecursionError" in out.stderr
 
 
 def test_detour_suite_builds_one_covector_connection_per_point(monkeypatch):

@@ -392,7 +392,8 @@ def test_degree_sweep_inverse_is_exact_in_every_coefficient(name):
     # g g^-1 = I in every coefficient at order 8, at the seed-0 sample point;
     # near the chart poles |g^-1| reaches 1e6, so the bound scales with
     # max |g| max |g^-1| (the largest one measured is 6e-11 absolute)
-    geom = catalog.get(name).geometry(order=8)
+    entry = catalog.get(name)
+    geom = entry.geometry(entry.sample_point(np.random.default_rng(0)), order=8)
     cases = [(geom.dense("g"), geom.jet_dim)] + ([_ring_metric(geom)] if geom.n == 4 else [])
     for g, dim in cases:
         inv = invert_jet_matrix(g, dim)
@@ -724,7 +725,8 @@ def ref_riemann(geom):
 def test_riemann_is_the_curvature_form_of_gamma_bit_for_bit(name):
     entry = catalog.get(name)
     points = np.array([entry.sample_point(np.random.default_rng(s)) for s in (1, 2)])
-    for geom in (entry.geometry(order=5), Geometry(entry.spec(), points, order=5)):
+    for geom in (entry.geometry(entry.sample_point(np.random.default_rng(0)), order=5),
+                 Geometry(entry.spec(), points, order=5)):
         want = ref_riemann(geom)
         np.testing.assert_array_equal(geom.dense("riemann"), want)
         theta = geom.dense("gamma").swapaxes(-4, -3)  # Theta_b[c, d] = Gam^c_bd

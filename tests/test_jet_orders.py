@@ -112,9 +112,8 @@ def full_op_M(phi, conn):
     return TwistedForm(1, dd[..., :nc] - fa[..., :nc])
 
 
-def full_op_MT(psi, geom, conn=None):
-    if conn is None:
-        conn = tractor_connection(geom)  # order K-2
+def full_op_MT(psi, geom):
+    conn = tractor_connection(geom)  # order K-2
     m_out = full_op_M(TwistedForm(1, tractor.op_E(psi, geom).as_matrix()), conn)
     out = tractor.op_E_star(tractor.TractorOneForm.from_matrix(m_out.comps), geom)
     return JetTensor(out.variances, out.comps)
@@ -227,11 +226,7 @@ def test_trimmed_operators_equal_their_full_order_references(name, order):
     geom = Geometry(entry.spec(), entry.sample_point(rng), order=order)
     n = geom.n
     psi = tractor.op_D(_draw(rng, (), n, order), geom)  # order K-2, the most op_MT takes
-    want = full_op_MT(psi, geom).comps
-    assert np.array_equal(detour.op_MT(psi, geom).comps, want)
-    got = detour.op_MT(psi, geom, conn=tractor_connection(geom)).comps
-    assert np.array_equal(got, full_op_MT(psi, geom, conn=tractor_connection(geom)).comps)
-    assert np.array_equal(got, want)
+    assert np.array_equal(detour.op_MT(psi, geom).comps, full_op_MT(psi, geom).comps)
     t = tractor.TractorJet.from_vector(_draw(rng, (n + 2,), n, order - 1))
     assert np.array_equal(tractor.apply_connection(t, geom).as_matrix(),
                           full_apply_connection(t, geom).as_matrix())
@@ -248,7 +243,7 @@ def test_a_connection_built_too_low_raises():
     geom = Geometry(entry.spec(), entry.sample_point(np.random.default_rng(7)), order=6)
     psi = tractor.op_D(_draw(np.random.default_rng(8), (), 4, 6), geom)  # order 4, E-image 3
     with pytest.raises(ValueError):
-        detour.op_MT(psi, geom, conn=tractor_connection(geom, 1))
+        detour.op_M(TwistedForm(1, tractor.op_E(psi, geom).as_matrix()), tractor_connection(geom, 1))
     phi = TwistedForm(1, _draw(np.random.default_rng(9), (4, 4), 4, 3))
     with pytest.raises(ValueError):
         detour.op_M(phi, covector_connection(geom, 1))

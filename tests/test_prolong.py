@@ -193,7 +193,7 @@ def flat_rotation_fiber(pt):
 def test_flat_rotation_killing_transport():
     p0, p1 = (0.3, -0.2, 0.5, 0.1), (1.1, 0.7, -0.4, 0.9)
     res = prolong.transport(
-        FLAT4, killing_connection, prolong.segment(p0, p1), flat_rotation_fiber(p0)
+        FLAT4, killing_connection, p0, p1, flat_rotation_fiber(p0)
     )
     assert np.max(np.abs(res.end - flat_rotation_fiber(p1))) < 1e-10
     assert res.error < 1e-10
@@ -209,7 +209,7 @@ def test_static_killing_field_transport_on_schwarzschild():
 
     p0, p1 = P_SCHW, (0.4, 7.0, 0.9, 1.1)
     res = prolong.transport(
-        SCHWARZSCHILD, killing_connection, prolong.segment(p0, p1), fiber(p0)
+        SCHWARZSCHILD, killing_connection, p0, p1, fiber(p0)
     )
     assert np.max(np.abs(res.end - fiber(p1))) < 1e-9
 
@@ -221,7 +221,7 @@ def test_constant_scale_tractor_is_parallel_on_ricci_flat():
 
     p0, p1 = P_SCHW, (0.4, 7.0, 0.9, 1.1)
     res = prolong.transport(
-        SCHWARZSCHILD, tractor_connection, prolong.segment(p0, p1), fiber(p0)
+        SCHWARZSCHILD, tractor_connection, p0, p1, fiber(p0)
     )
     assert np.max(np.abs(res.end - fiber(p1))) < 1e-9
 
@@ -293,7 +293,7 @@ def test_unreachable_certificate_raises():
     v0 = np.random.default_rng(3).standard_normal(10)
     with pytest.raises(prolong.CertificationError):
         prolong.transport(
-            SCHWARZSCHILD, killing_connection, prolong.segment(p0, p1), v0,
+            SCHWARZSCHILD, killing_connection, p0, p1, v0,
             certify_tol=1e-18,
         )
 
@@ -301,7 +301,7 @@ def test_unreachable_certificate_raises():
 def test_certificate_reported_and_small():
     p0, p1 = (0.8, 1.1, 0.9, 2.0), (0.9, 1.3, 1.0, 2.1)
     v0 = np.random.default_rng(4).standard_normal(6)
-    res = prolong.transport(SPHERE4, tractor_connection, prolong.segment(p0, p1), v0)
+    res = prolong.transport(SPHERE4, tractor_connection, p0, p1, v0)
     assert res.error < 1e-8
     assert res.nfev > 0
 
@@ -368,22 +368,21 @@ def _tractor_segment(name, seed):
     rng = np.random.default_rng(seed)
     p0 = np.array(entry.sample_point(rng))
     p1 = p0 + 0.4 * (np.array(entry.sample_point(rng)) - p0)
-    return entry.spec(), prolong.segment(p0, p1), rng.standard_normal(entry.spec().dim + 2)
+    return entry.spec(), p0, p1, rng.standard_normal(entry.spec().dim + 2)
 
 
 @pytest.mark.parametrize("rtol", [1e-9, 1e-12])
 def test_tractor_transport_matches_scipy_rk45(monkeypatch, rtol):
-    spec, curve, v0 = _tractor_segment("generic_bump4", 0)
+    spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
 
     def connection(t):
-        point, vel = curve(t)
-        th = prolong._theta_values(spec, tractor_connection, tuple(point))
-        return np.tensordot(vel, th, axes=(0, 0))
+        th = prolong._theta_values(spec, tractor_connection, tuple(p0 + t * (p1 - p0)))
+        return np.tensordot(p1 - p0, th, axes=(0, 0))
 
     ref = _rk45(connection, 0.0, 1.0, v0, rtol, 1e-2 * rtol)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
-    res = prolong.transport(spec, tractor_connection, curve, v0, rtol=rtol,
+    res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=rtol,
                             atol=1e-2 * rtol, refine=False)
     assert np.array_equal(res.end, ref.y[:, -1])
     assert res.nfev == ref.nfev
@@ -394,20 +393,20 @@ def test_non_finite_stage_fails_at_once(monkeypatch):
     # past the middle of the segment the connection is NaN; the integrator
     # stops at the first build whose batch holds such a point instead of
     # shrinking h to its floor
-    spec, curve, v0 = _tractor_segment("generic_bump4", 1)
-    middle = curve(0.5)[0]
+    spec, p0, p1, v0 = _tractor_segment("generic_bump4", 1)
+    middle = p0 + 0.5 * (p1 - p0)
     theta = prolong._theta_values
     poisoned_builds = []  # one flag per point of each build
 
     def poisoned(spec, builder, points):
         th = theta(spec, builder, points)
-        poisoned_builds.append(np.dot(np.subtract(points, middle), curve(0.0)[1]) > 0)
+        poisoned_builds.append(np.dot(np.subtract(points, middle), p1 - p0) > 0)
         return np.where(poisoned_builds[-1][:, None, None, None], np.nan, th)
 
     monkeypatch.setattr(prolong, "_theta_values", poisoned)
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t="):
-        prolong.transport(spec, tractor_connection, curve, v0, rtol=1e-9, atol=1e-11)
+        prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
     # scipy's RK45 spends about 500 builds here shrinking h down to 10 ulp
     assert poisoned_builds[-1].any() and not any(f.any() for f in poisoned_builds[:-1])
 
