@@ -14,11 +14,12 @@ handles on that space:
 
 Transport consumes only the metric text, not a fixed chart jet: it
 rebuilds order-2 geometry at the stage times of the integrator, Dormand-
-Prince 5(4) with RK45's step control, in-repo (the program imports no
-scipy).  On the segment c(t) = a + t d, A(t) = d^a Theta_a(c(t))
-does not depend on v, so the five stage points of a step attempt share one
-batched Geometry (a leading points axis), bit-identical to five single-point
-builds: one run of the metric text's compiled program
+Prince 8(5,3) with DOP853's step control, in-repo (the program imports no
+scipy).  The first step attempt covers the whole segment.  On the segment
+c(t) = a + t d, A(t) = d^a Theta_a(c(t)) does not depend on v, so the 11
+distinct stage points of a step attempt (and the start, in the first
+attempt) share one batched Geometry (a leading points axis), bit-identical to
+single-point builds: one run of the metric text's compiled program
 (MetricSpec.metric_jets), one order-2 chain, whose inverse metric is formed
 to degree 1 only, and one batched product d^a Theta_a.
 """
@@ -94,36 +95,56 @@ def _theta_values(spec, builder, points) -> np.ndarray:
     return th
 
 
-# Dormand & Prince, J. Comput. Appl. Math. 6 (1980), with the step control
-# of Hairer, Norsett & Wanner, Solving ODEs I, II.4.  The arithmetic is that
-# of scipy's RK45 operation for operation, so end states and nfev match it
-# bit for bit.
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+# Dormand & Prince's 8(5,3) pair (DOP853) with the step control of Hairer,
+# Norsett & Wanner, Solving ODEs I, II.4-II.5.  The tableau is scipy's
+# dop853_coefficients, and the arithmetic is that of scipy's DOP853 with
+# first_step=|t1 - t0| operation for operation, so end states and nfev match
+# it bit for bit.
+_C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_A = np.array([row + [0] * (12 - len(row)) for row in [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+]])
+_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+               -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+               0.20136540080403034, 0.04471061572777259])
+_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+                -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+                0.20136540080403034, 0.02265179219836082, 0])
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294, 0])
 
 
-def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
-             rtol: float, atol: float) -> tuple:
+def _dop853(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
+            rtol: float, atol: float) -> tuple:
     """Integrate y' = -M(t) y from t0 to t1; returns (y(t1), nfev).
 
-    matrices_at(ts) returns M(t) for each t of the array ts: twice with one
-    time for the initial step, then once per step attempt with its 5 distinct
-    stage times (the c = 1 stage and the first-same-as-last derivative share
-    t + h).  nfev is RK45's count of right-hand sides, 2 + 6 per attempt.  A
-    non-finite right-hand side raises at once, at the first such stage.
+    The first attempt covers the whole interval.  matrices_at(ts) returns
+    M(t) for each t of the array ts: once per step attempt, with t0 and the
+    11 distinct stage times of the first attempt, then with the 11 stage
+    times of each later one (the c = 1 stage and the first-same-as-last
+    derivative share t + h).  nfev is scipy's count of right-hand sides,
+    1 + 12 per attempt.  A non-finite right-hand side raises at once, at the
+    first such stage in stage order, f(t0) first.
     """
     t, t1, y = float(t0), float(t1), np.asarray(y0, dtype=float)
     if t == t1:
@@ -138,20 +159,8 @@ def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
                 f"integrator failed: non-finite right-hand side at t={float(s)!r}")
         return f
 
-    # initial step: Hairer-Norsett-Wanner's two-evaluation estimate
-    f = deriv(t, matrices_at(np.array([t]))[0], y)
-    interval = abs(t1 - t)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    s = t + h0 * direction
-    d2 = _rms((deriv(s, matrices_at(np.array([s]))[0], y + h0 * direction * f) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (
-        (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, interval)
-    nfev = 2
-
-    k = np.empty((7, y.size))
+    h_abs, nfev, f = abs(t1 - t), 1, None
+    k = np.empty((13, y.size))
     while direction * (t - t1) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -165,21 +174,28 @@ def _dopri45(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
                 t_new = t1
             h = t_new - t
             h_abs = np.abs(h)
-            k[0] = f
             ts = t + _C[1:] * h
-            ms = matrices_at(ts)
-            for i in range(1, 6):
+            if f is None:  # the matrix at t0 joins the first attempt's build
+                ms = matrices_at(np.concatenate(([t], ts)))
+                f, ms = deriv(t, ms[0], y), ms[1:]
+            else:
+                ms = matrices_at(ts)
+            k[0] = f
+            for i in range(1, 12):
                 k[i] = deriv(ts[i - 1], ms[i - 1], y + np.dot(k[:i].T, _A[i, :i]) * h)
             y_new = y + h * np.dot(k[:-1].T, _B)
-            f_new = k[6] = deriv(t + h, ms[4], y_new)  # the c = 1 stage's matrix
-            nfev += 6
+            f_new = k[12] = deriv(t + h, ms[10], y_new)  # the c = 1 stage's matrix
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(k.T, _E) * h / scale)
+            e5 = np.linalg.norm(np.dot(k.T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(k.T, _E3) / scale) ** 2
+            err = 0.0 if e5 == 0 and e3 == 0 else (
+                np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size))
             if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
         t, y, f = t_new, y_new, f_new
     return y, nfev
@@ -204,10 +220,10 @@ def transport(spec, builder: Callable, p0: Sequence[float], p1: Sequence[float],
         p, n, r = th.shape[:3]  # A = d^a Theta_a at each point, as one batched matmul
         return (d @ th.reshape(p, n, r * r)).reshape(p, r, r)
 
-    end, nfev = _dopri45(connections, 0.0, 1.0, v0, rtol, atol)
+    end, nfev = _dop853(connections, 0.0, 1.0, v0, rtol, atol)
     if not refine:
         return TransportResult(end, float("nan"), nfev)
-    fine_end, fine_nfev = _dopri45(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01)
+    fine_end, fine_nfev = _dop853(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01)
     err = float(np.max(np.abs(end - fine_end)))
     if err > certify_tol:
         raise CertificationError(

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from detourcert import catalog, prolong
 from detourcert.connections import (
@@ -306,7 +307,15 @@ def test_certificate_reported_and_small():
     assert res.nfev > 0
 
 
-# -- the Dormand-Prince stepper against scipy's RK45 --------------------------
+# -- the DOP853 stepper against scipy's DOP853 ---------------------------------
+
+
+def test_tableau_is_scipys_dop853():
+    assert np.array_equal(prolong._A, dop853_coefficients.A[:12, :12])
+    assert np.array_equal(prolong._B, dop853_coefficients.B)
+    assert np.array_equal(prolong._C, dop853_coefficients.C[:12])
+    assert np.array_equal(prolong._E3, dop853_coefficients.E3)
+    assert np.array_equal(prolong._E5, dop853_coefficients.E5)
 
 
 def _linear(t):
@@ -318,11 +327,11 @@ def _kicked_rotation(t):
     return np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1.0 + 40.0 * np.exp(-((t - 0.6) / 0.05) ** 2))
 
 
-def _rk45(matrix_at, t0, t1, y0, rtol, atol):
+def _dop853(matrix_at, t0, t1, y0, rtol, atol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns when it raises rtol to its floor
         return solve_ivp(lambda t, y: -(matrix_at(t) @ y), (t0, t1), y0,
-                         method="RK45", rtol=rtol, atol=atol)
+                         method="DOP853", rtol=rtol, atol=atol, first_step=abs(t1 - t0))
 
 
 def _counted(fn, calls):
@@ -337,10 +346,9 @@ def _batched(matrix_at):
 
 
 def _assert_one_batch_per_attempt(sizes, nfev):
-    # two single-time calls for the initial step, then one call per attempt
-    # with its 5 stage times
-    attempts, rest = divmod(nfev - 2, 6)
-    assert rest == 0 and sizes == [1, 1] + [5] * attempts
+    # one call per attempt: t0 and 11 stage times, then 11 stage times
+    attempts, rest = divmod(nfev - 1, 12)
+    assert rest == 0 and sizes == [12] + [11] * (attempts - 1)
     return attempts
 
 
@@ -350,12 +358,12 @@ def _assert_one_batch_per_attempt(sizes, nfev):
     (_kicked_rotation, 0.0, 1.0, 1e-6, True),
     (_linear, 0.0, 2.0, 1e-16, False),  # below the 100 eps floor on rtol
 ])
-def test_stepper_matches_scipy_rk45_bit_for_bit(matrix_at, t0, t1, rtol, rejects):
+def test_stepper_matches_scipy_dop853_bit_for_bit(matrix_at, t0, t1, rtol, rejects):
     y0 = np.array([1.0, 0.5])
-    ref = _rk45(matrix_at, t0, t1, y0, rtol, 1e-2 * rtol)
+    ref = _dop853(matrix_at, t0, t1, y0, rtol, 1e-2 * rtol)
     calls = []
-    end, nfev = prolong._dopri45(_counted(_batched(matrix_at), calls), t0, t1, y0, rtol,
-                                 1e-2 * rtol)
+    end, nfev = prolong._dop853(_counted(_batched(matrix_at), calls), t0, t1, y0, rtol,
+                                1e-2 * rtol)
     assert np.array_equal(end, ref.y[:, -1])
     assert nfev == ref.nfev
     attempts = _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
@@ -372,14 +380,14 @@ def _tractor_segment(name, seed):
 
 
 @pytest.mark.parametrize("rtol", [1e-9, 1e-12])
-def test_tractor_transport_matches_scipy_rk45(monkeypatch, rtol):
+def test_tractor_transport_matches_scipy_dop853(monkeypatch, rtol):
     spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
 
     def connection(t):
         th = prolong._theta_values(spec, tractor_connection, tuple(p0 + t * (p1 - p0)))
         return np.tensordot(p1 - p0, th, axes=(0, 0))
 
-    ref = _rk45(connection, 0.0, 1.0, v0, rtol, 1e-2 * rtol)
+    ref = _dop853(connection, 0.0, 1.0, v0, rtol, 1e-2 * rtol)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
     res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=rtol,
@@ -407,26 +415,41 @@ def test_non_finite_stage_fails_at_once(monkeypatch):
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t="):
         prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
-    # scipy's RK45 spends about 500 builds here shrinking h down to 10 ulp
+    # a stepper that took a NaN stage for a rejected step would shrink h
+    # down to 10 ulp here, one build per attempt
     assert poisoned_builds[-1].any() and not any(f.any() for f in poisoned_builds[:-1])
 
 
-@pytest.mark.parametrize("stages", [[2], [1, 3], [4], [0, 1, 2, 3, 4]])
+def _poisoned_at_call(call, stages, calls):
+    # matrices_at for _linear that is NaN at the given indices of its given call
+    def matrices_at(ts):
+        calls.append(ts)
+        ms = [_linear(t) for t in ts]
+        if len(calls) == call:
+            for i in stages:
+                ms[i] = np.full((2, 2), np.nan)
+        return ms
+    return matrices_at
+
+
+@pytest.mark.parametrize("stages", [[5], [1, 7], [10], list(range(11))])
 def test_first_non_finite_stage_of_a_batch_is_reported(stages):
     # the stages of an attempt are evaluated in order after their one build:
     # the error names the time of the first poisoned stage
     calls = []
-
-    def matrices_at(ts):
-        calls.append(ts)
-        ms = [_linear(t) for t in ts]
-        if len(calls) == 4:  # the second step attempt
-            for i in stages:
-                ms[i] = np.full((2, 2), np.nan)
-        return ms
-
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t=") as err:
-        prolong._dopri45(matrices_at, 0.0, 2.0, np.array([1.0, 0.5]), 1e-9, 1e-11)
-    assert len(calls) == 4
+        prolong._dop853(_poisoned_at_call(2, stages, calls), 0.0, 2.0,
+                        np.array([1.0, 0.5]), 1e-9, 1e-11)
+    assert len(calls) == 2  # the second step attempt
     assert str(err.value).endswith(f"t={float(calls[-1][stages[0]])!r}")
+
+
+def test_non_finite_matrix_at_t0_is_reported_before_the_stages():
+    # the first build holds t0 and the stage times; f(t0) is evaluated first
+    calls = []
+    with pytest.raises(prolong.CertificationError,
+                       match="integrator failed: non-finite right-hand side at t=0.5$"):
+        prolong._dop853(_poisoned_at_call(1, [3, 0], calls), 0.5, 2.0,
+                        np.array([1.0, 0.5]), 1e-9, 1e-11)
+    assert [len(ts) for ts in calls] == [12]
