@@ -15,7 +15,9 @@ handles on that space:
 Transport consumes only the metric text, not a fixed chart jet: it
 rebuilds order-2 geometry at the stage times of the integrator, Dormand-
 Prince 8(5,3) with DOP853's step control, in-repo (the program imports no
-scipy).  The first step attempt covers the whole segment.  On the segment
+scipy).  The first step attempt covers the whole segment; the re-solve's
+first attempt covers half of it, so the two solves start with different
+steps and the certificate does not read 0 by construction.  On the segment
 c(t) = a + t d, A(t) = d^a Theta_a(c(t)) does not depend on v, so the 11
 distinct stage points of a step attempt (and the start, in the first
 attempt) share one batched Geometry (a leading points axis), bit-identical to
@@ -135,10 +137,11 @@ _E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589
 
 
 def _dop853(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
-            rtol: float, atol: float) -> tuple:
+            rtol: float, atol: float, first_step: float | None = None) -> tuple:
     """Integrate y' = -M(t) y from t0 to t1; returns (y(t1), nfev).
 
-    The first attempt covers the whole interval.  matrices_at(ts) returns
+    The first attempt has length first_step (as scipy's first_step), by
+    default the whole interval.  matrices_at(ts) returns
     M(t) for each t of the array ts: once per step attempt, with t0 and the
     11 distinct stage times of the first attempt, then with the 11 stage
     times of each later one (the c = 1 stage and the first-same-as-last
@@ -159,7 +162,7 @@ def _dop853(matrices_at: Callable, t0: float, t1: float, y0: np.ndarray,
                 f"integrator failed: non-finite right-hand side at t={float(s)!r}")
         return f
 
-    h_abs, nfev, f = abs(t1 - t), 1, None
+    h_abs, nfev, f = abs(t1 - t) if first_step is None else first_step, 1, None
     k = np.empty((13, y.size))
     while direction * (t - t1) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -207,10 +210,12 @@ def transport(spec, builder: Callable, p0: Sequence[float], p1: Sequence[float],
               refine: bool = True) -> TransportResult:
     """Parallel transport of v0 along the coordinate segment from p0 to p1.
 
-    Solves twice, the second time with 100x tighter tolerances; the
-    disagreement is the reported error, and CertificationError is raised
-    if that certificate exceeds certify_tol.  refine=False skips the
-    second solve (no certificate; error reported as nan).
+    Solves twice, the second time with 100x tighter tolerances and a first
+    step of half the segment (the first solve tries the whole segment, so
+    the two start with different steps); the disagreement is the reported
+    error, and CertificationError is raised if that certificate exceeds
+    certify_tol.  refine=False skips the second solve (no certificate;
+    error reported as nan).
     """
     a = np.asarray(p0, dtype=float)
     d = np.asarray(p1, dtype=float) - a
@@ -223,7 +228,8 @@ def transport(spec, builder: Callable, p0: Sequence[float], p1: Sequence[float],
     end, nfev = _dop853(connections, 0.0, 1.0, v0, rtol, atol)
     if not refine:
         return TransportResult(end, float("nan"), nfev)
-    fine_end, fine_nfev = _dop853(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01)
+    fine_end, fine_nfev = _dop853(connections, 0.0, 1.0, v0, rtol * 0.01, atol * 0.01,
+                                  first_step=0.5)
     err = float(np.max(np.abs(end - fine_end)))
     if err > certify_tol:
         raise CertificationError(

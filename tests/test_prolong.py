@@ -307,6 +307,16 @@ def test_certificate_reported_and_small():
     assert res.nfev > 0
 
 
+@pytest.mark.parametrize("name", ["generic_bump4", "sphere4"])
+def test_certificate_is_nonzero_on_a_curved_segment(name):
+    # the first solve tries the whole segment and the tighter re-solve half
+    # of it, so the certificate compares two different step sequences; were
+    # both to take the whole segment in one step they would agree bit for bit
+    spec, p0, p1, v0 = _tractor_segment(name, 0)
+    res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
+    assert 0 < res.error < 1e-6
+
+
 # -- the DOP853 stepper against scipy's DOP853 ---------------------------------
 
 
@@ -327,11 +337,12 @@ def _kicked_rotation(t):
     return np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1.0 + 40.0 * np.exp(-((t - 0.6) / 0.05) ** 2))
 
 
-def _dop853(matrix_at, t0, t1, y0, rtol, atol):
+def _dop853(matrix_at, t0, t1, y0, rtol, atol, first_step=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns when it raises rtol to its floor
         return solve_ivp(lambda t, y: -(matrix_at(t) @ y), (t0, t1), y0,
-                         method="DOP853", rtol=rtol, atol=atol, first_step=abs(t1 - t0))
+                         method="DOP853", rtol=rtol, atol=atol,
+                         first_step=abs(t1 - t0) if first_step is None else first_step)
 
 
 def _counted(fn, calls):
@@ -369,6 +380,19 @@ def test_stepper_matches_scipy_dop853_bit_for_bit(matrix_at, t0, t1, rtol, rejec
     attempts = _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
     if rejects:
         assert attempts > len(ref.t) - 1
+
+
+def test_stepper_first_step_matches_scipy_dop853():
+    # the certificate's re-solve starts at half the interval
+    y0 = np.array([1.0, 0.5])
+    ref = _dop853(_linear, 0.0, 2.0, y0, 1e-9, 1e-11, first_step=1.0)
+    calls = []
+    end, nfev = prolong._dop853(_counted(_batched(_linear), calls), 0.0, 2.0, y0, 1e-9,
+                                1e-11, first_step=1.0)
+    assert np.array_equal(end, ref.y[:, -1])
+    assert nfev == ref.nfev and len(ref.t) > 2
+    assert calls[0][0][-1] == 1.0  # the first attempt's c = 1 stage ends its first step
+    _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
 
 
 def _tractor_segment(name, seed):
