@@ -52,7 +52,7 @@ class Connection:
     geom: Geometry
     rank: int
     theta: np.ndarray  # (n, rank, rank, ncoeff) dense jets
-    label: str = ""
+    label: str = ""  # keep: perfbench's tracer keys curvature repeats by (geometry, label)
     cache: dict = field(default_factory=dict, init=False, repr=False)  # curvature, ym_current
 
     @property

@@ -2,7 +2,7 @@
 
 Files look like::
 
-    # comments run to end of line
+    # a # outside double quotes starts a comment that runs to the end of the line
     dimension = 4
     signature = "-+++"
     coords = t r th ph
@@ -12,7 +12,8 @@ Files look like::
 Component expressions use +, -, *, /, ^ (numeric-literal exponents only),
 parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
-^  unary minus  * /  + -.
+^  unary minus  * /  + -.  One alternation regex, _TOKEN_RE, lexes them (each
+column is a match offset), and a recursive-descent parser builds the tree.
 
 MetricSpec.metric_jets returns the dense metric; everything downstream is
 dense.  On (P, n) points it runs the component trees compiled once into a
@@ -28,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -103,11 +104,11 @@ Expr = Union[Num, Var, Call, Neg, Bin, Pow]
 
 _NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = set("+-*/^()")
+_TOKEN_RE = re.compile(rf"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<num>{_NUM_RE.pattern})"
+                       rf"|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>.)")
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     value: float
@@ -115,50 +116,21 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str, line_offset: int = 0):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m and m.start() == i:
-            # reject forms like "1..2" where a stray dot follows
-            end = m.end()
-            if end < len(text) and text[end] == ".":
-                raise MetricSyntaxError("malformed number", line + line_offset, col)
-            if math.isinf(float(m.group())):
-                raise MetricSyntaxError("number out of range", line + line_offset, col)
-            tokens.append(_Token("num", m.group(), float(m.group()), line + line_offset, col))
-            col += end - i
-            i = end
-            continue
-        m = _NAME_RE.match(text, i)
-        if m and m.start() == i:
-            tokens.append(_Token("name", m.group(), 0.0, line + line_offset, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, 0.0, line + line_offset, col))
-            i += 1
-            col += 1
-            continue
-        raise MetricSyntaxError(f"unexpected character {ch!r}", line + line_offset, col)
-    tokens.append(_Token("end", "", 0.0, line + line_offset, col))
+def _tokenize(text: str, line_offset: int = 0) -> list:
+    tokens, line, start = [], 1 + line_offset, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise MetricSyntaxError(f"unexpected character {tok!r}", line, col)
+        elif kind == "num" and text.startswith(".", m.end()):  # "1..2": a stray dot follows
+            raise MetricSyntaxError("malformed number", line, col)
+        elif kind == "num" and math.isinf(float(tok)):
+            raise MetricSyntaxError("number out of range", line, col)
+        elif kind != "skip":
+            tokens.append(_Token(kind, tok, float(tok) if kind == "num" else 0.0, line, col))
+    tokens.append(_Token("end", "", 0.0, line, len(text) - start + 1))
     return tokens
 
 
@@ -456,18 +428,7 @@ class MetricSpec:
 
 _KEY_RE = re.compile(r"^\s*(dimension|signature|coords)\s*=\s*(.*?)\s*$")
 _COMP_RE = re.compile(r"^\s*g\[(\d+)\]\[(\d+)\]\s*=\s*\"([^\"]*)\"\s*$")
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out)
+_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to its first # outside quotes
 
 
 def parse_metric_text(text: str, label: str = "metric") -> MetricSpec:
@@ -476,7 +437,7 @@ def parse_metric_text(text: str, label: str = "metric") -> MetricSpec:
     coords = None
     comps = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         m = _COMP_RE.match(line)

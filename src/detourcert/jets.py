@@ -298,7 +298,7 @@ def _variable_coeffs(value, slot: int, dim: int, order: int) -> np.ndarray:
 def mul(x: np.ndarray, y: np.ndarray, dim, order: int) -> np.ndarray:
     """Truncated product at every point; the leading axes of x and y broadcast."""
     ia, ib, ic = _mul_table(dim, order)
-    if x.ndim == y.ndim == 1:
+    if x.ndim == y.ndim == 1:  # keep: bit-identical to the batched branch, 15 vs 28 us (order 6, dim 4)
         return np.bincount(ic, weights=x[ia] * y[ib], minlength=x.size)
     w = x[..., ia] * y[..., ib]
     n, lead, p = x.shape[-1], w.shape[:-1], math.prod(w.shape[:-1])

@@ -291,31 +291,33 @@ def curvature_divergence(geom: Geometry) -> np.ndarray:
 # conformal change of splitting (with weight trivialization factors)
 
 
-def _change_of_scale(m: np.ndarray, omega: Jet, geom: Geometry) -> np.ndarray:
+def _change_of_scale(m: np.ndarray, omega: Jet | np.ndarray, geom: Geometry) -> np.ndarray:
     """Rows (sigma, mu_c, rho) of a dense (r, n+2) array, in the scale exp(2 omega) g."""
-    n, dim = geom.n, geom.jet_dim
-    nc = min(m.shape[-1], jets._size(dim, omega.order - 1))
+    n, dim, w = geom.n, geom.jet_dim, jets.as_dense(omega)
+    nc = min(m.shape[-1], jets._size(dim, jets.order_of(dim, w.shape[-1]) - 1))
+    k = jets.order_of(dim, nc)
     sig, mu, rho = m[:, 0, :nc], m[:, 1 : n + 1, :nc], m[:, n + 1, :nc]
-    ups = jets.partials(omega.coeffs, dim, n)[:, :nc]
-    ups_up = connections.matmul(geom.dense("ginv", jets.order_of(dim, nc)), ups[:, None], dim)
+    ups = jets.partials(w, dim, n)[:, :nc]
+    ups_up = connections.matmul(geom.dense("ginv", k), ups[:, None], dim)
     cross = connections.matmul(mu, ups_up, dim)[:, 0]  # Upsilon^c mu_c of each row
     upsq = connections.matmul(ups[None], ups_up, dim)[0, 0]
-    ew = jets.exp(omega.truncated(jets.order_of(dim, nc)))
+    ew = jets.series("exp", w[:nc], dim, k)
     out = np.empty(m.shape[:-1] + (nc,))
     out[:, 0] = sig
     out[:, 1 : n + 1] = mu + connections.matmul(sig[:, None], ups[None], dim)
-    out[:, :-1] = _times(out[:, :-1], ew.coeffs, geom)
-    out[:, n + 1] = _times(rho - cross - _times(sig, upsq, geom) * 0.5, (1.0 / ew).coeffs, geom)
+    out[:, :-1] = _times(out[:, :-1], ew, geom)
+    rho = rho - cross - _times(sig, upsq, geom) * 0.5
+    out[:, n + 1] = _times(rho, jets.binary("/", 1.0, ew, dim, k), geom)
     return out
 
 
-def conformal_tractor(t: TractorJet, omega: Jet, geom: Geometry) -> TractorJet:
+def conformal_tractor(t: TractorJet, omega: Jet | np.ndarray, geom: Geometry) -> TractorJet:
     """Components of the same tractor in the scale exp(2 omega) g."""
     m = _change_of_scale(jets.as_dense(t.as_vector())[None], omega, geom)
     return TractorJet.from_vector(jets.like(m[0], t.sigma, geom.jet_dim))
 
 
-def conformal_one_form(phi: TractorOneForm, omega: Jet, geom: Geometry) -> TractorOneForm:
+def conformal_one_form(phi: TractorOneForm, omega: Jet | np.ndarray, geom: Geometry) -> TractorOneForm:
     """Slotwise transform of a tractor-valued 1-form (form index has weight 0)."""
     m = _change_of_scale(jets.as_dense(phi.as_matrix()), omega, geom)
     return TractorOneForm.from_matrix(jets.like(m, phi.alpha, geom.jet_dim))

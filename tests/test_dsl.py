@@ -6,6 +6,7 @@ DSL evaluator must match them at random points to 1e-12.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,28 @@ def test_syntax_errors_carry_location():
         with pytest.raises(MetricSyntaxError) as err:
             parse_expression(text)
         assert err.value.line >= 1 and err.value.col >= 1, text
+
+
+def test_the_lexer_table():
+    toks = dsl._tokenize("x\t+ 1.5e2 # c\r\n  *y", 2)
+    assert [(t.kind, t.text, t.value, t.line, t.col) for t in toks] == [
+        ("name", "x", 0.0, 3, 1), ("op", "+", 0.0, 3, 3), ("num", "1.5e2", 150.0, 3, 5),
+        ("op", "*", 0.0, 4, 3), ("name", "y", 0.0, 4, 4), ("end", "", 0.0, 4, 5),
+    ]
+    for text, message, where in [("1..2", "malformed number", (1, 1)),
+                                 ("2 $", "unexpected character '$'", (1, 3)),
+                                 ("x *\n 1e999", "number out of range", (2, 2))]:
+        with pytest.raises(MetricSyntaxError, match=re.escape(message)) as err:
+            dsl._tokenize(text)
+        assert (err.value.line, err.value.col) == where, text
+    # the end of input after a trailing comment sits at its true column
+    assert dsl._tokenize("x + # c")[-1].col == 8
+    with pytest.raises(MetricSyntaxError, match=r"unexpected token '' \(line 1, col 8\)"):
+        parse_expression("x + # c")
+    # a # inside quotes reaches the lexer, which reads it as a comment
+    head = 'dimension = 3\nsignature = "+++"\ncoords = x y z\n'
+    spec = parse_metric_text(head + 'g[1][1] = "1 # in quotes"  # outside\n')
+    assert spec.components[(0, 0)] == dsl.Num(1.0)
 
 
 # ---------------------------------------------------------------------------

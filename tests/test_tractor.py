@@ -548,6 +548,28 @@ def test_a_change_of_scale_above_the_geometry_order_is_rejected():
         tractor.conformal_tractor(rand_tractor(rng, 4, 6), om, g)
 
 
+def test_a_dense_omega_changes_scale_as_its_jet_does():
+    # the configuration of acceptance test 7: generic_bump4 at order 5, five omegas
+    rng = np.random.default_rng(131)
+    entry = catalog.get("generic_bump4")
+    spec = entry.spec()
+    point = entry.sample_point(rng)
+    g1 = Geometry(spec, point, order=5)
+    x = spec.coords
+    for _ in range(5):
+        c = rng.normal(0.0, 0.08, 6)
+        expr = (f"{c[0]}*{x[0]} + {c[1]}*{x[1]}*{x[2]} + {c[2]}*{x[3]}^2"
+                f" + {c[3]}*{x[0]}*{x[3]} + {c[4]}*{x[1]} + {c[5]}*{x[2]}")
+        om = _omega_jet(spec, expr, point, 5)
+        assert isinstance(om, Jet)
+        t = rand_tractor(rng, 4, 4)
+        phi = tractor.apply_connection(t, g1)
+        pairs = [(tractor.conformal_tractor(t, w, g1).as_vector(),
+                  tractor.conformal_one_form(phi, w, g1).as_matrix()) for w in (om, om.coeffs)]
+        for from_jet, from_dense in zip(*pairs):
+            assert np.array_equal(jets.as_dense(from_jet), jets.as_dense(from_dense))
+
+
 # -- layout -------------------------------------------------------------------
 
 
