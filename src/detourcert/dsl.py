@@ -15,17 +15,18 @@ sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.  One alternation regex, _TOKEN_RE, lexes them (each
 column is a match offset), and a recursive-descent parser builds the tree.
 
-MetricSpec.metric_jets returns the dense metric; everything downstream is
-dense.  On (P, n) points it runs the component trees compiled once into a
-straight-line program, one step per distinct subexpression, over dense
-(P, ncoeff) jets by the pointwise functions of jets, bit-identical per point.
-At one point it walks each distinct tree once on Jets (evaluate()): the one
-Jet arithmetic of a verify run, which perfbench's tracer counts at
-Jet.__mul__.  The catalog runs the program at one point.
+Every expression is evaluated through one program: _compile makes the trees a
+straight-line program, one step per distinct subexpression, and one _step applies
+a node to floats, Jets or dense (..., ncoeff) jets.  MetricSpec.metric_jets returns
+the dense metric; everything downstream is dense.  On (P, n) points it runs the
+program on dense jets, bit-identical per point; at one point it runs it on Jets,
+the one Jet arithmetic of a verify run, which perfbench's tracer counts at
+Jet.__mul__.  The catalog runs the program on dense jets at one point.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -219,52 +220,88 @@ def parse_expression(text: str, line_offset: int = 0) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and printing
+# the program: compiling, evaluating and printing
+
+_KIDS = ("arg", "base", "lhs", "rhs")
+_FIELDS = ("value", "name", "fn", "op", "expo")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile(trees) -> tuple:
+    """(steps, outputs): the trees as one straight-line program, a step per distinct subexpression.
+
+    A step (node, args) is node on the registers args, placed where a left-to-right walk first
+    reaches it, so a point out of the domain raises where the walk would.  One post-order pass on
+    an explicit stack keys each node by its type, the repr of its own field (unlike ==, it tells
+    -0.0 from 0.0) and its operands' registers.  outputs: the register of each tree.
+    """
+    steps, seen, regs = [], {}, []
+    stack = [(tree, None) for tree in reversed(list(trees))]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = [getattr(node, f) for f in _KIDS if hasattr(node, f)]
+            stack += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
+            continue
+        cut = len(regs) - len(kids)
+        args, regs[cut:] = regs[cut:], []
+        key = (type(node), *[repr(getattr(node, f)) for f in _FIELDS if hasattr(node, f)], *args)
+        if key not in seen:
+            seen[key] = len(steps)
+            steps.append((node, args))
+        regs.append(seen[key])
+    return steps, regs
+
+
+def _step(node: Expr, vals: list, env, dim, order: int):
+    """node on the values vals of its operands: floats, Jets or dense jets (ndarrays) in dim
+    variables to order, a float operand of a dense one being a constant; env maps names to values."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name in env:
+            return env[node.name]
+        if node.name == "pi":
+            return math.pi
+        raise MetricValidationError(f"unknown identifier {node.name!r} at {node.pos}")
+    if isinstance(node, Neg):
+        return -vals[0]
+    dense = isinstance(vals[0], np.ndarray) or isinstance(vals[-1], np.ndarray)
+    if isinstance(node, Call):
+        return jets.series(node.fn, vals[0], dim, order) if dense else jets.FUNCTIONS[node.fn](vals[0])
+    if isinstance(node, Pow):
+        if dense:
+            return jets.power(vals[0], float(node.expo), dim, order)
+        if not isinstance(vals[0], jets.Jet) and vals[0] < 0.0 and not float(node.expo).is_integer():
+            raise ValueError(f"fractional power of negative value {vals[0]}")  # as jets.power
+        return vals[0] ** node.expo
+    return jets.binary(node.op, *vals, dim, order) if dense else _ARITH[node.op](*vals)
+
+
+def _values(program: tuple, env, dim, order) -> list:
+    """The value of each tree of program, by _step on env's floats, Jets or dense jets."""
+    steps, outputs = program
+    regs = []
+    for node, args in steps:
+        regs.append(_step(node, [regs[a] for a in args], env, dim, order))
+    return [regs[r] for r in outputs]
+
+
+def _run(program: tuple, coords: tuple, pts: np.ndarray, order: int) -> list:
+    """Dense jets (..., ncoeff) of each tree of program at points (..., n) named coords."""
+    dim, n = len(coords), jets._size(len(coords), order)
+    env = {x: jets._variable_coeffs(pts[..., k], k, dim, order) for k, x in enumerate(coords)}
+    return [v if isinstance(v, np.ndarray) else jets._constant_coeffs(float(v), n)
+            for v in _values(program, env, dim, order)]
 
 
 def evaluate(ast: Expr, env):
     """Evaluate over floats or jets; env maps coordinate names to values."""
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Var):
-        if ast.name in env:
-            return env[ast.name]
-        if ast.name == "pi":
-            return math.pi
-        raise MetricValidationError(f"unknown identifier {ast.name!r} at {ast.pos}")
-    if isinstance(ast, Call):
-        return jets.FUNCTIONS[ast.fn](evaluate(ast.arg, env))
-    if isinstance(ast, Neg):
-        return -evaluate(ast.arg, env)
-    if isinstance(ast, Pow):
-        base = evaluate(ast.base, env)
-        if not isinstance(base, jets.Jet) and base < 0.0 and not float(ast.expo).is_integer():
-            raise ValueError(f"fractional power of negative value {base}")  # as jets.power
-        return base ** ast.expo
-    if isinstance(ast, Bin):
-        a, b = evaluate(ast.lhs, env), evaluate(ast.rhs, env)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        return a / b
-    raise TypeError(f"not an expression node: {ast!r}")
+    return _values(_compile([ast]), env, None, None)[0]
 
 
 def variables(ast: Expr) -> set:
-    if isinstance(ast, Var):
-        return {ast.name}
-    if isinstance(ast, Call):
-        return variables(ast.arg)
-    if isinstance(ast, Neg):
-        return variables(ast.arg)
-    if isinstance(ast, Pow):
-        return variables(ast.base)
-    if isinstance(ast, Bin):
-        return variables(ast.lhs) | variables(ast.rhs)
-    return set()
+    return {node.name for node, _ in _compile([ast])[0] if isinstance(node, Var)}
 
 
 def _fmt_number(v: float) -> str:
@@ -297,51 +334,6 @@ def _render(node: Expr, minimum: int) -> str:
 def expression_to_text(ast: Expr) -> str:
     """Inverse of parse_expression up to whitespace: reparsing gives == AST."""
     return _render(ast, 0)
-
-
-def _jet_step(node: Expr, vals: list, dim: int, order: int):
-    """node on the dense jets vals of its operands, a float where one is free of coordinates."""
-    if isinstance(node, Bin):
-        return jets.binary(node.op, *vals, dim, order)
-    if isinstance(node, Call):
-        return jets.series(node.fn, vals[0], dim, order)
-    if isinstance(node, Pow):
-        return jets.power(vals[0], float(node.expo), dim, order)
-    return -vals[0]
-
-
-def _compile(trees) -> tuple:
-    """(steps, outputs): the trees as one straight-line program over dense jets.
-
-    A step (node, args) is node on the registers args (_jet_step), or evaluate() of a
-    coordinate or, args None, of a subtree free of coordinates.  Each distinct subexpression
-    is one step, where evaluate's walk first reaches it, so a point out of the domain raises
-    where the walk would.  outputs: the register of each tree.
-    """
-    steps, seen = [], {}
-
-    def visit(node) -> int:
-        key = repr(node)  # unlike ==, tells -0.0 from 0.0
-        if key not in seen:
-            kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
-            steps.append((node, [visit(k) for k in kids] if variables(node) - {"pi"} else None))
-            seen[key] = len(steps) - 1
-        return seen[key]
-
-    return steps, [visit(ast) for ast in trees]
-
-
-def _run(program: tuple, coords: tuple, pts: np.ndarray, order: int) -> list:
-    """Dense jets (..., ncoeff) of each tree of program at points (..., n) named coords."""
-    (steps, outputs), dim = program, len(coords)
-    env = {x: jets._variable_coeffs(pts[..., k], k, dim, order) for k, x in enumerate(coords)}
-    regs = []
-    for node, args in steps:
-        regs.append(_jet_step(node, [regs[a] for a in args], dim, order) if args
-                    else evaluate(node, env))
-    n = jets._size(dim, order)
-    return [regs[r] if isinstance(regs[r], np.ndarray) else jets._constant_coeffs(float(regs[r]), n)
-            for r in outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +389,11 @@ class MetricSpec:
         return g
 
     def _walk(self, point: np.ndarray, order: int) -> list:
-        """Coefficients of each component at one point, each distinct tree walked once on Jets."""
-        (steps, outputs), n, pt = self._program, jets._size(self.dim, order), point.tolist()
+        """Coefficients of each component at one point, by the program on Jets."""
+        n, pt = jets._size(self.dim, order), point.tolist()
         env = {x: jets.variable(pt[k], k, self.dim, order) for k, x in enumerate(self.coords)}
-        walked = {r: evaluate(steps[r][0], env) for r in dict.fromkeys(outputs)}
         return [v.coeffs if isinstance(v, jets.Jet) else jets._constant_coeffs(float(v), n)
-                for v in map(walked.get, outputs)]
+                for v in _values(self._program, env, self.dim, order)]
 
     @cached_property
     def _program(self) -> tuple:
@@ -411,8 +402,8 @@ class MetricSpec:
     def metric_values(self, point) -> np.ndarray:
         env = dict(zip(self.coords, [float(x) for x in point]))
         g = np.zeros((self.dim, self.dim))
-        for (i, j), ast in self.components.items():
-            g[i, j] = g[j, i] = float(evaluate(ast, env))
+        for (i, j), v in zip(self.components, _values(self._program, env, None, None)):
+            g[i, j] = g[j, i] = float(v)
         return g
 
     def to_text(self) -> str:

@@ -340,13 +340,15 @@ def reciprocal(x: np.ndarray, dim, order: int) -> np.ndarray:
 
 
 def power(x: np.ndarray, e: float, dim, order: int) -> np.ndarray:
-    """x ** e at every point: repeated products for an integer e, else sqrt or exp(e log x)."""
+    """x ** e at every point: squaring for an integer e, else sqrt or exp(e log x)."""
     if e.is_integer():
         if e == 0:
             return _constant_coeffs(1.0, x.shape[-1])
         out = base = x if e > 0 else reciprocal(x, dim, order)
-        for _ in range(abs(int(e)) - 1):
-            out = mul(out, base, dim, order)
+        for bit in bin(abs(int(e)))[3:]:  # the bits after the leading one, high to low
+            out = mul(out, out, dim, order)
+            if bit == "1":
+                out = mul(out, base, dim, order)
         return out
     v = x[..., 0]
     if (v <= 0.0).any():

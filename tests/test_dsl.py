@@ -328,12 +328,11 @@ def _all_operations() -> MetricSpec:
     return MetricSpec(3, (1, 1, 1), ("x", "y", "z"), comps)
 
 
-def _nodes(ast, inside_constants=True):
+def _nodes(ast):
     yield ast
-    if inside_constants or dsl.variables(ast) - {"pi"}:
-        for child in (getattr(ast, name, None) for name in ("arg", "lhs", "rhs", "base")):
-            if child is not None:
-                yield from _nodes(child, inside_constants)
+    for child in (getattr(ast, name, None) for name in ("arg", "lhs", "rhs", "base")):
+        if child is not None:
+            yield from _nodes(child)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 6])
@@ -347,9 +346,51 @@ def test_the_program_equals_the_walk_on_every_operation(order):
         walked = spec.metric_jets(p, order)
         assert np.array_equal(batch[k], walked)
         assert np.array_equal(_program(spec, p, order), walked)
-    # one step per distinct subexpression, a subtree free of coordinates one step
-    steps = {repr(node) for ast in spec.components.values() for node in _nodes(ast, False)}
-    assert len(spec._program[0]) == len(steps) < len({repr(node) for node in nodes})
+    # one step per distinct subexpression, constant subtrees included
+    assert len(spec._program[0]) == len({repr(node) for node in nodes})
+
+
+def _reference_compile(trees) -> tuple:
+    """The compile keyed by the repr of each whole subtree: recursive and quadratic in the
+    depth of the trees, with the step order _compile has to keep."""
+    steps, seen = [], {}
+
+    def visit(node) -> int:
+        key = repr(node)  # unlike ==, tells -0.0 from 0.0
+        if key not in seen:
+            kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
+            steps.append((node, [visit(k) for k in kids]))
+            seen[key] = len(steps) - 1
+        return seen[key]
+
+    return steps, [visit(ast) for ast in trees]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.lists(_trees, min_size=1, max_size=4))
+def test_the_compile_equals_the_recursive_reference(trees):
+    trees = trees + [dsl.Bin("*", trees[0], trees[-1]), trees[0]]  # shared across trees
+    (steps, outputs), (want, want_outputs) = dsl._compile(trees), _reference_compile(trees)
+    assert [(repr(node), args) for node, args in steps] == [(repr(node), args) for node, args in want]
+    assert outputs == want_outputs
+
+
+def test_the_compile_tells_minus_zero_from_zero():
+    x, zero, minus = dsl.Var("x"), dsl.Num(0.0), dsl.Num(-0.0)
+    trees = [dsl.Bin("+", minus, x), dsl.Bin("+", zero, x), zero, minus]
+    steps, outputs = dsl._compile(trees)
+    assert [args for _, args in steps] == [[], [], [0, 1], [], [3, 1]]
+    assert outputs == [2, 4, 3, 0]
+    values = dsl._values((steps, outputs), {"x": 1.0}, None, None)
+    assert [math.copysign(1.0, v) for v in values[2:]] == [1.0, -1.0]
+
+
+def test_a_sum_of_20000_terms_compiles_and_evaluates():
+    ast = parse_expression("1" + " + 0.001*x" * 20000)
+    steps, outputs = dsl._compile([ast])
+    assert len(steps) == 4 + 20000 and outputs == [len(steps) - 1]
+    assert dsl.variables(ast) == {"x"}
+    assert evaluate(ast, {"x": 0.5}) == pytest.approx(11.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("ast, exc", [
@@ -370,8 +411,8 @@ def test_one_point_out_of_the_domain_fails_the_batch(ast, exc):
 
 def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
     # the batch costs one run of the program, not one walk per point: it makes no
-    # Jet product, and it shares the subexpressions 1 - 2/r and r^2 the walk repeats;
-    # the program at one point makes the same dense products as the batch
+    # Jet product, and as many dense products as the walk, which runs the same
+    # program on Jets; the program at one point makes the same dense products too
     spec = parse_metric_text(SCHWARZSCHILD_TEXT)
     calls, products, mul, dense_mul = [0], [0], jets.Jet.__mul__, jets.mul
 
@@ -390,7 +431,7 @@ def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
     single, walked, calls[0], products[0] = calls[0], products[0], 0, 0
     batch = spec.metric_jets(pts, 3)
     assert single > 0 and calls[0] == 0
-    assert 0 < products[0] < walked
+    assert products[0] == walked
     one_run, products[0] = products[0], 0
     _program(spec, pts[0], 3)
     assert calls[0] == 0 and products[0] == one_run

@@ -8,6 +8,7 @@ without reference to the package internals.
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,27 @@ def test_pow_variants():
     assert jets_close(a**0.5, jets.sqrt(a), tol=1e-13)
     assert jets_close(a**2.5, jets.exp(2.5 * jets.log(a)), tol=1e-12)
     assert np.allclose((a**0).coeffs, constant(1.0, 1, 5).coeffs)
+
+
+def test_integer_powers_by_squaring_equal_repeated_products():
+    # bit-identical to repeated products up to the cube, equal to roundoff above it
+    dim, order = 3, 4
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (2, jets._size(dim, order)))
+    x[:, 0] += 2.0  # away from zero, for the negative powers
+    for e in [k for k in range(-9, 10) if k]:
+        want = base = x if e > 0 else jets.reciprocal(x, dim, order)
+        for _ in range(abs(e) - 1):
+            want = jets.mul(want, base, dim, order)
+        got = jets.power(x, float(e), dim, order)
+        if abs(e) <= 3:
+            assert np.array_equal(got, want), e
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()), e
+    # 2^60 takes 60 squarings, not 2^60 - 1 products
+    one = jets._constant_coeffs(1.0, jets._size(dim, order))
+    start = time.perf_counter()
+    assert np.array_equal(jets.power(one, 2.0**60, dim, order), one)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
