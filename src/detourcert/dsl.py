@@ -367,10 +367,11 @@ class MetricSpec:
             if not _NAME_RE.fullmatch(name):
                 raise MetricValidationError(f"bad coordinate name {name!r}")
         allowed = set(self.coords) | {"pi"}
+        named = {node.name for node, _ in self._program[0] if isinstance(node, Var)}
         for (i, j), ast in self.components.items():
             if not (0 <= i <= j < self.dim):
                 raise MetricValidationError(f"component index ({i},{j}) out of range")
-            stray = variables(ast) - allowed
+            stray = set() if named <= allowed else variables(ast) - allowed
             if stray:
                 raise MetricValidationError(
                     f"unknown identifier {sorted(stray)[0]!r} in g[{i+1}][{j+1}]"

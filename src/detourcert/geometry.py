@@ -40,8 +40,8 @@ slots, minus the transpose on a dual slot; dense arrays in and out.  trace
 and lower contract the leading slots of a dense array with the inverse
 metric and the metric (scalar traces Ricci, riemann_down lowers Riemann).
 
-A batch of P points (the stage points of prolong.transport) gives the stages
-up to Schouten (Geometry._BATCHED) and trace a leading points axis,
+A batch of P points (the collocation nodes of prolong.transport) gives the
+stages up to Schouten (Geometry._BATCHED) and trace a leading points axis,
 bit-identical per point to a single-point Geometry; later stages,
 covd_array and lower raise ValueError on a batch.
 """

@@ -378,6 +378,16 @@ def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
     assert err.startswith("error:") and "CertificationError: integrator failed" in err
 
 
+def test_the_node_cap_exits_with_code_2(monkeypatch, capsys):
+    # s2xs2 at seed 0 needs the 17-node grid; with the cap at 8 the transport gives up
+    monkeypatch.setattr(prolong, "_MAX_N", 8)
+    code = cli.main(["verify", "--metric", "s2xs2", "--suite", "prolong", "--points", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "CertificationError: integrator failed: no convergence on 9 nodes" in err
+
+
 def _python(*argv) -> subprocess.CompletedProcess:
     """Run the interpreter with the package under test first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
 
 from detourcert import catalog, prolong
 from detourcert.connections import (
@@ -309,23 +308,14 @@ def test_certificate_reported_and_small():
 
 @pytest.mark.parametrize("name", ["generic_bump4", "sphere4"])
 def test_certificate_is_nonzero_on_a_curved_segment(name):
-    # the first solve tries the whole segment and the tighter re-solve half
-    # of it, so the certificate compares two different step sequences; were
-    # both to take the whole segment in one step they would agree bit for bit
+    # the certificate compares the solves on N and 2N nodes; were the grids
+    # to give one polynomial the two ends would agree bit for bit
     spec, p0, p1, v0 = _tractor_segment(name, 0)
     res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
     assert 0 < res.error < 1e-6
 
 
-# -- the DOP853 stepper against scipy's DOP853 ---------------------------------
-
-
-def test_tableau_is_scipys_dop853():
-    assert np.array_equal(prolong._A, dop853_coefficients.A[:12, :12])
-    assert np.array_equal(prolong._B, dop853_coefficients.B)
-    assert np.array_equal(prolong._C, dop853_coefficients.C[:12])
-    assert np.array_equal(prolong._E3, dop853_coefficients.E3)
-    assert np.array_equal(prolong._E5, dop853_coefficients.E5)
+# -- Chebyshev-Lobatto collocation ----------------------------------------------
 
 
 def _linear(t):
@@ -333,16 +323,15 @@ def _linear(t):
 
 
 def _kicked_rotation(t):
-    # a narrow burst of angular speed makes the step control reject steps
+    # a narrow burst of angular speed, which no polynomial of degree 64 resolves
     return np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1.0 + 40.0 * np.exp(-((t - 0.6) / 0.05) ** 2))
 
 
-def _dop853(matrix_at, t0, t1, y0, rtol, atol, first_step=None):
+def _dop853(matrix_at, t0, t1, y0, rtol=1e-13, atol=1e-15):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns when it raises rtol to its floor
         return solve_ivp(lambda t, y: -(matrix_at(t) @ y), (t0, t1), y0,
-                         method="DOP853", rtol=rtol, atol=atol,
-                         first_step=abs(t1 - t0) if first_step is None else first_step)
+                         method="DOP853", rtol=rtol, atol=atol).y[:, -1]
 
 
 def _counted(fn, calls):
@@ -352,47 +341,45 @@ def _counted(fn, calls):
     return wrapped
 
 
-def _batched(matrix_at):
-    return lambda ts: [matrix_at(t) for t in ts]
+def _on_a_line(monkeypatch, matrix_at):
+    # one coordinate t, so that A = (t1 - t0) M(t0 + s (t1 - t0)) and
+    # transport from (t0,) to (t1,) solves y' = -M(t) y from t0 to t1
+    monkeypatch.setattr(prolong, "_theta_values", lambda spec, builder, points: np.array(
+        [matrix_at(t) for t in points[:, 0]])[:, None])
 
 
-def _assert_one_batch_per_attempt(sizes, nfev):
-    # one call per attempt: t0 and 11 stage times, then 11 stage times
-    attempts, rest = divmod(nfev - 1, 12)
-    assert rest == 0 and sizes == [12] + [11] * (attempts - 1)
-    return attempts
+def test_lobatto_grids_nest_and_differentiate_polynomials_exactly():
+    poly = np.polynomial.Polynomial(np.random.default_rng(0).standard_normal(17))
+    t, d, tail = prolong._grid(16)
+    assert t[0] == 0 and t[-1] == 1 and np.array_equal(prolong._grid(32)[0][::2], t)
+    np.testing.assert_allclose(d @ poly(t), poly.deriv()(t), atol=1e-12)
+    cheb = np.polynomial.chebyshev.chebfit(1 - 2 * t, poly(t), 16)
+    np.testing.assert_allclose(tail @ poly(t), cheb[-2:], atol=1e-14)
 
 
-@pytest.mark.parametrize("matrix_at,t0,t1,rtol,rejects", [
-    (_linear, 0.0, 2.0, 1e-9, False),
-    (_linear, 2.0, -1.0, 1e-9, False),  # backwards in time
-    (_kicked_rotation, 0.0, 1.0, 1e-6, True),
-    (_linear, 0.0, 2.0, 1e-16, False),  # below the 100 eps floor on rtol
+@pytest.mark.parametrize("t0,t1,rtol,nfev", [
+    (0.0, 2.0, 1e-6, 33),
+    (2.0, -1.0, 1e-9, 65),  # backwards in time
+    (0.0, 2.0, 1e-16, 65),  # rtol below roundoff: atol decides
 ])
-def test_stepper_matches_scipy_dop853_bit_for_bit(matrix_at, t0, t1, rtol, rejects):
+def test_collocation_matches_scipy_dop853(monkeypatch, t0, t1, rtol, nfev):
+    _on_a_line(monkeypatch, _linear)
     y0 = np.array([1.0, 0.5])
-    ref = _dop853(matrix_at, t0, t1, y0, rtol, 1e-2 * rtol)
-    calls = []
-    end, nfev = prolong._dop853(_counted(_batched(matrix_at), calls), t0, t1, y0, rtol,
-                                1e-2 * rtol)
-    assert np.array_equal(end, ref.y[:, -1])
-    assert nfev == ref.nfev
-    attempts = _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
-    if rejects:
-        assert attempts > len(ref.t) - 1
+    res = prolong.transport(object(), _linear, (t0,), (t1,), y0, rtol=rtol, atol=1e-13)
+    assert np.max(np.abs(res.end - _dop853(_linear, t0, t1, y0))) < 1e-13
+    assert res.nfev == nfev and 0 < res.error < 1e-6
 
 
-def test_stepper_first_step_matches_scipy_dop853():
-    # the certificate's re-solve starts at half the interval
-    y0 = np.array([1.0, 0.5])
-    ref = _dop853(_linear, 0.0, 2.0, y0, 1e-9, 1e-11, first_step=1.0)
-    calls = []
-    end, nfev = prolong._dop853(_counted(_batched(_linear), calls), 0.0, 2.0, y0, 1e-9,
-                                1e-11, first_step=1.0)
-    assert np.array_equal(end, ref.y[:, -1])
-    assert nfev == ref.nfev and len(ref.t) > 2
-    assert calls[0][0][-1] == 1.0  # the first attempt's c = 1 stage ends its first step
-    _assert_one_batch_per_attempt([len(ts) for (ts,) in calls], nfev)
+def test_a_burst_no_grid_resolves_hits_the_node_cap(monkeypatch):
+    _on_a_line(monkeypatch, _kicked_rotation)
+    builds = []
+    monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
+    with pytest.raises(prolong.CertificationError,
+                       match=f"integrator failed: no convergence on {prolong._MAX_N + 1} nodes"):
+        prolong.transport(object(), _kicked_rotation, (0.0,), (1.0,), np.array([1.0, 0.5]),
+                          rtol=1e-6, atol=1e-8)
+    # the grids 8, 16, 32, 64: each build adds the nodes the finer grid has
+    assert [len(points) for _, _, points in builds] == [9, 8, 16, 32]
 
 
 def _tractor_segment(name, seed):
@@ -404,27 +391,89 @@ def _tractor_segment(name, seed):
 
 
 @pytest.mark.parametrize("rtol", [1e-9, 1e-12])
-def test_tractor_transport_matches_scipy_dop853(monkeypatch, rtol):
+def test_tractor_transport_matches_scipy_dop853(rtol):
+    # generic_bump4 converges on 9 nodes and sphere4 on 17; on these
+    # segments collocation lies within rtol max|v0| of DOP853 at rtol=1e-13
+    for name, seed, nfev in [("generic_bump4", 0, 9), ("generic_bump4", 1, 9),
+                             ("sphere4", 0, 17), ("sphere4", 1, 17)]:
+        spec, p0, p1, v0 = _tractor_segment(name, seed)
+
+        def connection(t):
+            th = prolong._theta_values(spec, tractor_connection, tuple(p0 + t * (p1 - p0)))
+            return np.tensordot(p1 - p0, th, axes=(0, 0))
+
+        res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=rtol,
+                                atol=1e-2 * rtol, refine=False)
+        assert np.max(np.abs(res.end - _dop853(connection, 0.0, 1.0, v0))) <= rtol * np.max(np.abs(v0))
+        assert res.nfev == nfev
+
+
+_LEG = dict(rtol=1e-11, atol=1e-13, refine=False)  # the legs of cli._transport_roundtrip
+
+
+def test_a_generic_bump4_roundtrip_makes_one_nine_node_build(monkeypatch):
     spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
-
-    def connection(t):
-        th = prolong._theta_values(spec, tractor_connection, tuple(p0 + t * (p1 - p0)))
-        return np.tensordot(p1 - p0, th, axes=(0, 0))
-
-    ref = _dop853(connection, 0.0, 1.0, v0, rtol, 1e-2 * rtol)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
-    res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=rtol,
-                            atol=1e-2 * rtol, refine=False)
-    assert np.array_equal(res.end, ref.y[:, -1])
-    assert res.nfev == ref.nfev
-    _assert_one_batch_per_attempt([len(points) for _, _, points in builds], ref.nfev)
+    memo = {}
+    fwd = prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
+    back = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo=memo, **_LEG)
+    assert [len(points) for _, _, points in builds] == [9]
+    assert (fwd.nfev, back.nfev) == (9, 0)
+    assert np.max(np.abs(back.end - v0)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["generic_bump4", "sphere4"])
+def test_the_reverse_leg_reads_the_forward_build(monkeypatch, name):
+    # sphere4 converges on 17 nodes: the reverse leg reads 9 of them, then 17
+    spec, p0, p1, v0 = _tractor_segment(name, 0)
+    memo = {}
+    fwd = prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
+    builds = []
+    monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
+    back = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo=memo, **_LEG)
+    assert builds == [] and back.nfev == 0
+    fresh = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo={}, **_LEG)
+    assert np.array_equal(back.end, fresh.end) and fresh.nfev == fwd.nfev
+
+
+def test_the_memo_never_serves_another_spec_or_builder(monkeypatch):
+    # same endpoints, another metric, an equal metric parsed again, another builder
+    spec, p0, p1, _ = _tractor_segment("generic_bump4", 0)
+    others = [(catalog.get("conf_flat_poly4").spec(), tractor_connection),
+              (parse_metric_text(spec.to_text()), tractor_connection),
+              (spec, killing_connection)]
+    for other, builder in others:
+        v0 = np.random.default_rng(5).standard_normal(10 if builder is killing_connection else 6)
+        fresh = prolong.transport(other, builder, p0, p1, v0)
+        memo = {}
+        prolong.transport(spec, tractor_connection, p0, p1, np.ones(6), memo=memo)
+        builds = []
+        monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
+        res = prolong.transport(other, builder, p0, p1, v0, memo=memo)
+        monkeypatch.undo()
+        assert builds and builds[0][:2] == (other, builder)
+        assert np.array_equal(res.end, fresh.end) and res.nfev == fresh.nfev
+
+
+def test_a_failed_build_leaves_no_entry(monkeypatch):
+    spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
+    memo = {}
+    prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
+    assert len(memo) == 1
+
+    def failing(spec, builder, points):
+        raise ValueError("metric evaluation failed")
+
+    monkeypatch.setattr(prolong, "_theta_values", failing)
+    with pytest.raises(ValueError, match="metric evaluation failed"):
+        prolong.transport(spec, tractor_connection, p0, p0 + 0.5 * (p1 - p0), v0, memo=memo)
+    assert memo == {}
 
 
 def test_non_finite_stage_fails_at_once(monkeypatch):
-    # past the middle of the segment the connection is NaN; the integrator
-    # stops at the first build whose batch holds such a point instead of
-    # shrinking h to its floor
+    # past the middle of the segment the connection is NaN; the first build
+    # holds such nodes, and the error is raised before any solve
     spec, p0, p1, v0 = _tractor_segment("generic_bump4", 1)
     middle = p0 + 0.5 * (p1 - p0)
     theta = prolong._theta_values
@@ -436,44 +485,34 @@ def test_non_finite_stage_fails_at_once(monkeypatch):
         return np.where(poisoned_builds[-1][:, None, None, None], np.nan, th)
 
     monkeypatch.setattr(prolong, "_theta_values", poisoned)
+    monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves := []))
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t="):
         prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
-    # a stepper that took a NaN stage for a rejected step would shrink h
-    # down to 10 ulp here, one build per attempt
-    assert poisoned_builds[-1].any() and not any(f.any() for f in poisoned_builds[:-1])
+    assert len(poisoned_builds) == 1 and poisoned_builds[0].any() and solves == []
 
 
-def _poisoned_at_call(call, stages, calls):
-    # matrices_at for _linear that is NaN at the given indices of its given call
-    def matrices_at(ts):
-        calls.append(ts)
-        ms = [_linear(t) for t in ts]
-        if len(calls) == call:
-            for i in stages:
-                ms[i] = np.full((2, 2), np.nan)
-        return ms
-    return matrices_at
+def _poisoned_nodes(n, nodes):
+    # _linear at the Lobatto nodes of [0, 1], NaN at the given nodes
+    mats = np.array([_linear(t) for t in prolong._grid(n)[0]])
+    mats[nodes] = np.nan
+    return mats
 
 
 @pytest.mark.parametrize("stages", [[5], [1, 7], [10], list(range(11))])
-def test_first_non_finite_stage_of_a_batch_is_reported(stages):
-    # the stages of an attempt are evaluated in order after their one build:
-    # the error names the time of the first poisoned stage
-    calls = []
+def test_first_non_finite_stage_of_a_batch_is_reported(monkeypatch, stages):
+    # the error names the first poisoned node of the grid, before any solve
+    monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves := []))
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t=") as err:
-        prolong._dop853(_poisoned_at_call(2, stages, calls), 0.0, 2.0,
-                        np.array([1.0, 0.5]), 1e-9, 1e-11)
-    assert len(calls) == 2  # the second step attempt
-    assert str(err.value).endswith(f"t={float(calls[-1][stages[0]])!r}")
+        prolong._collocate(_poisoned_nodes(16, stages), np.array([1.0, 0.5]))
+    assert str(err.value).endswith(f"t={float(prolong._grid(16)[0][stages[0]])!r}")
+    assert solves == []
 
 
 def test_non_finite_matrix_at_t0_is_reported_before_the_stages():
-    # the first build holds t0 and the stage times; f(t0) is evaluated first
-    calls = []
+    # the matrix at t = 0 enters no equation (V(0) = v0 is eliminated), yet
+    # a non-finite one fails the transport, as at every other node
     with pytest.raises(prolong.CertificationError,
-                       match="integrator failed: non-finite right-hand side at t=0.5$"):
-        prolong._dop853(_poisoned_at_call(1, [3, 0], calls), 0.5, 2.0,
-                        np.array([1.0, 0.5]), 1e-9, 1e-11)
-    assert [len(ts) for ts in calls] == [12]
+                       match="integrator failed: non-finite right-hand side at t=0.0$"):
+        prolong._collocate(_poisoned_nodes(8, [3, 0]), np.array([1.0, 0.5]))
