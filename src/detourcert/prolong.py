@@ -5,10 +5,10 @@ almost-Einstein equation) is traded for a connection on a bigger bundle;
 its solution space is the space of parallel sections.  Two numerical
 handles on that space:
 
-* pointwise obstruction rank: a parallel section is killed by the
-  curvature and all of its covariant derivatives, so the kernel of the
-  stacked value matrices F, grad F, grad^2 F ... bounds the solution
-  space (and equals it at generic points);
+* pointwise obstruction rank: a parallel section is killed by the curvature
+  and all of its covariant derivatives, so the kernel of the stacked value
+  matrices F, grad F, grad^2 F ... (numerical rank against one Theta-scaled
+  roundoff floor) bounds the solution space (and equals it at generic points);
 * parallel transport: integrate v' = -Theta(c'(t)) v along coordinate
   segments with a re-solve on twice the nodes as an error certificate.
 
@@ -45,33 +45,33 @@ def _level_blocks(arr: np.ndarray) -> list:
     return list(arr[..., 0].reshape((-1,) + arr.shape[-3:-1]))
 
 
-_REL_TOL, _FLOOR = 1e-8, 1e-10  # singular values below max(_REL_TOL * largest, _FLOOR) are 0
+_FLOOR_SCALE = 1e6  # rank floor of the level 0..k stack: _FLOOR_SCALE * eps * max(1, m_k)^2
 
 
-def _stack_rank(blocks: list) -> int:
+def _stack_rank(conn: Connection, blocks: list, k: int) -> int:
+    m = np.max(np.abs(conn.theta_at(min(k + 1, conn.order))))  # m_k
     s = np.linalg.svd(np.concatenate(blocks, axis=0), compute_uv=False)
-    if s.size == 0 or s[0] <= _FLOOR:
-        return 0
-    return int(np.sum(s > max(_REL_TOL * s[0], _FLOOR)))
+    return int(np.sum(s > _FLOOR_SCALE * np.finfo(float).eps * max(1.0, m) ** 2))
 
 
 def kernel_dimension(conn: Connection) -> int:
     """Dimension of the joint kernel of the stacked obstruction matrices.
 
     Adds derivative levels until the rank stops growing, the fiber is
-    exhausted, or the jets run out of orders.  Singular values below
-    max(_REL_TOL * largest, _FLOOR) count as zero, so roundoff-level
-    curvature (flat or maximally symmetric descriptors) reads as rank 0.
+    exhausted, or the jets run out of orders.  A singular value of the stack
+    of levels 0..k is rank only above _FLOOR_SCALE * eps * max(1, m_k)^2, m_k
+    the largest |Theta coefficient| of degree at most k + 1 (all level k reads),
+    so roundoff-level curvature reads as rank 0, also near a coordinate pole.
     """
     level = curvature(conn)
     blocks = _level_blocks(level)
-    rank = _stack_rank(blocks)
-    for _ in range(order_of(conn.dim, level.shape[-1])):
+    rank = _stack_rank(conn, blocks, 0)
+    for k in range(1, order_of(conn.dim, level.shape[-1]) + 1):
         if rank == conn.rank:
             break
         level = covd_endomorphism(conn, level)
         blocks.extend(_level_blocks(level))
-        new_rank = _stack_rank(blocks)
+        new_rank = _stack_rank(conn, blocks, k)
         if new_rank == rank:
             break
         rank = new_rank

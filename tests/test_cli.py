@@ -141,6 +141,12 @@ def test_schwarzschild_transport_roundtrip_passes_at_the_default_tol(seed, point
     assert record.passed and record.max_residual <= 1e-9
 
 
+def test_scale_kernel_bound_passes_near_the_sphere4_pole():
+    # the third point sits at p2 = 0.22, where the rank floor must follow Theta's jets
+    report = cli.run(cli.RunConfig("sphere4", ("prolong",), seed=153, jet_order=6))
+    assert {c.check_id: c for c in report.checks}["scale-kernel-bound"].passed
+
+
 def test_signature_reads_the_eigenvalues_of_a_non_diagonal_metric(tmp_path):
     # null coordinates: the Lorentzian metric has no positive diagonal entry in (x, y)
     path = tmp_path / "null.metric"

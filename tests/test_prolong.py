@@ -70,6 +70,21 @@ g[3][3] = "sin(p1)^2 * sin(p2)^2"
 P_SPHERE = (0.8, 1.1, 0.9, 2.0)
 P_SCHW = (0.0, 5.0, 1.2, 0.3)
 P_BUMP = (0.3, -0.4, 0.25, 0.5)
+# the catalog points nearest the rank floor from either side, at order 6: the smallest
+# singular value kept (schwarzschild seed 12, tractor level 2, 1.06e3 x the floor) and
+# the largest dropped (hyperbolic4 seed 126, tractor level 1, the floor / 6.0e3)
+P_SCHW_KEPT = (0.7926187474093609, 9.006913423587363, 0.20774606819133898, 3.402132231646454)
+P_HYP_DROPPED = (0.31049932914672085, 2.7804172143188812, 0.38119026279918067, 6.15151615079961)
+# cli.run's sample points near the angular poles (sphere4 seeds 153, 299, 316 and 389,
+# hyperbolic4 seed 389), where Theta's jets and the stack's roundoff grow about 30-fold
+# per derivative level; a conformally flat 4-metric has 6 parallel scales
+POLE_POINTS = [
+    ("sphere4", (2.721938349351571, 0.22247544955452614, 2.865125126007418, 1.4672996429483054)),
+    ("sphere4", (2.935165885084988, 0.23207445108408847, 2.855042467544321, 0.4735670622306563)),
+    ("sphere4", (2.930482736897404, 0.34842745679732434, 2.837774288730246, 3.249065950240714)),
+    ("sphere4", (0.3985816708687071, 2.8925740798390485, 0.2343754319057872, 4.86228692690282)),
+    ("hyperbolic4", (0.4232076060134314, 2.8925740798390485, 0.2343754319057872, 4.86228692690282)),
+]
 
 
 def const_field(values, n, order):
@@ -90,6 +105,8 @@ def const_field(values, n, order):
         (SCHWARZSCHILD, P_SCHW, 4),
         (BUMP4, P_BUMP, 0),
         (SPHERE3, (0.7, 1.2, 0.4), 6),
+        (catalog.get("schwarzschild").spec(), P_SCHW_KEPT, 4),
+        (catalog.get("hyperbolic4").spec(), P_HYP_DROPPED, 10),
     ],
 )
 def test_killing_kernel_dimensions(spec, point, expected):
@@ -105,6 +122,9 @@ def test_killing_kernel_dimensions(spec, point, expected):
         (SCHWARZSCHILD, P_SCHW, 1),
         (BUMP4, P_BUMP, 0),
         (SPHERE3, (0.7, 1.2, 0.4), 5),
+        (catalog.get("schwarzschild").spec(), P_SCHW_KEPT, 1),
+        (catalog.get("hyperbolic4").spec(), P_HYP_DROPPED, 6),
+        *[(catalog.get(name).spec(), point, 6) for name, point in POLE_POINTS],
     ],
 )
 def test_parallel_scale_kernel_dimensions(spec, point, expected):
