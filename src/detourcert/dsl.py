@@ -13,7 +13,7 @@ Component expressions use +, -, *, /, ^ (numeric-literal exponents only),
 parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.  One alternation regex, _TOKEN_RE, lexes them (each
-column is a match offset), and a recursive-descent parser builds the tree.
+column is a match offset), and a loop on two explicit stacks builds the tree.
 
 Every expression is evaluated through one program: _compile makes the trees a
 straight-line program, one step per distinct subexpression, and one _step applies
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -136,87 +137,62 @@ def _tokenize(text: str, line_offset: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent expression parser
+# expression parser: operator precedence on two explicit stacks
 
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message):
-        tok = self.peek()
-        raise MetricSyntaxError(message, tok.line, tok.col)
-
-    def expect_op(self, text):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            self.fail(f"expected {text!r}")
-        return self.take()
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            tok = self.take()
-            node = Bin(tok.text, node, self.term(), pos=(tok.line, tok.col))
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.take()
-            node = Bin(tok.text, node, self.factor(), pos=(tok.line, tok.col))
-        return node
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            return Neg(self.factor(), pos=(tok.line, tok.col))
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            etok = self.peek()
-            if etok.kind != "num":
-                self.fail("exponent must be a numeric literal")
-            self.take()
-            node = Pow(node, etok.value, pos=(etok.line, etok.col))
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.take()
-        if tok.kind == "num":
-            return Num(tok.value, pos=(tok.line, tok.col))
-        if tok.kind == "name":
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if tok.text not in jets.FUNCTIONS:
-                    raise MetricSyntaxError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg, pos=(tok.line, tok.col))
-            return Var(tok.text, pos=(tok.line, tok.col))
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise MetricSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators; unary minus binds at 3, ^ at 4, atoms at 5
 
 
 def parse_expression(text: str, line_offset: int = 0) -> Expr:
-    parser = _Parser(_tokenize(text, line_offset))
-    node = parser.expr()
-    if parser.peek().kind != "end":
-        parser.fail(f"trailing input {parser.peek().text!r}")
-    return node
+    """The tree of text, by operator precedence in one loop on two stacks: trees, the finished
+    subtrees, and ops, the pending operators as (level, token): a binary operator, a unary minus
+    (level 3) or an open parenthesis (level 0, its token the function it calls or the "(" itself).
+    ^ applies at once to the top tree, its exponent being a numeric literal; nesting has no limit."""
+    tokens, trees, ops, i = _tokenize(text, line_offset), [], [], 0
+
+    def reduce(level):  # apply the pending operators that bind at least as tightly as level
+        while ops and ops[-1][0] >= level:
+            (kind, op), arg = ops.pop(), trees.pop()
+            pos = (op.line, op.col)
+            trees.append(Neg(arg, pos=pos) if kind == 3 else Bin(op.text, trees.pop(), arg, pos=pos))
+
+    while True:
+        tok, i = tokens[i], i + 1  # an operand is due
+        call = tok.kind == "name" and tokens[i].text == "("
+        if call and tok.text not in jets.FUNCTIONS:
+            raise MetricSyntaxError(f"unknown function {tok.text!r}", tok.line, tok.col)
+        if call or tok.text in ("-", "("):
+            ops.append((3 if tok.text == "-" else 0, tok))
+            i += call
+            continue
+        if tok.kind not in ("num", "name"):
+            raise MetricSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        trees.append(Num(tok.value, pos=(tok.line, tok.col)) if tok.kind == "num"
+                     else Var(tok.text, pos=(tok.line, tok.col)))
+        while True:  # after an atom: an optional ^, then ")" ends another atom
+            tok, i = tokens[i], i + 1
+            if tok.text == "^":
+                tok, i = tokens[i], i + 1
+                if tok.kind != "num":
+                    raise MetricSyntaxError("exponent must be a numeric literal", tok.line, tok.col)
+                trees.append(Pow(trees.pop(), tok.value, pos=(tok.line, tok.col)))
+                tok, i = tokens[i], i + 1
+            if tok.text != ")":
+                break
+            reduce(1)
+            if not ops:
+                break
+            fn = ops.pop()[1]
+            if fn.kind == "name":
+                trees.append(Call(fn.text, trees.pop(), pos=(fn.line, fn.col)))
+        if tok.text in _LEVEL:
+            reduce(_LEVEL[tok.text])
+            ops.append((_LEVEL[tok.text], tok))
+            continue
+        reduce(1)
+        if ops or tok.kind != "end":
+            what = "expected ')'" if ops else f"trailing input {tok.text!r}"
+            raise MetricSyntaxError(what, tok.line, tok.col)
+        return trees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +286,37 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _render(node: Expr, minimum: int) -> str:
-    if isinstance(node, Num):
-        if node.value < 0:
-            return "-" + _fmt_number(-node.value)
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({_render(node.arg, 0)})"
-    if isinstance(node, Neg):
-        text, level = "-" + _render(node.arg, 3), 3
-    elif isinstance(node, Pow):
-        text, level = _render(node.base, 5) + "^" + _fmt_number(node.expo), 4
-    elif isinstance(node, Bin):
-        level = 1 if node.op in "+-" else 2
-        text = f"{_render(node.lhs, level)} {node.op} {_render(node.rhs, level + 1)}"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({text})" if level < minimum else text
-
-
 def expression_to_text(ast: Expr) -> str:
-    """Inverse of parse_expression up to whitespace: reparsing gives == AST."""
-    return _render(ast, 0)
+    """Inverse of parse_expression up to whitespace: reparsing gives == AST.  One pass over the
+    program of ast builds each step's (text, level) from its operands' entries, parenthesizing one
+    whose level is below what its place needs and dropping it after its last use."""
+    steps, (out,) = _compile([ast])
+    uses = Counter(a for _, args in steps for a in args)
+    texts = {}
+
+    def operand(reg, minimum):
+        uses[reg] -= 1
+        text, level = texts[reg] if uses[reg] else texts.pop(reg)
+        return f"({text})" if level < minimum else text
+
+    for r, (node, args) in enumerate(steps):
+        if isinstance(node, Num):
+            entry = _fmt_number(node.value), 5
+        elif isinstance(node, Var):
+            entry = node.name, 5
+        elif isinstance(node, Call):
+            entry = f"{node.fn}({operand(args[0], 0)})", 5
+        elif isinstance(node, Neg):
+            entry = "-" + operand(args[0], 3), 3
+        elif isinstance(node, Pow):
+            entry = operand(args[0], 5) + "^" + _fmt_number(node.expo), 4
+        elif isinstance(node, Bin):
+            level = _LEVEL[node.op]
+            entry = f"{operand(args[0], level)} {node.op} {operand(args[1], level + 1)}", level
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        texts[r] = entry
+    return texts[out][0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ def test_print_parse_round_trip():
         "(a + b) * (a - b)",
         "sin(cos(exp(x)))",
         "2.5e-3 * x",
+        "(x^2)^3 - (-x)^2",
     ]
     for text in texts:
         ast = parse_expression(text)
@@ -118,11 +119,29 @@ def test_a_number_that_overflows_is_a_syntax_error(text, col):
 
 
 def test_syntax_errors_carry_location():
-    bad = ["x +", "sin(", "(x", "x ^ y", "foo(x)", "1..2", "x @ y", "x ^ -2"]
-    for text in bad:
+    table = [  # (input, message, col); every error is on line 1
+        ("x +", "unexpected token ''", 4),
+        ("sin(", "unexpected token ''", 5),
+        ("(x", "expected ')'", 3),
+        ("x ^ y", "exponent must be a numeric literal", 5),
+        ("x ^ -2", "exponent must be a numeric literal", 5),
+        ("foo(x)", "unknown function 'foo'", 1),
+        ("x ^ 2 ^ 3", "trailing input '^'", 7),  # an exponent is a literal, so ^ does not chain
+        ("(x ^ 2 ^ 3)", "expected ')'", 8),     # the same token inside parentheses
+        ("2 3", "trailing input '3'", 3),
+        ("x)", "trailing input ')'", 2),
+        ("sin(2 3)", "expected ')'", 7),
+        ("+x", "unexpected token '+'", 1),
+        ("sin x", "trailing input 'x'", 5),
+        ("", "unexpected token ''", 1),
+        ("1..2", "malformed number", 1),
+        ("x @ y", "unexpected character '@'", 3),
+    ]
+    for text, message, col in table:
         with pytest.raises(MetricSyntaxError) as err:
             parse_expression(text)
-        assert err.value.line >= 1 and err.value.col >= 1, text
+        assert str(err.value) == f"{message} (line 1, col {col})", text
+        assert (err.value.line, err.value.col) == (1, col), text
 
 
 def test_the_lexer_table():
@@ -391,6 +410,20 @@ def test_a_sum_of_20000_terms_compiles_and_evaluates():
     assert len(steps) == 4 + 20000 and outputs == [len(steps) - 1]
     assert dsl.variables(ast) == {"x"}
     assert evaluate(ast, {"x": 0.5}) == pytest.approx(11.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["1" + " + 0.001*x" * 4999, "1 + 0.1*" + "-" * 5000 + "x"],
+                         ids=["5000-term-sum", "5000-deep-negation"])
+def test_a_deep_tree_prints_and_reads_back(text):
+    # the printer is one pass over the program: deep trees print, and the text reads
+    # back to the same metric (compared as text and jets: == and repr of the trees recurse)
+    printed = expression_to_text(parse_expression(text))
+    assert expression_to_text(parse_expression(printed)) == printed
+    spec = parse_metric_text('dimension = 3\ncoords = x y z\nsignature = "+++"\n'
+                             f'g[1][1] = "{text}"\ng[2][2] = "1"\ng[3][3] = "1 + y*z"\n')
+    again = parse_metric_text(spec.to_text())
+    point = [0.3, -0.2, 0.7]
+    assert np.array_equal(again.metric_jets(point, 3), spec.metric_jets(point, 3))
 
 
 @pytest.mark.parametrize("ast, exc", [
