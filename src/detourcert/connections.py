@@ -81,8 +81,6 @@ class Connection:
 
 def covector_connection(geom: Geometry, order: int | None = None) -> Connection:
     """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab, at order K-1 or the order given."""
-    order = geom.order - 1 if order is None else order
-    geom.require(order + 1, "covector connection")
     th = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
     return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector")
 

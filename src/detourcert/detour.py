@@ -165,13 +165,12 @@ def einstein_detour_expected(sigma: Jet | np.ndarray, geom: Geometry) -> JetTens
     the Cotton slot order matters only away from dimension four.
     """
     n, dim, s = geom.n, geom.jet_dim, jets.as_dense(sigma)
-    geom.require(5, "detour composition")
     k = geom.order - 5
-    grad = jets.partials(s, dim, n)[:, None]
     # rows (a, b): [-B_ab, (n-4) A_acb] against the column [sigma, nabla^c sigma]
-    col = np.concatenate([s[None, None, : jets._size(dim, k)], matmul(geom.dense("ginv", k), grad, dim)])
     coef = np.concatenate([-geom.dense("bach", k)[:, :, None],
                            (n - 4.0) * geom.dense("cotton", k).transpose(0, 2, 1, 3)], axis=2)
+    grad = jets.partials(s, dim, n)[:, None]
+    col = np.concatenate([s[None, None, : jets._size(dim, k)], matmul(geom.dense("ginv", k), grad, dim)])
     comps = matmul(coef.reshape(n * n, n + 1, -1), col, dim).reshape(n, n, -1)
     return JetTensor(("d", "d"), jets.like(tractor_mod.trace_free_symmetric(comps, geom), sigma, dim))
 

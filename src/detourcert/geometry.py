@@ -12,14 +12,15 @@ used consistently everywhere downstream:
 * Cotton:           A_abc = nabla_b P_ca - nabla_c P_ba
 * Bach:             B_ab = nabla^c A_acb + P^dc C_dacb
 
-Jet orders decay along the chain to each stage's top order: the metric
-carries K, Christoffel K-1, curvature K-2, Cotton K-3, Bach K-4.  The stages
-up to Schouten but ginv are formed once, at the top; ginv and the later ones
-only to the order read.  dense(stage, k) forms such a stage at k, and again
-when a later reader asks for more (ginv sweeps just the degrees not yet
-formed); the lower coefficients stay bit-identical, as truncation commutes
-with every kernel.  bach(k) reads cotton(k+1), weyl(k) and schouten_up(k);
-cotton(k) reads schouten(k+1).
+Jet orders decay along the chain: a stage's top order is K - drop, from its
+row (drop, policy) in Geometry._STAGES; the metric carries K, Christoffel
+K-1, curvature K-2, Cotton K-3, Bach K-4.  dense(stage, k) refuses a k
+outside 0..top (ValueError) before forming anything.  Policy "top" (g up to
+Schouten, but ginv) forms a stage once, at the top; "sweep" (ginv) just the
+degrees not yet formed, up to k; "read" forms it at k, and again when a
+later reader asks for more.  The lower coefficients stay bit-identical, as
+truncation commutes with every kernel.  bach(k) reads cotton(k+1), weyl(k)
+and schouten_up(k); cotton(k) reads schouten(k+1).
 
 Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
@@ -33,20 +34,21 @@ products never formed (detour.linearized_bach).  A metric with a non-finite
 coefficient raises ValueError.
 A stage computes only its dense array (Geometry.dense), and the constructor
 keeps only the dense metric; a public attribute, g as every stage, is jets
-viewing that array at the top order, built on first access.  dense(stage, k)
-with k above the top raises ValueError.  covd_array is the one coupled
-covariant derivative: Gamma on tangent slots, connection matrices on fiber
-slots, minus the transpose on a dual slot; dense arrays in and out.  trace
-and lower contract the leading slots of a dense array with the inverse
-metric and the metric (scalar traces Ricci, riemann_down lowers Riemann).
+viewing that array at the top order, built on first access.  covd_array is
+the one coupled covariant derivative: Gamma on tangent slots, connection
+matrices on fiber slots, minus the transpose on a dual slot; dense arrays in
+and out.  trace and lower contract the leading slots of a dense array with
+the inverse metric and the metric (scalar traces Ricci, riemann_down lowers
+Riemann).
 
 A batch of P points (the collocation nodes of prolong.transport) gives the
-stages up to Schouten (Geometry._BATCHED) and trace a leading points axis,
-bit-identical per point to a single-point Geometry; later stages,
-covd_array and lower raise ValueError on a batch.
+"top" and "sweep" stages and trace a leading points axis, bit-identical per
+point to a single-point Geometry; the "read" stages, covd_array and lower
+raise ValueError on a batch.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,10 +168,14 @@ class Geometry:
     makes a batch (see the module docstring).
     """
 
-    _BATCHED = frozenset({"g", "ginv", "gamma", "riemann", "ricci", "scalar", "jtrace", "schouten"})
+    # stage -> (drop, policy): its top order is K - drop; the module docstring has the policies
+    _STAGES = {"g": (0, "top"), "ginv": (0, "sweep"), "gamma": (1, "top"), "riemann": (2, "top"),
+               "riemann_down": (2, "read"), "ricci": (2, "top"), "scalar": (2, "top"),
+               "jtrace": (2, "top"), "schouten": (2, "top"), "schouten_up": (2, "read"),
+               "weyl": (2, "read"), "cotton": (3, "read"), "bach": (4, "read")}
 
     def __init__(self, spec=None, point=None, order: int = 4, *, metric_jets=None):
-        if order is None or int(order) < 0:
+        if not isinstance(order, numbers.Integral) or order < 0:
             raise ValueError(f"bad jet order {order!r}")
         self.order = int(order)
         self.spec = spec
@@ -197,36 +203,35 @@ class Geometry:
             self.jet_dim = ring if fits else ring[0] + 1
         if jets._size(self.jet_dim, self.order) != ncoeff:
             raise ValueError(f"metric jets do not have order {self.order}")
-        self._formed = {}  # the order each stage was formed for (inf: once, at the top)
+        self._formed = {}  # the order each stage was formed for
         self.dense("ginv", 0)  # eager values so a degenerate metric fails fast
 
     # -- helpers -------------------------------------------------------------
 
-    def require(self, order_needed: int, what: str):
-        if self.order < order_needed:
-            raise ValueError(
-                f"{what} needs metric jet order >= {order_needed}, geometry has {self.order}"
-            )
-
     def dense(self, stage: str, order: int | None = None) -> np.ndarray:
         """Dense coefficients of a stage to order (default: its top order), formed as needed.
 
-        See the module docstring; an order above the top raises ValueError.
+        See the module docstring; an order outside 0..top raises ValueError.
         """
-        x, want = self._dense.get(stage), self.order if order is None else order
-        if x is None or self._formed.get(stage, want) < want:
-            on_demand = stage == "ginv" or stage not in self._BATCHED
-            if stage not in self._BATCHED:
+        drop, policy = self._STAGES[stage]
+        top = self.order - drop
+        k = top if order is None else order
+        if not 0 <= k <= top:
+            raise ValueError(f"{stage} has jet order {top}, not {k}")
+        x = self._dense.get(stage)
+        if x is None or self._formed.get(stage, top) < k:
+            if policy == "read":
                 self._single(stage)
+            args = () if policy == "top" else (k,)  # a "top" stage is formed at its top
             # through the class attribute, so that a wrapper installed there
             # sees every stage computation; contiguous, so that views share it
-            func, args = getattr(type(self), stage).func, (want,) if on_demand else ()
-            x = self._dense[stage] = np.ascontiguousarray(func(self, *args))
-            self._formed[stage] = want if on_demand else np.inf
-        size = x.shape[-1] if order is None else jets._size(self.jet_dim, order)
-        if size > x.shape[-1]:
-            raise ValueError(f"{stage} has jet order {jets.order_of(self.jet_dim, x.shape[-1])}, not {order}")
-        return x[..., :size]
+            x = self._dense[stage] = np.ascontiguousarray(getattr(type(self), stage).func(self, *args))
+            self._formed[stage] = k if args else top
+        return x[..., : jets._size(self.jet_dim, k)]
+
+    def _top(self, stage: str, order: int | None) -> int:
+        """order, or by default the stage's top order K - drop."""
+        return self.order - self._STAGES[stage][0] if order is None else order
 
     def _single(self, what: str):
         if self.lead:
@@ -244,15 +249,14 @@ class Geometry:
         return self._dense["g"]
 
     @_stage
-    def ginv(self, order: float = np.inf) -> np.ndarray:
-        """g^ab at order K, formed up to degree order (at most K) and zero above, in place."""
-        degrees = range(self._formed.get("ginv", -1) + 1, min(order, self.order) + 1)
+    def ginv(self, order: int | None = None) -> np.ndarray:
+        """g^ab at order K, formed up to degree order (default: K) and zero above, in place."""
+        degrees = range(self._formed.get("ginv", -1) + 1, self._top("ginv", order) + 1)
         return invert_jet_matrix(self.dense("g"), self.jet_dim, degrees, self._dense.get("ginv"))
 
     @_stage
     def gamma(self) -> np.ndarray:
         """Gamma[c, a, b] = Gam^c_ab at order K-1."""
-        self.require(1, "christoffel")
         n, k = self.n, self.order - 1
         dg = jets.partials(self.dense("g"), self.jet_dim, n, len(self.lead))
         low = dg.swapaxes(-4, -3) + jets.moveaxis(dg, -4, -2) - dg  # [d, a, b]; dg: d_a g_db at [a, d, b]
@@ -262,12 +266,11 @@ class Geometry:
     @_stage
     def riemann(self) -> np.ndarray:
         """R[a, b, c, d] = R_ab^c_d at order K-2: the curvature_form of Theta_b[c, d] = Gam^c_bd."""
-        self.require(2, "curvature")
         return curvature_form(self.dense("gamma").swapaxes(-4, -3), self.jet_dim)
 
     @_stage
-    def riemann_down(self, order: float = np.inf) -> np.ndarray:
-        rie = self.dense("riemann", min(order, self.order - 2))
+    def riemann_down(self, order: int | None = None) -> np.ndarray:
+        rie = self.dense("riemann", order)
         return self.lower(rie.transpose(2, 0, 1, 3, 4)).transpose(1, 2, 0, 3, 4)  # lowers [e, a, b, d]
 
     @_stage
@@ -290,15 +293,16 @@ class Geometry:
         return (self.dense("ricci") - self._shape(jg, n, n, -1)) / float(n - 2)
 
     @_stage
-    def schouten_up(self, order: float = np.inf) -> np.ndarray:
-        """P with both indices raised, to order min(order, K-2)."""
-        gl, p = (self.dense(s, min(order, self.order - 2)) for s in ("ginv", "schouten"))
+    def schouten_up(self, order: int | None = None) -> np.ndarray:
+        """P with both indices raised, to order (default: K-2)."""
+        k = self._top("schouten_up", order)
+        gl, p = (self.dense(s, k) for s in ("ginv", "schouten"))
         return jets.contract(jets.contract(gl, p, self.jet_dim), gl.transpose(1, 0, 2), self.jet_dim)
 
     @_stage
-    def weyl(self, order: float = np.inf) -> np.ndarray:
-        """C[a, b, c, d] all indices down, to order min(order, K-2)."""
-        n, k = self.n, min(order, self.order - 2)
+    def weyl(self, order: int | None = None) -> np.ndarray:
+        """C[a, b, c, d] all indices down, to order (default: K-2)."""
+        n, k = self.n, self._top("weyl", order)
         rd = self.dense("riemann_down", k)
         gp = jets.contract(self.dense("g", k).reshape(n * n, 1, -1),
                            self.dense("schouten", k).reshape(1, n * n, -1), self.jet_dim)
@@ -310,17 +314,15 @@ class Geometry:
         return weyl
 
     @_stage
-    def cotton(self, order: float = np.inf) -> np.ndarray:
-        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, to order min(order, K-3)."""
-        self.require(3, "cotton")
-        dp = self.covd_array(self.dense("schouten", min(order, self.order - 3) + 1), ("d", "d"))
+    def cotton(self, order: int | None = None) -> np.ndarray:
+        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, to order (default: K-3)."""
+        dp = self.covd_array(self.dense("schouten", self._top("cotton", order) + 1), ("d", "d"))
         return dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3)
 
     @_stage
-    def bach(self, order: float = np.inf) -> np.ndarray:
-        """B[a, b] to order min(order, K-4): [g^ce, P^dc] contracted with [nabla_e A_acb, C_dacb]."""
-        self.require(4, "bach")
-        n, k = self.n, min(order, self.order - 4)
+    def bach(self, order: int | None = None) -> np.ndarray:
+        """B[a, b] to order (default: K-4): [g^ce, P^dc] contracted with [nabla_e A_acb, C_dacb]."""
+        n, k = self.n, self._top("bach", order)
         da = self.covd_array(self.dense("cotton", k + 1), ("d", "d", "d"))
         coef = np.concatenate([self.dense("ginv", k), self.dense("schouten_up", k)])
         terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),
@@ -343,7 +345,6 @@ class Geometry:
         out_order = jets.order_of(self.jet_dim, x.shape[-1]) - 1
         if out_order < 0:
             raise ValueError("cannot differentiate order-0 jets")
-        self.require(out_order + 1, "covariant derivative")
         n, nc = self.n, jets._size(self.jet_dim, out_order)
         gam = self.dense("gamma", out_order)
         low = x[..., :nc]

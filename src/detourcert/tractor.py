@@ -245,7 +245,6 @@ def connection_matrices(geom: Geometry, order: int) -> np.ndarray:
     plain rank-(n+2) bundle with connection.
     """
     n = geom.n
-    geom.require(order + 2, "tractor connection coefficients")
     P = geom.dense("schouten", order)
     t = np.zeros(P.shape[:-3] + (n, n + 2, n + 2, P.shape[-1]))
     t[..., 0, 1 : n + 1, 0] = -np.eye(n)
@@ -265,7 +264,6 @@ def tractor_curvature(geom: Geometry, order: int | None = None) -> np.ndarray:
     cross-checked against the commutator of coupled derivatives in the tests.
     """
     n = geom.n
-    geom.require(3, "tractor curvature")
     order = geom.order - 3 if order is None else order
     A = geom.dense("cotton", order).transpose(1, 2, 0, 3)  # A_cab at [a, b, c]
     # W_abc^e and A^e_ab: rows (a, b, c), then (a, b, d) raised by g^de
@@ -281,7 +279,6 @@ def tractor_curvature(geom: Geometry, order: int | None = None) -> np.ndarray:
 
 def curvature_divergence(geom: Geometry) -> np.ndarray:
     """nabla^a Omega_ab as jets, computed mechanically with the End-coupled connection."""
-    geom.require(4, "curvature divergence")
     d_omega = connections.covd_endomorphism(connections.tractor_connection(geom),
                                             tractor_curvature(geom))
     return jets.to_jets(geom.trace(d_omega), geom.jet_dim)

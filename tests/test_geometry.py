@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detourcert import catalog, detour, geometry, jets, prolong
-from detourcert.connections import killing_connection, tractor_connection
+from detourcert import catalog, detour, geometry, jets, prolong, tractor
+from detourcert.connections import covector_connection, killing_connection, tractor_connection
 from detourcert.dsl import parse_expression, parse_metric_text
 from detourcert.geometry import (
     Geometry,
@@ -542,7 +542,27 @@ def test_geometry_rejects_bad_order_and_point():
         Geometry(metric_jets=np.ones((4, 4, 7)), order=2)  # 7 coefficients fit no order-2 jet
 
 
+@pytest.mark.parametrize("order", [4.9, 2.5, 3.0000001, None, "4"])
+def test_geometry_rejects_a_non_integral_order(order):
+    # int(4.9) would silently build order 4
+    with pytest.raises(ValueError, match="bad jet order"):
+        Geometry(BUMP4, P_BUMP, order=order)
+
+
+@pytest.mark.parametrize("order", [np.int64(3), np.int32(2), 3])
+def test_geometry_accepts_integer_orders(order):
+    geom = Geometry(BUMP4, P_BUMP, order=order)
+    assert geom.order == order and type(geom.order) is int
+
+
 STAGES = tuple(name for name, attr in vars(Geometry).items() if isinstance(attr, cached_property))
+
+
+def test_the_stage_table_lists_exactly_the_stages():
+    # a new stage cannot skip its row: its top order and formation policy live there
+    assert set(Geometry._STAGES) == {name for name, attr in vars(Geometry).items()
+                                     if isinstance(attr, geometry._stage)}
+    assert set(Geometry._STAGES) == set(STAGES)
 
 
 def test_stage_views_equal_the_dense_arrays():
@@ -589,6 +609,46 @@ def test_an_order_above_the_stage_is_rejected(stage):
     assert geom.dense(stage, held).shape == geom.dense(stage).shape
     with pytest.raises(ValueError, match=f"{stage} has jet order {held}, not {held + 2}"):
         geom.dense(stage, held + 2)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_refuses_an_order_outside_its_range_before_forming_anything(stage):
+    # k = -1, k = top + 1, and any k on a geometry whose order is below the
+    # stage's drop (top < 0) raise the one message of dense, and no stage is
+    # formed or swept on the way
+    drop = Geometry._STAGES[stage][0]
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    cases = [(geom, 4 - drop, -1), (geom, 4 - drop, 5 - drop)]
+    for order in range(drop):
+        low = Geometry(BUMP4, P_BUMP, order=order)
+        cases += [(low, order - drop, None), (low, order - drop, 0), (low, order - drop, -1)]
+    for g, top, k in cases:
+        held, formed = {s: x.copy() for s, x in g._dense.items()}, dict(g._formed)
+        want = f"^{stage} has jet order {top}, not {top if k is None else k}$"
+        with pytest.raises(ValueError, match=want):
+            g.dense(stage, k)
+        if k is None:
+            with pytest.raises(ValueError, match=want):
+                getattr(g, stage)
+        assert g._formed == formed and g._dense.keys() == held.keys(), (stage, top, k)
+        assert all(np.array_equal(g._dense[s], x) for s, x in held.items()), (stage, top, k)
+
+
+def test_each_reader_refuses_an_order_its_geometry_does_not_hold():
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    with pytest.raises(ValueError, match="gamma has jet order 3, not 4"):
+        covector_connection(geom, geom.order)
+    with pytest.raises(ValueError, match="schouten has jet order 2, not 3"):
+        tractor.connection_matrices(geom, geom.order - 1)
+    with pytest.raises(ValueError, match="bach has jet order 0, not -1"):
+        detour.einstein_detour_expected(np.ones(jets._size(4, 4)), geom)
+    with pytest.raises(ValueError, match="gamma has jet order 3, not 4"):
+        geom.covd_array(np.ones((4, jets._size(4, 5))), ("d",))  # jets one order above K
+    with pytest.raises(ValueError, match="cotton has jet order -1, not -1"):
+        tractor.tractor_curvature(Geometry(BUMP4, P_BUMP, order=2))  # Cotton at K-3
+    for order in (2, 3):
+        with pytest.raises(ValueError):
+            tractor.curvature_divergence(Geometry(BUMP4, P_BUMP, order=order))  # its derivative at K-4
 
 
 @pytest.mark.parametrize("ring", [False, True])
