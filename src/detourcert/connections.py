@@ -44,7 +44,7 @@ import numpy as np
 
 from . import jets, tractor as tractor_mod
 from .geometry import Geometry, curvature_form
-from .jets import _rank, _size
+from .jets import _ranks, _size
 
 
 @dataclass(eq=False)
@@ -135,14 +135,11 @@ def polynomial_connection(geom: Geometry, rank: int, rng) -> Connection:
     n, dim = geom.n, geom.jet_dim
     order = geom.order - 1
     draws = rng.normal(0.0, 0.2, size=(n, rank, rank, 1 + 2 * n))
-    rank_of = _rank(dim, order)
+    # row j is the monomial of draw j (1, x_0, x_0^2, x_1, ...); its rank is -1 above the order
+    alpha = np.vstack([np.zeros((1, n), np.intp), np.kron(np.eye(n, dtype=np.intp), [[1], [2]])])
+    ranks = _ranks(dim, order, alpha)
     th = np.zeros((n, rank, rank, _size(dim, order)))
-    th[..., 0] = draws[..., 0]
-    for s in range(n):
-        for power in (1, 2):
-            alpha = tuple(power if t == s else 0 for t in range(dim))
-            if power <= order:
-                th[..., rank_of[alpha]] = draws[..., 2 * s + power]
+    th[..., ranks[ranks >= 0]] = draws[..., ranks >= 0]
     return Connection(geom, rank, th, label="polynomial")
 
 

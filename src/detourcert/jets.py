@@ -44,6 +44,12 @@ and one more, eps, with eps^2 = 0.  The ring's multi-indices are the
 graded-lex ones of d+1 variables with eps-degree (the last exponent) at most
 1, so truncation stays a prefix slice; its product table skips every pair
 whose product leaves the ring.  The tables and contract() accept either key.
+
+Every index table is array arithmetic on one (ncoeff, variables) integer
+array of exponent rows per key and order (_exponents, in the order above) and
+one rank rule (_ranks): the digits (|alpha|, alpha) in base order+1 make a key
+that rises with rank, found by np.searchsorted in the keys of the array; a
+row that is no coefficient (above the order, eps^2 in the ring) gives -1.
 """
 from __future__ import annotations
 
@@ -62,13 +68,40 @@ class SingularPointError(ArithmeticError):
 # multi-index bookkeeping, cached per (dim, order)
 
 
-def _gen_indices(dim: int, degree: int):
-    if dim == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _gen_indices(dim - 1, degree - first):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def _exponents(dim, order: int) -> np.ndarray:
+    """The rows of multi_indices(dim, order) as an (ncoeff, variables) array.
+
+    Each first exponent f, rising, heads the later variables' rows of degree <= order - f
+    (lexicographic); a stable sort by degree makes it graded.
+    """
+    if isinstance(dim, tuple):
+        rows = _exponents(dim[0] + 1, order)
+        rows = rows[rows[:, -1] <= dim[1]]
+    else:
+        if dim < 1 or order < 0:
+            raise ValueError(f"bad jet shape dim={dim} order={order}")
+        rows = np.zeros((1, 0), dtype=np.intp)
+        for _ in range(dim):
+            first, rest = np.nonzero(rows.sum(1) <= order - np.arange(order + 1)[:, None])
+            rows = np.column_stack([first, rows[rest]])
+        rows = rows[np.argsort(rows.sum(1), kind="stable")]
+    rows.flags.writeable = False
+    return rows
+
+
+def _ranks(dim, order: int, rows) -> np.ndarray:
+    """Rank among the coefficients of (dim, order) of each nonnegative exponent row (last axis).
+
+    A row is the radix key of its digits (|alpha|, alpha) in base order+1, so the keys of
+    _exponents(dim, order) rise with rank and a searchsorted finds each row.  A row that is
+    no coefficient, one above the order or one with eps^2 in the ring, gives -1.
+    """
+    rows, table = np.asarray(rows, dtype=np.intp), _exponents(dim, order)
+    radix = (order + 1) ** np.arange(table.shape[1], -1, -1)
+    keys, want = ((r.sum(-1) * radix[0] + r @ radix[1:]) for r in (table, rows))
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)  # a degree above order: past every key
+    return np.where(keys[pos] == want, pos, -1)
 
 
 @lru_cache(maxsize=None)
@@ -79,14 +112,7 @@ def multi_indices(dim, order: int) -> tuple:
     a prefix: truncating a jet is a coefficient-vector slice.  For a ring key
     (d, 1), the tuples of d+1 variables whose last exponent is at most 1.
     """
-    if isinstance(dim, tuple):
-        return tuple(a for a in multi_indices(dim[0] + 1, order) if a[-1] <= dim[1])
-    if dim < 1 or order < 0:
-        raise ValueError(f"bad jet shape dim={dim} order={order}")
-    out = []
-    for deg in range(order + 1):
-        out.extend(_gen_indices(dim, deg))
-    return tuple(out)
+    return tuple(map(tuple, _exponents(dim, order).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -96,30 +122,27 @@ def _rank(dim, order: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _size(dim, order: int) -> int:
-    return len(multi_indices(dim, order))
+    return len(_exponents(dim, order))
 
 
 @lru_cache(maxsize=None)
 def _mul_table(dim, order: int):
     """Gather tables (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic inside the ring of dim."""
-    idx = multi_indices(dim, order)
-    rank = _rank(dim, order)
-    ia, ib, ic = [], [], []
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx[: _size(dim, order - sum(a))]):  # graded: a prefix
-            c = rank.get(tuple(x + y for x, y in zip(a, b)))
-            if c is not None:
-                ia.append(i)
-                ib.append(j)
-                ic.append(c)
-    return tuple(np.asarray(t, dtype=np.intp) for t in (ia, ib, ic))
+    rows = _exponents(dim, order)
+    deg = rows.sum(1)
+    counts = np.searchsorted(deg, order - deg, side="right")  # graded: ib runs over a prefix
+    ia = np.repeat(np.arange(len(rows)), counts)
+    ib = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ic = _ranks(dim, order, rows[ia] + rows[ib])
+    keep = ic >= 0  # the ring drops the pairs whose product has eps^2
+    return ia[keep], ib[keep], ic[keep]
 
 
 @lru_cache(maxsize=None)
 def _embed_table(dim: int, order: int, key, pad: tuple):
     """Ranks in the jets of key, at order + |pad|, of alpha + pad for each alpha of (dim, order)."""
-    rank = _rank(key, order + sum(pad))
-    return np.asarray([rank[alpha + pad] for alpha in multi_indices(dim, order)], dtype=np.intp)
+    rows = _exponents(dim, order)
+    return _ranks(key, order + sum(pad), np.hstack([rows, np.tile(pad, (len(rows), 1))]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +176,9 @@ def _pair_runs(dim, order: int) -> tuple:
 @lru_cache(maxsize=None)
 def _partials_table(dim, order: int, slots: int):
     """Source ranks and multipliers, one row per s < slots: coeffs(K) -> coeffs of d/dx_s (K-1)."""
-    rank, lower = _rank(dim, order), multi_indices(dim, order - 1)
-    src = [[rank[beta[:s] + (beta[s] + 1,) + beta[s + 1 :]] for beta in lower] for s in range(slots)]
-    mul = [[beta[s] + 1.0 for beta in lower] for s in range(slots)]
-    return np.asarray(src, dtype=np.intp), np.asarray(mul)
+    lower = _exponents(dim, order - 1)
+    unit = np.eye(lower.shape[1], dtype=np.intp)[:slots, None]
+    return _ranks(dim, order, lower + unit), lower[:, :slots].T + 1.0
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +313,7 @@ def _variable_coeffs(value, slot: int, dim: int, order: int) -> np.ndarray:
     """Coefficients of coordinate slot at a float value, or at an array of values."""
     c = _constant_coeffs(value, _size(dim, order))
     if order >= 1:
-        c[..., _rank(dim, order)[tuple(int(i == slot) for i in range(dim))]] = 1.0
+        c[..., _partials_table(dim, order, dim)[0][slot, 0]] = 1.0  # x_slot: what d/dx_slot moves to 1
     return c
 
 

@@ -279,8 +279,8 @@ def tractor_curvature(geom: Geometry, order: int | None = None) -> np.ndarray:
 
 def curvature_divergence(geom: Geometry) -> np.ndarray:
     """nabla^a Omega_ab as jets, computed mechanically with the End-coupled connection."""
-    d_omega = connections.covd_endomorphism(connections.tractor_connection(geom),
-                                            tractor_curvature(geom))
+    omega = tractor_curvature(geom, max(1, geom.order - 3))  # differentiated: order 1 at least
+    d_omega = connections.covd_endomorphism(connections.tractor_connection(geom), omega)
     return jets.to_jets(geom.trace(d_omega), geom.jet_dim)
 
 

@@ -646,9 +646,9 @@ def test_each_reader_refuses_an_order_its_geometry_does_not_hold():
         geom.covd_array(np.ones((4, jets._size(4, 5))), ("d",))  # jets one order above K
     with pytest.raises(ValueError, match="cotton has jet order -1, not -1"):
         tractor.tractor_curvature(Geometry(BUMP4, P_BUMP, order=2))  # Cotton at K-3
-    for order in (2, 3):
-        with pytest.raises(ValueError):
-            tractor.curvature_divergence(Geometry(BUMP4, P_BUMP, order=order))  # its derivative at K-4
+    for order in (2, 3):  # its derivative at K-4 reads Cotton at order 1
+        with pytest.raises(ValueError, match=f"cotton has jet order {order - 3}, not 1"):
+            tractor.curvature_divergence(Geometry(BUMP4, P_BUMP, order=order))
 
 
 @pytest.mark.parametrize("ring", [False, True])

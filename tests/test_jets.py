@@ -7,6 +7,7 @@ without reference to the package internals.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -613,6 +614,70 @@ def _brute_mul_table(dim, order):
 def test_mul_table_lists_every_pair_once_in_row_order(dim, order):
     for got, ref in zip(jets._mul_table(dim, order), _brute_mul_table(dim, order)):
         np.testing.assert_array_equal(got, ref)
+
+
+# -- every index table against its definition
+
+
+def _reference_indices(key, order):
+    """Exponent tuples with |alpha| <= order by itertools.product, sorted by (degree, tuple).
+
+    The product runs over all variables but the last, which takes each exponent up to
+    the degree left (at most 1 in a ring key).
+    """
+    nv, top = (key, order) if isinstance(key, int) else (key[0] + 1, 1)
+    rows = [a + (e,) for a in itertools.product(range(order + 1), repeat=nv - 1) if sum(a) <= order
+            for e in range(min(top, order - sum(a)) + 1)]
+    return sorted(rows, key=lambda a: (sum(a), a))
+
+
+def _reference_partials(key, order, slots, rank):
+    lower = multi_indices(key, order - 1)
+    src = [[rank[b[:s] + (b[s] + 1,) + b[s + 1 :]] for b in lower] for s in range(slots)]
+    return np.asarray(src, dtype=np.intp), np.asarray([[b[s] + 1.0 for b in lower] for s in range(slots)])
+
+
+def _reference_embed(dim, order, key, pad):
+    rank = {a: i for i, a in enumerate(_reference_indices(key, order + sum(pad)))}
+    return np.asarray([rank[a + pad] for a in multi_indices(dim, order)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("key", [1, 2, 3, 4, 5, (2, 1), (3, 1), (4, 1), (5, 1)])
+def test_every_index_table_equals_its_definition(key):
+    # multi_indices, _size, _mul_table, _partials_table and _embed_table at
+    # orders 0-8, against loops over tuples that share nothing with jets' arrays
+    dim = key if isinstance(key, int) else key[0]
+    for order in range(9):
+        ref = _reference_indices(key, order)
+        assert list(multi_indices(key, order)) == ref and jets._size(key, order) == len(ref)
+        assert jets._exponents(key, order).dtype == np.intp
+        table = jets._mul_table(key, order)
+        assert all(t.dtype == np.intp for t in table)
+        if len(ref) <= 126:  # the brute-force table is quadratic in the coefficients
+            for got, want in zip(table, _brute_mul_table(key, order)):
+                np.testing.assert_array_equal(got, want)
+        if order:
+            src, mul = jets._partials_table(key, order, dim)
+            want_src, want_mul = _reference_partials(key, order, dim, {a: i for i, a in enumerate(ref)})
+            assert src.dtype == np.intp and mul.dtype == np.float64
+            np.testing.assert_array_equal(src, want_src)
+            np.testing.assert_array_equal(mul, want_mul)
+        targets = [(dim + 1, (0,)), (dim + 2, (0, 0))] if key == dim else [(key, (0,)), (key, (1,))]
+        for target, pad in targets:
+            got = jets._embed_table(dim, order, target, pad)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, _reference_embed(dim, order, target, pad))
+
+
+def test_ranks_give_minus_one_for_a_row_that_is_no_coefficient():
+    assert jets._ranks((3, 1), 4, [0, 1, 0, 2]) == -1  # eps^2 in the ring
+    assert jets._ranks(3, 4, [2, 2, 1]) == -1  # degree 5 above the order
+    # an exponent of order + 1: its plain base-4 digits would read as (1, 0)
+    assert jets._ranks(2, 3, [0, 4]) == -1
+    rows = np.array(multi_indices((3, 1), 4))
+    got = jets._ranks((3, 1), 4, np.stack([rows, rows]))
+    assert got.dtype == np.intp and got.shape == (2, len(rows))
+    np.testing.assert_array_equal(got, np.tile(np.arange(len(rows)), (2, 1)))
 
 
 # -- the ring key (d, 1): d variables and one eps with eps^2 = 0
