@@ -4,7 +4,7 @@ honestly curved on a generic bump.
 The tractor connection of a conformally flat metric has no holonomy, so
 carrying a tractor around a closed loop must return it unchanged. On a
 generic metric the same loop picks up a visible defect, and the transport
-certificate (two integrations at different tolerances) tells us how far
+certificate (the gap between the solves on N and 2N nodes) tells us how far
 to trust each number.
 """
 import numpy as np
@@ -44,9 +44,8 @@ defect = prolong.loop_defect(bump, tractor_connection, loop_bump, v6,
                              rtol=1e-9, atol=1e-11, certify_tol=1e-3)
 print(f"bump loop defect, same shape of loop            : {defect:.3e}")
 
-res = prolong.transport_polyline(bump, tractor_connection,
-                                 loop_bump + [loop_bump[0]], v6,
-                                 rtol=1e-9, atol=1e-11, certify_tol=1e-3)
+res = prolong.transport(bump, tractor_connection, loop_bump + [loop_bump[0]], v6,
+                        rtol=1e-9, atol=1e-11, certify_tol=1e-3)
 print(f"transport certificate on the bump loop          : {res.error:.3e}")
 print("the bump defect stands eight orders above its certificate:")
 print("genuine holonomy, not integrator noise")

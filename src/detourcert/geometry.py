@@ -229,10 +229,6 @@ class Geometry:
             self._formed[stage] = k if args else top
         return x[..., : jets._size(self.jet_dim, k)]
 
-    def _top(self, stage: str, order: int | None) -> int:
-        """order, or by default the stage's top order K - drop."""
-        return self.order - self._STAGES[stage][0] if order is None else order
-
     def _single(self, what: str):
         if self.lead:
             raise ValueError(f"{what} is not computed on a batch of points")
@@ -249,9 +245,9 @@ class Geometry:
         return self._dense["g"]
 
     @_stage
-    def ginv(self, order: int | None = None) -> np.ndarray:
-        """g^ab at order K, formed up to degree order (default: K) and zero above, in place."""
-        degrees = range(self._formed.get("ginv", -1) + 1, self._top("ginv", order) + 1)
+    def ginv(self, k: int) -> np.ndarray:
+        """g^ab at order K, formed up to degree k and zero above, in place."""
+        degrees = range(self._formed.get("ginv", -1) + 1, k + 1)
         return invert_jet_matrix(self.dense("g"), self.jet_dim, degrees, self._dense.get("ginv"))
 
     @_stage
@@ -269,8 +265,8 @@ class Geometry:
         return curvature_form(self.dense("gamma").swapaxes(-4, -3), self.jet_dim)
 
     @_stage
-    def riemann_down(self, order: int | None = None) -> np.ndarray:
-        rie = self.dense("riemann", order)
+    def riemann_down(self, k: int) -> np.ndarray:
+        rie = self.dense("riemann", k)
         return self.lower(rie.transpose(2, 0, 1, 3, 4)).transpose(1, 2, 0, 3, 4)  # lowers [e, a, b, d]
 
     @_stage
@@ -293,16 +289,15 @@ class Geometry:
         return (self.dense("ricci") - self._shape(jg, n, n, -1)) / float(n - 2)
 
     @_stage
-    def schouten_up(self, order: int | None = None) -> np.ndarray:
-        """P with both indices raised, to order (default: K-2)."""
-        k = self._top("schouten_up", order)
+    def schouten_up(self, k: int) -> np.ndarray:
+        """P with both indices raised, to order k."""
         gl, p = (self.dense(s, k) for s in ("ginv", "schouten"))
         return jets.contract(jets.contract(gl, p, self.jet_dim), gl.transpose(1, 0, 2), self.jet_dim)
 
     @_stage
-    def weyl(self, order: int | None = None) -> np.ndarray:
-        """C[a, b, c, d] all indices down, to order (default: K-2)."""
-        n, k = self.n, self._top("weyl", order)
+    def weyl(self, k: int) -> np.ndarray:
+        """C[a, b, c, d] all indices down, to order k."""
+        n = self.n
         rd = self.dense("riemann_down", k)
         gp = jets.contract(self.dense("g", k).reshape(n * n, 1, -1),
                            self.dense("schouten", k).reshape(1, n * n, -1), self.jet_dim)
@@ -314,15 +309,15 @@ class Geometry:
         return weyl
 
     @_stage
-    def cotton(self, order: int | None = None) -> np.ndarray:
-        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, to order (default: K-3)."""
-        dp = self.covd_array(self.dense("schouten", self._top("cotton", order) + 1), ("d", "d"))
+    def cotton(self, k: int) -> np.ndarray:
+        """A[a, b, c] = A_abc = nabla_b P_ca - nabla_c P_ba, to order k."""
+        dp = self.covd_array(self.dense("schouten", k + 1), ("d", "d"))
         return dp.transpose(2, 0, 1, 3) - dp.transpose(2, 1, 0, 3)
 
     @_stage
-    def bach(self, order: int | None = None) -> np.ndarray:
-        """B[a, b] to order (default: K-4): [g^ce, P^dc] contracted with [nabla_e A_acb, C_dacb]."""
-        n, k = self.n, self._top("bach", order)
+    def bach(self, k: int) -> np.ndarray:
+        """B[a, b] to order k: [g^ce, P^dc] contracted with [nabla_e A_acb, C_dacb]."""
+        n = self.n
         da = self.covd_array(self.dense("cotton", k + 1), ("d", "d", "d"))
         coef = np.concatenate([self.dense("ginv", k), self.dense("schouten_up", k)])
         terms = np.concatenate([da.transpose(2, 0, 1, 3, 4),

@@ -9,8 +9,8 @@ handles on that space:
   and all of its covariant derivatives, so the kernel of the stacked value
   matrices F, grad F, grad^2 F ... (numerical rank against one Theta-scaled
   roundoff floor) bounds the solution space (and equals it at generic points);
-* parallel transport: integrate v' = -Theta(c'(t)) v along coordinate
-  segments with a re-solve on twice the nodes as an error certificate.
+* parallel transport: integrate v' = -Theta(c'(t)) v along a coordinate
+  polyline with a re-solve on twice the nodes as an error certificate.
 
 Transport consumes only the metric text, not a fixed chart jet.  On the
 segment c(t) = a + t d, A(t) = d^a Theta_a(c(t)) does not depend on v, so the
@@ -20,9 +20,12 @@ Geometry (a leading points axis, bit-identical to single-point builds: one run
 of the metric text's compiled program, one order-2 chain whose inverse metric
 is formed to degree 1 only, one batched product d^a Theta_a) gives A at every
 node, and one dense solve gives v there.  N doubles from 8 until the last two
-Chebyshev coefficients of v are small; the grids nest, so a doubling builds
-only the N new nodes.  The nodes are symmetric under t -> 1 - t, so the
-reverse leg of a roundtrip reads the forward leg's build.
+Chebyshev coefficients of v are small, and once more to certify; the grids
+nest, so a doubling builds only the N new nodes.  A segment no grid up to
+N = 64 resolves is replaced by its halves (piecewise collocation: Driscoll,
+Bornemann & Trefethen, BIT 48, 2008).  One loop runs a polyline's segments
+and keeps each one's nodes, symmetric under t -> 1 - t: a roundtrip is the
+closed path p0 -> p1 -> p0, whose second segment reads the first one's build.
 """
 from __future__ import annotations
 
@@ -98,6 +101,7 @@ def _theta_values(spec, builder, points) -> np.ndarray:
 
 
 _FIRST_N, _MAX_N = 8, 64  # Lobatto grids of N + 1 nodes: N = 8, 16, ..., _MAX_N
+_SPLITS = 4  # a segment no grid resolves is halved, at most this many times over
 
 
 @lru_cache(maxsize=None)
@@ -130,21 +134,19 @@ def _collocate(mats: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return np.vstack([v0, sol.reshape(n, r)])
 
 
-def _node_matrices(memo: dict, spec, builder, p0, p1, n: int) -> tuple:
-    """(A(t_j), nodes built): A = d^a Theta_a(p0 + t d), d = p1 - p0, at the n + 1 Lobatto nodes.
+def _node_matrices(cache: dict, spec, builder, a: np.ndarray, b: np.ndarray, n: int) -> tuple:
+    """(A(t_j), nodes built): A = d^a Theta_a(a + t d), d = b - a, at the n + 1 Lobatto nodes.
 
-    The nodes are built in the orientation whose start has the smaller bytes, and memo keeps
-    those of the last segment built: the other orientation reads -A at the reversed nodes
-    (t -> 1 - t), and a finer grid builds only the nodes it adds.
+    The nodes are built in the orientation whose start has the smaller bytes, and cache keeps
+    them per segment: the other orientation reads -A at the reversed nodes (t -> 1 - t), and a
+    finer grid builds only the nodes it adds.
     """
-    a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     flip = b.tobytes() < a.tobytes()
     lo, hi = (b, a) if flip else (a, b)
-    d, key = hi - lo, (id(spec), id(builder), lo.tobytes(), hi.tobytes())
-    mats = memo[key][2] if key in memo else None  # the entry holds spec and builder: no id reuse
+    d, key = hi - lo, (lo.tobytes(), hi.tobytes())
+    mats = cache.get(key)
     have, built = (0 if mats is None else len(mats) - 1), 0
     if have < n:
-        memo.clear()
         new = np.ones(n + 1, dtype=bool)
         if have:
             new[:: n // have] = False
@@ -155,56 +157,52 @@ def _node_matrices(memo: dict, spec, builder, p0, p1, n: int) -> tuple:
         if have:
             full[~new] = mats
         mats, have, built = full, n, p
-        memo[key] = (spec, builder, mats)
+        cache[key] = mats
     mats = mats[:: have // n]
     return (-mats[::-1] if flip else mats), built
 
 
-def transport(spec, builder: Callable, p0: Sequence[float], p1: Sequence[float], v0,
+def transport(spec, builder: Callable, points: Sequence, v0,
               rtol: float = 1e-10, atol: float = 1e-12,
-              certify_tol: float = 1e-6,
-              refine: bool = True, memo: dict | None = None) -> TransportResult:
-    """Parallel transport of v0 along the coordinate segment from p0 to p1.
+              certify_tol: float = 1e-6, refine: bool = True) -> TransportResult:
+    """Parallel transport of v0 along the coordinate polyline through points.
 
-    Collocates v' = -A(t) v on Lobatto grids of N = 8, 16, ... nodes and accepts the first
-    whose last two Chebyshev coefficients are at most atol + rtol max|V| (Aurentz &
-    Trefethen's tail rule); past N = _MAX_N it raises CertificationError.  The certificate is
-    the disagreement with the solve on 2N nodes, whose end is returned; CertificationError is
-    raised if it exceeds certify_tol.  refine=False skips the second solve (no certificate;
-    error reported as nan).  nfev counts the nodes this call built.  A memo dict passed to
-    both legs of a roundtrip lets the second read the first one's nodes.
+    Each segment collocates v' = -A(t) v on Lobatto grids of N = 8, 16, ... nodes up to the
+    first whose last two Chebyshev coefficients are at most atol + rtol max|V| (Aurentz &
+    Trefethen's tail rule); past N = _MAX_N its two halves replace it, to a depth of _SPLITS,
+    then CertificationError is raised.  With refine, a pass on 2N nodes gives the end and
+    certifies the N-node end: error sums the gaps, and one above certify_tol raises
+    CertificationError; without it error is nan.  nfev counts the nodes built, and a segment
+    traversed again, in either direction, reads the nodes built for it.
     """
-    v0, memo = np.asarray(v0, dtype=float), {} if memo is None else memo
-    n, nfev = _FIRST_N, 0
-    while True:
-        mats, built = _node_matrices(memo, spec, builder, p0, p1, n)
-        vals, nfev = _collocate(mats, v0), nfev + built
-        if np.max(np.abs(_grid(n)[2] @ vals)) <= atol + rtol * np.max(np.abs(vals)):
-            break
-        if n == _MAX_N:
-            raise CertificationError(f"integrator failed: no convergence on {n + 1} nodes")
-        n *= 2
-    if not refine:
-        return TransportResult(vals[-1], float("nan"), nfev)
-    mats, built = _node_matrices(memo, spec, builder, p0, p1, 2 * n)
-    fine_end = _collocate(mats, v0)[-1]
-    err = float(np.max(np.abs(vals[-1] - fine_end)))
-    if err > certify_tol:
-        raise CertificationError(
-            f"transport certificate {err:.3e} exceeds tolerance {certify_tol:.1e}"
-        )
-    return TransportResult(fine_end, err, nfev + built)
+    v, err, nfev, cache = np.asarray(v0, dtype=float), 0.0, 0, {}
+    pts = [np.asarray(p, dtype=float) for p in points]
+    todo = [(a, b, 0) for a, b in zip(pts[:-1], pts[1:])][::-1]  # a stack, first segment on top
+    while todo:
+        a, b, depth = todo.pop()
+        n, ends = _FIRST_N, []
+        while len(ends) <= refine:  # with refine, a pass on 2N nodes follows the one accepted
+            mats, built = _node_matrices(cache, spec, builder, a, b, n)
+            vals, nfev = _collocate(mats, v), nfev + built
+            if ends or np.max(np.abs(_grid(n)[2] @ vals)) <= atol + rtol * np.max(np.abs(vals)):
+                ends.append(vals[-1])
+            elif n == _MAX_N:
+                if depth == _SPLITS:
+                    raise CertificationError(f"integrator failed: no convergence on {n + 1} nodes")
+                mid = (a + b) / 2  # symmetric: a reverse traversal meets the same halves
+                todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+                break
+            n *= 2
+        else:
+            gap = float(np.max(np.abs(ends[0] - ends[-1])))
+            if gap > certify_tol:
+                raise CertificationError(
+                    f"transport certificate {gap:.3e} exceeds tolerance {certify_tol:.1e}")
+            v, err = ends[-1], err + gap
+    return TransportResult(v, err if refine else float("nan"), nfev)
 
 
-def transport_polyline(spec, builder, points: Sequence, v0, **kw) -> TransportResult:
-    """Chain transports along straight coordinate segments."""
-    v = np.asarray(v0, dtype=float)
-    err = 0.0
-    nfev = 0
-    for p0, p1 in zip(points[:-1], points[1:]):
-        res = transport(spec, builder, p0, p1, v, **kw)
-        v, err, nfev = res.end, err + res.error, nfev + res.nfev
-    return TransportResult(v, err, nfev)
+transport_polyline = transport
 
 
 def loop_defect(spec, builder, points: Sequence, v0, **kw) -> float:
@@ -212,7 +210,7 @@ def loop_defect(spec, builder, points: Sequence, v0, **kw) -> float:
     pts = list(points)
     if not np.allclose(pts[0], pts[-1]):
         pts.append(pts[0])
-    res = transport_polyline(spec, builder, pts, v0, **kw)
+    res = transport(spec, builder, pts, v0, **kw)
     return float(np.max(np.abs(res.end - np.asarray(v0, dtype=float))))
 
 

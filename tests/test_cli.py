@@ -385,8 +385,10 @@ def test_integrator_failure_exits_with_code_2(monkeypatch, capsys):
 
 
 def test_the_node_cap_exits_with_code_2(monkeypatch, capsys):
-    # s2xs2 at seed 0 needs the 17-node grid; with the cap at 8 the transport gives up
+    # s2xs2 at seed 0 needs the 17-node grid; with the cap at 8 and no split the transport
+    # gives up
     monkeypatch.setattr(prolong, "_MAX_N", 8)
+    monkeypatch.setattr(prolong, "_SPLITS", 0)
     code = cli.main(["verify", "--metric", "s2xs2", "--suite", "prolong", "--points", "1"])
     assert code == 2
     err = capsys.readouterr().err

@@ -213,7 +213,7 @@ def flat_rotation_fiber(pt):
 def test_flat_rotation_killing_transport():
     p0, p1 = (0.3, -0.2, 0.5, 0.1), (1.1, 0.7, -0.4, 0.9)
     res = prolong.transport(
-        FLAT4, killing_connection, p0, p1, flat_rotation_fiber(p0)
+        FLAT4, killing_connection, (p0, p1), flat_rotation_fiber(p0)
     )
     assert np.max(np.abs(res.end - flat_rotation_fiber(p1))) < 1e-10
     assert res.error < 1e-10
@@ -229,7 +229,7 @@ def test_static_killing_field_transport_on_schwarzschild():
 
     p0, p1 = P_SCHW, (0.4, 7.0, 0.9, 1.1)
     res = prolong.transport(
-        SCHWARZSCHILD, killing_connection, p0, p1, fiber(p0)
+        SCHWARZSCHILD, killing_connection, (p0, p1), fiber(p0)
     )
     assert np.max(np.abs(res.end - fiber(p1))) < 1e-9
 
@@ -241,7 +241,7 @@ def test_constant_scale_tractor_is_parallel_on_ricci_flat():
 
     p0, p1 = P_SCHW, (0.4, 7.0, 0.9, 1.1)
     res = prolong.transport(
-        SCHWARZSCHILD, tractor_connection, p0, p1, fiber(p0)
+        SCHWARZSCHILD, tractor_connection, (p0, p1), fiber(p0)
     )
     assert np.max(np.abs(res.end - fiber(p1))) < 1e-9
 
@@ -313,7 +313,7 @@ def test_unreachable_certificate_raises():
     v0 = np.random.default_rng(3).standard_normal(10)
     with pytest.raises(prolong.CertificationError):
         prolong.transport(
-            SCHWARZSCHILD, killing_connection, p0, p1, v0,
+            SCHWARZSCHILD, killing_connection, (p0, p1), v0,
             certify_tol=1e-18,
         )
 
@@ -321,7 +321,7 @@ def test_unreachable_certificate_raises():
 def test_certificate_reported_and_small():
     p0, p1 = (0.8, 1.1, 0.9, 2.0), (0.9, 1.3, 1.0, 2.1)
     v0 = np.random.default_rng(4).standard_normal(6)
-    res = prolong.transport(SPHERE4, tractor_connection, p0, p1, v0)
+    res = prolong.transport(SPHERE4, tractor_connection, (p0, p1), v0)
     assert res.error < 1e-8
     assert res.nfev > 0
 
@@ -331,7 +331,7 @@ def test_certificate_is_nonzero_on_a_curved_segment(name):
     # the certificate compares the solves on N and 2N nodes; were the grids
     # to give one polynomial the two ends would agree bit for bit
     spec, p0, p1, v0 = _tractor_segment(name, 0)
-    res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
+    res = prolong.transport(spec, tractor_connection, (p0, p1), v0, rtol=1e-9, atol=1e-11)
     assert 0 < res.error < 1e-6
 
 
@@ -385,21 +385,40 @@ def test_lobatto_grids_nest_and_differentiate_polynomials_exactly():
 def test_collocation_matches_scipy_dop853(monkeypatch, t0, t1, rtol, nfev):
     _on_a_line(monkeypatch, _linear)
     y0 = np.array([1.0, 0.5])
-    res = prolong.transport(object(), _linear, (t0,), (t1,), y0, rtol=rtol, atol=1e-13)
+    res = prolong.transport(object(), _linear, ((t0,), (t1,)), y0, rtol=rtol, atol=1e-13)
     assert np.max(np.abs(res.end - _dop853(_linear, t0, t1, y0))) < 1e-13
     assert res.nfev == nfev and 0 < res.error < 1e-6
 
 
 def test_a_burst_no_grid_resolves_hits_the_node_cap(monkeypatch):
+    # the grids 8, 16, 32, 64 (each build adds the nodes the finer grid has) leave the
+    # burst unresolved; the segment's halves, and theirs, then converge to DOP853
     _on_a_line(monkeypatch, _kicked_rotation)
+    builds = []
+    monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
+    y0 = np.array([1.0, 0.5])
+    for rtol, nfev in [(1e-6, 259), (1e-10, 389), (1e-11, 453)]:
+        builds.clear()
+        res = prolong.transport(object(), _kicked_rotation, ((0.0,), (1.0,)), y0, rtol=rtol,
+                                atol=1e-2 * rtol)
+        assert [len(points) for _, _, points in builds[:5]] == [9, 8, 16, 32, 9]
+        assert np.max(np.abs(res.end - _dop853(_kicked_rotation, 0.0, 1.0, y0))) < 1e-13
+        assert res.nfev == nfev and 0 < res.error < 1e-6
+
+
+def test_a_rotation_no_split_resolves_raises_at_the_node_cap(monkeypatch):
+    # 4000 rad per unit length is 250 rad on a sixteenth: 65 nodes resolve no piece
+    def spin(t):
+        return np.array([[0.0, 1.0], [-1.0, 0.0]]) * 4000.0
+
+    _on_a_line(monkeypatch, spin)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
     with pytest.raises(prolong.CertificationError,
                        match=f"integrator failed: no convergence on {prolong._MAX_N + 1} nodes"):
-        prolong.transport(object(), _kicked_rotation, (0.0,), (1.0,), np.array([1.0, 0.5]),
-                          rtol=1e-6, atol=1e-8)
-    # the grids 8, 16, 32, 64: each build adds the nodes the finer grid has
-    assert [len(points) for _, _, points in builds] == [9, 8, 16, 32]
+        prolong.transport(object(), spin, ((0.0,), (1.0,)), np.array([1.0, 0.5]))
+    # the first piece of each depth 0, 1, ..., _SPLITS exhausts the grids, then it raises
+    assert sum(len(points) for _, _, points in builds) == (prolong._SPLITS + 1) * 65
 
 
 def _tractor_segment(name, seed):
@@ -422,73 +441,57 @@ def test_tractor_transport_matches_scipy_dop853(rtol):
             th = prolong._theta_values(spec, tractor_connection, tuple(p0 + t * (p1 - p0)))
             return np.tensordot(p1 - p0, th, axes=(0, 0))
 
-        res = prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=rtol,
+        res = prolong.transport(spec, tractor_connection, (p0, p1), v0, rtol=rtol,
                                 atol=1e-2 * rtol, refine=False)
         assert np.max(np.abs(res.end - _dop853(connection, 0.0, 1.0, v0))) <= rtol * np.max(np.abs(v0))
         assert res.nfev == nfev
 
 
-_LEG = dict(rtol=1e-11, atol=1e-13, refine=False)  # the legs of cli._transport_roundtrip
+_LEG = dict(rtol=1e-11, atol=1e-13, refine=False)  # as in cli._transport_roundtrip
 
 
 def test_a_generic_bump4_roundtrip_makes_one_nine_node_build(monkeypatch):
+    # the closed path p0 -> p1 -> p0 is the chain of its two segments, bit for bit
     spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
+    fwd = prolong.transport(spec, tractor_connection, (p0, p1), v0, **_LEG)
+    back = prolong.transport(spec, tractor_connection, (p1, p0), fwd.end, **_LEG)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
-    memo = {}
-    fwd = prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
-    back = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo=memo, **_LEG)
+    res = prolong.transport(spec, tractor_connection, (p0, p1, p0), v0, **_LEG)
     assert [len(points) for _, _, points in builds] == [9]
-    assert (fwd.nfev, back.nfev) == (9, 0)
-    assert np.max(np.abs(back.end - v0)) < 1e-12
+    assert res.nfev == fwd.nfev == back.nfev == 9
+    assert np.array_equal(res.end, back.end) and np.isnan(res.error)
+    assert np.max(np.abs(res.end - v0)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["generic_bump4", "sphere4"])
 def test_the_reverse_leg_reads_the_forward_build(monkeypatch, name):
     # sphere4 converges on 17 nodes: the reverse leg reads 9 of them, then 17
     spec, p0, p1, v0 = _tractor_segment(name, 0)
-    memo = {}
-    fwd = prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
+    fwd = prolong.transport(spec, tractor_connection, (p0, p1), v0, **_LEG)
+    back = prolong.transport(spec, tractor_connection, (p1, p0), fwd.end, **_LEG)
     builds = []
     monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
-    back = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo=memo, **_LEG)
-    assert builds == [] and back.nfev == 0
-    fresh = prolong.transport(spec, tractor_connection, p1, p0, fwd.end, memo={}, **_LEG)
-    assert np.array_equal(back.end, fresh.end) and fresh.nfev == fwd.nfev
+    res = prolong.transport(spec, tractor_connection, (p0, p1, p0), v0, **_LEG)
+    assert sum(len(points) for _, _, points in builds) == res.nfev == fwd.nfev == back.nfev
+    assert np.array_equal(res.end, back.end)
 
 
-def test_the_memo_never_serves_another_spec_or_builder(monkeypatch):
-    # same endpoints, another metric, an equal metric parsed again, another builder
-    spec, p0, p1, _ = _tractor_segment("generic_bump4", 0)
-    others = [(catalog.get("conf_flat_poly4").spec(), tractor_connection),
-              (parse_metric_text(spec.to_text()), tractor_connection),
-              (spec, killing_connection)]
-    for other, builder in others:
-        v0 = np.random.default_rng(5).standard_normal(10 if builder is killing_connection else 6)
-        fresh = prolong.transport(other, builder, p0, p1, v0)
-        memo = {}
-        prolong.transport(spec, tractor_connection, p0, p1, np.ones(6), memo=memo)
-        builds = []
-        monkeypatch.setattr(prolong, "_theta_values", _counted(prolong._theta_values, builds))
-        res = prolong.transport(other, builder, p0, p1, v0, memo=memo)
-        monkeypatch.undo()
-        assert builds and builds[0][:2] == (other, builder)
-        assert np.array_equal(res.end, fresh.end) and res.nfev == fresh.nfev
-
-
-def test_a_failed_build_leaves_no_entry(monkeypatch):
-    spec, p0, p1, v0 = _tractor_segment("generic_bump4", 0)
-    memo = {}
-    prolong.transport(spec, tractor_connection, p0, p1, v0, memo=memo, **_LEG)
-    assert len(memo) == 1
-
-    def failing(spec, builder, points):
-        raise ValueError("metric evaluation failed")
-
-    monkeypatch.setattr(prolong, "_theta_values", failing)
-    with pytest.raises(ValueError, match="metric evaluation failed"):
-        prolong.transport(spec, tractor_connection, p0, p0 + 0.5 * (p1 - p0), v0, memo=memo)
-    assert memo == {}
+def test_a_polyline_is_the_chain_of_its_segments():
+    # the Killing loop of the acceptance test, certified segment by segment
+    spec = catalog.get("sphere4").spec()
+    p0 = (0.8, 1.1, 0.9, 2.0)
+    v0 = prolong.killing_fiber(Geometry(spec, p0, order=3), const_field([0, 0, 0, 1], 4, 3))
+    loop = [p0, (1.0, 1.1, 0.9, 2.0), (1.0, 1.4, 0.9, 2.0), (0.8, 1.4, 0.9, 2.0), p0]
+    kw = dict(rtol=1e-7, atol=1e-9)
+    res = prolong.transport(spec, killing_connection, loop, v0, **kw)
+    v, error, nfev = v0, 0.0, 0
+    for a, b in zip(loop[:-1], loop[1:]):
+        leg = prolong.transport(spec, killing_connection, (a, b), v, **kw)
+        v, error, nfev = leg.end, error + leg.error, nfev + leg.nfev
+    assert np.array_equal(res.end, v) and (res.error, res.nfev) == (error, nfev)
+    assert 0 < error < 1e-6 and np.max(np.abs(v - v0)) < 1e-6
+    assert prolong.transport_polyline is prolong.transport
 
 
 def test_non_finite_stage_fails_at_once(monkeypatch):
@@ -508,7 +511,7 @@ def test_non_finite_stage_fails_at_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves := []))
     with pytest.raises(prolong.CertificationError,
                        match="integrator failed: non-finite right-hand side at t="):
-        prolong.transport(spec, tractor_connection, p0, p1, v0, rtol=1e-9, atol=1e-11)
+        prolong.transport(spec, tractor_connection, (p0, p1), v0, rtol=1e-9, atol=1e-11)
     assert len(poisoned_builds) == 1 and poisoned_builds[0].any() and solves == []
 
 

@@ -99,3 +99,14 @@ def test_a_suite_without_checks_in_the_dimension_is_not_applicable():
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[:2] == ["1 reports, 1 byte-identical",
                                            "1 reports at --jet-order 8, 1 byte-identical"]
+
+
+def test_the_second_pass_runs_every_suite_at_order_8():
+    worker = subprocess.run([sys.executable, str(TOOL), "--worker", str(ROOT / "src"),
+                             "--worker-order", "8", "--metrics", "flat3",
+                             "--suites", "curvature,prolong"],
+                            capture_output=True, text=True, timeout=300, check=True)
+    rows = json.loads(worker.stdout)
+    assert [(m, s, c) for m, s, c, _ in rows] == [("flat3", "curvature@8", 0),
+                                                  ("flat3", "prolong@8", 0)]
+    assert all(json.loads(t)["config"]["jet_order"] == 8 for *_, t in rows)

@@ -7,9 +7,9 @@ checkout's `src`).  For every catalog metric and suite (seed 0, the default
 points and jet order) the script runs `detourcert verify --format json`.
 A pair is not applicable where the CLI exits 2 with "suite has no check
 for a N dimensional metric"; it is left out of the counts, and a pair that
-applies on one tree only is a change.  Every suite but `prolong` then runs
-a second time at `--jet-order 8`, above each suite's minimum; those
-reports are labelled `suite@8`.  Each pass runs all reports of one tree in
+applies on one tree only is a change.  Every suite then runs a second
+time at `--jet-order 8`, above each suite's minimum; those reports are
+labelled `suite@8`.  Each pass runs all reports of one tree in
 one subprocess.  The script lists every report whose exit code, overall
 `passed`, check ids, or per-check `passed`, `expected_negative` or other
 non-residual field changed.  It prints how many reports are
@@ -31,7 +31,7 @@ from pathlib import Path
 
 RESIDUALS = ("max_residual", "prediction_gap")
 LARGEST = 5  # residual changes listed
-HIGH_ORDER = 8  # the second pass runs every suite but prolong at this jet order
+HIGH_ORDER = 8  # the second pass runs every suite at this jet order
 NOT_APPLICABLE = re.compile(r"suite has no check for a \d+ dimensional metric")
 
 
@@ -39,7 +39,7 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
                 order: int | None = None) -> list:
     """Every verify report of the package under src, as [metric, suite label, exit, text].
 
-    With an order, every suite but prolong runs at that jet order, labelled suite@order.
+    With an order, every suite runs at that jet order, labelled suite@order.
     text is None where the suite does not apply to the metric (NOT_APPLICABLE).
     """
     sys.path.insert(0, str(Path(src).resolve()))
@@ -51,8 +51,6 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
     out = []
     for metric in metrics or catalog.names():
         for suite in suites or cli.SUITES:
-            if order and suite == "prolong":
-                continue
             text, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
                 try:
