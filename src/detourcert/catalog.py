@@ -4,9 +4,9 @@ Each entry carries the metric source text, a box of chart-safe sample
 points, curvature facts (verified by the test suite at random sample
 points), explicit Killing fields when the chart admits simple closed
 forms, and an Einstein scale when one exists: a positive function sigma
-with sigma^-2 g Einstein.  killing_jets turns the field expressions into
-jets at a point by the compiled program that turns metric text into jets
-(dsl), and returns jets viewing its dense result.
+with sigma^-2 g Einstein.  killing_jets parses the field expressions to
+programs, merges them into one and runs it to jets at a point as dsl runs
+metric text, and returns jets viewing its dense result.
 
 Angular charts keep 0.2 rad away from coordinate poles so that inverse
 metrics and cot factors stay well conditioned.
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .dsl import MetricSpec, _compile, _run, parse_expression, parse_metric_text
+from .dsl import MetricSpec, _merge, _run, parse_expression, parse_metric_text
 from .geometry import Geometry
 
 TWO_PI = 6.283185307179586
@@ -52,8 +52,8 @@ class CatalogEntry:
 
     def killing_jets(self, geom: Geometry) -> list:
         """Component jets v^a of every listed Killing field at geom's point."""
-        trees = [parse_expression(text) for exprs in self.killing_fields for text in exprs]
-        vals = _run(_compile(trees), self.spec().coords, np.asarray(geom.point), geom.order)
+        programs = [parse_expression(text) for exprs in self.killing_fields for text in exprs]
+        vals = _run(_merge(programs), self.spec().coords, np.asarray(geom.point), geom.order)
         return [jets.to_jets(np.array(vals[k : k + geom.n]), geom.n)
                 for k in range(0, len(vals), geom.n)]
 

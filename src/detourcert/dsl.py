@@ -13,15 +13,18 @@ Component expressions use +, -, *, /, ^ (numeric-literal exponents only),
 parentheses, the constant pi, declared coordinate names, and the functions
 sin cos tan exp log sqrt sinh cosh.  Precedence from tightest to loosest:
 ^  unary minus  * /  + -.  One alternation regex, _TOKEN_RE, lexes them (each
-column is a match offset), and a loop on two explicit stacks builds the tree.
+column is a match offset), and a loop on two explicit stacks parses them
+straight to a program: one Step per distinct subexpression, in post-order, each
+on the registers of earlier steps.
 
-Every expression is evaluated through one program: _compile makes the trees a
-straight-line program, one step per distinct subexpression, and one _step applies
-a node to floats, Jets or dense (..., ncoeff) jets.  MetricSpec.metric_jets returns
-the dense metric; everything downstream is dense.  On (P, n) points it runs the
-program on dense jets, bit-identical per point; at one point it runs it on Jets,
-the one Jet arithmetic of a verify run, which perfbench's tracer counts at
-Jet.__mul__.  The catalog runs the program on dense jets at one point.
+Every expression is evaluated and printed through that program: _merge joins the
+programs of a metric's components into one, sharing their common steps, and one
+_step applies a step to floats, Jets or dense (..., ncoeff) jets.
+MetricSpec.metric_jets returns the dense metric; everything downstream is dense.
+On (P, n) points it runs the program on dense jets, bit-identical per point; at
+one point it runs it on Jets, the one Jet arithmetic of a verify run, which
+perfbench's tracer counts at Jet.__mul__.  The catalog runs the program on dense
+jets at one point.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,53 +55,6 @@ class MetricSyntaxError(ValueError):
 
 class MetricValidationError(ValueError):
     """Structurally valid file with inconsistent content."""
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    expo: float
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
-
-
-Expr = Union[Num, Var, Call, Neg, Bin, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +98,22 @@ def _tokenize(text: str, line_offset: int = 0) -> list:
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators; unary minus binds at 3, ^ at 4, atoms at 5
 
 
-def parse_expression(text: str, line_offset: int = 0) -> Expr:
-    """The tree of text, by operator precedence in one loop on two stacks: trees, the finished
-    subtrees, and ops, the pending operators as (level, token): a binary operator, a unary minus
-    (level 3) or an open parenthesis (level 0, its token the function it calls or the "(" itself).
-    ^ applies at once to the top tree, its exponent being a numeric literal; nesting has no limit."""
-    tokens, trees, ops, i = _tokenize(text, line_offset), [], [], 0
+def parse_expression(text: str, line_offset: int = 0) -> tuple:
+    """The program of text: a tuple of steps, one per distinct subexpression, in post-order, the
+    last one the value.  Operator precedence in one loop on two stacks: regs, the registers of the
+    finished operands, and ops, the pending operators as (level, token): a binary operator, a unary
+    minus (level 3) or an open parenthesis (level 0, its token the function it calls or the "("
+    itself).  ^ applies at once to the top register, its exponent being a numeric literal; nesting
+    has no limit."""
+    tokens, steps, seen, regs, ops, i = _tokenize(text, line_offset), [], {}, [], [], 0
+
+    def emit(kind, value, args, tok):
+        regs.append(_emit(steps, seen, kind, value, args, (tok.line, tok.col)))
 
     def reduce(level):  # apply the pending operators that bind at least as tightly as level
         while ops and ops[-1][0] >= level:
-            (kind, op), arg = ops.pop(), trees.pop()
-            pos = (op.line, op.col)
-            trees.append(Neg(arg, pos=pos) if kind == 3 else Bin(op.text, trees.pop(), arg, pos=pos))
+            (kind, op), arg = ops.pop(), regs.pop()
+            emit(*(("neg", None, (arg,)) if kind == 3 else ("bin", op.text, (regs.pop(), arg))), op)
 
     while True:
         tok, i = tokens[i], i + 1  # an operand is due
@@ -166,15 +126,14 @@ def parse_expression(text: str, line_offset: int = 0) -> Expr:
             continue
         if tok.kind not in ("num", "name"):
             raise MetricSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        trees.append(Num(tok.value, pos=(tok.line, tok.col)) if tok.kind == "num"
-                     else Var(tok.text, pos=(tok.line, tok.col)))
+        emit(*(("num", tok.value) if tok.kind == "num" else ("var", tok.text)), (), tok)
         while True:  # after an atom: an optional ^, then ")" ends another atom
             tok, i = tokens[i], i + 1
             if tok.text == "^":
                 tok, i = tokens[i], i + 1
                 if tok.kind != "num":
                     raise MetricSyntaxError("exponent must be a numeric literal", tok.line, tok.col)
-                trees.append(Pow(trees.pop(), tok.value, pos=(tok.line, tok.col)))
+                emit("pow", tok.value, (regs.pop(),), tok)
                 tok, i = tokens[i], i + 1
             if tok.text != ")":
                 break
@@ -183,7 +142,7 @@ def parse_expression(text: str, line_offset: int = 0) -> Expr:
                 break
             fn = ops.pop()[1]
             if fn.kind == "name":
-                trees.append(Call(fn.text, trees.pop(), pos=(fn.line, fn.col)))
+                emit("call", fn.text, (regs.pop(),), fn)
         if tok.text in _LEVEL:
             reduce(_LEVEL[tok.text])
             ops.append((_LEVEL[tok.text], tok))
@@ -192,92 +151,100 @@ def parse_expression(text: str, line_offset: int = 0) -> Expr:
         if ops or tok.kind != "end":
             what = "expected ')'" if ops else f"trailing input {tok.text!r}"
             raise MetricSyntaxError(what, tok.line, tok.col)
-        return trees[0]
+        return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
-# the program: compiling, evaluating and printing
+# the program: its steps, merging, evaluating and printing
 
-_KIDS = ("arg", "base", "lhs", "rhs")
-_FIELDS = ("value", "name", "fn", "op", "expo")
+
+@dataclass(frozen=True)
+class Step:
+    """One step of a straight-line program: kind is num, var, call, neg, bin or pow; value the
+    number, name, function, None, operator or exponent; args the registers of earlier steps."""
+
+    kind: str
+    value: object
+    args: tuple = ()
+    pos: tuple = field(default=(1, 1), compare=False, repr=False)
+
+
+def _emit(steps: list, seen: dict, kind: str, value, args: tuple, pos: tuple) -> int:
+    """The register of step kind value on args: the step already in steps that computes it, or a
+    new one.  The key takes the repr of value, which unlike == tells -0.0 from 0.0."""
+    key = (kind, repr(value), *args)
+    if key not in seen:
+        seen[key] = len(steps)
+        steps.append(Step(kind, value, args, pos))
+    return seen[key]
+
+
+def _merge(programs) -> tuple:
+    """(steps, outputs): programs as one straight-line program, a step per distinct subexpression,
+    each program's steps emitted again in their order, so a point out of the domain raises where
+    the first program to reach it would.  outputs: the register of the value of each program."""
+    steps, seen, outputs = [], {}, []
+    for program in programs:
+        regs = []
+        for s in program:
+            regs.append(_emit(steps, seen, s.kind, s.value, tuple(regs[a] for a in s.args), s.pos))
+        outputs.append(regs[-1])
+    return steps, outputs
+
+
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _compile(trees) -> tuple:
-    """(steps, outputs): the trees as one straight-line program, a step per distinct subexpression.
-
-    A step (node, args) is node on the registers args, placed where a left-to-right walk first
-    reaches it, so a point out of the domain raises where the walk would.  One post-order pass on
-    an explicit stack keys each node by its type, the repr of its own field (unlike ==, it tells
-    -0.0 from 0.0) and its operands' registers.  outputs: the register of each tree.
-    """
-    steps, seen, regs = [], {}, []
-    stack = [(tree, None) for tree in reversed(list(trees))]
-    while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            kids = [getattr(node, f) for f in _KIDS if hasattr(node, f)]
-            stack += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
-            continue
-        cut = len(regs) - len(kids)
-        args, regs[cut:] = regs[cut:], []
-        key = (type(node), *[repr(getattr(node, f)) for f in _FIELDS if hasattr(node, f)], *args)
-        if key not in seen:
-            seen[key] = len(steps)
-            steps.append((node, args))
-        regs.append(seen[key])
-    return steps, regs
-
-
-def _step(node: Expr, vals: list, env, dim, order: int):
-    """node on the values vals of its operands: floats, Jets or dense jets (ndarrays) in dim
+def _step(step: Step, vals: list, env, dim, order: int):
+    """step on the values vals of its operands: floats, Jets or dense jets (ndarrays) in dim
     variables to order, a float operand of a dense one being a constant; env maps names to values."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name in env:
-            return env[node.name]
-        if node.name == "pi":
+    kind, value = step.kind, step.value
+    if kind == "num":
+        return value
+    if kind == "var":
+        if value in env:
+            return env[value]
+        if value == "pi":
             return math.pi
-        raise MetricValidationError(f"unknown identifier {node.name!r} at {node.pos}")
-    if isinstance(node, Neg):
+        raise MetricValidationError(f"unknown identifier {value!r} at {step.pos}")
+    if kind == "neg":
         return -vals[0]
     dense = isinstance(vals[0], np.ndarray) or isinstance(vals[-1], np.ndarray)
-    if isinstance(node, Call):
-        return jets.series(node.fn, vals[0], dim, order) if dense else jets.FUNCTIONS[node.fn](vals[0])
-    if isinstance(node, Pow):
+    if kind == "call":
+        return jets.series(value, vals[0], dim, order) if dense else jets.FUNCTIONS[value](vals[0])
+    if kind == "pow":
         if dense:
-            return jets.power(vals[0], float(node.expo), dim, order)
-        if not isinstance(vals[0], jets.Jet) and vals[0] < 0.0 and not float(node.expo).is_integer():
+            return jets.power(vals[0], float(value), dim, order)
+        if not isinstance(vals[0], jets.Jet) and vals[0] < 0.0 and not float(value).is_integer():
             raise ValueError(f"fractional power of negative value {vals[0]}")  # as jets.power
-        return vals[0] ** node.expo
-    return jets.binary(node.op, *vals, dim, order) if dense else _ARITH[node.op](*vals)
+        return vals[0] ** value
+    return jets.binary(value, *vals, dim, order) if dense else _ARITH[value](*vals)
 
 
 def _values(program: tuple, env, dim, order) -> list:
-    """The value of each tree of program, by _step on env's floats, Jets or dense jets."""
+    """The value of each output of program (steps, outputs), by _step on env's floats or jets."""
     steps, outputs = program
     regs = []
-    for node, args in steps:
-        regs.append(_step(node, [regs[a] for a in args], env, dim, order))
+    for step in steps:
+        regs.append(_step(step, [regs[a] for a in step.args], env, dim, order))
     return [regs[r] for r in outputs]
 
 
 def _run(program: tuple, coords: tuple, pts: np.ndarray, order: int) -> list:
-    """Dense jets (..., ncoeff) of each tree of program at points (..., n) named coords."""
+    """Dense jets (..., ncoeff) of each output of program at points (..., n) named coords."""
     dim, n = len(coords), jets._size(len(coords), order)
     env = {x: jets._variable_coeffs(pts[..., k], k, dim, order) for k, x in enumerate(coords)}
     return [v if isinstance(v, np.ndarray) else jets._constant_coeffs(float(v), n)
             for v in _values(program, env, dim, order)]
 
 
-def evaluate(ast: Expr, env):
-    """Evaluate over floats or jets; env maps coordinate names to values."""
-    return _values(_compile([ast]), env, None, None)[0]
+def evaluate(steps: tuple, env):
+    """Evaluate the steps of parse_expression over floats or jets; env maps names to values."""
+    return _values((steps, [len(steps) - 1]), env, None, None)[0]
 
 
-def variables(ast: Expr) -> set:
-    return {node.name for node, _ in _compile([ast])[0] if isinstance(node, Var)}
+def variables(steps: tuple) -> set:
+    return {step.value for step in steps if step.kind == "var"}
 
 
 def _fmt_number(v: float) -> str:
@@ -286,12 +253,11 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def expression_to_text(ast: Expr) -> str:
-    """Inverse of parse_expression up to whitespace: reparsing gives == AST.  One pass over the
-    program of ast builds each step's (text, level) from its operands' entries, parenthesizing one
-    whose level is below what its place needs and dropping it after its last use."""
-    steps, (out,) = _compile([ast])
-    uses = Counter(a for _, args in steps for a in args)
+def expression_to_text(steps: tuple) -> str:
+    """Inverse of parse_expression up to whitespace: reparsing gives == steps.  One pass over the
+    steps builds each step's (text, level) from its operands' entries, parenthesizing one whose
+    level is below what its place needs and dropping it after its last use."""
+    uses = Counter(a for step in steps for a in step.args)
     texts = {}
 
     def operand(reg, minimum):
@@ -299,24 +265,23 @@ def expression_to_text(ast: Expr) -> str:
         text, level = texts[reg] if uses[reg] else texts.pop(reg)
         return f"({text})" if level < minimum else text
 
-    for r, (node, args) in enumerate(steps):
-        if isinstance(node, Num):
-            entry = _fmt_number(node.value), 5
-        elif isinstance(node, Var):
-            entry = node.name, 5
-        elif isinstance(node, Call):
-            entry = f"{node.fn}({operand(args[0], 0)})", 5
-        elif isinstance(node, Neg):
+    for r, step in enumerate(steps):
+        kind, value, args = step.kind, step.value, step.args
+        if kind == "num":
+            entry = _fmt_number(value), 5
+        elif kind == "var":
+            entry = value, 5
+        elif kind == "call":
+            entry = f"{value}({operand(args[0], 0)})", 5
+        elif kind == "neg":
             entry = "-" + operand(args[0], 3), 3
-        elif isinstance(node, Pow):
-            entry = operand(args[0], 5) + "^" + _fmt_number(node.expo), 4
-        elif isinstance(node, Bin):
-            level = _LEVEL[node.op]
-            entry = f"{operand(args[0], level)} {node.op} {operand(args[1], level + 1)}", level
+        elif kind == "pow":
+            entry = operand(args[0], 5) + "^" + _fmt_number(value), 4
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            level = _LEVEL[value]
+            entry = f"{operand(args[0], level)} {value} {operand(args[1], level + 1)}", level
         texts[r] = entry
-    return texts[out][0]
+    return texts[len(steps) - 1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +295,7 @@ class MetricSpec:
     dim: int
     signature: tuple
     coords: tuple
-    components: dict  # {(i, j) 0-based with i <= j: Expr}
+    components: dict  # {(i, j) 0-based with i <= j: the steps of parse_expression}
     label: str = "metric"
 
     def __post_init__(self):
@@ -350,11 +315,10 @@ class MetricSpec:
             if not _NAME_RE.fullmatch(name):
                 raise MetricValidationError(f"bad coordinate name {name!r}")
         allowed = set(self.coords) | {"pi"}
-        named = {node.name for node, _ in self._program[0] if isinstance(node, Var)}
-        for (i, j), ast in self.components.items():
+        for (i, j), steps in self.components.items():
             if not (0 <= i <= j < self.dim):
                 raise MetricValidationError(f"component index ({i},{j}) out of range")
-            stray = set() if named <= allowed else variables(ast) - allowed
+            stray = variables(steps) - allowed
             if stray:
                 raise MetricValidationError(
                     f"unknown identifier {sorted(stray)[0]!r} in g[{i+1}][{j+1}]"
@@ -381,7 +345,7 @@ class MetricSpec:
 
     @cached_property
     def _program(self) -> tuple:
-        return _compile(self.components.values())
+        return _merge(self.components.values())
 
     def metric_values(self, point) -> np.ndarray:
         env = dict(zip(self.coords, [float(x) for x in point]))

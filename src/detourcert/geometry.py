@@ -373,14 +373,10 @@ class Geometry:
 
 
 def conformal_rescale(spec, omega) -> "dsl.MetricSpec":
-    """New spec with components exp(2*omega) * g_ij; omega in the same coords."""
-    if isinstance(omega, str):
-        omega = dsl.parse_expression(omega)
-    stray = dsl.variables(omega) - set(spec.coords) - {"pi"}
-    if stray:
-        raise dsl.MetricValidationError(f"rescale factor uses unknown name {sorted(stray)[0]!r}")
-    factor = dsl.Call("exp", dsl.Bin("*", dsl.Num(2.0), omega))
-    comps = {key: dsl.Bin("*", factor, ast) for key, ast in spec.components.items()}
+    """New spec with components exp(2*omega) * g_ij; omega, text or parsed, in the same coords."""
+    omega = omega if isinstance(omega, str) else dsl.expression_to_text(omega)
+    comps = {key: dsl.parse_expression(f"exp(2 * ({omega})) * ({dsl.expression_to_text(steps)})")
+             for key, steps in spec.components.items()}
     return dsl.MetricSpec(
         spec.dim, spec.signature, spec.coords, comps, label=spec.label + "_rescaled"
     )

@@ -104,9 +104,9 @@ def test_print_parse_round_trip():
         "(x^2)^3 - (-x)^2",
     ]
     for text in texts:
-        ast = parse_expression(text)
-        printed = expression_to_text(ast)
-        assert parse_expression(printed) == ast, (text, printed)
+        steps = parse_expression(text)
+        printed = expression_to_text(steps)
+        assert parse_expression(printed) == steps, (text, printed)
 
 
 @pytest.mark.parametrize("text, col", [("1 + 1e999 * x", 5), ("x * 2e308", 5), ("1e400", 1)])
@@ -115,7 +115,7 @@ def test_a_number_that_overflows_is_a_syntax_error(text, col):
     with pytest.raises(MetricSyntaxError, match="number out of range") as err:
         parse_expression(text)
     assert (err.value.line, err.value.col) == (1, col)
-    assert parse_expression("1e308").value == 1e308
+    assert parse_expression("1e308") == (dsl.Step("num", 1e308),)
 
 
 def test_syntax_errors_carry_location():
@@ -163,7 +163,7 @@ def test_the_lexer_table():
     # a # inside quotes reaches the lexer, which reads it as a comment
     head = 'dimension = 3\nsignature = "+++"\ncoords = x y z\n'
     spec = parse_metric_text(head + 'g[1][1] = "1 # in quotes"  # outside\n')
-    assert spec.components[(0, 0)] == dsl.Num(1.0)
+    assert spec.components[(0, 0)] == (dsl.Step("num", 1.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,7 @@ def test_file_round_trip():
     assert again.signature == spec.signature
     assert again.coords == spec.coords
     assert set(again.components) == set(spec.components)
-    for key, ast in spec.components.items():
-        assert again.components[key] == ast
+    assert again.components == spec.components
 
 
 def _expect_invalid(text, exc=MetricValidationError):
@@ -261,19 +260,35 @@ def test_degenerate_metric_rejected_at_inversion():
 
 
 # ---------------------------------------------------------------------------
-# the compiled program against the walk on Jets of MetricSpec.metric_jets at one point
+# the program against the walk on Jets of MetricSpec.metric_jets at one point
 
-_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 3.0)
-_trees = st.recursive(
-    st.one_of(st.sampled_from([dsl.Var("x"), dsl.Var("y"), dsl.Var("pi")]),
-              st.floats(min_value=-3, max_value=3).map(dsl.Num)),
+_EXPONENTS = (0.0, 0.5, 1.5, 2.0, 3.0)  # the grammar writes no negative exponent
+_texts = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "pi"]),
+              st.floats(min_value=0, max_value=3).map(lambda v: repr(abs(v)))),
     lambda sub: st.one_of(
-        st.builds(dsl.Call, st.sampled_from(dsl.FUNCTION_NAMES), sub),
-        st.builds(dsl.Neg, sub),
-        st.builds(dsl.Bin, st.sampled_from("+-*/"), sub, sub),
-        st.builds(dsl.Pow, sub, st.sampled_from(_EXPONENTS)),
+        st.builds("{}({})".format, st.sampled_from(dsl.FUNCTION_NAMES), sub),
+        sub.map("-{}".format),
+        st.builds(str.format, st.sampled_from(["{} {} {}", "({} {} {})"]), sub,
+                  st.sampled_from("+-*/"), sub),
+        st.builds("({})^{}".format, sub, st.sampled_from(_EXPONENTS)),
     ),
     max_leaves=8,
+)
+
+
+def _op(kind, value, *programs) -> tuple:
+    """The program of one explicit step on the values of programs, for what the grammar cannot
+    write: a negative exponent, say."""
+    steps, outputs = dsl._merge(programs)
+    return (*steps, dsl.Step(kind, value, tuple(outputs)))
+
+
+# the programs of expression text, some raised to a negative power
+_programs = st.one_of(
+    _texts.map(parse_expression),
+    st.builds(lambda text, expo: _op("pow", expo, parse_expression(text)), _texts,
+              st.sampled_from((-2.0, -1.0, -0.5))),
 )
 _coord = st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2))
 # out of the domain of a point; ZeroDivisionError and OverflowError come from
@@ -304,11 +319,12 @@ def _outcome(metric, spec, points, order):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ast=_trees, other=_trees, points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5),
+@given(one=_programs, other=_programs,
+       points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5),
        order=st.integers(min_value=0, max_value=4))
-def test_batched_evaluation_equals_per_point_jets(ast, other, points, order):
+def test_batched_evaluation_equals_per_point_jets(one, other, points, order):
     # three components, the third sharing both others as subexpressions
-    spec = _plane({(0, 0): ast, (0, 1): other, (1, 1): dsl.Bin("*", ast, other)})
+    spec = _plane({(0, 0): one, (0, 1): other, (1, 1): _op("bin", "*", one, other)})
     pts = np.array(points, dtype=float)
     batch = _outcome(MetricSpec.metric_jets, spec, pts, order)
     singles = [_outcome(MetricSpec.metric_jets, spec, p, order) for p in pts]  # the walk on Jets
@@ -333,102 +349,170 @@ def test_batched_evaluation_equals_per_point_jets(ast, other, points, order):
 def _all_operations() -> MetricSpec:
     """Every function of jets.FUNCTIONS, pi, division both ways, negative, fractional and zero
     powers, a constant-only component and subexpressions shared across components."""
-    e = parse_expression
-    shared = e("sin(x) + cos(y) * tan(z)")
+    e, shared = parse_expression, "sin(x) + cos(y) * tan(z)"
     comps = {
-        (0, 0): dsl.Bin("-", shared, e("exp(x*y) / log(2 + x^2)")),
-        (0, 1): dsl.Bin("+", dsl.Pow(e("sqrt(1 + y^2)"), -1.5),
-                        dsl.Bin("*", dsl.Pow(e("sinh(z)"), -2.0), e("cosh(x)^0.5 - pi / (3 + x)"))),
+        (0, 0): e(f"{shared} - exp(x*y) / log(2 + x^2)"),
+        (0, 1): _op("bin", "+", _op("pow", -1.5, e("sqrt(1 + y^2)")),
+                    _op("bin", "*", _op("pow", -2.0, e("sinh(z)")), e("cosh(x)^0.5 - pi / (3 + x)"))),
         (0, 2): e("2 * pi^2 - 1 / 3"),
-        (1, 1): dsl.Bin("+", dsl.Bin("*", shared, dsl.Pow(e("x"), -1.0)), e("(1 + y^2)^2.5")),
-        (1, 2): dsl.Bin("+", e("-(x - 4) / y^3 - 1 / (x * z)"), e("x^0 * 2")),
-        (2, 2): e("(sin(x) + cos(y) * tan(z))^2 + exp(x*y)"),
+        (1, 1): _op("bin", "+", _op("bin", "*", e(shared), _op("pow", -1.0, e("x"))),
+                    e("(1 + y^2)^2.5")),
+        (1, 2): e("-(x - 4) / y^3 - 1 / (x * z) + x^0 * 2"),
+        (2, 2): e(f"({shared})^2 + exp(x*y)"),
     }
     return MetricSpec(3, (1, 1, 1), ("x", "y", "z"), comps)
 
 
-def _nodes(ast):
-    yield ast
-    for child in (getattr(ast, name, None) for name in ("arg", "lhs", "rhs", "base")):
-        if child is not None:
-            yield from _nodes(child)
+def _subterms(steps) -> list:
+    """The whole subexpression under each step, spelled out as text."""
+    terms = []
+    for step in steps:
+        terms.append(f"{step.kind}:{step.value!r}({', '.join(terms[a] for a in step.args)})")
+    return terms
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 6])
 def test_the_program_equals_the_walk_on_every_operation(order):
     spec = _all_operations()
-    nodes = [node for ast in spec.components.values() for node in _nodes(ast)]
-    assert {node.fn for node in nodes if isinstance(node, dsl.Call)} == set(jets.FUNCTIONS)
+    assert {s.value for s in spec._program[0] if s.kind == "call"} == set(jets.FUNCTIONS)
     pts = np.random.default_rng(order).uniform([0.5, 0.5, 0.3], [1.5, 1.5, 1.2], (4, 3))
     batch = spec.metric_jets(pts, order)
     for k, p in enumerate(pts):
         walked = spec.metric_jets(p, order)
         assert np.array_equal(batch[k], walked)
         assert np.array_equal(_program(spec, p, order), walked)
-    # one step per distinct subexpression, constant subtrees included
-    assert len(spec._program[0]) == len({repr(node) for node in nodes})
+    # one step per distinct subexpression, constant subexpressions included
+    terms = {term for steps in spec.components.values() for term in _subterms(steps)}
+    assert len(spec._program[0]) == len(terms)
 
 
-def _reference_compile(trees) -> tuple:
-    """The compile keyed by the repr of each whole subtree: recursive and quadratic in the
-    depth of the trees, with the step order _compile has to keep."""
+def _reference_parse(text) -> tuple:
+    """text as nested tuples (kind, value, *operands), by recursive descent with one function per
+    precedence level: recursive in the depth of text, and read only where text is well formed."""
+    tokens = dsl._tokenize(text)[::-1]
+    take, peek = tokens.pop, lambda: tokens[-1].text
+
+    def binary(operand, ops):
+        tree = operand()
+        while peek() in ops:
+            tree = ("bin", take().text, tree, operand())
+        return tree
+
+    def total():
+        return binary(lambda: binary(unary, ("*", "/")), ("+", "-"))
+
+    def unary():
+        if peek() == "-":
+            take()
+            return ("neg", None, unary())
+        tree = atom()
+        if peek() == "^":
+            take()
+            tree = ("pow", take().value, tree)
+        return tree
+
+    def atom():
+        tok = take()
+        if tok.kind == "num":
+            return ("num", tok.value)
+        if tok.kind == "name" and peek() != "(":
+            return ("var", tok.text)
+        if tok.kind == "name":
+            take()  # the "(" of a call
+        tree = total()
+        take()  # the ")"
+        return ("call", tok.text, tree) if tok.kind == "name" else tree
+
+    tree = total()
+    assert take().kind == "end"
+    return tree
+
+
+def _reference_number(trees) -> tuple:
+    """(steps, outputs) of trees, each step a (kind, repr(value), args) numbering a whole subtree
+    by its repr, placed where a left-to-right post-order walk first reaches it: quadratic in the
+    depth of the trees, with the step order parse_expression and _merge have to keep."""
     steps, seen = [], {}
 
-    def visit(node) -> int:
-        key = repr(node)  # unlike ==, tells -0.0 from 0.0
+    def visit(tree) -> int:
+        key = repr(tree)  # unlike ==, tells -0.0 from 0.0
         if key not in seen:
-            kids = [getattr(node, f) for f in ("arg", "base", "lhs", "rhs") if hasattr(node, f)]
-            steps.append((node, [visit(k) for k in kids]))
+            kind, value, *kids = tree
+            steps.append((kind, repr(value), tuple(visit(kid) for kid in kids)))
             seen[key] = len(steps) - 1
         return seen[key]
 
-    return steps, [visit(ast) for ast in trees]
+    return steps, [visit(tree) for tree in trees]
+
+
+def _rows(steps) -> list:
+    return [(step.kind, repr(step.value), step.args) for step in steps]
 
 
 @settings(max_examples=300, deadline=None)
-@given(trees=st.lists(_trees, min_size=1, max_size=4))
-def test_the_compile_equals_the_recursive_reference(trees):
-    trees = trees + [dsl.Bin("*", trees[0], trees[-1]), trees[0]]  # shared across trees
-    (steps, outputs), (want, want_outputs) = dsl._compile(trees), _reference_compile(trees)
-    assert [(repr(node), args) for node, args in steps] == [(repr(node), args) for node, args in want]
-    assert outputs == want_outputs
+@given(texts=st.lists(_texts, min_size=1, max_size=4))
+def test_the_parser_equals_the_recursive_reference(texts):
+    texts = texts + [f"({texts[0]}) * ({texts[-1]})", texts[0]]  # shared across programs
+    programs = [parse_expression(text) for text in texts]
+    for text, steps in zip(texts, programs):
+        assert (_rows(steps), [len(steps) - 1]) == _reference_number([_reference_parse(text)])
+    steps, outputs = dsl._merge(programs)
+    assert (_rows(steps), outputs) == _reference_number([_reference_parse(t) for t in texts])
 
 
-def test_the_compile_tells_minus_zero_from_zero():
-    x, zero, minus = dsl.Var("x"), dsl.Num(0.0), dsl.Num(-0.0)
-    trees = [dsl.Bin("+", minus, x), dsl.Bin("+", zero, x), zero, minus]
-    steps, outputs = dsl._compile(trees)
-    assert [args for _, args in steps] == [[], [], [0, 1], [], [3, 1]]
+def test_the_merge_tells_minus_zero_from_zero():
+    # the grammar writes no negative literal, so the programs are written as steps
+    x, zero, minus = dsl.Step("var", "x"), dsl.Step("num", 0.0), dsl.Step("num", -0.0)
+    plus = dsl.Step("bin", "+", (0, 1))
+    steps, outputs = dsl._merge([(minus, x, plus), (zero, x, plus), (zero,), (minus,)])
+    assert [step.args for step in steps] == [(), (), (0, 1), (), (3, 1)]
     assert outputs == [2, 4, 3, 0]
     values = dsl._values((steps, outputs), {"x": 1.0}, None, None)
     assert [math.copysign(1.0, v) for v in values[2:]] == [1.0, -1.0]
 
 
 def test_a_sum_of_20000_terms_compiles_and_evaluates():
-    ast = parse_expression("1" + " + 0.001*x" * 20000)
-    steps, outputs = dsl._compile([ast])
-    assert len(steps) == 4 + 20000 and outputs == [len(steps) - 1]
-    assert dsl.variables(ast) == {"x"}
-    assert evaluate(ast, {"x": 0.5}) == pytest.approx(11.0, rel=1e-12)
+    steps = parse_expression("1" + " + 0.001*x" * 20000)
+    assert len(steps) == 4 + 20000 and dsl._merge([steps])[1] == [len(steps) - 1]
+    assert dsl.variables(steps) == {"x"}
+    assert evaluate(steps, {"x": 0.5}) == pytest.approx(11.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("text", ["1" + " + 0.001*x" * 4999, "1 + 0.1*" + "-" * 5000 + "x"],
-                         ids=["5000-term-sum", "5000-deep-negation"])
+def _deep_metric(text) -> MetricSpec:
+    return parse_metric_text('dimension = 3\ncoords = x y z\nsignature = "+++"\n'
+                             f'g[1][1] = "{text}"\ng[2][2] = "1"\ng[3][3] = "1 + y*z"\n')
+
+
+_DEEP = pytest.mark.parametrize(
+    "text", ["1" + " + 0.001*x" * 4999, "1 + 0.1*" + "-" * 5000 + "x", "(" * 5000 + "1+x" + ")" * 5000],
+    ids=["5000-term-sum", "5000-deep-negation", "5000-nested-parentheses"])
+
+
+@_DEEP
 def test_a_deep_tree_prints_and_reads_back(text):
-    # the printer is one pass over the program: deep trees print, and the text reads
-    # back to the same metric (compared as text and jets: == and repr of the trees recurse)
+    # the printer is one pass over the program: deep expressions print, and the text reads
+    # back to the same metric, compared as text and as jets
     printed = expression_to_text(parse_expression(text))
     assert expression_to_text(parse_expression(printed)) == printed
-    spec = parse_metric_text('dimension = 3\ncoords = x y z\nsignature = "+++"\n'
-                             f'g[1][1] = "{text}"\ng[2][2] = "1"\ng[3][3] = "1 + y*z"\n')
+    spec = _deep_metric(text)
     again = parse_metric_text(spec.to_text())
     point = [0.3, -0.2, 0.7]
     assert np.array_equal(again.metric_jets(point, 3), spec.metric_jets(point, 3))
 
 
+@_DEEP
+def test_a_deep_metric_compares_hashes_and_prints(text):
+    # a component is a flat tuple of steps, so ==, hash() and repr() go without recursion
+    spec = _deep_metric(text)
+    again = parse_metric_text(spec.to_text())
+    assert again == spec
+    assert hash(again.components[(0, 0)]) == hash(spec.components[(0, 0)])
+    assert "Step(kind='var', value='x', args=())" in repr(spec)
+
+
 @pytest.mark.parametrize("ast, exc", [
     (parse_expression("1 / x"), jets.SingularPointError),
-    (dsl.Pow(dsl.Var("x"), -1.0), jets.SingularPointError),
+    ((dsl.Step("var", "x"), dsl.Step("pow", -1.0, (0,))), jets.SingularPointError),  # x^-1
     (parse_expression("log(x)"), ValueError),
     (parse_expression("x^0.5"), ValueError),
     (parse_expression("y / (x * y)"), jets.SingularPointError),

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from detourcert import catalog, detour, geometry, jets, prolong, tractor
 from detourcert.connections import covector_connection, killing_connection, tractor_connection
-from detourcert.dsl import parse_expression, parse_metric_text
+from detourcert.dsl import MetricValidationError, parse_expression, parse_metric_text
 from detourcert.geometry import (
     Geometry,
     SingularMetricError,
@@ -299,14 +299,17 @@ def test_conformal_rescale_weyl_law():
     pack = pack_values(SCHWARZSCHILD, P_SCHW)
     pack_hat = pack_values(rescaled, P_SCHW)
     assert maxabs(pack_hat.weyl - math.exp(2 * w) * pack.weyl) < 1e-8
+    # omega as text and as a parsed program give the same spec
+    assert conformal_rescale(SCHWARZSCHILD, "0.1 * (t + r/10) - 0.05 * th") == rescaled
     # scale survives a round trip through text
     again = parse_metric_text(rescaled.to_text(), label=rescaled.label)
     assert np.allclose(again.metric_values(P_SCHW), g_hat, rtol=1e-13)
 
 
 def test_conformal_rescale_rejects_stray_names():
-    with pytest.raises(Exception):
-        conformal_rescale(SCHWARZSCHILD, parse_expression("q + r"))
+    for omega in ("q + r", parse_expression("q + r")):
+        with pytest.raises(MetricValidationError, match="'q'"):
+            conformal_rescale(SCHWARZSCHILD, omega)
 
 
 def test_singular_metric_raises():
