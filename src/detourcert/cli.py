@@ -5,12 +5,12 @@ metric and emits a deterministic certificate: a fixed-width table for
 humans or JSON for machines.  Identical configuration (including the
 seed) produces byte-identical JSON.
 
-Every check is one row of ``_CHECKS`` (id, suite, statement, function,
-the dimensions it runs in), in report order.  Each function takes
-``fn(pt, rng)``, a ``_Point`` record of one sample point and the run's
-generator, and returns a residual or, where the residual is *supposed* to
-be large on metrics with a visibly nonzero obstruction, a (residual,
-prediction norm, gap) triple.  ``_verdict`` is the one rule: a residual
+Every check is one row of ``_CHECKS`` (id, suite, statement, function, the
+Geometry order it reads, the dimensions it runs in), in report order.  Each
+function takes ``fn(pt, rng)``, a ``_Point`` record of one sample point and
+the run's generator, and returns a residual or, where the residual is
+*supposed* to be large on metrics with a visibly nonzero obstruction, a
+(residual, prediction norm, gap) triple.  ``_verdict`` is the one rule: a residual
 passes at most tol, and NaN fails; a triple whose norm exceeds 10*tol is
 an expected negative, passing when the residual exceeds tol and the gap
 is at most OBSTRUCTION_MATCH_TOL*max(1, norm); a norm or gap that is not
@@ -205,9 +205,9 @@ def _rel_diff(lhs, rhs) -> float:
 # per-point check functions, fn(pt, rng).  Each reads its tensors through
 # Geometry.dense or a public operator given dense arrays, and their values at
 # the point as the coefficient 0.  Each computes only the jet orders its
-# residual reads: draw at the recorded order, then truncate to the order the
-# residual reads.  Truncation is exact, so the residuals and the rng stream
-# are those of the full-order computation.
+# residual reads: random jets are drawn at a fixed order, then truncated to
+# the order the residual reads.  Truncation is exact, so the residuals and the
+# rng stream are those of the full-order computation at any build order.
 
 
 def _check_algebraic_bianchi(pt, rng):
@@ -258,7 +258,7 @@ def _check_tractor_metric_parallel(pt, rng):
 
 def _check_splitting_commutation(pt, rng):
     geom = pt.geom
-    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 5), 3)  # each side reads 3 orders
+    sigma = _rand_jets(rng, (), geom.n, 5, 3)  # each side reads 3 orders
     lhs = tractor.apply_connection(tractor.splitting(sigma, geom), geom)
     rhs = tractor.op_E(tractor.op_D(sigma, geom), geom)
     return _rel_diff(lhs.as_matrix()[..., 0], rhs.as_matrix()[..., 0])
@@ -305,7 +305,7 @@ def _ym_interior(pt, rng):
 
 def _complex_composition(pt, rng):
     geom = pt.geom
-    sigma = _rand_jets(rng, (), geom.n, min(geom.order, 6))
+    sigma = _rand_jets(rng, (), geom.n, 6)
     comp = detour.op_MT(tractor.op_D(sigma, geom), geom).comps[..., 0]
     pred = detour.einstein_detour_expected(sigma, geom).comps[..., 0]
     return _max_abs(comp), _max_abs(pred), _max_abs(comp - pred)
@@ -359,6 +359,7 @@ class _Check(NamedTuple):
     suite: str
     statement: str
     fn: Callable
+    reads: Optional[int]  # the Geometry order its residual reads; None: the run's jet order
     dims: Optional[tuple] = None  # the metric dimensions it runs in; None: all
 
     def runs_in(self, dim: int) -> bool:
@@ -367,36 +368,37 @@ class _Check(NamedTuple):
 
 _CHECKS = (
     _Check("algebraic-bianchi", "curvature", "curvature satisfies R_[abc]d = 0",
-           _check_algebraic_bianchi),
-    _Check("contracted-bianchi", "curvature", "div Ric = d(scal)/2", _check_contracted_bianchi),
-    _Check("weyl-trace", "curvature", "Weyl tensor is totally trace-free", _check_weyl_trace, (4,)),
+           _check_algebraic_bianchi, 2),
+    _Check("contracted-bianchi", "curvature", "div Ric = d(scal)/2", _check_contracted_bianchi, 3),
+    _Check("weyl-trace", "curvature", "Weyl tensor is totally trace-free", _check_weyl_trace, 2,
+           (4,)),
     _Check("cotton-trace", "curvature", "Cotton tensor vanishes under both metric traces",
-           _check_cotton_trace),
+           _check_cotton_trace, 3),
     _Check("bach-shape", "curvature", "obstruction tensor is symmetric and trace-free",
-           _check_bach_shape, (4,)),
+           _check_bach_shape, 4, (4,)),
     _Check("tractor-metric-parallel", "tractor", "connection coefficients are skew for the "
-           "tractor metric", _check_tractor_metric_parallel),
+           "tractor metric", _check_tractor_metric_parallel, 3),
     _Check("splitting-commutation", "tractor", "connection applied to the canonical splitting "
-           "equals the injected second-order operator", _check_splitting_commutation),
+           "equals the injected second-order operator", _check_splitting_commutation, 3),
     _Check("adjoint-factorization", "tractor", "divergence adjoint of the splitting factors "
-           "through the form adjoints", _check_adjoint_factorization),
+           "through the form adjoints", _check_adjoint_factorization, 4),
     _Check("curvature-skew", "tractor", "tractor curvature is antisymmetric and metric skew",
-           _check_tractor_curvature_skew),
-    _Check("signature", "tractor", "tractor metric signature is (p+1, q+1)", _check_signature),
+           _check_tractor_curvature_skew, 3),
+    _Check("signature", "tractor", "tractor metric signature is (p+1, q+1)", _check_signature, 0),
     _Check("ym-source-exterior", "detour", "composition with the twisted differential "
-           "returns the source current", _ym_exterior),
+           "returns the source current", _ym_exterior, 3),
     _Check("ym-source-interior", "detour", "twisted divergence of the operator returns minus "
-           "the contracted current", _ym_interior),
+           "the contracted current", _ym_interior, 3),
     _Check("complex-composition", "detour", "translated operator composed with the splitting "
-           "operator reproduces the curvature obstruction", _complex_composition),
+           "operator reproduces the curvature obstruction", _complex_composition, 6),
     _Check("kernel-bound", "prolong", "stacked obstruction kernel admits every listed "
-           "Killing field", _kernel_bound),
+           "Killing field", _kernel_bound, None),
     _Check("scale-kernel-bound", "prolong", "parallel scale kernel admits the recorded "
-           "Einstein scale", _scale_kernel_bound),
+           "Einstein scale", _scale_kernel_bound, None),
     _Check("transport-roundtrip", "prolong", "forward and reverse parallel transport return "
-           "the fiber", _transport_roundtrip),
+           "the fiber", _transport_roundtrip, None),
     _Check("gauge-linearization", "deformation", "linearized obstruction along gauge "
-           "directions equals the transported obstruction", _gauge_linearization, (4,)),
+           "directions equals the transported obstruction", _gauge_linearization, 5, (4,)),
 )
 
 
@@ -425,8 +427,9 @@ def run(config: RunConfig) -> Report:
     rng = np.random.default_rng(config.seed)
     points = [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
               for _ in range(config.points)]
-    # only prolong reads past value coefficients, and jet truncation is exact
-    build = order if "prolong" in config.suites else config.required_order()
+    # MIN_ORDER is the floor a run asks for and records; the Geometry is built at the
+    # most any check reads (prolong: the order asked for), as jet truncation is exact
+    build = max(order if c.reads is None else c.reads for c in checks)
     pts = [_Point(Geometry(spec, p, order=build), box, entry) for p in points]
 
     return Report(

@@ -179,16 +179,20 @@ def _emit(steps: list, seen: dict, kind: str, value, args: tuple, pos: tuple) ->
     return seen[key]
 
 
+def _append(steps: list, seen: dict, program: tuple) -> int:
+    """The register of program's value, its steps emitted again in their order by _emit."""
+    regs = []
+    for s in program:
+        regs.append(_emit(steps, seen, s.kind, s.value, tuple(regs[a] for a in s.args), s.pos))
+    return regs[-1]
+
+
 def _merge(programs) -> tuple:
     """(steps, outputs): programs as one straight-line program, a step per distinct subexpression,
     each program's steps emitted again in their order, so a point out of the domain raises where
     the first program to reach it would.  outputs: the register of the value of each program."""
-    steps, seen, outputs = [], {}, []
-    for program in programs:
-        regs = []
-        for s in program:
-            regs.append(_emit(steps, seen, s.kind, s.value, tuple(regs[a] for a in s.args), s.pos))
-        outputs.append(regs[-1])
+    steps, seen = [], {}
+    outputs = [_append(steps, seen, program) for program in programs]
     return steps, outputs
 
 
@@ -256,7 +260,8 @@ def _fmt_number(v: float) -> str:
 def expression_to_text(steps: tuple) -> str:
     """Inverse of parse_expression up to whitespace: reparsing gives == steps.  One pass over the
     steps builds each step's (text, level) from its operands' entries, parenthesizing one whose
-    level is below what its place needs and dropping it after its last use."""
+    level is below what its place needs and dropping it after its last use.  A number or exponent
+    that is negative, -0.0 or not finite has no literal, so its step raises ValueError."""
     uses = Counter(a for step in steps for a in step.args)
     texts = {}
 
@@ -267,6 +272,8 @@ def expression_to_text(steps: tuple) -> str:
 
     for r, step in enumerate(steps):
         kind, value, args = step.kind, step.value, step.args
+        if kind in ("num", "pow") and not (math.isfinite(value) and math.copysign(1.0, value) > 0):
+            raise ValueError(f"cannot print {step!r}: the grammar has no literal {value!r}")
         if kind == "num":
             entry = _fmt_number(value), 5
         elif kind == "var":

@@ -373,10 +373,24 @@ class Geometry:
 
 
 def conformal_rescale(spec, omega) -> "dsl.MetricSpec":
-    """New spec with components exp(2*omega) * g_ij; omega, text or parsed, in the same coords."""
-    omega = omega if isinstance(omega, str) else dsl.expression_to_text(omega)
-    comps = {key: dsl.parse_expression(f"exp(2 * ({omega})) * ({dsl.expression_to_text(steps)})")
-             for key, steps in spec.components.items()}
+    """New spec with components exp(2*omega) * g_ij; omega, text or parsed, in the same coords.
+
+    Each component's program is composed in the steps that parsing
+    "exp(2 * (omega)) * (g_ij)" emits: 2, omega, *, exp, g_ij, *.
+    """
+    omega = dsl.parse_expression(omega) if isinstance(omega, str) else omega
+
+    def rescaled(component):
+        steps, seen = [], {}
+
+        def emit(kind, value, *args):
+            return dsl._emit(steps, seen, kind, value, args, (1, 1))
+
+        scale = emit("call", "exp", emit("bin", "*", emit("num", 2.0), dsl._append(steps, seen, omega)))
+        emit("bin", "*", scale, dsl._append(steps, seen, component))
+        return tuple(steps)
+
+    comps = {key: rescaled(steps) for key, steps in spec.components.items()}
     return dsl.MetricSpec(
         spec.dim, spec.signature, spec.coords, comps, label=spec.label + "_rescaled"
     )

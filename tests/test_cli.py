@@ -510,8 +510,9 @@ def _value_checks(n):
 
 @pytest.mark.parametrize("name", ["sphere4", "schwarzschild", "generic_bump4", "generic_bump3"])
 def test_value_checks_are_bit_identical_at_the_suite_minimum_and_at_order_8(name):
-    # the proof obligation behind cli.run building every suite but prolong
-    # at its minimum order: a higher jet order changes no residual bit
+    # MIN_ORDER is the floor a run asks for: a Geometry there or higher gives
+    # every residual bit; cli.run builds at the order its rows read (`reads`,
+    # tested in test_jet_orders.py), which is at most this floor
     entry = catalog.get(name)
     point = entry.sample_point(np.random.default_rng(3))
     high = Geometry(entry.spec(), point, order=8)
@@ -548,8 +549,11 @@ def test_only_prolong_builds_geometry_at_the_requested_order(monkeypatch):
         return build(spec, point, order=order)
 
     monkeypatch.setattr(cli, "Geometry", recording)
-    for suite, built in [("curvature", 4), ("prolong", 8)]:
+    # the other suites build at the most their rows read, and record the order asked for
+    for metric, suites, built in [("flat3", ("curvature",), 3), ("flat3", ("tractor",), 4),
+                                  ("generic_bump4", ("curvature", "tractor", "deformation"), 5),
+                                  ("flat3", ("detour",), 6), ("flat3", ("prolong",), 8)]:
         orders.clear()
-        report = cli.run(run_config(metric="flat3", suites=(suite,), points=1, jet_order=8))
-        assert orders == [built], suite
+        report = cli.run(run_config(metric=metric, suites=suites, points=1, jet_order=8))
+        assert orders == [built], suites
         assert report.config["jet_order"] == report.environment["jet_order"] == 8

@@ -109,6 +109,16 @@ def test_print_parse_round_trip():
         assert parse_expression(printed) == steps, (text, printed)
 
 
+@pytest.mark.parametrize("step", [dsl.Step("pow", -2.0, (0,)), dsl.Step("num", -1.0),
+                                  dsl.Step("num", -0.0), dsl.Step("pow", math.inf, (0,))])
+def test_a_step_with_no_literal_does_not_print(step):
+    # the grammar reads no negative, signed-zero or non-finite number, so the
+    # printer names the step instead of writing text that does not read back
+    steps = (dsl.Step("var", "x"), step) + ((dsl.Step("bin", "+", (0, 1)),) if not step.args else ())
+    with pytest.raises(ValueError, match=f"cannot print Step\\(kind='{step.kind}'"):
+        expression_to_text(steps)
+
+
 @pytest.mark.parametrize("text, col", [("1 + 1e999 * x", 5), ("x * 2e308", 5), ("1e400", 1)])
 def test_a_number_that_overflows_is_a_syntax_error(text, col):
     # a literal that rounds to inf would reach the metric as a non-finite coefficient

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from detourcert import catalog, detour, geometry, jets, prolong, tractor
+from detourcert import catalog, detour, dsl, geometry, jets, prolong, tractor
 from detourcert.connections import covector_connection, killing_connection, tractor_connection
 from detourcert.dsl import MetricValidationError, parse_expression, parse_metric_text
 from detourcert.geometry import (
@@ -310,6 +310,31 @@ def test_conformal_rescale_rejects_stray_names():
     for omega in ("q + r", parse_expression("q + r")):
         with pytest.raises(MetricValidationError, match="'q'"):
             conformal_rescale(SCHWARZSCHILD, omega)
+
+
+def test_conformal_rescale_composes_steps_that_have_no_text():
+    # a spec built from explicit steps with a negative power rescales, though it
+    # does not print: the grammar writes no negative exponent
+    x, inverse = dsl.Step("var", "x"), dsl.Step("pow", -1.0, (0,))
+    spec = dsl.MetricSpec(2, (1, 1), ("x", "y"), {(0, 0): parse_expression("1 + y^2"),
+                                                  (1, 1): (x, inverse)})
+    rescaled = conformal_rescale(spec, "0.5 * x")
+    point = (0.4, -0.3)
+    assert np.allclose(rescaled.metric_values(point),
+                       math.exp(0.4) * spec.metric_values(point), rtol=1e-15)
+    for unprintable in (spec, rescaled):
+        with pytest.raises(ValueError, match="cannot print Step\\(kind='pow', value=-1.0"):
+            unprintable.to_text()
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_conformal_rescale_gives_the_program_of_the_rescaled_text(name):
+    spec = catalog.get(name).spec()
+    omega = f"0.1 * {spec.coords[0]} - 2 * exp({spec.coords[-1]})"
+    rescaled = conformal_rescale(spec, omega)
+    for key, steps in spec.components.items():
+        text = f"exp(2 * ({omega})) * ({dsl.expression_to_text(steps)})"
+        assert rescaled.components[key] == parse_expression(text), (key, text)
 
 
 def test_singular_metric_raises():

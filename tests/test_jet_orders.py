@@ -8,9 +8,11 @@ gives the full-order result cut to k, bit for bit.
 
 On top of it, the full-order check bodies below (operands at the order they
 are drawn or built at, cut only at the end) are the references that every
-trimmed check of cli.run must reproduce exactly; and two deterministic work
+trimmed check of cli.run must reproduce exactly; two deterministic work
 guards pin the orders at which the detour suite forms connection curvature
-and the Geometry stages past Schouten.
+and the Geometry stages past Schouten; and each row's `reads`, the order
+cli.run builds its Geometry at, gives the residual and the draws of an
+order-8 build, while one order lower raises or moves the residual.
 """
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from detourcert import catalog, cli, connections, detour, jets, tractor
 from detourcert.connections import Connection, covector_connection, tractor_connection
 from detourcert.detour import TwistedForm
+from detourcert.dsl import parse_metric_text
 from detourcert.geometry import Geometry, JetTensor
 
 TOP = 9  # the full order; the operands are cut to every order 1..TOP-1
@@ -314,3 +317,50 @@ def test_a_late_stage_formed_low_then_at_its_top_equals_the_full_order_stage(key
             assert np.array_equal(geom.dense(stage, k), low), (stage, k)
         with pytest.raises(ValueError, match=f"{stage} has jet order {top}, not {top + 1}"):
             Geometry(metric_jets=g, order=order).dense(stage, top + 1)
+
+
+# ---------------------------------------------------------------------------
+# the build order of cli.run: a Geometry at the order a row reads gives the
+# residual and the draws of an order-8 build, one order lower does not
+
+
+BUMP5 = parse_metric_text(
+    'dimension = 5\ncoords = x y z w u\nsignature = "+++++"\n'
+    'g[1][1] = "1 + 0.1*y^2 + 0.05*x*z"\ng[2][2] = "1 + 0.08*x^2 - 0.02*y*w"\n'
+    'g[3][3] = "1 + 0.06*x*y + 0.03*w^2"\ng[4][4] = "1 + 0.07*z^2 + 0.04*u*x"\n'
+    'g[5][5] = "1 + 0.05*y*z"\ng[1][2] = "0.03*z^2"\ng[2][3] = "0.04*x*w"\n'
+    'g[4][5] = "0.02*u^2"\n', label="bump5")
+
+
+def _spec_box_entry(name):
+    if name == "bump5":
+        return BUMP5, ((-0.5, 0.5),) * 5, None
+    entry = catalog.get(name)
+    return entry.spec(), entry.sample_box, entry
+
+
+def _outcome(check, spec, point, order, box, entry):
+    """(residual, final rng state) of a row on a Geometry built at order, or the ValueError."""
+    rng = np.random.default_rng(29)
+    try:
+        got = check.fn(cli._Point(Geometry(spec, point, order=order), box, entry), rng)
+    except ValueError as exc:
+        return exc
+    return got, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", METRICS + ["bump5"])
+def test_each_row_reads_exactly_its_build_order(name):
+    spec, box, entry = _spec_box_entry(name)
+    rows = [c for c in cli._CHECKS if c.suite != "prolong" and c.runs_in(spec.dim)]
+    assert rows
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        point = tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+        for check in rows:
+            assert check.reads <= cli.MIN_ORDER[check.suite], check.id
+            want = _outcome(check, spec, point, 8, box, entry)
+            assert not isinstance(want, ValueError), (check.id, want)
+            assert _outcome(check, spec, point, check.reads, box, entry) == want, check.id
+            low = _outcome(check, spec, point, check.reads - 1, box, entry)
+            assert isinstance(low, ValueError) or low[0] != want[0], (check.id, low)

@@ -110,3 +110,21 @@ def test_the_second_pass_runs_every_suite_at_order_8():
     assert [(m, s, c) for m, s, c, _ in rows] == [("flat3", "curvature@8", 0),
                                                   ("flat3", "prolong@8", 0)]
     assert all(json.loads(t)["config"]["jet_order"] == 8 for *_, t in rows)
+
+
+def test_every_report_runs_at_the_seed_asked_for():
+    def worker(*seed):
+        out = subprocess.run([sys.executable, str(TOOL), "--worker", str(ROOT / "src"),
+                              "--metrics", "generic_bump3", "--suites", "curvature", *seed],
+                             capture_output=True, text=True, timeout=300, check=True)
+        return [json.loads(t) for *_, t in json.loads(out.stdout)]
+
+    (zero,), (default,), (one,) = worker("--seed", "0"), worker(), worker("--seed", "1")
+    assert zero == default and zero["config"]["seed"] == 0
+    assert one["config"]["seed"] == one["environment"]["seed"] == 1
+    assert [c["max_residual"] for c in one["checks"]] != [c["max_residual"] for c in zero["checks"]]
+    out = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(ROOT / "src"),
+                          "--seed", "1"] + CHEAP, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[:2] == ["4 reports, 4 byte-identical",
+                                           "4 reports at --jet-order 8, 4 byte-identical"]

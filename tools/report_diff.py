@@ -1,10 +1,11 @@
 """Compare the `verify` JSON reports of two source trees.
 
-    python tools/report_diff.py OLD_SRC NEW_SRC [--metrics a,b] [--suites s,t]
+    python tools/report_diff.py OLD_SRC NEW_SRC [--metrics a,b] [--suites s,t] [--seed N]
 
 OLD_SRC and NEW_SRC are directories holding a `detourcert` package (a
-checkout's `src`).  For every catalog metric and suite (seed 0, the default
-points and jet order) the script runs `detourcert verify --format json`.
+checkout's `src`).  For every catalog metric and suite (seed N, default 0,
+the default points and jet order) the script runs `detourcert verify
+--format json --seed N`.
 A pair is not applicable where the CLI exits 2 with "suite has no check
 for a N dimensional metric"; it is left out of the counts, and a pair that
 applies on one tree only is a change.  Every suite then runs a second
@@ -36,7 +37,7 @@ NOT_APPLICABLE = re.compile(r"suite has no check for a \d+ dimensional metric")
 
 
 def run_reports(src: str, metrics: list | None, suites: list | None,
-                order: int | None = None) -> list:
+                order: int | None = None, seed: int = 0) -> list:
     """Every verify report of the package under src, as [metric, suite label, exit, text].
 
     With an order, every suite runs at that jet order, labelled suite@order.
@@ -47,7 +48,7 @@ def run_reports(src: str, metrics: list | None, suites: list | None,
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"error: imported detourcert from {cli.__file__}, not from {src}")
-    extra = ["--jet-order", str(order)] if order else []
+    extra = ["--seed", str(seed)] + (["--jet-order", str(order)] if order else [])
     out = []
     for metric in metrics or catalog.names():
         for suite in suites or cli.SUITES:
@@ -119,7 +120,7 @@ def residual_lines(residuals: list) -> list:
 
 
 def _worker_cmd(src: str, order: int | None, args) -> list:
-    cmd = [sys.executable, __file__, "--worker", src]
+    cmd = [sys.executable, __file__, "--worker", src, "--seed", str(args.seed)]
     if order:
         cmd += ["--worker-order", str(order)]
     if args.metrics:
@@ -135,13 +136,14 @@ def main(argv=None) -> int:
     p.add_argument("new_src", nargs="?")
     p.add_argument("--metrics", default=None, help="comma separated catalog names")
     p.add_argument("--suites", default=None, help="comma separated suites")
+    p.add_argument("--seed", type=int, default=0, help="the seed of every verify run")
     p.add_argument("--worker", default=None, help=argparse.SUPPRESS)
     p.add_argument("--worker-order", type=int, default=None, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     split = (lambda s: s.split(",") if s else None)
     if args.worker:
         json.dump(run_reports(args.worker, split(args.metrics), split(args.suites),
-                              args.worker_order), sys.stdout)
+                              args.worker_order, args.seed), sys.stdout)
         return 0
     if not (args.old_src and args.new_src):
         p.error("need OLD_SRC and NEW_SRC")
