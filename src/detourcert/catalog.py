@@ -5,8 +5,8 @@ points, curvature facts (verified by the test suite at random sample
 points), explicit Killing fields when the chart admits simple closed
 forms, and an Einstein scale when one exists: a positive function sigma
 with sigma^-2 g Einstein.  killing_jets parses the field expressions to
-programs, merges them into one and runs it to jets at a point as dsl runs
-metric text, and returns jets viewing its dense result.
+programs, merges them into one and runs it by dsl._run on Jets at the point,
+as metric text is walked, and returns jets viewing its dense result.
 
 Angular charts keep 0.2 rad away from coordinate poles so that inverse
 metrics and cot factors stay well conditioned.

@@ -50,7 +50,6 @@ from .jets import _ranks, _size
 @dataclass(eq=False)
 class Connection:
     geom: Geometry
-    rank: int
     theta: np.ndarray  # (n, rank, rank, ncoeff) dense jets
     label: str = ""  # keep: perfbench's tracer keys curvature repeats by (geometry, label)
     cache: dict = field(default_factory=dict, init=False, repr=False)  # curvature, ym_current
@@ -58,6 +57,10 @@ class Connection:
     @property
     def n(self) -> int:
         return self.geom.n
+
+    @property
+    def rank(self) -> int:
+        return self.theta.shape[-3]
 
     @property
     def dim(self) -> int:
@@ -82,13 +85,13 @@ class Connection:
 def covector_connection(geom: Geometry, order: int | None = None) -> Connection:
     """Levi-Civita on 1-forms: Theta_a[b, c] = -Gamma^c_ab, at order K-1 or the order given."""
     th = -geom.dense("gamma", order).transpose(1, 2, 0, 3)
-    return Connection(geom, geom.n, np.ascontiguousarray(th), label="covector")
+    return Connection(geom, np.ascontiguousarray(th), label="covector")
 
 
 def tractor_connection(geom: Geometry, order: int | None = None) -> Connection:
     """Theta = tractor.connection_matrices, at order K-2 or the order given (at most K-2)."""
     th = tractor_mod.connection_matrices(geom, geom.order - 2 if order is None else order)
-    return Connection(geom, geom.n + 2, th, label="tractor")
+    return Connection(geom, th, label="tractor")
 
 
 def tensor_square(conn: Connection) -> Connection:
@@ -97,7 +100,7 @@ def tensor_square(conn: Connection) -> Connection:
     eye = np.eye(r)
     th = np.einsum("aijc,kl->aikjlc", conn.theta, eye)
     th += np.einsum("ij,aklc->aikjlc", eye, conn.theta)
-    return Connection(conn.geom, r * r, th.reshape(n, r * r, r * r, -1), label=conn.label + "^2")
+    return Connection(conn.geom, th.reshape(n, r * r, r * r, -1), label=conn.label + "^2")
 
 
 def killing_connection(geom: Geometry) -> Connection:
@@ -123,7 +126,7 @@ def killing_connection(geom: Geometry) -> Connection:
     # Levi-Civita on both antisymmetric slots: Gamma^d_ab mu_dc + Gamma^d_ac mu_bd
     th[..., n:, n:, :] = (-np.einsum("...dapk,dpq->...apqk", gam[..., b, :], E[:, c])
                           - np.einsum("...dapk,pdq->...apqk", gam[..., c, :], E[b]))
-    return Connection(geom, rank, th, label="killing")
+    return Connection(geom, th, label="killing")
 
 
 def polynomial_connection(geom: Geometry, rank: int, rng) -> Connection:
@@ -140,7 +143,7 @@ def polynomial_connection(geom: Geometry, rank: int, rng) -> Connection:
     ranks = _ranks(dim, order, alpha)
     th = np.zeros((n, rank, rank, _size(dim, order)))
     th[..., ranks[ranks >= 0]] = draws[..., ranks >= 0]
-    return Connection(geom, rank, th, label="polynomial")
+    return Connection(geom, th, label="polynomial")
 
 
 # ---------------------------------------------------------------------------

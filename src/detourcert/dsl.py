@@ -19,12 +19,11 @@ on the registers of earlier steps.
 
 Every expression is evaluated and printed through that program: _merge joins the
 programs of a metric's components into one, sharing their common steps, and one
-_step applies a step to floats, Jets or dense (..., ncoeff) jets.
-MetricSpec.metric_jets returns the dense metric; everything downstream is dense.
-On (P, n) points it runs the program on dense jets, bit-identical per point; at
-one point it runs it on Jets, the one Jet arithmetic of a verify run, which
-perfbench's tracer counts at Jet.__mul__.  The catalog runs the program on dense
-jets at one point.
+_step applies a step to floats, Jets or dense (..., ncoeff) jets.  _run is the one
+evaluator into dense jets, for MetricSpec.metric_jets and the catalog's Killing
+fields: on (P, n) points it runs the program on dense jets, bit-identical per
+point; at one point on Jets, the one Jet arithmetic of a verify run, which
+perfbench's tracer counts at Jet.__mul__.  Everything downstream is dense.
 """
 from __future__ import annotations
 
@@ -179,11 +178,15 @@ def _emit(steps: list, seen: dict, kind: str, value, args: tuple, pos: tuple) ->
     return seen[key]
 
 
-def _append(steps: list, seen: dict, program: tuple) -> int:
-    """The register of program's value, its steps emitted again in their order by _emit."""
+def _append(steps: list, seen: dict, program: tuple, subs: dict | None = None) -> int:
+    """The register of program's value, its steps emitted again in their order by _emit; a var step
+    named in subs appends the program subs maps it to in its place."""
     regs = []
     for s in program:
-        regs.append(_emit(steps, seen, s.kind, s.value, tuple(regs[a] for a in s.args), s.pos))
+        if subs and s.kind == "var" and s.value in subs:
+            regs.append(_append(steps, seen, subs[s.value]))
+        else:
+            regs.append(_emit(steps, seen, s.kind, s.value, tuple(regs[a] for a in s.args), s.pos))
     return regs[-1]
 
 
@@ -192,8 +195,7 @@ def _merge(programs) -> tuple:
     each program's steps emitted again in their order, so a point out of the domain raises where
     the first program to reach it would.  outputs: the register of the value of each program."""
     steps, seen = [], {}
-    outputs = [_append(steps, seen, program) for program in programs]
-    return steps, outputs
+    return steps, [_append(steps, seen, program) for program in programs]
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -235,10 +237,12 @@ def _values(program: tuple, env, dim, order) -> list:
 
 
 def _run(program: tuple, coords: tuple, pts: np.ndarray, order: int) -> list:
-    """Dense jets (..., ncoeff) of each output of program at points (..., n) named coords."""
+    """Dense jets of each output of program at points named coords: (P, n) on dense jets, (n,) on Jets."""
     dim, n = len(coords), jets._size(len(coords), order)
     env = {x: jets._variable_coeffs(pts[..., k], k, dim, order) for k, x in enumerate(coords)}
-    return [v if isinstance(v, np.ndarray) else jets._constant_coeffs(float(v), n)
+    if pts.ndim == 1:
+        env = {x: jets.Jet(dim, order, c) for x, c in env.items()}
+    return [jets.as_dense(v) if isinstance(v, (jets.Jet, np.ndarray)) else jets._constant_coeffs(float(v), n)
             for v in _values(program, env, dim, order)]
 
 
@@ -332,23 +336,16 @@ class MetricSpec:
                 )
 
     def metric_jets(self, point, order: int) -> np.ndarray:
-        """Dense symmetric metric: (n, n, ncoeff) at a point (n,) by the walk, (P, n, n, ncoeff) at (P, n)."""
+        """Dense symmetric metric: (n, n, ncoeff) at a point (n,), (P, n, n, ncoeff) at (P, n)."""
         pts = np.asarray(point, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
             raise ValueError(f"points of shape {pts.shape}, expected ({self.dim},) or (P, {self.dim})")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values: Geometry refuses them
-            vals = _run(self._program, self.coords, pts, order) if pts.ndim == 2 else self._walk(pts, order)
+            vals = _run(self._program, self.coords, pts, order)
         g = np.zeros(pts.shape[:-1] + (self.dim, self.dim, jets._size(self.dim, order)))
         for (i, j), val in zip(self.components, vals):
             g[..., i, j, :] = g[..., j, i, :] = val
         return g
-
-    def _walk(self, point: np.ndarray, order: int) -> list:
-        """Coefficients of each component at one point, by the program on Jets."""
-        n, pt = jets._size(self.dim, order), point.tolist()
-        env = {x: jets.variable(pt[k], k, self.dim, order) for k, x in enumerate(self.coords)}
-        return [v.coeffs if isinstance(v, jets.Jet) else jets._constant_coeffs(float(v), n)
-                for v in _values(self._program, env, self.dim, order)]
 
     @cached_property
     def _program(self) -> tuple:

@@ -14,13 +14,13 @@ used consistently everywhere downstream:
 
 Jet orders decay along the chain: a stage's top order is K - drop, from its
 row (drop, policy) in Geometry._STAGES; the metric carries K, Christoffel
-K-1, curvature K-2, Cotton K-3, Bach K-4.  dense(stage, k) refuses a k
-outside 0..top (ValueError) before forming anything.  Policy "top" (g up to
-Schouten, but ginv) forms a stage once, at the top; "sweep" (ginv) just the
-degrees not yet formed, up to k; "read" forms it at k, and again when a
-later reader asks for more.  The lower coefficients stay bit-identical, as
-truncation commutes with every kernel.  bach(k) reads cotton(k+1), weyl(k)
-and schouten_up(k); cotton(k) reads schouten(k+1).
+K-1, curvature K-2, Cotton K-3, Bach K-4.  dense(stage, k), a read-only
+view, refuses a k outside 0..top (ValueError) before forming anything.
+Policy "top" (g up to Schouten, but ginv) forms a stage once, at the top;
+"sweep" (ginv) just the degrees not yet formed, up to k; "read" forms it
+at k, and again when a later reader asks for more.  The lower coefficients
+stay bit-identical, as truncation commutes with every kernel.  bach(k)
+reads cotton(k+1), weyl(k) and schouten_up(k); cotton(k) reads schouten(k+1).
 
 Every stage works on dense jet tensors (float arrays of shape
 tensor_shape + (ncoeff,), see jets): index contractions are reshaped into
@@ -122,6 +122,7 @@ def invert_jet_matrix(g: np.ndarray, dim, degrees: range | None = None,
             raise SingularMetricError(f"metric is singular (pivot {small.any(axis=0).argmax()})")
         inv = np.zeros(g.shape)
         inv[..., 0] = ax[:, :, n:].reshape(lead + (n, n))
+    inv.flags.writeable = True  # Geometry keeps its inverse read-only between sweeps
     for deg in range(max(1, degrees.start), degrees.stop):
         c0, c1 = jets._size(dim, deg - 1), jets._size(dim, deg)
         s = jets._pair_sums(g, inv, dim, order, c0, c1)
@@ -161,7 +162,7 @@ class Geometry:
     """Cached jets of the curvature chain for one metric at one point, or at a batch.
 
     The metric comes from a spec, or as metric_jets: an (n, n) object array
-    of jets or a dense (n, n, ncoeff) array; g views its dense array.  The jets
+    of jets or a dense (n, n, ncoeff) array; g views a copy of it.  The jets
     may carry more variables than the manifold has coordinates (extra
     passive parameters); geometric derivatives only ever touch the first n
     slots.  A (P, n) array of points, or a dense (P, n, n, ncoeff) metric,
@@ -188,7 +189,8 @@ class Geometry:
             if point is None or pts.ndim > 2 or pts.shape[-1:] != (spec.dim,):
                 raise ValueError(f"point must have {spec.dim} coordinates")
             metric_jets = spec.metric_jets(pts, self.order)
-        self._dense = {"g": jets.as_dense(metric_jets)}
+        self._dense = {"g": np.array(jets.as_dense(metric_jets))}  # a copy the caller cannot edit
+        self._dense["g"].flags.writeable = False
         if not np.isfinite(self._dense["g"]).all():
             raise ValueError("metric has a non-finite coefficient")
         self.lead, self.n = self._dense["g"].shape[:-3], self._dense["g"].shape[-2]
@@ -227,6 +229,7 @@ class Geometry:
             # sees every stage computation; contiguous, so that views share it
             x = self._dense[stage] = np.ascontiguousarray(getattr(type(self), stage).func(self, *args))
             self._formed[stage] = k if args else top
+            x.flags.writeable = False  # and with it every view dense returns
         return x[..., : jets._size(self.jet_dim, k)]
 
     def _single(self, what: str):
@@ -375,22 +378,13 @@ class Geometry:
 def conformal_rescale(spec, omega) -> "dsl.MetricSpec":
     """New spec with components exp(2*omega) * g_ij; omega, text or parsed, in the same coords.
 
-    Each component's program is composed in the steps that parsing
-    "exp(2 * (omega)) * (g_ij)" emits: 2, omega, *, exp, g_ij, *.
+    Each component's program is the parse of "exp(2 * w) * g", omega's program appended in place
+    of w and the component's in place of g, so the parser fixes the order of the steps.
     """
     omega = dsl.parse_expression(omega) if isinstance(omega, str) else omega
-
-    def rescaled(component):
-        steps, seen = [], {}
-
-        def emit(kind, value, *args):
-            return dsl._emit(steps, seen, kind, value, args, (1, 1))
-
-        scale = emit("call", "exp", emit("bin", "*", emit("num", 2.0), dsl._append(steps, seen, omega)))
-        emit("bin", "*", scale, dsl._append(steps, seen, component))
-        return tuple(steps)
-
-    comps = {key: rescaled(steps) for key, steps in spec.components.items()}
-    return dsl.MetricSpec(
-        spec.dim, spec.signature, spec.coords, comps, label=spec.label + "_rescaled"
-    )
+    template, comps = dsl.parse_expression("exp(2 * w) * g"), {}
+    for key, component in spec.components.items():
+        steps = []
+        dsl._append(steps, {}, template, {"w": omega, "g": component})
+        comps[key] = tuple(steps)
+    return dsl.MetricSpec(spec.dim, spec.signature, spec.coords, comps, label=spec.label + "_rescaled")

@@ -300,11 +300,7 @@ def like(x: np.ndarray, arr, dim):
 
 def _constant_coeffs(value, n: int) -> np.ndarray:
     """Coefficients of a constant: (n,) for a float, value.shape + (n,) for an array."""
-    if not isinstance(value, np.ndarray):
-        c = np.zeros(n)
-        c[0] = value
-        return c
-    c = np.zeros(value.shape + (n,))
+    c = np.zeros(getattr(value, "shape", ()) + (n,))  # np.shape would first wrap a float in an array
     c[..., 0] = value
     return c
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from detourcert import catalog, prolong
+from detourcert import catalog, dsl, jets, prolong
 from detourcert.geometry import Geometry, conformal_rescale
 
 RNG_SEED = 2026
@@ -60,6 +60,18 @@ def test_listed_killing_fields_are_killing(name):
     fields = entry.killing_jets(geom)
     for v in fields:
         assert prolong.killing_residual(geom, v) < 1e-12
+
+
+@pytest.mark.parametrize("name", [name for name in catalog.names() if catalog.get(name).killing_fields])
+def test_killing_jets_at_one_point_equal_the_dense_run_of_a_batch_of_one(name):
+    # killing_jets runs the program on Jets at one point; a batch of one runs it on dense jets
+    entry = catalog.get(name)
+    geom = entry.geometry(entry.sample_point(np.random.default_rng(RNG_SEED + 2)), order=5)
+    programs = [dsl.parse_expression(text) for exprs in entry.killing_fields for text in exprs]
+    vals = dsl._run(dsl._merge(programs), entry.spec().coords, np.asarray(geom.point)[None], geom.order)
+    want = np.array([np.atleast_2d(v)[0] for v in vals])  # a constant field component has no points axis
+    got = np.concatenate([jets.to_dense(field) for field in entry.killing_jets(geom)])
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -106,7 +106,7 @@ def max_abs(arr):
 def maxwell_connection(geom):
     """The zero connection on the trivial line bundle: twisted forms are plain forms."""
     theta = np.zeros((geom.n, 1, 1, jets._size(geom.jet_dim, geom.order - 1)))
-    return co.Connection(geom, 1, theta)
+    return co.Connection(geom, theta)
 
 
 def jet_view(x, dim=4):
@@ -428,7 +428,7 @@ def test_curvature_and_current_are_computed_once_per_connection(monkeypatch):
         assert len(calls) == work
         assert not first.flags.writeable  # the cached array cannot be edited in place
     # a new connection on the same data does the work again
-    co.curvature(co.Connection(conn.geom, conn.rank, conn.theta))
+    co.curvature(co.Connection(conn.geom, conn.theta))
     assert len(calls) > work
 
 

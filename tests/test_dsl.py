@@ -311,12 +311,12 @@ def _plane(components) -> MetricSpec:
 
 
 def _program(spec, point, order) -> np.ndarray:
-    """The dense metric at one point by the program with no points axis, as the catalog runs it."""
-    g = np.zeros((spec.dim, spec.dim, jets._size(spec.dim, order)))
-    vals = dsl._run(spec._program, spec.coords, np.asarray(point, dtype=float), order)
+    """The dense metric at one point by the program on dense jets, as a batch of one point."""
+    g = np.zeros((1, spec.dim, spec.dim, jets._size(spec.dim, order)))
+    vals = dsl._run(spec._program, spec.coords, np.asarray(point, dtype=float)[None], order)
     for (i, j), val in zip(spec.components, vals):
-        g[i, j] = g[j, i] = val
-    return g
+        g[..., i, j, :] = g[..., j, i, :] = val
+    return g[0]
 
 
 def _outcome(metric, spec, points, order):
@@ -539,7 +539,7 @@ def test_one_point_out_of_the_domain_fails_the_batch(ast, exc):
 def test_metric_jets_batch_walks_each_tree_once(monkeypatch):
     # the batch costs one run of the program, not one walk per point: it makes no
     # Jet product, and as many dense products as the walk, which runs the same
-    # program on Jets; the program at one point makes the same dense products too
+    # program on Jets; the program on a batch of one point makes the same dense products too
     spec = parse_metric_text(SCHWARZSCHILD_TEXT)
     calls, products, mul, dense_mul = [0], [0], jets.Jet.__mul__, jets.mul
 

@@ -604,6 +604,25 @@ def test_stage_views_equal_the_dense_arrays():
     assert geom.riemann is geom.riemann
 
 
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_array_is_read_only(stage):
+    # an edit through dense would rewrite the cached stage under every later reader;
+    # the inverse still sweeps its higher degrees after its values were handed out
+    geom = Geometry(BUMP4, P_BUMP, order=4)
+    for k in (0, None):
+        with pytest.raises(ValueError, match="read-only"):
+            geom.dense(stage, k)[...] = 0.0
+    assert np.array_equal(geom.dense(stage), Geometry(BUMP4, P_BUMP, order=4).dense(stage))
+
+
+def test_the_metric_jets_are_copied_at_construction():
+    g = BUMP4.metric_jets(P_BUMP, 4)
+    geom, held = Geometry(metric_jets=g, order=4), g.copy()
+    g[...] = 0.0
+    assert np.array_equal(geom.dense("g"), held)
+    assert np.array_equal(geom.dense("gamma"), Geometry(BUMP4, P_BUMP, order=4).dense("gamma"))
+
+
 @pytest.mark.parametrize("first", ["view", "dense"])
 def test_each_stage_is_computed_once(monkeypatch, first):
     calls = dict.fromkeys(STAGES, 0)

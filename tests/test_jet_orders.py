@@ -86,11 +86,11 @@ def test_covd_array_and_curvature_commute_with_truncation_bit_for_bit(key):
     theta = rng.standard_normal((n, r, r, jets._size(key, TOP - 1)))
     slots = ("u", "d", "V", "V*")
     full = geom.covd_array(x, slots, theta)
-    curv = connections.curvature(Connection(geom, r, theta))
+    curv = connections.curvature(Connection(geom, theta))
     for k in range(1, TOP):
         got = geom.covd_array(_cut(x, key, k), slots, _cut(theta, key, k - 1))
         assert np.array_equal(got, _cut(full, key, k - 1)), k
-        got = connections.curvature(Connection(geom, r, _cut(theta, key, k)))
+        got = connections.curvature(Connection(geom, _cut(theta, key, k)))
         assert np.array_equal(got, _cut(curv, key, k - 1)), k
 
 

@@ -7,8 +7,11 @@ from scipy.integrate import solve_ivp
 
 from detourcert import catalog, prolong
 from detourcert.connections import (
+    Connection,
+    covector_connection,
     killing_connection,
     polynomial_connection,
+    tensor_square,
     tractor_connection,
 )
 from detourcert.dsl import parse_metric_text
@@ -137,6 +140,19 @@ def test_generic_polynomial_connection_has_no_parallel_sections():
     geom = Geometry(BUMP4, P_BUMP, order=5)
     conn = polynomial_connection(geom, 3, np.random.default_rng(11))
     assert prolong.kernel_dimension(conn) == 0
+
+
+def test_a_connection_reads_its_rank_off_theta():
+    # no rank argument can contradict Theta's fiber, which kernel_dimension counts from
+    geom = Geometry(FLAT4, (0.3, -0.2, 0.5, 0.1), order=4)
+    tractor = tractor_connection(geom)
+    conns = [(covector_connection(geom), 4), (tractor, 6), (tensor_square(tractor), 36),
+             (killing_connection(geom), 10), (polynomial_connection(geom, 3, np.random.default_rng(0)), 3)]
+    for conn, rank in conns:
+        assert conn.rank == conn.theta.shape[-3] == rank, conn.label
+    batch = Geometry(FLAT4, [(0.3, -0.2, 0.5, 0.1), (0.1, 0.2, 0.3, 0.4)], order=4)
+    assert killing_connection(batch).rank == 10  # a points axis leads Theta
+    assert prolong.kernel_dimension(Connection(geom, tractor.theta)) == 6
 
 
 # -- the Killing connection against its slot-by-slot formula -----------------
